@@ -1,17 +1,36 @@
-"""Arbitration-policy interface and the rotating-priority primitive.
+"""Arbitration-policy interface and the rotating-priority primitives.
 
-Every arbitration step uses :func:`rotating_pick`: candidates are compared
+Every arbitration step is a rotating-priority pick: candidates are compared
 by an optional priority key first, and ties are broken round-robin by
 rotating a pointer over a stable candidate index. Pure round-robin is the
 degenerate case with no priority key. Rotating tie-breaks inside each
 priority class make all policies here starvation-free *within* a class;
 cross-class starvation freedom is each policy's own responsibility (STC
 uses batching, RAIR's DPA is self-throttling — paper Section IV.D).
+
+The router's three contested steps (VA_out, SA_in, SA_out) run the pick on
+bitmasks over its flat VC keys: the policy reduces the candidate mask to
+its top priority class (:meth:`ArbitrationPolicy.va_out_top` /
+:meth:`~ArbitrationPolicy.sa_top`) and :func:`rotating_bit` rotates from
+the pointer. :func:`rotating_pick` is the same rule over arbitrary
+objects; VA_in's request choice uses it, and the property tests hold the
+mask form to it.
 """
 
 from __future__ import annotations
 
-__all__ = ["ArbitrationPolicy", "rotating_pick"]
+__all__ = ["ArbitrationPolicy", "rotating_bit", "rotating_pick"]
+
+
+def rotating_bit(mask: int, ptr: int) -> int:
+    """The set bit of non-zero ``mask`` closest at or after position ``ptr``.
+
+    Wraps to the lowest set bit when nothing is set from ``ptr`` up. The
+    winner's slot is ``bit.bit_length() - 1``, so the advanced pointer
+    (one past it) is ``bit.bit_length() % modulo``.
+    """
+    high = mask >> ptr
+    return (high & -high) << ptr if high else mask & -mask
 
 
 def rotating_pick(candidates, id_of, ptr: int, modulo: int, priority_of=None):
@@ -48,14 +67,28 @@ def rotating_pick(candidates, id_of, ptr: int, modulo: int, priority_of=None):
     return best, (best_id + 1) % modulo
 
 
+def _top_class(vcs, mask: int, key_of) -> int:
+    """Bits of ``mask`` whose VC (``vcs[bit position]``) has the lowest key."""
+    best = None
+    top = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        key = key_of(vcs[low.bit_length() - 1])
+        if best is None or key < best:
+            best, top = key, low
+        elif key == best:
+            top |= low
+    return top
+
+
 class ArbitrationPolicy:
     """Base policy: pure round-robin everywhere.
 
     Subclasses override the ``*_priority`` key methods and set the matching
     ``uses_*_priority`` class flag; the mechanics of each arbitration step
-    (candidate collection, pointer bookkeeping) stay here and in the
-    router. The flags exist so the common round-robin path skips building
-    per-candidate key closures in the hot loop.
+    (candidate collection, pointer bookkeeping) stay in the router. With a
+    flag unset the router skips that stage's class reduction altogether.
     """
 
     name = "base"
@@ -108,38 +141,26 @@ class ArbitrationPolicy:
         """
         return 0
 
-    # -- arbitration steps ----------------------------------------------------
-    def va_out_pick(self, router, out_port: int, out_vc: int, requesters):
-        """Grant one of ``requesters`` (input VCs) the output VC."""
-        ptr = router.va_ptr[out_port][out_vc]
-        total = router.num_ports * router.total_vcs
-        if self.uses_va_priority:
-            cls = router.vc_class_of[out_vc]
-            prio = lambda v: self.va_out_priority(router, cls, v)  # noqa: E731
-        else:
-            prio = None
-        winner, router.va_ptr[out_port][out_vc] = rotating_pick(
-            requesters, lambda v: v.port * router.total_vcs + v.vc, ptr, total, prio
-        )
-        return winner
+    # -- priority classes over candidate masks ----------------------------------
+    def va_out_top(self, router, out_vc: int, mask: int) -> int:
+        """The requesters in ``mask`` that share the best VA_out key for ``out_vc``.
 
-    def sa_in_pick(self, router, in_port: int, candidates):
-        """Pick the input VC that represents ``in_port`` at the switch."""
-        ptr = router.sa_in_ptr[in_port]
-        prio = (lambda v: self.sa_priority(router, v)) if self.uses_sa_priority else None
-        winner, router.sa_in_ptr[in_port] = rotating_pick(
-            candidates, lambda v: v.vc, ptr, router.total_vcs, prio
-        )
-        return winner
+        ``mask`` is a non-empty set of input VCs as bits over the router's
+        flat VC keys; the router rotates among the bits returned. Only
+        consulted when ``uses_va_priority`` is True. The default derives
+        the class from :meth:`va_out_priority`; override it when the
+        classes are already sets the router keeps (RAIR's native mask).
+        """
+        cls = router.vc_class_of[out_vc]
+        return _top_class(router.vcs, mask, lambda v: self.va_out_priority(router, cls, v))
 
-    def sa_out_pick(self, router, out_port: int, candidates):
-        """Pick the input VC (at most one per input port) that gets the crossbar."""
-        ptr = router.sa_out_ptr[out_port]
-        prio = (lambda v: self.sa_priority(router, v)) if self.uses_sa_priority else None
-        winner, router.sa_out_ptr[out_port] = rotating_pick(
-            candidates, lambda v: v.port, ptr, router.num_ports, prio
-        )
-        return winner
+    def sa_top(self, router, mask: int) -> int:
+        """The candidates in ``mask`` that share the best SA key (both SA steps).
+
+        Same contract as :meth:`va_out_top`; only consulted when
+        ``uses_sa_priority`` is True.
+        """
+        return _top_class(router.vcs, mask, lambda v: self.sa_priority(router, v))
 
     # -- per-cycle hooks -------------------------------------------------------
     def end_router_cycle(self, router, cycle: int) -> None:

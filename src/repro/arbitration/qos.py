@@ -173,6 +173,13 @@ class RairQosPolicy(RairPolicy):
     def sa_priority(self, router, invc):
         return (self.qos.sa_priority(router, invc), super().sa_priority(router, invc))
 
+    # Lexicographic keys as masks: the best QoS band, then RAIR's class in it.
+    def va_out_top(self, router, out_vc: int, mask: int) -> int:
+        return super().va_out_top(router, out_vc, self.qos.va_out_top(router, out_vc, mask))
+
+    def sa_top(self, router, mask: int) -> int:
+        return super().sa_top(router, self.qos.sa_top(router, mask))
+
     def end_network_cycle(self, network, cycle: int) -> None:
         super().end_network_cycle(network, cycle)
         self.qos.end_network_cycle(network, cycle)

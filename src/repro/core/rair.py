@@ -118,9 +118,29 @@ class RairPolicy(ArbitrationPolicy):
     def sa_priority(self, router, invc):
         return regional_vc_priority(invc.is_native, router.native_high)
 
+    # -- priority classes as masks ------------------------------------------------
+    # The two classes are sets the router already keeps (``native_mask``),
+    # so the top class of the keys above is one AND; an empty favoured
+    # class leaves every candidate tied in the other.
+    def va_out_top(self, router, out_vc: int, mask: int) -> int:
+        cls = router.vc_class_of[out_vc]
+        if cls is VcClass.ESCAPE:
+            return mask
+        if cls is VcClass.REGIONAL and router.native_high:
+            return mask & router.native_mask or mask
+        return mask & ~router.native_mask or mask
+
+    def sa_top(self, router, mask: int) -> int:
+        if router.native_high:
+            return mask & router.native_mask or mask
+        return mask & ~router.native_mask or mask
+
     # -- DPA update -----------------------------------------------------------------
     def end_router_cycle(self, router, cycle: int) -> None:
-        if self._dpa_dynamic:
+        # The hysteresis is a fixed point of unchanged counters, so it only
+        # needs running on cycles where a head arrived or a tail left.
+        if self._dpa_dynamic and router.ovc_dirty:
+            router.ovc_dirty = False
             old = router.native_high
             new = hysteresis_update(old, router.ovc_n, router.ovc_f, self.dpa.delta)
             if new != old:

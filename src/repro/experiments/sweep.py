@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from repro.experiments.parallel import Cell, FaultPolicy, run_cells, run_cells_detailed
 from repro.experiments.runner import Effort, FigureResult, Scheme, run_scenario
@@ -64,6 +63,10 @@ class SweepResult:
             raise ConfigError(f"confidence level must be in (0,1), got {level}")
         if self.n < 2:
             return (self.mean, self.mean)
+        # Imported here: scipy.stats costs ~0.7 s and ~60 MB, and every CLI,
+        # pool worker and daemon imports this module via repro.experiments.
+        from scipy import stats as sp_stats
+
         half = self.std_error * sp_stats.t.ppf(0.5 + level / 2, df=self.n - 1)
         return (self.mean - half, self.mean + half)
 

@@ -16,21 +16,17 @@ each cycle; a VC in ``ACTIVE`` state owns a downstream VC and competes for
 the switch whenever it has a flit buffered, a credit available and its
 pipeline-stage timestamps allow.
 
-The VC is not polled for schedulability: it *reports* its transitions to
-the caller, who maintains the router's wake lists (see ``Router.va_pending``
-/ ``Router.sa_pending`` and the "Kernel scheduling" section of
-``docs/ARCHITECTURE.md``):
-
-* :meth:`head_arrive` makes the VC VA-eligible (from the next cycle) —
-  the caller arms the VA wake list;
-* :meth:`body_arrive` returns True when the arrival made an ACTIVE VC
-  newly SA-schedulable (its buffer had drained) — the caller re-arms the
-  SA wake list;
-* :meth:`send_flit` returns True on the tail flit (VC drained *and*
-  released) — the caller retires the VC from the SA wake list.
+The VC is not polled for schedulability: the kernel maintains the
+router's wake masks (``Router.va_pending`` / ``sa_pending`` / ``sa_hold``,
+see the "Kernel scheduling" section of ``docs/ARCHITECTURE.md``) from the
+events themselves. The per-packet transitions are methods here
+(:meth:`head_arrive`, :meth:`grant_vc`, :meth:`release`); the two per-flit
+ones — a body flit arriving, a flit departing — are applied in place by
+their single callers, ``Network._deliver_flit`` and ``Network.send_flit``,
+next to the mask updates they imply.
 
 :meth:`wants_va` / :meth:`wants_sa` remain as the brute-force eligibility
-oracle that the wake lists are cross-checked against in tests.
+oracle that the wake masks are cross-checked against in tests.
 """
 
 from __future__ import annotations
@@ -70,12 +66,24 @@ class InputVC:
         "va_ready",
         "sa_ready",
         "is_native",
+        "bit",
     )
 
-    def __init__(self, node: int, port: int, vc: int, vnet: int, vc_class: VcClass, is_escape: bool):
+    def __init__(
+        self,
+        node: int,
+        port: int,
+        vc: int,
+        vnet: int,
+        vc_class: VcClass,
+        is_escape: bool,
+        key: int = 0,
+    ):
         self.node = node
         self.port = port
         self.vc = vc
+        # This VC's bit in the router's wake masks (flat key port * total_vcs + vc).
+        self.bit = 1 << key
         self.vnet = vnet
         self.vc_class = vc_class
         self.is_escape = is_escape
@@ -119,25 +127,6 @@ class InputVC:
         self.va_ready = cycle + 1
         self.is_native = native
 
-    def body_arrive(self, cycle: int) -> bool:
-        """A subsequent flit of the resident packet arrives at ``cycle``.
-
-        Returns True when this arrival made the VC newly SA-schedulable:
-        it is ACTIVE (owns a downstream VC) and its buffer had fully
-        drained, so the switch-allocation wake list forgot about it.
-        """
-        pkt = self.pkt
-        if pkt is None:
-            raise SimulationError(
-                f"body flit arrived at empty VC (node {self.node} port {self.port} vc {self.vc})"
-            )
-        if self.flits_recv >= pkt.length:
-            raise SimulationError(f"too many flits arrived for {pkt!r}")
-        was_drained = not self.arrivals
-        self.arrivals.append(cycle)
-        self.flits_recv += 1
-        return was_drained and self.state == VC_ACTIVE
-
     # -- queries --------------------------------------------------------------
     def occupancy(self) -> int:
         """Number of flits currently buffered."""
@@ -173,18 +162,8 @@ class InputVC:
         self.state = VC_ACTIVE
         self.sa_ready = cycle + 1
 
-    def send_flit(self, cycle: int) -> bool:
-        """One flit wins the switch and departs; returns True if it was the tail."""
-        if not self.arrivals:
-            raise SimulationError("send_flit on empty buffer")
-        self.arrivals.popleft()
-        self.flits_sent += 1
-        if self.flits_sent == self.pkt.length:
-            self._release()
-            return True
-        return False
-
-    def _release(self) -> None:
+    def release(self) -> None:
+        """The tail flit departed: the VC is free for the next packet."""
         if self.arrivals:
             raise SimulationError("VC released while flits still buffered")
         self.pkt = None

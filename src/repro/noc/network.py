@@ -17,9 +17,10 @@ The :class:`Network` owns all routers plus the cross-router machinery:
   packet. :meth:`Network.run_router_phases` walks only those (in node
   order, so results never depend on set internals); routers join the set
   when a head flit arrives and leave when their last packet retires. All
-  cross-router wake-up events flow through here: flit deliveries arm the
-  receiving router's VA/SA wake lists, credit returns re-arm VCs parked
-  on that credit (see :mod:`repro.noc.router`),
+  cross-router wake-up events flow through here and keep the routers'
+  wake masks exact: flit deliveries, credit returns and the send itself
+  each set or clear the bits their event implies (see
+  :mod:`repro.noc.router`),
 * the optional :class:`~repro.noc.trace.KernelTrace` hook (``trace``)
   that the kernel emits scheduling events into.
 """
@@ -31,6 +32,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.regions import RegionMap
+from repro.noc.buffers import VC_ACTIVE
 from repro.noc.config import NocConfig
 from repro.noc.flit import PacketPool
 from repro.noc.router import Router
@@ -105,7 +107,11 @@ class Network:
         ]
         self._inject_busy_until = [0] * self.topology.num_nodes
         self._inj_vc_ptr = [0] * self.topology.num_nodes
+        # Nodes with queued packets; the sorted walk order is cached like
+        # the active set's below.
         self._pending_nodes: set[int] = set()
+        self._pending_list: list[int] = []
+        self._pending_dirty = False
         # Routers currently holding >= 1 packet; the per-cycle router
         # phases walk this (sorted) instead of every router on the chip.
         # The sorted walk order is cached and rebuilt only when the set
@@ -218,7 +224,9 @@ class Network:
         if not 0 <= pkt.vnet < self.config.num_vnets:
             raise SimulationError(f"{pkt!r} has invalid vnet")
         self.queues[pkt.src][pkt.vnet].append(pkt)
-        self._pending_nodes.add(pkt.src)
+        if pkt.src not in self._pending_nodes:
+            self._pending_nodes.add(pkt.src)
+            self._pending_dirty = True
         self.app_flits_injected[pkt.app_id] = (
             self.app_flits_injected.get(pkt.app_id, 0) + pkt.length
         )
@@ -235,11 +243,14 @@ class Network:
         """Move queued packets into idle LOCAL input VCs (1 flit/cycle link)."""
         if not self._pending_nodes:
             return
-        done = []
         # Sorted so injection order never depends on hash-set internals
         # (per-node placements are independent, but determinism should be
         # structural, not an artifact of what each step happens to touch).
-        for node in sorted(self._pending_nodes):
+        if self._pending_dirty:
+            self._pending_list = sorted(self._pending_nodes)
+            self._pending_dirty = False
+        done = []
+        for node in self._pending_list:
             if self._inject_busy_until[node] > cycle:
                 continue
             router = self.routers[node]
@@ -264,11 +275,12 @@ class Network:
                 break
             if not started and not any(queues):
                 done.append(node)
-        for node in done:
-            self._pending_nodes.discard(node)
+        if done:
+            self._pending_nodes.difference_update(done)
+            self._pending_dirty = True
 
     def _find_idle_local_vc(self, router: Router, vnet: int) -> int | None:
-        vcs = self.config.vnet_vcs(vnet)
+        vcs = router._vnet_vcs_t[vnet]
         n = len(vcs)
         start = self._inj_vc_ptr[router.node]
         local_vcs = router.in_vcs[LOCAL]
@@ -339,18 +351,20 @@ class Network:
                     raise SimulationError(
                         f"credit overflow at node {node} port {port} vc {vc}"
                     )
-                # Re-arm the owning VC if it parked credit-starved, and
-                # wake VA-parked VCs when the slot fills back to depth
-                # (Router.credit_arrived inlined — this loop runs once
-                # per flit ever sent over a link).
-                owner = router.out_owner[port][vc]
-                if owner is not None:
-                    router.sa_pending |= 1 << (owner.port * router.total_vcs + owner.vc)
-                elif c == depth:
-                    parked = router.va_parked
-                    if parked:
-                        router.va_pending |= parked
-                        router.va_parked = 0
+                # Only two counter values change anyone's schedulability:
+                # the first credit ends the owner's starvation (sendable
+                # now if it has a flit buffered — next cycle if that flit
+                # arrived in this one), and the last one makes an unowned
+                # VC VA-allocatable again.
+                if c == 1 or c == depth:
+                    owner = router.out_owner[port][vc]
+                    if owner is None:
+                        if c == depth:
+                            router.wake_parked()
+                    elif c == 1 and owner.arrivals:
+                        router.sa_pending |= owner.bit
+                        if owner.arrivals[0] >= cycle:
+                            router.sa_hold |= owner.bit
                 if tr is not None:
                     tr.credit_return(cycle, node, port, vc)
 
@@ -360,7 +374,8 @@ class Network:
         if pkt is not None:
             native = router.app_id >= 0 and pkt.app_id == router.app_id
             invc.head_arrive(pkt, cycle, native)
-            router.arm_va(invc)
+            # The VC competes in VA from next cycle (va_ready).
+            router.va_pending |= invc.bit
             if router.busy_vcs == 0:
                 self._active.add(node)
                 self._active_dirty = True
@@ -369,11 +384,28 @@ class Network:
             router.busy_vcs += 1
             if native:
                 router.ovc_n += 1
+                router.native_mask |= invc.bit
             else:
                 router.ovc_f += 1
+            router.ovc_dirty = True
         else:
-            if invc.body_arrive(cycle):
-                router.arm_sa(invc)
+            resident = invc.pkt
+            if resident is None:
+                raise SimulationError(
+                    f"body flit arrived at empty VC (node {node} port {port} vc {vc})"
+                )
+            if invc.flits_recv >= resident.length:
+                raise SimulationError(f"too many flits arrived for {resident!r}")
+            arrivals = invc.arrivals
+            if not arrivals and invc.state == VC_ACTIVE:
+                # Refill of a drained ACTIVE VC: sendable next cycle, if
+                # it holds a credit (else the credit's return arms it).
+                op = invc.out_port
+                if op == LOCAL or router.out_credits[op][invc.out_vc] > 0:
+                    router.sa_pending |= invc.bit
+                    router.sa_hold |= invc.bit
+            arrivals.append(cycle)
+            invc.flits_recv += 1
         self.occupancy[node] += 1
         self.buffered_total += 1
 
@@ -381,13 +413,19 @@ class Network:
     def send_flit(self, router: Router, invc, cycle: int) -> None:
         """One flit of ``invc`` traverses the switch and leaves ``router``."""
         pkt = invc.pkt
+        arrivals = invc.arrivals
+        if not arrivals:
+            raise SimulationError("send_flit on empty buffer")
+        arrivals.popleft()
         out_port = invc.out_port
         out_vc = invc.out_vc
         in_port = invc.port
-        in_vc = invc.vc
-        native = invc.is_native
-        is_head = invc.flits_sent == 0
-        is_tail = invc.send_flit(cycle)
+        sent = invc.flits_sent + 1
+        invc.flits_sent = sent
+        is_tail = sent == pkt.length
+        # The VC stays sendable while it is not released, has another
+        # flit buffered and (below) a credit left to send it on.
+        sendable = not is_tail and bool(arrivals)
         node = router.node
         self.occupancy[node] -= 1
         self.buffered_total -= 1
@@ -405,21 +443,22 @@ class Network:
             upstream = self._neighbor[node][in_port]
             when = cycle + self._credit_lat
             lst = self._credits.get(when)
-            item = (upstream, self._opposite[in_port], in_vc)
+            item = (upstream, self._opposite[in_port], invc.vc)
             if lst is None:
                 self._credits[when] = [item]
             else:
                 lst.append(item)
 
         if is_tail:
+            native = invc.is_native
+            invc.release()
             router.out_owner[out_port][out_vc] = None
-            router.vc_retired(invc)
             if out_port == LOCAL:
                 # An ejection-port VC frees with its credits intact, so a
                 # VA option is born right now: re-arm the parked VCs. A
                 # link-port VC frees with at least one credit outstanding
                 # (the tail flit just consumed one), so its option is born
-                # only when the final credit returns — credit_arrived
+                # only when the final credit returns — deliver_events
                 # handles that wake; waking here too would be harmless
                 # but pointless.
                 router.wake_parked()
@@ -431,8 +470,10 @@ class Network:
                     self.trace.sleep(cycle, node)
             if native:
                 router.ovc_n -= 1
+                router.native_mask &= ~invc.bit
             else:
                 router.ovc_f -= 1
+            router.ovc_dirty = True
 
         if out_port == LOCAL:
             if is_tail:
@@ -451,12 +492,16 @@ class Network:
                 self.packet_pool.release(pkt)
         else:
             credits = router.out_credits[out_port]
-            credits[out_vc] -= 1
-            if credits[out_vc] < 0:
-                raise SimulationError(
-                    f"negative credits at node {node} port {out_port} vc {out_vc}"
-                )
+            left = credits[out_vc] - 1
+            credits[out_vc] = left
+            if left <= 0:
+                if left < 0:
+                    raise SimulationError(
+                        f"negative credits at node {node} port {out_port} vc {out_vc}"
+                    )
+                sendable = False
             dst = self._neighbor[node][out_port]
+            is_head = sent == 1
             if is_head:
                 pkt.hops += 1
             when = cycle + self._link_lat
@@ -466,6 +511,8 @@ class Network:
                 self._arrivals[when] = [item]
             else:
                 lst.append(item)
+        if not sendable:
+            router.sa_pending &= ~invc.bit
 
     # -- per-cycle router phases ----------------------------------------------------------
     def run_router_phases(self, cycle: int) -> None:

@@ -15,7 +15,7 @@ modelled as explicit per-cycle arbitrations through the installed
 :class:`~repro.arbitration.base.ArbitrationPolicy`.
 
 Scheduling is event-driven rather than polled: instead of scanning every
-input VC every cycle, the router keeps explicit wake lists —
+input VC every cycle, the router keeps explicit wake masks —
 
 ``va_pending`` / ``va_parked``
     Every VC in VA state is in exactly one of the two. ``do_va`` walks
@@ -23,35 +23,39 @@ input VC every cycle, the router keeps explicit wake lists —
     set is empty (every admissible downstream VC owned or not fully
     drained) is *parked* and re-armed only when this router's resources
     change (a credit returns or an output VC's owner releases) — see
-    :meth:`wake_parked` / :meth:`credit_arrived`.
-``sa_pending``
-    ACTIVE VCs presumed schedulable. ``do_sa`` walks it in ascending key
-    order; VCs found drained (no flit buffered) or credit-starved are
-    dropped and re-armed by the matching event (body-flit arrival,
-    credit return via :meth:`credit_arrived`), while VCs blocked on pure
-    pipeline timing (flit arrived this cycle, post-VA setup) stay listed
-    — they become eligible by the next cycle with no external event.
+    :meth:`wake_parked`.
+``sa_pending`` / ``sa_hold``
+    ``sa_pending`` is *exactly* the ACTIVE VCs with a flit buffered and a
+    credit to send it on; ``sa_hold`` is the subset that only becomes
+    sendable next cycle (granted by VA, or refilled, this cycle). So
+    ``do_sa`` starts from ``sa_pending & ~sa_hold`` and never re-tests
+    arrivals, credits or ``sa_ready``: the events that change them keep
+    the masks (VA grant here; flit and credit delivery and the send
+    itself in :mod:`repro.noc.network`).
 
-The lists are integer bitmasks over the flat VC key
-``port * total_vcs + vc``: arm/retire are single OR/AND-NOT operations,
-re-arming all parked VCs is one OR, and walking lowest-bit-first yields
-exactly the (port, vc) lexicographic order of the old full scan — so the
-kernel is bit-identical to the polling kernel while never touching an
-idle VC. The invariants are cross-checked against the brute-force
-``wants_va`` / ``wants_sa`` oracle in
-``tests/integration/test_kernel_invariants.py``.
+The masks are integers over the flat VC key ``port * total_vcs + vc``:
+arming and retiring are single OR/AND-NOT operations, re-arming all parked
+VCs is one OR, and the lowest bit first is the (port, vc) lexicographic
+order of a full scan. Arbitration runs on the same masks: the policy
+reduces a contested candidate mask to its top priority class and
+:func:`~repro.arbitration.base.rotating_bit` rotates from the pointer. The
+invariants are cross-checked against the brute-force ``wants_va`` /
+``wants_sa`` oracle in ``tests/integration/test_kernel_invariants.py``.
 
 Per-router RAIR state lives here so the policy hot path is field access:
 ``app_id`` (from the region map), the DPA occupied-VC counters ``ovc_n`` /
-``ovc_f`` (updated on head arrival and tail departure — the "status of all
-VCs in a router" rule of Section IV.C), and the DPA output bit
-``native_high`` (written by the policy's end-of-cycle hook, read by the
-next cycle's arbitrations). Per-VC config lookups the arbitration inner
-loops need (``vc_class_of``) are precomputed tuples for the same reason.
+``ovc_f`` and the mask of native-occupied VCs ``native_mask`` (updated on
+head arrival and tail departure — the "status of all VCs in a router" rule
+of Section IV.C — which also raise ``ovc_dirty`` for the DPA hook), and the
+DPA output bit ``native_high`` (written by the policy's end-of-cycle hook,
+read by the next cycle's arbitrations). Per-VC config lookups the
+arbitration inner loops need (``vc_class_of``) are precomputed tuples for
+the same reason.
 """
 
 from __future__ import annotations
 
+from repro.arbitration.base import rotating_bit
 from repro.noc.buffers import VC_VA, InputVC
 from repro.noc.config import NocConfig
 from repro.noc.topology import LOCAL
@@ -93,6 +97,7 @@ class Router:
         "va_pending",
         "va_parked",
         "sa_pending",
+        "sa_hold",
         "_vnet_range",
         "_first_data_vc",
         "_vnet_vcs_t",
@@ -101,6 +106,8 @@ class Router:
         "ovc_n",
         "ovc_f",
         "native_high",
+        "native_mask",
+        "ovc_dirty",
     )
 
     def __init__(self, node: int, config: NocConfig, network, app_id: int):
@@ -120,6 +127,7 @@ class Router:
                     config.vc_vnet(vc),
                     config.vc_class(vc),
                     config.is_escape_vc(vc),
+                    port * self.total_vcs + vc,
                 )
                 for vc in range(self.total_vcs)
             ]
@@ -160,28 +168,19 @@ class Router:
         self.sa_out_ptr = [0] * num_ports
         self.va_req_ptr = [0] * num_ports
         self.busy_vcs = 0
-        # Wake-list bitmasks (see module docstring).
+        # Wake masks (see module docstring).
         self.va_pending = 0
         self.va_parked = 0
         self.sa_pending = 0
+        self.sa_hold = 0
         # DPA state (paper Section IV.C); policies may ignore it.
         self.ovc_n = 0
         self.ovc_f = 0
         self.native_high = False
+        self.native_mask = 0
+        self.ovc_dirty = False
 
-    # -- wake-list maintenance ------------------------------------------------------
-    def vc_key(self, invc: InputVC) -> int:
-        """Flat wake-list key of an input VC; sorts like (port, vc)."""
-        return invc.port * self.total_vcs + invc.vc
-
-    def arm_va(self, invc: InputVC) -> None:
-        """A head flit arrived: the VC will compete in VA from next cycle."""
-        self.va_pending |= 1 << (invc.port * self.total_vcs + invc.vc)
-
-    def arm_sa(self, invc: InputVC) -> None:
-        """A body flit refilled a drained ACTIVE VC: re-arm it for SA."""
-        self.sa_pending |= 1 << (invc.port * self.total_vcs + invc.vc)
-
+    # -- wake-mask maintenance ------------------------------------------------------
     def wake_parked(self) -> None:
         """Re-arm every VA-parked VC after a resource-freeing event.
 
@@ -194,34 +193,6 @@ class Router:
         if parked:
             self.va_pending |= parked
             self.va_parked = 0
-
-    def credit_arrived(self, port: int, vc: int) -> None:
-        """A credit for output ``(port, vc)`` was delivered to this router.
-
-        Waking is precise: a credit can only affect the schedulability of
-        its own output VC, so either the VC is owned (re-arm the owner,
-        which may have parked itself credit-starved) or — once the counter
-        is back to full depth — the VC just became VA-allocatable and the
-        parked VCs get to retry. Credits that leave an unowned VC still
-        partially drained change nothing and wake nobody.
-        """
-        owner = self.out_owner[port][vc]
-        if owner is not None:
-            self.sa_pending |= 1 << (owner.port * self.total_vcs + owner.vc)
-        elif self.out_credits[port][vc] == self.vc_depth:
-            parked = self.va_parked
-            if parked:
-                self.va_pending |= parked
-                self.va_parked = 0
-
-    def vc_retired(self, invc: InputVC) -> None:
-        """The tail flit left: drop the VC from the SA wake list.
-
-        Releasing ``out_owner`` — and deciding whether the release makes a
-        VA option appear (only ejection-port VCs free with their credits
-        intact) — is the caller's job; this only handles the wake list.
-        """
-        self.sa_pending &= ~(1 << (invc.port * self.total_vcs + invc.vc))
 
     # -- VC allocation ------------------------------------------------------------
     def va_options(self, invc: InputVC) -> list[tuple[int, int]]:
@@ -286,17 +257,15 @@ class Router:
     def do_va(self, cycle: int) -> None:
         """Run VA_in (request selection) and VA_out (grant) for this cycle."""
         mask = self.va_pending
-        requests: dict[tuple[int, int], list[InputVC]] | None = None
-        network = self.network
-        policy = network.policy
-        vcs = self.vcs
         if not mask:
             return
+        policy = self.network.policy
+        vcs = self.vcs
         if not (mask & (mask - 1)):
             # Lone VA candidate: its request is granted unopposed, so skip
-            # the request-grouping dict. choose_request still runs — it
-            # both picks among the options and advances the rotation
-            # pointer, exactly as on the general path.
+            # the request grouping. choose_request still runs — it both
+            # picks among the options and advances the rotation pointer,
+            # exactly as on the general path.
             invc = vcs[mask.bit_length() - 1]
             if cycle < invc.va_ready:
                 return
@@ -305,18 +274,14 @@ class Router:
                 self.va_pending = 0
                 self.va_parked |= mask
                 return
-            p, vc = policy.choose_request(self, invc, options)
-            self.out_owner[p][vc] = invc
-            invc.grant_vc(p, vc, cycle)
-            self.va_pending = 0
-            self.sa_pending |= mask
-            tr = network.trace
-            if tr is not None:
-                tr.va_grant(cycle, self.node, invc.port, invc.vc, p, vc, invc.pkt.pid)
+            self._grant(invc, policy.choose_request(self, invc, options), cycle)
             return
         # Walk port by port, shifting each port's submask down to a small
         # int — bit tricks on the narrow masks stay single-word, and the
-        # (port, vc) ascending order of the old full scan is preserved.
+        # (port, vc) ascending order of a full scan is preserved.
+        # requests: (out_port, out_vc) -> mask of requesting VC keys, in
+        # first-request order (grants, and their trace events, follow it).
+        requests: dict[tuple[int, int], int] = {}
         total = self.total_vcs
         port_all = (1 << total) - 1
         base = 0
@@ -338,114 +303,92 @@ class Router:
                     parks |= low
                     continue
                 req = policy.choose_request(self, invc, options)
-                if requests is None:
-                    requests = {}
-                requests.setdefault(req, []).append(invc)
+                requests[req] = requests.get(req, 0) | invc.bit
             if parks:
                 parks <<= base
                 self.va_pending ^= parks
                 self.va_parked |= parks
             base += total
-        if requests:
-            tr = network.trace
-            total = self.total_vcs
-            for (p, vc), contenders in requests.items():
-                if len(contenders) == 1:
-                    winner = contenders[0]
-                else:
-                    winner = policy.va_out_pick(self, p, vc, contenders)
-                self.out_owner[p][vc] = winner
-                winner.grant_vc(p, vc, cycle)
-                wbit = 1 << (winner.port * total + winner.vc)
-                self.va_pending &= ~wbit
-                self.sa_pending |= wbit
-                if tr is not None:
-                    tr.va_grant(cycle, self.node, winner.port, winner.vc, p, vc, winner.pkt.pid)
+        top_class = policy.va_out_top if policy.uses_va_priority else None
+        num_keys = self.num_ports * total
+        for req, won in requests.items():
+            if won & (won - 1):
+                # VA_out: top priority class, then rotate over the VC keys.
+                p, vc = req
+                if top_class is not None:
+                    won = top_class(self, vc, won)
+                won = rotating_bit(won, self.va_ptr[p][vc])
+                self.va_ptr[p][vc] = won.bit_length() % num_keys
+            self._grant(vcs[won.bit_length() - 1], req, cycle)
+
+    def _grant(self, invc: InputVC, req: tuple[int, int], cycle: int) -> None:
+        """VA_out grants ``invc`` the output VC ``req``; SA may pick it next cycle."""
+        p, vc = req
+        self.out_owner[p][vc] = invc
+        invc.grant_vc(p, vc, cycle)
+        # A head flit is buffered and a freshly allocated VC has all its
+        # credits, so the VC is sendable — from next cycle (sa_ready).
+        bit = invc.bit
+        self.va_pending &= ~bit
+        self.sa_pending |= bit
+        self.sa_hold |= bit
+        tr = self.network.trace
+        if tr is not None:
+            tr.va_grant(cycle, self.node, invc.port, invc.vc, p, vc, invc.pkt.pid)
 
     # -- switch allocation -----------------------------------------------------------
     def do_sa(self, cycle: int) -> None:
         """Run SA_in and SA_out; winners traverse the switch this cycle."""
-        mask = self.sa_pending
-        vcs = self.vcs
+        mask = self.sa_pending & ~self.sa_hold
+        self.sa_hold = 0
         if not mask:
             return
+        vcs = self.vcs
+        network = self.network
+        tr = network.trace
         if not (mask & (mask - 1)):
-            # Lone armed VC (the common case away from saturation): both
-            # SA steps are uncontested, so run the eligibility checks in
-            # walk order and send directly, skipping the grouping
-            # machinery below.
+            # Lone sendable VC (the common case away from saturation):
+            # both SA steps are uncontested.
             invc = vcs[mask.bit_length() - 1]
-            arrivals = invc.arrivals
-            if not arrivals:
-                self.sa_pending = 0  # drained; next body flit re-arms
-                return
-            op = invc.out_port
-            if op != LOCAL and self.out_credits[op][invc.out_vc] <= 0:
-                self.sa_pending = 0  # credit-starved; credit_arrived re-arms
-                return
-            if arrivals[0] >= cycle or cycle < invc.sa_ready:
-                return  # pure pipeline timing; eligible by next cycle
-            network = self.network
-            tr = network.trace
             if tr is not None:
-                tr.sa_win(cycle, self.node, invc.port, invc.vc, op, invc.pkt.pid)
+                tr.sa_win(cycle, self.node, invc.port, invc.vc, invc.out_port, invc.pkt.pid)
             network.send_flit(self, invc, cycle)
             return
-        out_credits = self.out_credits
-        network = self.network
         policy = network.policy
-        sa_out: dict[int, list[InputVC]] | None = None
-        # Walk port by port on shifted-down submasks (see do_va); a port's
-        # armed VCs come out in ascending vc order and SA_in runs once per
-        # port that fielded any eligible candidate.
+        top_class = policy.sa_top if policy.uses_sa_priority else None
+        # SA_in: one winner represents each input port. sa_out: out_port ->
+        # mask of the winners' keys, in first-request order (sends, and
+        # the events they schedule, follow it).
+        sa_out: dict[int, int] = {}
         total = self.total_vcs
         port_all = (1 << total) - 1
         base = 0
         port = 0
-        while mask >> base:
-            pm = (mask >> base) & port_all
+        while mask:
+            pm = mask & port_all
             if pm:
-                cands: list[InputVC] | None = None
-                drops = 0
-                while pm:
-                    low = pm & -pm
-                    pm ^= low
-                    invc = vcs[base + low.bit_length() - 1]
-                    # Pending invariant: state is VC_ACTIVE.
-                    arrivals = invc.arrivals
-                    if not arrivals:
-                        drops |= low  # drained; next body flit re-arms
-                        continue
-                    op = invc.out_port
-                    if op != LOCAL and out_credits[op][invc.out_vc] <= 0:
-                        drops |= low  # credit-starved; credit_arrived re-arms
-                        continue
-                    if arrivals[0] >= cycle or cycle < invc.sa_ready:
-                        continue  # pure pipeline timing; eligible by next cycle
-                    if cands is None:
-                        cands = [invc]
-                    else:
-                        cands.append(invc)
-                if drops:
-                    self.sa_pending &= ~(drops << base)
-                if cands is not None:
-                    # SA_in: one winner represents the port.
-                    winner = (
-                        cands[0] if len(cands) == 1 else policy.sa_in_pick(self, port, cands)
-                    )
-                    if sa_out is None:
-                        sa_out = {}
-                    sa_out.setdefault(winner.out_port, []).append(winner)
+                if pm & (pm - 1):
+                    if top_class is not None:
+                        pm = top_class(self, pm << base) >> base
+                    pm = rotating_bit(pm, self.sa_in_ptr[port])
+                    self.sa_in_ptr[port] = pm.bit_length() % total
+                pm <<= base
+                op = vcs[pm.bit_length() - 1].out_port
+                sa_out[op] = sa_out.get(op, 0) | pm
+            mask >>= total
             base += total
             port += 1
-        if sa_out is None:
-            return
-        tr = network.trace
-        for out_port, contenders in sa_out.items():
-            if len(contenders) == 1:
-                winner = contenders[0]
-            else:
-                winner = policy.sa_out_pick(self, out_port, contenders)
+        for out_port, won in sa_out.items():
+            if won & (won - 1):
+                # SA_out: at most one contender per input port, so rotating
+                # over the keys from the pointer's port rotates over ports.
+                if top_class is not None:
+                    won = top_class(self, won)
+                won = rotating_bit(won, self.sa_out_ptr[out_port] * total)
+                self.sa_out_ptr[out_port] = (
+                    (won.bit_length() - 1) // total + 1
+                ) % self.num_ports
+            winner = vcs[won.bit_length() - 1]
             if tr is not None:
                 tr.sa_win(cycle, self.node, winner.port, winner.vc, out_port, winner.pkt.pid)
             network.send_flit(self, winner, cycle)

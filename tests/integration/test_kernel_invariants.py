@@ -1,12 +1,13 @@
 """Cross-check the event-driven kernel against the brute-force scan.
 
-The wake-list kernel (``Router.va_pending`` / ``va_parked`` /
-``sa_pending`` and the network's active-router set) is an optimization
-over the old poll-every-VC kernel and must be *sound*: no VC that the
-brute-force eligibility scan would schedule may ever be missing from the
-wake lists. These tests step real simulations under random regional
-traffic and re-derive every router's schedulable state from scratch at a
-fixed cadence, comparing it to the incrementally maintained lists.
+The wake-mask kernel (``Router.va_pending`` / ``va_parked`` /
+``sa_pending`` / ``sa_hold`` and the network's active-router set) is an
+optimization over the old poll-every-VC kernel and must agree with it:
+``do_sa`` no longer re-tests anything, so the masks have to name exactly
+the VCs the brute-force eligibility scan would schedule. These tests step
+real simulations under random regional traffic and re-derive every
+router's schedulable state from scratch, comparing it to the
+incrementally maintained masks.
 
 Invariants checked between cycles (``cycle`` = the next cycle to run):
 
@@ -14,10 +15,11 @@ Invariants checked between cycles (``cycle`` = the next cycle to run):
    disjoint and their union is exactly the set of VCs in VA state.
 2. Parked means stuck — every parked VC has an empty ``va_options`` set
    (nothing allocatable until a credit returns or an owner releases).
-3. SA soundness — every VC the old kernel's eligibility test
-   (``wants_sa`` + credit check) would schedule next cycle is armed in
-   ``sa_pending``. The converse need not hold: the list may lazily carry
-   drained or credit-starved VCs until the next walk drops them.
+3. SA exactness — ``sa_pending & ~sa_hold`` is exactly the set the old
+   kernel's eligibility test (``wants_sa`` + credit check) schedules:
+   sampled at every ``do_sa`` entry, where the router consumes it, and
+   between cycles for the cycle to come (``sa_hold`` is empty by then,
+   and always a subset of ``sa_pending``).
 4. SA liveness of entries — everything in ``sa_pending`` is an ACTIVE VC
    (owns a downstream VC); retired VCs never linger.
 5. Active set — the network's active-router set is exactly the routers
@@ -32,6 +34,7 @@ from repro import build_simulation
 from repro.core.regions import RegionMap
 from repro.noc.buffers import VC_ACTIVE
 from repro.noc.config import NocConfig
+from repro.noc.router import Router
 from repro.noc.topology import MeshTopology
 from repro.traffic.regional import RegionalAppTraffic
 
@@ -54,13 +57,10 @@ def _check_router_invariants(net, cycle):
             assert router.va_options(invc) == [], (
                 f"node {router.node} key {key}: parked with live options"
             )
-        # 3. the lists never miss an SA-schedulable VC
+        # 3. the masks are exactly the SA-schedulable VCs
+        assert router.sa_hold == 0, f"node {router.node}: hold bits outlived do_sa"
+        _check_sa_exact(router, cycle)
         sa_pending = set(router.pending_sa_keys())
-        eligible = router.scan_sa_eligible(cycle)
-        assert eligible <= sa_pending, (
-            f"node {router.node} cycle {cycle}: "
-            f"SA-eligible {sorted(eligible - sa_pending)} not armed"
-        )
         # 4. armed SA entries are ACTIVE VCs
         for key in sa_pending:
             assert router.vcs[key].state == VC_ACTIVE, (
@@ -72,6 +72,30 @@ def _check_router_invariants(net, cycle):
     for router in net.routers:
         n, f = router.occupied_vcs()
         assert router.busy_vcs == n + f
+
+
+def _check_sa_exact(router, cycle):
+    assert router.sa_hold & ~router.sa_pending == 0, (
+        f"node {router.node} cycle {cycle}: hold bit without its pending bit"
+    )
+    sendable = router.sa_pending & ~router.sa_hold
+    eligible = router.scan_sa_eligible(cycle)
+    assert sendable == sum(1 << key for key in eligible), (
+        f"node {router.node} cycle {cycle}: masks say {sendable:#b}, "
+        f"scan says keys {sorted(eligible)}"
+    )
+
+
+@pytest.fixture(autouse=True)
+def sa_checked_at_entry(monkeypatch):
+    """Invariant 3 where it matters: on entry to every ``do_sa`` call."""
+    do_sa = Router.do_sa
+
+    def checked(router, cycle):
+        _check_sa_exact(router, cycle)
+        do_sa(router, cycle)
+
+    monkeypatch.setattr(Router, "do_sa", checked)
 
 
 def _regional_sim(scheme, routing, rate, seed):
@@ -124,3 +148,4 @@ def test_invariants_hold_through_drain():
         assert router.va_pending == 0
         assert router.va_parked == 0
         assert router.sa_pending == 0
+        assert router.sa_hold == 0

@@ -5,10 +5,14 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arbitration.base import rotating_pick
+from repro import build_simulation
+from repro.arbitration.base import ArbitrationPolicy, rotating_bit, rotating_pick
+from repro.arbitration.qos import WeightedQosPolicy
+from repro.arbitration.stc import StcPolicy
 from repro.core.dpa import DpaConfig
 from repro.core.rair import RairPolicy
-from repro.noc.config import VcClass
+from repro.noc.config import NocConfig, VcClass
+from repro.noc.flit import Packet
 
 
 class FakeVC:
@@ -88,3 +92,154 @@ def test_dpa_static_modes_ignore_counters(n, f):
     router.ovc_n, router.ovc_f = n, f
     RairPolicy(dpa=DpaConfig(mode="foreign")).end_router_cycle(router, 1)
     assert not router.native_high
+
+
+# -- the router's mask pick vs rotating_pick ------------------------------------
+#
+# The router arbitrates on bitmasks over its flat VC keys: the policy
+# reduces the candidate mask to its top priority class (``sa_top`` /
+# ``va_out_top``), ``rotating_bit`` rotates from the pointer. These
+# properties hold that composition to ``rotating_pick`` over the same
+# candidates with the policy's ``*_priority`` keys, at all three contested
+# stages, on a real router under every policy.
+
+MASK_SCHEMES = ("rr", "age", "stc", "qos", "rair", "rair_qos")
+_ROUTERS = {}
+
+
+def _router_for(scheme):
+    """One real 4x4-mesh router per policy, reused across examples (each
+    example sets every piece of state its keys read)."""
+    if scheme not in _ROUTERS:
+        _, net = build_simulation(NocConfig(width=4, height=4), scheme=scheme, routing="xy")
+        _ROUTERS[scheme] = net.routers[5]
+    return _ROUTERS[scheme]
+
+
+@st.composite
+def arbitration_state(draw):
+    """(scheme, router, candidate keys) with random per-candidate packets,
+    native/foreign tags, DPA bit, STC ranks and QoS budget standing."""
+    scheme = draw(st.sampled_from(MASK_SCHEMES))
+    router = _router_for(scheme)
+    num_keys = router.num_ports * router.total_vcs
+    keys = draw(st.lists(st.integers(0, num_keys - 1), min_size=1, max_size=num_keys,
+                         unique=True))
+    router.native_high = draw(st.booleans())
+    router.native_mask = 0
+    for key in keys:
+        vc = router.vcs[key]
+        vc.pkt = Packet(
+            src=0, dst=1, length=1,
+            inject_cycle=draw(st.integers(0, 1200)),  # three STC batches, many ages
+            app_id=draw(st.integers(0, 3)),
+        )
+        vc.is_native = draw(st.booleans())
+        if vc.is_native:
+            router.native_mask |= vc.bit
+    net = router.network
+    policy = net.policy
+    if isinstance(policy, StcPolicy):
+        policy.ranks = draw(st.dictionaries(st.integers(0, 3), st.integers(0, 3)))
+    qos = policy if isinstance(policy, WeightedQosPolicy) else getattr(policy, "qos", None)
+    if qos is not None:
+        # Over budget or not, per app: delivered this frame is 0 or huge.
+        net.app_flits_delivered.clear()
+        net.app_flits_delivered.update(
+            {app: draw(st.sampled_from((0, 10**9))) for app in range(4)}
+        )
+        qos._rebuild_budgets()
+    return scheme, router, sorted(keys)
+
+
+def _sa_top(router, mask):
+    policy = router.network.policy
+    return policy.sa_top(router, mask) if policy.uses_sa_priority else mask
+
+
+def _sa_prio(router):
+    policy = router.network.policy
+    if not policy.uses_sa_priority:
+        return None
+    return lambda v: policy.sa_priority(router, v)
+
+
+def _mask_of(router, keys):
+    return sum(router.vcs[k].bit for k in keys)
+
+
+@given(arbitration_state(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sa_in_mask_pick_equals_rotating_pick(state, data):
+    _, router, keys = state
+    total = router.total_vcs
+    port = keys[0] // total
+    keys = [k for k in keys if k // total == port]  # one input port's VCs
+    ptr = data.draw(st.integers(0, total - 1))
+    winner, new_ptr = rotating_pick(
+        [router.vcs[k] for k in keys], lambda v: v.vc, ptr, total, _sa_prio(router)
+    )
+    base = port * total
+    bit = rotating_bit(_sa_top(router, _mask_of(router, keys)) >> base, ptr)
+    assert bit.bit_length() - 1 == winner.vc
+    assert bit.bit_length() % total == new_ptr
+
+
+@given(arbitration_state(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sa_out_mask_pick_equals_rotating_pick(state, data):
+    _, router, keys = state
+    total = router.total_vcs
+    keys = list({k // total: k for k in keys}.values())  # one SA_in winner per port
+    ptr = data.draw(st.integers(0, router.num_ports - 1))
+    winner, new_ptr = rotating_pick(
+        [router.vcs[k] for k in keys], lambda v: v.port, ptr, router.num_ports,
+        _sa_prio(router),
+    )
+    bit = rotating_bit(_sa_top(router, _mask_of(router, keys)), ptr * total)
+    key = bit.bit_length() - 1
+    assert router.vcs[key] is winner
+    assert (key // total + 1) % router.num_ports == new_ptr
+
+
+@given(arbitration_state(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_va_out_mask_pick_equals_rotating_pick(state, data):
+    _, router, keys = state
+    policy = router.network.policy
+    total = router.total_vcs
+    num_keys = router.num_ports * total
+    out_vc = data.draw(st.integers(0, total - 1))
+    ptr = data.draw(st.integers(0, num_keys - 1))
+    cls = router.vc_class_of[out_vc]
+    prio = (
+        (lambda v: policy.va_out_priority(router, cls, v))
+        if policy.uses_va_priority else None
+    )
+    winner, new_ptr = rotating_pick(
+        [router.vcs[k] for k in keys], lambda v: v.port * total + v.vc, ptr, num_keys, prio
+    )
+    mask = _mask_of(router, keys)
+    if policy.uses_va_priority:
+        mask = policy.va_out_top(router, out_vc, mask)
+    bit = rotating_bit(mask, ptr)
+    assert router.vcs[bit.bit_length() - 1] is winner
+    assert bit.bit_length() % num_keys == new_ptr
+
+
+@given(arbitration_state())
+@settings(max_examples=300, deadline=None)
+def test_rair_mask_classes_equal_the_key_derived_ones(state):
+    """RairPolicy (and the QoS hybrid) answer ``*_top`` from ``native_mask``;
+    the base class derives the same sets from the ``*_priority`` keys, for
+    every ``(native_high, native_mask)`` and output VC class."""
+    scheme, router, keys = state
+    if not scheme.startswith("rair"):
+        return
+    policy = router.network.policy
+    mask = _mask_of(router, keys)
+    assert policy.sa_top(router, mask) == ArbitrationPolicy.sa_top(policy, router, mask)
+    for out_vc in range(router.total_vcs):
+        assert policy.va_out_top(router, out_vc, mask) == ArbitrationPolicy.va_out_top(
+            policy, router, out_vc, mask
+        )

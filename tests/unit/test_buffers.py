@@ -1,11 +1,21 @@
-"""Unit tests for the InputVC state machine."""
+"""Unit tests for the InputVC state machine.
+
+The per-packet transitions are InputVC methods; the two per-flit ones
+(body arrival, flit departure) live in their single callers,
+``Network._deliver_flit`` and ``Network.send_flit``, and are driven
+through those on one VC of a small network.
+"""
 
 import pytest
 
+from repro import build_simulation
 from repro.noc.buffers import VC_ACTIVE, VC_IDLE, VC_VA, InputVC
-from repro.noc.config import VcClass
+from repro.noc.config import NocConfig, VcClass
 from repro.noc.flit import Packet
 from repro.util.errors import SimulationError
+
+EAST = 1  # input port of node 0 the driven VC sits on
+OUT = (2, 1)  # (out_port, out_vc) it is granted
 
 
 def make_vc(**kw):
@@ -16,6 +26,27 @@ def make_vc(**kw):
 
 def make_pkt(length=3, vnet=0, **kw):
     return Packet(src=0, dst=5, length=length, inject_cycle=0, vnet=vnet, **kw)
+
+
+class DrivenVC:
+    """One input VC of a real router, with the kernel's per-flit events."""
+
+    def __init__(self):
+        _, self.net = build_simulation(NocConfig(width=4, height=4), scheme="rr", routing="xy")
+        self.router = self.net.routers[0]
+        self.vc = self.router.in_vcs[EAST][0]
+
+    def head_arrive(self, pkt, cycle):
+        self.net._deliver_flit(0, EAST, 0, pkt, cycle)
+
+    def body_arrive(self, cycle):
+        self.net._deliver_flit(0, EAST, 0, None, cycle)
+
+    def grant(self, cycle):
+        self.router._grant(self.vc, OUT, cycle)
+
+    def send_flit(self, cycle):
+        self.net.send_flit(self.router, self.vc, cycle)
 
 
 class TestHeadArrival:
@@ -46,23 +77,23 @@ class TestHeadArrival:
 
 class TestBodyArrival:
     def test_body_increments_occupancy(self):
-        vc = make_vc()
-        vc.head_arrive(make_pkt(length=3), cycle=0, native=True)
-        vc.body_arrive(1)
-        vc.body_arrive(2)
-        assert vc.occupancy() == 3
-        assert vc.flits_recv == 3
+        d = DrivenVC()
+        d.head_arrive(make_pkt(length=3), cycle=0)
+        d.body_arrive(1)
+        d.body_arrive(2)
+        assert d.vc.occupancy() == 3
+        assert d.vc.flits_recv == 3
 
     def test_body_on_empty_vc_rejected(self):
-        vc = make_vc()
+        d = DrivenVC()
         with pytest.raises(SimulationError):
-            vc.body_arrive(0)
+            d.body_arrive(0)
 
     def test_too_many_flits_rejected(self):
-        vc = make_vc()
-        vc.head_arrive(make_pkt(length=1), cycle=0, native=True)
+        d = DrivenVC()
+        d.head_arrive(make_pkt(length=1), cycle=0)
         with pytest.raises(SimulationError):
-            vc.body_arrive(1)
+            d.body_arrive(1)
 
 
 class TestPipelineGates:
@@ -93,42 +124,49 @@ class TestPipelineGates:
         assert vc.wants_sa(2)  # flit arrived at 0 < 2, sa_ready == 2
 
     def test_wants_sa_needs_buffered_flit_from_earlier_cycle(self):
-        vc = make_vc()
-        vc.head_arrive(make_pkt(length=2), cycle=0, native=True)
-        vc.grant_vc(2, 1, cycle=1)
-        vc.send_flit(2)
+        d = DrivenVC()
+        d.head_arrive(make_pkt(length=2), cycle=0)
+        d.grant(cycle=1)
+        d.send_flit(2)
         # Second flit arrives *in* cycle 2 -> not eligible until cycle 3.
-        vc.body_arrive(2)
-        assert not vc.wants_sa(2)
-        assert vc.wants_sa(3)
+        d.body_arrive(2)
+        assert not d.vc.wants_sa(2)
+        assert d.vc.wants_sa(3)
 
 
 class TestSendAndRelease:
     def test_tail_releases_vc(self):
-        vc = make_vc()
-        vc.head_arrive(make_pkt(length=2), cycle=0, native=True)
-        vc.body_arrive(1)
-        vc.grant_vc(2, 1, cycle=1)
-        assert not vc.send_flit(2)
-        assert vc.send_flit(3)
-        assert vc.state == VC_IDLE
-        assert vc.pkt is None
-        assert vc.occupancy() == 0
-        assert vc.route_ports is None
+        d = DrivenVC()
+        d.head_arrive(make_pkt(length=2), cycle=0)
+        d.body_arrive(1)
+        d.grant(cycle=1)
+        d.send_flit(2)
+        assert d.vc.state == VC_ACTIVE
+        d.send_flit(3)
+        assert d.vc.state == VC_IDLE
+        assert d.vc.pkt is None
+        assert d.vc.occupancy() == 0
+        assert d.vc.route_ports is None
 
     def test_send_from_empty_buffer_rejected(self):
-        vc = make_vc()
-        vc.head_arrive(make_pkt(length=2), cycle=0, native=True)
-        vc.grant_vc(2, 1, cycle=1)
-        vc.send_flit(2)
+        d = DrivenVC()
+        d.head_arrive(make_pkt(length=2), cycle=0)
+        d.grant(cycle=1)
+        d.send_flit(2)
         with pytest.raises(SimulationError):
-            vc.send_flit(3)  # second flit never arrived
+            d.send_flit(3)  # second flit never arrived
 
-    def test_released_vc_accepts_new_packet(self):
+    def test_release_with_flits_buffered_rejected(self):
         vc = make_vc()
         vc.head_arrive(make_pkt(length=1), cycle=0, native=True)
-        vc.grant_vc(2, 1, cycle=1)
-        vc.send_flit(2)
-        vc.head_arrive(make_pkt(length=1), cycle=5, native=False)
-        assert vc.state == VC_VA
-        assert not vc.is_native
+        with pytest.raises(SimulationError):
+            vc.release()
+
+    def test_released_vc_accepts_new_packet(self):
+        d = DrivenVC()
+        d.head_arrive(make_pkt(length=1), cycle=0)
+        d.grant(cycle=1)
+        d.send_flit(2)
+        d.head_arrive(make_pkt(length=1), cycle=5)
+        assert d.vc.state == VC_VA
+        assert not d.vc.is_native  # no region map: everything is foreign

@@ -12,6 +12,7 @@ class FakeRouter:
         self.native_high = native_high
         self.ovc_n = 0
         self.ovc_f = 0
+        self.ovc_dirty = True  # the counters changed since the last DPA update
 
 
 class FakeVC:

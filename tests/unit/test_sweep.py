@@ -1,5 +1,10 @@
 """Unit tests for seed-replicated sweeps and confidence intervals."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,6 +45,26 @@ class TestSweepResult:
     def test_excludes_zero(self):
         assert SweepResult("x", [5.0, 5.1, 4.9]).excludes_zero()
         assert not SweepResult("x", [-1.0, 1.0, -0.5, 0.5]).excludes_zero()
+
+
+class TestColdStart:
+    def test_importing_experiments_leaves_scipy_unloaded(self):
+        """Every CLI, pool worker and daemon imports ``repro.experiments``;
+        scipy is needed by ``confidence_interval`` alone and loads there."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro.experiments\n"
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+            "from repro.experiments.sweep import SweepResult\n"
+            "lo, hi = SweepResult('x', [1.0, 2.0, 3.0]).confidence_interval()\n"
+            "assert lo < 2.0 < hi and 'scipy.stats' in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReplicate:
