@@ -24,7 +24,18 @@ import pathlib
 
 import pytest
 
-from repro.experiments import fig09_msp, fig12_dpa, table1
+from repro.experiments import (
+    ablation_hysteresis,
+    ablation_routing,
+    ablation_vcsplit,
+    fig09_msp,
+    fig10_routing,
+    fig12_dpa,
+    fig14_sixapp,
+    fig15_patterns,
+    fig17_parsec,
+    table1,
+)
 from repro.experiments.runner import Effort
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -33,22 +44,24 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN_SEED = 42
 
 
-def _fig09():
-    return fig09_msp.run(effort=Effort.SMOKE, seed=GOLDEN_SEED, p_values=(0.0, 1.0))
-
-
-def _fig12():
-    return fig12_dpa.run(effort=Effort.SMOKE, seed=GOLDEN_SEED, variants=("a",))
-
-
-def _table1():
-    return table1.run()
+def _smoke(module, **axes):
+    """A SMOKE-effort, fixed-seed run of ``module`` on reduced axes."""
+    return lambda: module.run(effort=Effort.SMOKE, seed=GOLDEN_SEED, **axes)
 
 
 CASES = {
-    "fig09_smoke": _fig09,
-    "fig12a_smoke": _fig12,
-    "table1": _table1,
+    "fig09_smoke": _smoke(fig09_msp, p_values=(0.0, 1.0)),
+    "fig10_smoke": _smoke(fig10_routing, p_values=(1.0,)),
+    "fig12a_smoke": _smoke(fig12_dpa, variants=("a",)),
+    "fig14_smoke": _smoke(fig14_sixapp),
+    "fig15_smoke": _smoke(fig15_patterns, patterns=("tp",)),
+    "fig17_smoke": _smoke(fig17_parsec, schemes=("RO_RR", "RA_RAIR")),
+    "ablation_hysteresis_smoke": _smoke(ablation_hysteresis, deltas=(0.0, 0.2)),
+    "ablation_vcsplit_smoke": _smoke(
+        ablation_vcsplit, splits=ablation_vcsplit.SPLITS[1:2]
+    ),
+    "ablation_routing_smoke": _smoke(ablation_routing, routings=("xy", "dbar")),
+    "table1": table1.run,
 }
 
 
