@@ -2,7 +2,12 @@
 
 Each figure module exposes ``run(effort=...) -> FigureResult`` and a
 ``main()`` CLI entry point; ``FigureResult.format_table()`` prints the same
-rows/series the paper reports. The ``effort`` knob scales the paper's
+rows/series the paper reports. A figure module is a declaration — default
+axes, a cell plan (per row: label columns, its own cell, and the reference
+cell it is compared against), a projection from finished runs to value
+columns, and captions. :mod:`repro.experiments.cellplan` is the one place
+that runs a plan through the cell engine, renders rows (failed ones
+included), and provides the CLI. The ``effort`` knob scales the paper's
 10K-warmup / 100K-measure windows down so the full suite completes on one
 machine (DESIGN.md §5); the window used is always recorded in the result.
 
@@ -20,6 +25,7 @@ E-F15  :mod:`repro.experiments.fig15_patterns` Fig. 15 (global patterns)
 E-F17  :mod:`repro.experiments.fig17_parsec`  Fig. 17 (PARSEC + adversary)
 E-A1   :mod:`repro.experiments.ablation_hysteresis`  DPA delta sweep
 E-A2   :mod:`repro.experiments.ablation_vcsplit`     regional:global VC split
+E-A3   :mod:`repro.experiments.ablation_routing`     RAIR across routing algorithms
 ====== =====================================  ==============================
 """
 

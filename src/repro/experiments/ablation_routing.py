@@ -11,15 +11,9 @@ gain and App1 cost over RO_RR *under the same routing*.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
+from repro.experiments.cellplan import figure_main, run_figure
+from repro.experiments.parallel import Cell
+from repro.experiments.report import config_for_topology
 from repro.experiments.runner import Effort, FigureResult, Scheme
 from repro.experiments.scenarios import two_app_msp
 
@@ -28,91 +22,57 @@ __all__ = ["run", "main", "ROUTINGS"]
 ROUTINGS = ("xy", "west_first", "odd_even", "local", "dbar")
 
 
+def _rair_vs_rr(rair, base) -> dict:
+    return {
+        "apl_app0_rr": base.per_app_apl[0],
+        "apl_app0_rair": rair.per_app_apl[0],
+        "red_app0": rair.reduction_vs(base, app=0),
+        "red_app1": rair.reduction_vs(base, app=1),
+        "drained": base.drained and rair.drained,
+    }
+
+
 def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    routings=ROUTINGS,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
+    effort: Effort = Effort.MEDIUM, seed: int = 42, routings=ROUTINGS,
+    topology: str = "mesh", **engine,
 ) -> FigureResult:
     """One row per routing algorithm; reductions are RAIR vs RO_RR.
 
-    Failed cells render as ``FAILED(...)`` rows instead of aborting;
-    in particular the turn models (west_first, odd_even) are mesh-only
-    and render as ``FAILED(ConfigError)`` on torus/ring fabrics.
+    The turn models (west_first, odd_even) are mesh-only and render as
+    ``FAILED(ConfigError)`` rows on torus/ring fabrics.
     """
     scenario = two_app_msp(1.0, config=config_for_topology(topology))
-    cells = [
-        Cell.for_scenario(Scheme(f"{prefix}_{routing}", policy_name, routing),
-                          scenario, effort, seed)
-        for routing in routings
-        for prefix, policy_name in (("RO_RR", "rr"), ("RAIR", "rair"))
+
+    def cell(prefix: str, policy_name: str, routing: str) -> Cell:
+        scheme = Scheme(f"{prefix}_{routing}", policy_name, routing)
+        return Cell.for_scenario(scheme, scenario, effort, seed)
+
+    plan = [
+        ({"routing": r}, cell("RAIR", "rair", r), cell("RO_RR", "rr", r))
+        for r in routings
     ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    it = iter(results)
-    value_cols = ("apl_app0_rr", "apl_app0_rair", "red_app0", "red_app1")
-    rows = []
-    for routing in routings:
-        base_res = next(it)
-        rair_res = next(it)
-        failed = next((r for r in (base_res, rair_res) if not r.ok), None)
-        if failed is not None:
-            label = failed_label(failed)
-            rows.append(
-                {"routing": routing, **{c: label for c in value_cols},
-                 "drained": ""}
-            )
-            continue
-        base, rair = base_res.run, rair_res.run
-        rows.append(
-            {
-                "routing": routing,
-                "apl_app0_rr": base.per_app_apl[0],
-                "apl_app0_rair": rair.per_app_apl[0],
-                "red_app0": rair.reduction_vs(base, app=0),
-                "red_app1": rair.reduction_vs(base, app=1),
-                "drained": base.drained and rair.drained,
-            }
-        )
-    return FigureResult(
-        metrics=report.to_metrics(),
+    return run_figure(
+        plan,
+        _rair_vs_rr,
+        effort=effort,
         figure="Ablation A3",
         title="RAIR gain under different deadlock-free routing algorithms "
         "(two-app scenario, p=100%)",
         columns=[
-            "routing",
-            "apl_app0_rr",
-            "apl_app0_rair",
-            "red_app0",
-            "red_app1",
+            "routing", "apl_app0_rr", "apl_app0_rair", "red_app0", "red_app1",
             "drained",
         ],
-        rows=rows,
         notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}",
             "expected shape: red_app0 positive for every routing (Section "
             "IV.D routing-independence claim)",
         ],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.ablation_routing [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
+from repro.experiments.ablation_hysteresis import red_avg_and_apl
+from repro.experiments.cellplan import figure_main, run_figure
+from repro.experiments.parallel import Cell
+from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import six_app
 from repro.noc.config import NocConfig, VcClass
@@ -39,79 +34,38 @@ SPLITS = (
 
 
 def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    splits=SPLITS,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
+    effort: Effort = Effort.MEDIUM, seed: int = 42, splits=SPLITS,
+    topology: str = "mesh", **engine,
 ) -> FigureResult:
-    """One row per VC split; reductions are vs RO_RR on the same config.
-
-    Failed cells render as ``FAILED(...)`` rows instead of aborting.
-    ``topology`` selects the fabric (mesh/torus/ring).
-    """
+    """One row per VC split; reductions are vs RO_RR on the same config."""
     base_cfg = config_for_topology(topology) or NocConfig()
-    cells = []
+    plan = []
     for label, classes in splits:
-        cfg = replace(base_cfg, vc_classes=classes)
-        scenario = six_app(config=cfg)
-        cells.append(Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed))
-        cells.append(Cell.for_scenario(SCHEMES["RA_RAIR"], scenario, effort, seed))
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    it = iter(results)
-    rows = []
-    for label, classes in splits:
-        base_res = next(it)
-        cell_res = next(it)
-        failed = next((r for r in (base_res, cell_res) if not r.ok), None)
-        if failed is not None:
-            label_text = failed_label(failed)
-            rows.append(
-                {"split": label, "red_avg": label_text, "apl": label_text,
-                 "drained": ""}
+        scenario = six_app(config=replace(base_cfg, vc_classes=classes))
+        plan.append(
+            (
+                {"split": label},
+                Cell.for_scenario(SCHEMES["RA_RAIR"], scenario, effort, seed),
+                Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed),
             )
-            continue
-        base, res = base_res.run, cell_res.run
-        apps = sorted(base.per_app_apl)
-        reds = [res.reduction_vs(base, app=app) for app in apps]
-        rows.append(
-            {
-                "split": label,
-                "red_avg": sum(reds) / len(reds),
-                "apl": res.apl,
-                "drained": res.drained,
-            }
         )
-    return FigureResult(
-        metrics=report.to_metrics(),
+    return run_figure(
+        plan,
+        red_avg_and_apl,
+        effort=effort,
         figure="Ablation A2",
         title="Global:regional VC split (six-app scenario, reduction vs RO_RR)",
         columns=["split", "red_avg", "apl", "drained"],
-        rows=rows,
         notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}",
             "paper (Section VI): roughly even split recommended for generic traffic",
         ],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.ablation_vcsplit [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

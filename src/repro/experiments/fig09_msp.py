@@ -14,104 +14,65 @@ to App1 (<+3%); VA+SA beats VA across the sweep.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
+from repro.experiments.cellplan import figure_main, run_figure
+from repro.experiments.parallel import Cell
+from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import two_app_msp
 
-__all__ = ["run", "main", "P_VALUES", "FIG9_SCHEMES"]
+__all__ = ["run", "main", "two_app_sweep", "P_VALUES", "FIG9_SCHEMES"]
 
 P_VALUES = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 FIG9_SCHEMES = ("RO_RR", "RAIR_VA", "RAIR_VA+SA")
 
 
-def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    p_values=P_VALUES,
-    schemes=FIG9_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
-) -> FigureResult:
-    """Run the Fig. 9 sweep; one row per (p, scheme).
+def _apl_columns(run, _ref) -> dict:
+    return {
+        "apl_app0": run.per_app_apl.get(0, float("nan")),
+        "apl_app1": run.per_app_apl.get(1, float("nan")),
+        "drained": run.drained,
+    }
 
-    A cell that fails after retries renders as a ``FAILED(...)`` row
-    instead of aborting the sweep (``metrics["failures"]`` counts them).
-    ``topology`` selects the fabric (mesh/torus/ring).
-    """
+
+def two_app_sweep(effort, seed, p_values, schemes, topology, **figure) -> FigureResult:
+    """Both apps' APL on the Fig. 8 scenario; one row per (p, scheme)."""
     config = config_for_topology(topology)
-    cells = [
-        Cell.for_scenario(SCHEMES[key], two_app_msp(p, config=config), effort, seed)
-        for p in p_values
-        for key in schemes
-    ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    it = iter(results)
-    rows = []
+    plan = []
     for p in p_values:
+        scenario = two_app_msp(p, config=config)
         for key in schemes:
-            cell_res = next(it)
-            if cell_res.ok:
-                res = cell_res.run
-                rows.append(
-                    {
-                        "p_inter": f"{p:.0%}",
-                        "scheme": key,
-                        "apl_app0": res.per_app_apl.get(0, float("nan")),
-                        "apl_app1": res.per_app_apl.get(1, float("nan")),
-                        "drained": res.drained,
-                    }
-                )
-            else:
-                label = failed_label(cell_res)
-                rows.append(
-                    {
-                        "p_inter": f"{p:.0%}",
-                        "scheme": key,
-                        "apl_app0": label,
-                        "apl_app1": label,
-                        "drained": "",
-                    }
-                )
-    return FigureResult(
-        metrics=report.to_metrics(),
+            cell = Cell.for_scenario(SCHEMES[key], scenario, effort, seed)
+            plan.append(({"p_inter": f"{p:.0%}", "scheme": key}, cell, None))
+    return run_figure(
+        plan,
+        _apl_columns,
+        effort=effort,
+        columns=["p_inter", "scheme", "apl_app0", "apl_app1", "drained"],
+        **figure,
+    )
+
+
+def run(
+    effort: Effort = Effort.MEDIUM, seed: int = 42, p_values=P_VALUES,
+    schemes=FIG9_SCHEMES, topology: str = "mesh", **engine,
+) -> FigureResult:
+    """Run the Fig. 9 sweep; one row per (p, scheme)."""
+    return two_app_sweep(
+        effort, seed, p_values, schemes, topology,
         figure="Figure 9",
         title="APL of App0 (low, p% inter-region) and App1 (high, intra) per scheme",
-        columns=["p_inter", "scheme", "apl_app0", "apl_app1", "drained"],
-        rows=rows,
+        windows_suffix=" (paper: 10000/100000)",
         notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure} "
-            f"(paper: 10000/100000)",
             "expected shape: RAIR_VA+SA < RAIR_VA < RO_RR on apl_app0; "
             "apl_app1 penalty small",
         ],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.fig09_msp [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

@@ -15,17 +15,9 @@ gain than DBAR alone (RAIR_DBAR improves App0 by ~12.8% over RO_RR_DBAR).
 
 from __future__ import annotations
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
-from repro.experiments.runner import SCHEMES, Effort, FigureResult
-from repro.experiments.scenarios import two_app_msp
+from repro.experiments.fig09_msp import two_app_sweep
+from repro.experiments.cellplan import figure_main
+from repro.experiments.runner import Effort, FigureResult
 
 __all__ = ["run", "main", "FIG10_SCHEMES"]
 
@@ -34,83 +26,25 @@ P_VALUES = (0.0, 0.5, 1.0)
 
 
 def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    p_values=P_VALUES,
-    schemes=FIG10_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
+    effort: Effort = Effort.MEDIUM, seed: int = 42, p_values=P_VALUES,
+    schemes=FIG10_SCHEMES, topology: str = "mesh", **engine,
 ) -> FigureResult:
-    """Run the Fig. 10 comparison; one row per (p, scheme).
-
-    Failed cells render as ``FAILED(...)`` rows instead of aborting.
-    ``topology`` selects the fabric (mesh/torus/ring).
-    """
-    config = config_for_topology(topology)
-    cells = [
-        Cell.for_scenario(SCHEMES[key], two_app_msp(p, config=config), effort, seed)
-        for p in p_values
-        for key in schemes
-    ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    it = iter(results)
-    rows = []
-    for p in p_values:
-        for key in schemes:
-            cell_res = next(it)
-            if cell_res.ok:
-                res = cell_res.run
-                rows.append(
-                    {
-                        "p_inter": f"{p:.0%}",
-                        "scheme": key,
-                        "apl_app0": res.per_app_apl.get(0, float("nan")),
-                        "apl_app1": res.per_app_apl.get(1, float("nan")),
-                        "drained": res.drained,
-                    }
-                )
-            else:
-                label = failed_label(cell_res)
-                rows.append(
-                    {
-                        "p_inter": f"{p:.0%}",
-                        "scheme": key,
-                        "apl_app0": label,
-                        "apl_app1": label,
-                        "drained": "",
-                    }
-                )
-    return FigureResult(
-        metrics=report.to_metrics(),
+    """Run the Fig. 10 comparison; one row per (p, scheme)."""
+    return two_app_sweep(
+        effort, seed, p_values, schemes, topology,
         figure="Figure 10",
         title="APL per routing algorithm (two-app scenario)",
-        columns=["p_inter", "scheme", "apl_app0", "apl_app1", "drained"],
-        rows=rows,
         notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}",
             "expected shape: RAIR_DBAR best on apl_app0; RAIR_* << RO_RR_* ; "
             "DBAR routing also helps App1",
         ],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.fig10_routing [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

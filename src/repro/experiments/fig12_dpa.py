@@ -15,15 +15,9 @@ slightly beat) the better static variant in each scenario (paper:
 
 from __future__ import annotations
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
+from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
+from repro.experiments.parallel import Cell
+from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import four_app_dpa
 
@@ -33,100 +27,38 @@ FIG12_SCHEMES = ("RAIR_NativeH", "RAIR_ForeignH", "RAIR_DPA")
 
 
 def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    variants=("a", "b"),
-    schemes=FIG12_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
+    effort: Effort = Effort.MEDIUM, seed: int = 42, variants=("a", "b"),
+    schemes=FIG12_SCHEMES, topology: str = "mesh", **engine,
 ) -> FigureResult:
-    """Run both Fig. 12 scenarios; rows carry per-app reduction vs RO_RR.
-
-    A failed cell renders as ``FAILED(...)``; a failed *baseline* marks
-    every dependent reduction row ``FAILED(baseline ...)``.
-    ``topology`` selects the fabric (mesh/torus/ring).
-    """
+    """Run both Fig. 12 scenarios; rows carry per-app reduction vs RO_RR."""
     config = config_for_topology(topology)
-    cells = [
-        Cell.for_scenario(
-            SCHEMES[key], four_app_dpa(variant, config=config), effort, seed
-        )
-        for variant in variants
-        for key in ("RO_RR",) + tuple(schemes)
-    ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    it = iter(results)
-    rows = []
-    red_cols = [f"red_app{i}" for i in range(4)]
+    plan = []
     for variant in variants:
-        base_res = next(it)
+        scenario = four_app_dpa(variant, config=config)
+        baseline = Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed)
         for key in schemes:
-            cell_res = next(it)
-            if not cell_res.ok:
-                label = failed_label(cell_res)
-            elif not base_res.ok:
-                label = f"FAILED(baseline {base_res.failure.error_type})"
-            else:
-                base, res = base_res.run, cell_res.run
-                apps = sorted(base.per_app_apl)
-                reductions = {
-                    f"red_app{app}": res.reduction_vs(base, app=app) for app in apps
-                }
-                avg = sum(reductions.values()) / len(reductions)
-                rows.append(
-                    {
-                        "scenario": variant,
-                        "scheme": key,
-                        **reductions,
-                        "red_avg": avg,
-                        "drained": res.drained,
-                    }
-                )
-                continue
-            rows.append(
-                {
-                    "scenario": variant,
-                    "scheme": key,
-                    **{c: label for c in red_cols},
-                    "red_avg": label,
-                    "drained": "",
-                }
-            )
-    columns = ["scenario", "scheme"] + [f"red_app{i}" for i in range(4)] + [
-        "red_avg",
-        "drained",
-    ]
-    return FigureResult(
-        metrics=report.to_metrics(),
+            cell = Cell.for_scenario(SCHEMES[key], scenario, effort, seed)
+            plan.append(({"scenario": variant, "scheme": key}, cell, baseline))
+    return run_figure(
+        plan,
+        reduction_columns,
+        effort=effort,
         figure="Figure 12",
         title="APL reduction vs RO_RR (positive = better) per app",
-        columns=columns,
-        rows=rows,
+        columns=["scenario", "scheme"]
+        + [f"red_app{i}" for i in range(4)]
+        + ["red_avg", "drained"],
         notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}",
             "expected shape: ForeignH wins (a), NativeH wins (b), DPA ~ best "
             "of both in each scenario",
         ],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.fig12_dpa [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

@@ -13,17 +13,11 @@ load applications while costing the high-load apps little.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
+from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
+from repro.experiments.parallel import Cell
+from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
-from repro.experiments.scenarios import six_app
+from repro.experiments.scenarios import SIX_APP_LOADS, six_app
 
 __all__ = ["run", "main", "FIG14_SCHEMES"]
 
@@ -31,87 +25,38 @@ FIG14_SCHEMES = ("RA_DBAR", "RO_Rank", "RA_RAIR")
 
 
 def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    schemes=FIG14_SCHEMES,
-    global_pattern: str = "ur",
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
+    effort: Effort = Effort.MEDIUM, seed: int = 42, schemes=FIG14_SCHEMES,
+    global_pattern: str = "ur", topology: str = "mesh", **engine,
 ) -> FigureResult:
-    """Run the six-app comparison; rows carry per-app APL reduction vs RO_RR.
-
-    Failed cells render as ``FAILED(...)`` rows instead of aborting.
-    ``topology`` selects the fabric (mesh/torus/ring).
-    """
+    """Run the six-app comparison; rows carry per-app APL reduction vs RO_RR."""
     scenario = six_app(
         global_pattern=global_pattern, config=config_for_topology(topology)
     )
-    cells = [
-        Cell.for_scenario(SCHEMES[key], scenario, effort, seed)
-        for key in ("RO_RR",) + tuple(schemes)
-    ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    base_res, scheme_results = results[0], results[1:]
-    apps = sorted(base_res.run.per_app_apl) if base_res.ok else list(range(6))
-    red_cols = [f"red_app{a}" for a in apps]
-    rows = []
-    for key, cell_res in zip(schemes, scheme_results):
-        if not cell_res.ok:
-            label = failed_label(cell_res)
-        elif not base_res.ok:
-            label = f"FAILED(baseline {base_res.failure.error_type})"
-        else:
-            base, res = base_res.run, cell_res.run
-            reductions = {
-                f"red_app{app}": res.reduction_vs(base, app=app) for app in apps
-            }
-            avg = sum(reductions.values()) / len(reductions)
-            rows.append(
-                {"scheme": key, **reductions, "red_avg": avg, "drained": res.drained}
-            )
-            continue
-        rows.append(
-            {
-                "scheme": key,
-                **{c: label for c in red_cols},
-                "red_avg": label,
-                "drained": "",
-            }
-        )
-    columns = ["scheme"] + red_cols + ["red_avg", "drained"]
-    return FigureResult(
-        metrics=report.to_metrics(),
+
+    def cell(key: str) -> Cell:
+        return Cell.for_scenario(SCHEMES[key], scenario, effort, seed)
+
+    plan = [({"scheme": key}, cell(key), cell("RO_RR")) for key in schemes]
+    return run_figure(
+        plan,
+        reduction_columns,
+        effort=effort,
         figure="Figure 14",
         title=(
             f"APL reduction vs RO_RR, six-app scenario, global pattern "
             f"{global_pattern.upper()}"
         ),
-        columns=columns,
-        rows=rows,
-        notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}",
-            "expected shape: RA_RAIR > RO_Rank > RA_DBAR on red_avg",
-        ],
+        columns=["scheme"]
+        + [f"red_app{i}" for i in range(len(SIX_APP_LOADS))]
+        + ["red_avg", "drained"],
+        notes=["expected shape: RA_RAIR > RO_Rank > RA_DBAR on red_avg"],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.fig14_sixapp [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

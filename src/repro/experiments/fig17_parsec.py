@@ -13,122 +13,66 @@ lets its older packets through; round-robin treats it as a peer.
 
 from __future__ import annotations
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
-from repro.experiments.report import (
-    common_from_args,
-    config_for_topology,
-    effort_argparser,
-    failed_label,
-    finish,
-    parse_effort,
-)
+from repro.experiments.cellplan import figure_main, run_figure
+from repro.experiments.parallel import Cell
+from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import PARSEC_APP_ORDER, parsec_quadrants
 
 __all__ = ["run", "main", "FIG17_SCHEMES"]
 
 FIG17_SCHEMES = ("RO_RR", "RA_DBAR", "RO_Rank", "RA_RAIR")
+_SLOW_COLUMNS = [f"slow_{name[:6]}" for name in PARSEC_APP_ORDER]
+
+
+def _slowdowns(adv, clean) -> dict:
+    slow = {}
+    for app, column in enumerate(_SLOW_COLUMNS):
+        a, b = adv.per_app_apl.get(app), clean.per_app_apl.get(app)
+        slow[column] = a / b if (a and b) else float("nan")
+    drained = clean.drained and adv.drained
+    return {**slow, "slow_avg": sum(slow.values()) / len(slow), "drained": drained}
 
 
 def run(
-    effort: Effort = Effort.MEDIUM,
-    seed: int = 42,
-    schemes=FIG17_SCHEMES,
-    adversarial_rate: float | None = None,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
-    topology: str = "mesh",
-    service=None,
+    effort: Effort = Effort.MEDIUM, seed: int = 42, schemes=FIG17_SCHEMES,
+    adversarial_rate: float | None = None, topology: str = "mesh", **engine,
 ) -> FigureResult:
-    """One row per scheme with per-app and average slowdowns.
+    """One row per scheme: per-app and average slowdown, attacked vs clean run.
 
     ``adversarial_rate=None`` uses the calibrated equivalent of the
     paper's 0.4 flits/cycle/node (same fraction of saturation; see
-    ``scenarios.ADVERSARIAL_PRESSURE``). A slowdown needs both the clean
-    and the attacked run; if either cell failed, the scheme's row renders
-    as ``FAILED(...)`` and the other rows still print. ``topology``
-    selects the fabric (mesh/torus/ring).
+    ``scenarios.ADVERSARIAL_PRESSURE``).
     """
     config = config_for_topology(topology, num_vnets=2)
     clean = parsec_quadrants(adversarial=False, config=config)
     attacked = parsec_quadrants(
         adversarial=True, adversarial_rate=adversarial_rate, config=config
     )
-    adversarial_rate = attacked.meta["adversarial_rate"]
-    cells = [
-        Cell.for_scenario(SCHEMES[key], scenario, effort, seed)
-        for key in schemes
-        for scenario in (clean, attacked)
-    ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs,
-        guard=guard, service=service,
-    )
-    it = iter(results)
-    slow_cols = [f"slow_{name[:6]}" for name in PARSEC_APP_ORDER]
-    rows = []
-    for key in schemes:
-        base_res = next(it)
-        adv_res = next(it)
-        failed = next((r for r in (base_res, adv_res) if not r.ok), None)
-        if failed is not None:
-            label = failed_label(failed)
-            rows.append(
-                {
-                    "scheme": key,
-                    **{c: label for c in slow_cols},
-                    "slow_avg": label,
-                    "drained": "",
-                }
-            )
-            continue
-        base, adv = base_res.run, adv_res.run
-        slowdowns = {}
-        for app, name in enumerate(PARSEC_APP_ORDER):
-            b = base.per_app_apl.get(app)
-            a = adv.per_app_apl.get(app)
-            slowdowns[f"slow_{name[:6]}"] = (
-                a / b if (a and b) else float("nan")
-            )
-        avg = sum(slowdowns.values()) / len(slowdowns)
-        rows.append(
-            {
-                "scheme": key,
-                **slowdowns,
-                "slow_avg": avg,
-                "drained": base.drained and adv.drained,
-            }
-        )
-    columns = ["scheme"] + slow_cols + ["slow_avg", "drained"]
-    return FigureResult(
-        metrics=report.to_metrics(),
+
+    def cell(key: str, scenario) -> Cell:
+        return Cell.for_scenario(SCHEMES[key], scenario, effort, seed)
+
+    plan = [({"scheme": k}, cell(k, attacked), cell(k, clean)) for k in schemes]
+    return run_figure(
+        plan,
+        _slowdowns,
+        effort=effort,
         figure="Figure 17",
-        title=(
-            f"APL slowdown under {adversarial_rate} flits/cycle/node "
-            "adversarial flood (PARSEC-like apps)"
-        ),
-        columns=columns,
-        rows=rows,
+        title=f"APL slowdown under {attacked.meta['adversarial_rate']} "
+        "flits/cycle/node adversarial flood (PARSEC-like apps)",
+        columns=["scheme", *_SLOW_COLUMNS, "slow_avg", "drained"],
         notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}",
             "expected shape: slow_avg RO_RR > RA_DBAR > RO_Rank > RA_RAIR",
             "PARSEC traces are synthesized (DESIGN.md substitution #2)",
         ],
+        **engine,
     )
 
 
 def main(argv=None) -> int:
     """CLI: python -m repro.experiments.fig17_parsec [--effort fast]"""
-    args = effort_argparser(__doc__).parse_args(argv)
-    result = run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        **common_from_args(args),
-    )
-    return finish(result)
+    return figure_main(run, __doc__, argv)
 
 
 if __name__ == "__main__":

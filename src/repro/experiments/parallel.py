@@ -516,6 +516,25 @@ class _Sweep:
         )
         self.report.failures += 1
 
+    def retry_delay(
+        self, entry: _Pending, now: float, error_type: str, message: str,
+        traceback_text: str, retryable: bool, exception: BaseException | None = None,
+    ) -> float | None:
+        """The one retry decision, taken after an attempt has been charged.
+
+        A retryable error with attempts left counts a retry and returns
+        the backoff delay the caller must honour before re-running the
+        cell; anything else records the failure and returns ``None``.
+        """
+        if retryable and entry.tries < self.policy.max_attempts:
+            self.report.retries += 1
+            return backoff_delay(self.policy, entry.cell.seed, entry.tries)
+        self.record_failure(
+            entry, error_type, message, traceback_text, retryable,
+            now - entry.started_at, exception=exception,
+        )
+        return None
+
     def journal_record(self, key: str | None):
         if self.journal is None or key is None:
             return
@@ -536,21 +555,19 @@ def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
                 )
             except Exception as exc:
                 entry.attempts += 1
-                retryable = classify_exception(exc)
-                if retryable and entry.tries < policy.max_attempts:
-                    sweep.report.retries += 1
-                    time.sleep(backoff_delay(policy, entry.cell.seed, entry.tries))
-                    continue
-                sweep.record_failure(
+                delay = sweep.retry_delay(
                     entry,
+                    time.monotonic(),
                     getattr(exc, "failure_label", type(exc).__name__),
                     str(exc),
                     _tb.format_exc(),
-                    retryable,
-                    time.monotonic() - entry.started_at,
+                    classify_exception(exc),
                     exception=exc,
                 )
-                break
+                if delay is None:
+                    break
+                time.sleep(delay)
+                continue
             sweep.record_ok(entry, run, hit, cerr)
             break
 
@@ -580,25 +597,28 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
     inflight: dict = {}  # future -> (_Pending, deadline | None)
     pool = ProcessPoolExecutor(max_workers=max_workers)
 
-    def strike(entry: _Pending, now: float) -> None:
-        entry.strikes += 1
-        if entry.tries >= policy.max_attempts:
-            sweep.record_failure(
-                entry,
-                "BrokenProcessPool",
-                f"worker process died {entry.strikes} time(s) while running "
-                f"{entry.cell.describe()}",
-                "",
-                retryable=True,
-                wall_time_s=now - entry.started_at,
-            )
+    def retry_or_fail(entry: _Pending, now: float, *failure) -> None:
+        """Requeue ``entry`` behind its backoff, or record ``failure``."""
+        delay = sweep.retry_delay(entry, now, *failure)
+        if delay is None:
             return
-        report.retries += 1
-        entry.ready_at = now + backoff_delay(policy, entry.cell.seed, entry.tries)
+        entry.ready_at = now + delay
         if entry.strikes >= _QUARANTINE_STRIKES:
             queue.appendleft(entry)  # head position => scheduled solo next
         else:
             queue.append(entry)
+
+    def strike(entry: _Pending, now: float) -> None:
+        entry.strikes += 1
+        retry_or_fail(
+            entry,
+            now,
+            "BrokenProcessPool",
+            f"worker process died {entry.strikes} time(s) while running "
+            f"{entry.cell.describe()}",
+            "",
+            True,
+        )
 
     def abandon_inflight(now: float) -> None:
         for entry, _deadline in inflight.values():
@@ -665,22 +685,15 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
                     entry, _deadline = inflight.pop(fut)
                     entry.attempts += 1
                     report.timeouts += 1
-                    if policy.retry_timeouts and entry.tries < policy.max_attempts:
-                        report.retries += 1
-                        entry.ready_at = now + backoff_delay(
-                            policy, entry.cell.seed, entry.tries
-                        )
-                        queue.append(entry)
-                    else:
-                        sweep.record_failure(
-                            entry,
-                            "CellTimeout",
-                            f"wall-clock timeout after {policy.wall_timeout_s}s "
-                            f"running {entry.cell.describe()}",
-                            "",
-                            retryable=bool(policy.retry_timeouts),
-                            wall_time_s=now - entry.started_at,
-                        )
+                    retry_or_fail(
+                        entry,
+                        now,
+                        "CellTimeout",
+                        f"wall-clock timeout after {policy.wall_timeout_s}s "
+                        f"running {entry.cell.describe()}",
+                        "",
+                        bool(policy.retry_timeouts),
+                    )
                 # The wedged worker cannot be told apart from its siblings
                 # portably, so kill them all; innocent in-flight cells are
                 # struck (bounded) and retried on a fresh pool.
@@ -713,23 +726,8 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
                     _, run, hit, cerr = tag
                     sweep.record_ok(entry, run, hit, cerr)
                 else:
-                    _, etype, msg, tb_text, retryable = tag
                     entry.attempts += 1
-                    if retryable and entry.tries < policy.max_attempts:
-                        report.retries += 1
-                        entry.ready_at = now + backoff_delay(
-                            policy, entry.cell.seed, entry.tries
-                        )
-                        queue.append(entry)
-                    else:
-                        sweep.record_failure(
-                            entry,
-                            etype,
-                            msg,
-                            tb_text,
-                            retryable,
-                            now - entry.started_at,
-                        )
+                    retry_or_fail(entry, now, *tag[1:])
             if broken:
                 # Every surviving in-flight future is doomed with the pool;
                 # strike/reschedule them now rather than wait on it.

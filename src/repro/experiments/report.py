@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.experiments.parallel import CellResult, FaultPolicy
+from repro.experiments.parallel import FaultPolicy
 from repro.experiments.runner import Effort
 from repro.noc.topology import TOPOLOGY_KINDS
 
@@ -25,12 +25,7 @@ __all__ = [
     "common_from_args",
     "effort_argparser",
     "parse_effort",
-    "policy_from_args",
-    "obs_from_args",
-    "guard_from_args",
-    "service_from_args",
     "config_for_topology",
-    "failed_label",
     "finish",
     "write_text_atomic",
 ]
@@ -61,9 +56,10 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
 
     One definition for ``--effort/--seed/--jobs/--cache/--max-attempts/
     --timeout/--cycle-budget/--obs/--obs-sample-period/--topology/--guard/
-    --service/--priority/--version`` — the nine figure CLIs, ``run_all``,
-    and the sweep/steady-state tools all hang off this helper, so a new
-    execution-policy flag lands everywhere by being added here once.
+    --service/--priority/--version`` — the nine figure CLIs (through
+    :func:`repro.experiments.cellplan.figure_main`), ``run_all``, the sweep
+    tool and ``repro.service.submit run`` all hang off this helper, so a
+    new execution-policy flag lands everywhere by being added here once.
     Consume the parsed namespace with :func:`common_from_args`.
     """
     from repro._version import version_blurb
@@ -173,78 +169,42 @@ def effort_argparser(description: str) -> argparse.ArgumentParser:
     return add_common_args(argparse.ArgumentParser(description=description))
 
 
-def policy_from_args(args: argparse.Namespace) -> FaultPolicy:
-    """Build the :class:`FaultPolicy` the shared CLI flags describe."""
-    return FaultPolicy(
-        max_attempts=getattr(args, "max_attempts", 3),
-        wall_timeout_s=getattr(args, "timeout", None),
-        cycle_budget=getattr(args, "cycle_budget", None),
-    )
-
-
-def obs_from_args(args: argparse.Namespace):
-    """Build the :class:`repro.obs.ObsConfig` the shared CLI flags describe.
-
-    Returns ``None`` when ``--obs`` was not given (the overhead-free
-    default). Imported lazily so CLIs without the flag never load the
-    obs package.
-    """
-    obs_dir = getattr(args, "obs", None)
-    if obs_dir is None:
-        return None
-    from repro.obs.collector import ObsConfig
-
-    return ObsConfig(dir=obs_dir, sample_period=getattr(args, "obs_sample_period", 64))
-
-
-def guard_from_args(args: argparse.Namespace):
-    """Build the :class:`repro.noc.guard.GuardConfig` ``--guard`` describes.
-
-    Returns ``None`` when the guard is off (the overhead-free default).
-    Blackboxes land next to the obs streams when ``--obs`` was given,
-    otherwise they stay in memory on the raised error. Imported lazily,
-    mirroring :func:`obs_from_args`.
-    """
-    mode = getattr(args, "guard", "off")
-    if mode in (None, "off"):
-        return None
-    from repro.noc.guard import GuardConfig
-
-    return GuardConfig(mode=mode, dir=getattr(args, "obs", None))
-
-
-def service_from_args(args: argparse.Namespace):
-    """Build the :class:`repro.service.client.ServiceSpec` ``--service`` names.
-
-    Returns ``None`` when ``--service`` was not given (local execution,
-    the default). Imported lazily so CLIs never load the service package
-    unless a daemon is actually in play.
-    """
-    url = getattr(args, "service", None)
-    if url is None:
-        return None
-    from repro.service.client import ServiceSpec
-
-    return ServiceSpec(url=url, priority=getattr(args, "priority", "normal"))
-
-
 def common_from_args(args: argparse.Namespace) -> dict:
-    """The shared run() keyword arguments described by the common flags.
+    """The shared run() keyword arguments the :func:`add_common_args` flags describe.
 
-    Every figure CLI's ``main`` is now the one-liner
-    ``run(effort=parse_effort(args.effort), seed=args.seed,
-    **common_from_args(args))`` — the execution-policy plumbing (jobs,
-    cache, fault policy, obs, guard, topology, service routing) is
-    assembled here so the nine CLIs cannot drift apart.
+    ``topology`` plus the engine's own keywords (``jobs``, ``cache``,
+    ``policy``, ``obs``, ``guard``, ``service``), assembled in this one
+    place so no CLI can drift. ``obs``/``guard``/``service`` are ``None``
+    unless asked for (the overhead-free defaults), and their packages are
+    imported only then. Guard blackboxes land next to the obs streams
+    when ``--obs`` was given, otherwise they stay in memory on the raised
+    error.
     """
+    obs = guard = service = None
+    if args.obs is not None:
+        from repro.obs.collector import ObsConfig
+
+        obs = ObsConfig(dir=args.obs, sample_period=args.obs_sample_period)
+    if args.guard != "off":
+        from repro.noc.guard import GuardConfig
+
+        guard = GuardConfig(mode=args.guard, dir=args.obs)
+    if args.service is not None:
+        from repro.service.client import ServiceSpec
+
+        service = ServiceSpec(url=args.service, priority=args.priority)
     return {
-        "jobs": getattr(args, "jobs", 1),
-        "cache": getattr(args, "cache", None),
-        "policy": policy_from_args(args),
-        "obs": obs_from_args(args),
-        "guard": guard_from_args(args),
-        "topology": getattr(args, "topology", "mesh"),
-        "service": service_from_args(args),
+        "jobs": args.jobs,
+        "cache": args.cache,
+        "policy": FaultPolicy(
+            max_attempts=args.max_attempts,
+            wall_timeout_s=args.timeout,
+            cycle_budget=args.cycle_budget,
+        ),
+        "obs": obs,
+        "guard": guard,
+        "topology": args.topology,
+        "service": service,
     }
 
 
@@ -277,26 +237,16 @@ def config_for_topology(topology: str | None, **kwargs):
     return NocConfig.for_topology(topology, **kwargs)
 
 
-def failed_label(result: CellResult) -> str:
-    """Table-cell rendering of a failed cell: ``FAILED(ErrorType)``."""
-    assert result.failure is not None
-    return f"FAILED({result.failure.error_type})"
-
-
-def finish(result, report=None) -> int:
+def finish(result) -> int:
     """Print a figure result and return the CLI exit code.
 
-    ``result`` is a :class:`~repro.experiments.runner.FigureResult`;
-    ``report`` the :class:`~repro.experiments.parallel.ExecutionReport`
-    that produced it (optional — ``result.metrics['failures']`` is used
-    when absent). Failed cells have already been rendered into the rows
-    by the caller; this decides the exit code and prints the failure
-    summary lines so they cannot be missed below a long table.
+    ``result`` is a :class:`~repro.experiments.runner.FigureResult` whose
+    failed cells have already been rendered into the rows; this decides
+    the exit code from ``result.metrics['failures']`` and prints the
+    failure summary line so it cannot be missed below a long table.
     """
     print(result.format_table())
-    failures = (
-        report.failures if report is not None else result.metrics.get("failures", 0)
-    )
+    failures = result.metrics.get("failures", 0)
     if failures:
         print(
             f"WARNING: {failures} cell(s) failed after retries; "

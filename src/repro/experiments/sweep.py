@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells, run_cells_detailed
+from repro.experiments.parallel import Cell, run_cells, run_cells_detailed
 from repro.experiments.runner import Effort, FigureResult, Scheme, run_scenario
 from repro.util.errors import ConfigError
 
@@ -128,10 +128,7 @@ def compare_schemes(
     seeds: Sequence[int],
     effort: Effort = Effort.FAST,
     level: float = 0.95,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-    service=None,
+    **engine,
 ) -> FigureResult:
     """Mean APL reduction vs ``baseline`` per scheme, with CIs across seeds.
 
@@ -143,6 +140,9 @@ def compare_schemes(
     cell degrades gracefully: the affected seed pairs are dropped from
     that scheme's samples (``n`` shrinks, ``dropped`` counts them) and a
     scheme left with no surviving pair renders as a ``FAILED(...)`` row.
+    ``engine`` is forwarded verbatim to
+    :func:`~repro.experiments.parallel.run_cells_detailed` (``jobs``,
+    ``cache``, ``policy``, ``obs``, ``guard``, ``service``).
     """
     seeds = list(seeds)
     all_schemes = [baseline, *schemes]
@@ -151,9 +151,7 @@ def compare_schemes(
         for scheme in all_schemes
         for seed in seeds
     ]
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, service=service
-    )
+    results, report = run_cells_detailed(cells, **engine)
     by_scheme = {
         scheme.key: results[i * len(seeds) : (i + 1) * len(seeds)]
         for i, scheme in enumerate(all_schemes)
@@ -225,11 +223,11 @@ def main(argv=None) -> int:
     Replicated scheme comparison with CIs on one registry scenario.
     """
     from repro.experiments.report import (
+        common_from_args,
+        config_for_topology,
         effort_argparser,
         finish,
         parse_effort,
-        policy_from_args,
-        service_from_args,
     )
     from repro.experiments.runner import SCHEMES
     from repro.experiments.scenarios import SCENARIO_BUILDERS
@@ -262,16 +260,19 @@ def main(argv=None) -> int:
             f"scenario {args.scenario!r} needs arguments this CLI does not "
             f"take ({exc}); use six_app or parsec_quadrants"
         ) from None
+    engine = common_from_args(args)
+    config = config_for_topology(
+        engine.pop("topology"), num_vnets=scenario.config.num_vnets
+    )
+    if config is not None:
+        scenario = builder(config=config)
     result = compare_schemes(
         scenario,
         schemes=[SCHEMES[k] for k in args.schemes],
         baseline=SCHEMES[args.baseline],
         seeds=[args.seed + i for i in range(args.seeds)],
         effort=parse_effort(args.effort),
-        jobs=args.jobs,
-        cache=args.cache,
-        policy=policy_from_args(args),
-        service=service_from_args(args),
+        **engine,
     )
     return finish(result)
 

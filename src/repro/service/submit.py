@@ -15,11 +15,14 @@ Subcommands (all take ``--service URL``, where URL is the daemon's
         python -m repro.service.submit --service http://127.0.0.1:8642 \\
             run fig10_routing --effort smoke --priority high
 
-``run`` reuses the experiment registry from
-:mod:`repro.experiments.run_all`: it calls the module's ``run()`` with
-``service=`` pointing at the daemon, so the sweep executes remotely
-while the table renders locally — output is identical to the direct CLI
-because the service path is bit-identical by construction.
+``run`` takes every flag the figure CLIs take (its sub-parser is built
+from the same :func:`~repro.experiments.report.add_common_args`) and goes
+through the same :func:`~repro.experiments.cellplan.run_from_args`, so
+``submit --service U run X <flags>`` is the invocation
+``python -m repro.experiments.X --service U <flags>``: the sweep
+executes remotely, the table renders locally, and the output is
+identical to the direct CLI because the service path is bit-identical
+by construction.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import json
 import sys
 
 from repro._version import version_blurb
-from repro.service.client import ServiceClient, ServiceError, ServiceSpec
-from repro.service.protocol import PRIORITIES
+from repro.experiments.report import add_common_args
+from repro.service.client import ServiceClient, ServiceError
 
 __all__ = ["main"]
 
@@ -61,7 +64,7 @@ def _watch(client: ServiceClient, job_id: str) -> int:
 
 
 def _run_experiment(args) -> int:
-    from repro.experiments.report import finish, parse_effort
+    from repro.experiments.cellplan import run_from_args
     from repro.experiments.run_all import EXPERIMENTS
 
     module = EXPERIMENTS.get(args.experiment)
@@ -75,15 +78,7 @@ def _run_experiment(args) -> int:
     if args.experiment == "table1":
         print("table1 is analytic (no sweep); run it directly", file=sys.stderr)
         return 2
-    service = ServiceSpec(url=args.service, priority=args.priority)
-    result = module.run(
-        effort=parse_effort(args.effort),
-        seed=args.seed,
-        jobs=args.jobs,
-        cache=args.cache,
-        service=service,
-    )
-    return finish(result)
+    return run_from_args(module.run, args)
 
 
 def main(argv=None) -> int:
@@ -115,14 +110,16 @@ def main(argv=None) -> int:
     sub.add_parser("resume", help="release dispatch")
 
     run_p = sub.add_parser(
-        "run", help="run a figure/ablation through the service"
+        "run",
+        help="run a figure/ablation through the service",
+        conflict_handler="resolve",
     )
     run_p.add_argument("experiment", help="experiment name (see run_all)")
-    run_p.add_argument("--effort", default="medium")
-    run_p.add_argument("--seed", type=int, default=42)
-    run_p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    run_p.add_argument("--cache", default=None, metavar="DIR")
-    run_p.add_argument("--priority", choices=PRIORITIES, default="normal")
+    add_common_args(run_p)
+    # The daemon address is the top-level (required) --service. argparse
+    # copies every sub-parser attribute over the top-level namespace, so
+    # the sub-parser's copy is re-declared without a default.
+    run_p.add_argument("--service", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
     try:

@@ -95,3 +95,44 @@ class TestCompareSchemes:
         assert row["n"] == 2
         assert row["ci_lo"] <= row["red_mean"] <= row["ci_hi"]
         assert "Sweep" in fig.format_table()
+
+
+class TestSweepCli:
+    """The sweep CLI takes the common flag block, so it must honour it."""
+
+    def test_obs_flag_leaves_one_stream_per_simulated_cell(self, tmp_path, capsys):
+        from repro.experiments import sweep
+
+        obs_dir = tmp_path / "obs"
+        code = sweep.main([
+            "--effort", "smoke", "--seeds", "1", "--schemes", "RA_RAIR",
+            "--obs", str(obs_dir), "--guard", "strict",
+        ])
+        assert code == 0
+        assert "RA_RAIR" in capsys.readouterr().out
+        streams = sorted(p.name for p in obs_dir.glob("*.jsonl"))
+        assert len(streams) == 2  # the RO_RR baseline and RA_RAIR, one seed
+        assert streams[0].startswith("RA_RAIR_") and streams[1].startswith("RO_RR_")
+
+    def test_guard_and_topology_reach_the_engine(self, tmp_path, monkeypatch):
+        from repro.experiments import sweep
+
+        seen = {}
+
+        def fake_compare(scenario, **kwargs):
+            seen.update(kwargs, scenario=scenario)
+            return sweep.FigureResult(
+                figure="Sweep", title="t", columns=["scheme"], rows=[]
+            )
+
+        monkeypatch.setattr(sweep, "compare_schemes", fake_compare)
+        code = sweep.main([
+            "--scenario", "parsec_quadrants", "--topology", "ring",
+            "--guard", "sample", "--obs", str(tmp_path), "--obs-sample-period", "16",
+        ])
+        assert code == 0
+        assert seen["scenario"].config.topology == "ring"
+        assert seen["scenario"].config.num_vnets == 2
+        assert seen["guard"].mode == "sample"
+        assert seen["obs"].sample_period == 16
+        assert "topology" not in seen  # resolved into the scenario config
