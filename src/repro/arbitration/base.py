@@ -12,9 +12,10 @@ The router's three contested steps (VA_out, SA_in, SA_out) run the pick on
 bitmasks over its flat VC keys: the policy reduces the candidate mask to
 its top priority class (:meth:`ArbitrationPolicy.va_out_top` /
 :meth:`~ArbitrationPolicy.sa_top`) and :func:`rotating_bit` rotates from
-the pointer. :func:`rotating_pick` is the same rule over arbitrary
-objects; VA_in's request choice uses it, and the property tests hold the
-mask form to it.
+the pointer; VA_in's request choice (:meth:`ArbitrationPolicy.choose_vc`)
+rotates the same way over the free VCs of one output port.
+:func:`rotating_pick` is the same rule over arbitrary objects; the
+property tests hold the mask form to it.
 """
 
 from __future__ import annotations
@@ -104,24 +105,20 @@ class ArbitrationPolicy:
         """Bind to a network before simulation starts."""
         self.network = network
 
-    # -- VA_in: which (port, vc) does an input VC request? --------------------
-    def choose_request(self, router, invc, options):
-        """Pick one ``(out_port, out_vc)`` from ``options``.
+    # -- VA_in: which free VC of the chosen port does an input VC request? ------
+    def choose_vc(self, router, invc, port: int, mask: int) -> int:
+        """Pick one output VC of ``port`` from ``mask``; returns its index.
 
-        ``options`` is non-empty and ordered: ports appear in the routing
-        algorithm's preference order and, within a port, adaptive VCs
-        before the escape VC. The default takes the best-ranked port and
-        rotates across its free VCs so consecutive packets spread over VCs.
+        ``mask`` is the non-empty set of free VCs ``invc`` may request on
+        its best-ranked port, as bits over the VC index. The default
+        rotates across them so consecutive packets spread over VCs; the
+        pointer ``router.va_req_ptr[port]`` advances only when there was a
+        choice to rotate over.
         """
-        first_port = options[0][0]
-        port_options = [o for o in options if o[0] == first_port]
-        if len(port_options) == 1:
-            return port_options[0]
-        ptr = router.va_req_ptr[first_port]
-        winner, router.va_req_ptr[first_port] = rotating_pick(
-            port_options, lambda o: o[1], ptr, router.total_vcs
-        )
-        return winner
+        if mask & (mask - 1):
+            mask = rotating_bit(mask, router.va_req_ptr[port])
+            router.va_req_ptr[port] = mask.bit_length() % router.total_vcs
+        return mask.bit_length() - 1
 
     # -- priority keys (lower = higher priority) -------------------------------
     def va_out_priority(self, router, out_vc_class, invc):

@@ -28,7 +28,7 @@ per router — nothing scales with the number of regions or applications.
 
 from __future__ import annotations
 
-from repro.arbitration.base import ArbitrationPolicy, rotating_pick
+from repro.arbitration.base import ArbitrationPolicy
 from repro.core.dpa import DpaConfig, hysteresis_update
 from repro.core.msp import Stage
 from repro.core.vc_regionalization import (
@@ -86,23 +86,10 @@ class RairPolicy(ArbitrationPolicy):
             router.native_high = init
 
     # -- VA_in preference -------------------------------------------------------
-    def choose_request(self, router, invc, options):
-        """Class-aware VC request: preferred class first within the best port."""
-        first_port = options[0][0]
-        port_options = [o for o in options if o[0] == first_port]
-        if len(port_options) > 1:
-            want = preferred_class(invc.is_native)
-            classes = router.vc_class_of
-            preferred = [o for o in port_options if classes[o[1]] is want]
-            if preferred:
-                port_options = preferred
-        if len(port_options) == 1:
-            return port_options[0]
-        ptr = router.va_req_ptr[first_port]
-        winner, router.va_req_ptr[first_port] = rotating_pick(
-            port_options, lambda o: o[1], ptr, router.total_vcs
-        )
-        return winner
+    def choose_vc(self, router, invc, port: int, mask: int) -> int:
+        """Class-aware VC request: the preferred class first, when it has a free VC."""
+        mask = mask & router.class_mask[preferred_class(invc.is_native)] or mask
+        return super().choose_vc(router, invc, port, mask)
 
     # -- priority keys ------------------------------------------------------------
     def va_out_priority(self, router, out_vc_class, invc):

@@ -227,7 +227,7 @@ class _GuardFaultSource:
         router = net.routers[0]
         for port in range(1, router.num_ports):
             if net.topology.neighbor[0][port] >= 0:
-                router.out_credits[port][0] -= 1
+                router.set_out_credits(port, 0, router.out_credits[port][0] - 1)
                 self.done = True
                 return
 
@@ -285,11 +285,15 @@ class _GuardFaultSource:
                     src=dst, dst=dst, length=length, inject_cycle=cycle,
                     vnet=cfg.vc_vnet(vc),
                 )
-                net._deliver_flit(node, port, vc, pkt, cycle)
+                net.schedule_arrival(cycle, node, port, vc, pkt)
                 for _ in range(length - 1):
-                    net._deliver_flit(node, port, vc, None, cycle)
-                net.routers[upstream].out_credits[up_port][vc] -= length
+                    net.schedule_arrival(cycle, node, port, vc, None)
+                up = net.routers[upstream]
+                up.set_out_credits(up_port, vc, up.out_credits[up_port][vc] - length)
                 net.packets_in_flight += 1
+        # This cycle's own events were delivered before the tick, so this
+        # delivers exactly the flits scheduled above.
+        net.deliver_events(cycle)
         self.done = True
 
 

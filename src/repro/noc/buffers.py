@@ -3,8 +3,9 @@
 An :class:`InputVC` is the unit of buffering and arbitration in the router.
 Because VCs are *atomic* (Table 1 of the paper: one packet occupies a VC at
 a time), a VC's buffered flits all belong to one packet and are represented
-by a deque of their arrival cycles rather than per-flit objects — the hot
-loop never allocates.
+by a short list of their arrival cycles (at most ``vc_depth`` entries; an
+empty deque is ten times the size, times every VC on the chip) rather than
+per-flit objects — the hot loop never allocates.
 
 State machine::
 
@@ -22,7 +23,7 @@ see the "Kernel scheduling" section of ``docs/ARCHITECTURE.md``) from the
 events themselves. The per-packet transitions are methods here
 (:meth:`head_arrive`, :meth:`grant_vc`, :meth:`release`); the two per-flit
 ones — a body flit arriving, a flit departing — are applied in place by
-their single callers, ``Network._deliver_flit`` and ``Network.send_flit``,
+their single callers, ``Network.deliver_events`` and ``Network.send_flit``,
 next to the mask updates they imply.
 
 :meth:`wants_va` / :meth:`wants_sa` remain as the brute-force eligibility
@@ -30,8 +31,6 @@ oracle that the wake masks are cross-checked against in tests.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from repro.noc.config import VcClass
 from repro.util.errors import SimulationError
@@ -67,6 +66,9 @@ class InputVC:
         "sa_ready",
         "is_native",
         "bit",
+        "router",
+        "body_item",
+        "credit_item",
     )
 
     def __init__(
@@ -78,17 +80,24 @@ class InputVC:
         vc_class: VcClass,
         is_escape: bool,
         key: int = 0,
+        router=None,
     ):
         self.node = node
         self.port = port
         self.vc = vc
         # This VC's bit in the router's wake masks (flat key port * total_vcs + vc).
         self.bit = 1 << key
+        # Link wiring, resolved once (see Network.__init__): the owning
+        # router, the event a body flit arriving here is, and the event
+        # the credit for a flit leaving here is (None off-link: LOCAL).
+        self.router = router
+        self.body_item = (self, None)
+        self.credit_item = None
         self.vnet = vnet
         self.vc_class = vc_class
         self.is_escape = is_escape
         self.pkt = None
-        self.arrivals: deque[int] = deque()
+        self.arrivals: list[int] = []
         self.flits_recv = 0
         self.flits_sent = 0
         self.state = VC_IDLE

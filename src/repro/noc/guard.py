@@ -563,27 +563,15 @@ class RuntimeGuard:
     def _va_blockers(self, router, invc, neighbor, opposite) -> list:
         """Who blocks each downstream VC a parked VA VC could request."""
         node = router.node
-        vnet = invc.pkt.vnet
         depth = router.vc_depth
         deps: list = []
-
-        def blocker(port: int, vc: int) -> None:
-            owner = router.out_owner[port][vc]
-            if owner is not None:
-                deps.append((node, owner.port, owner.vc))
-            elif port != LOCAL and router.out_credits[port][vc] < depth:
-                deps.append((neighbor[node][port], opposite[port], vc))
-
         for port in invc.route_ports:
-            if port == LOCAL:
-                for vc in router._vnet_vcs_t[vnet]:
-                    blocker(port, vc)
-            else:
-                for vc in router._adaptive_vcs[vnet]:
-                    blocker(port, vc)
-                if port == invc.escape_port:
-                    for vc in router._escape_sets[vnet][invc.escape_class]:
-                        blocker(port, vc)
+            for vc in router.admissible_vcs(invc, port)[1]:
+                owner = router.out_owner[port][vc]
+                if owner is not None:
+                    deps.append((node, owner.port, owner.vc))
+                elif port != LOCAL and router.out_credits[port][vc] < depth:
+                    deps.append((neighbor[node][port], opposite[port], vc))
         return deps
 
     # -- blackbox + violation ---------------------------------------------------------

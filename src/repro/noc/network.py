@@ -4,7 +4,11 @@ The :class:`Network` owns all routers plus the cross-router machinery:
 
 * scheduled flit arrivals and credit returns (dict-of-lists keyed by
   cycle — the event volume per cycle is small and ordered delivery keeps
-  the simulation deterministic),
+  the simulation deterministic). Links are resolved once, at
+  construction: a flit event is ``(input VC, packet | None)`` and a credit
+  event is the tuple ``(upstream router, its credit row, port, vc)``
+  prebuilt on the input VC whose slot it frees, so neither the send nor
+  the delivery looks anything up by node or port,
 * per-node injection queues with a serializing injection link (at most one
   flit enters a router's LOCAL port per cycle, like a network interface),
 * the global congestion table ``occupancy`` (flits buffered per router)
@@ -99,8 +103,17 @@ class Network:
         # Per-flit hot-path constants (attribute chains cost in the kernel).
         self._link_lat = config.link_latency
         self._credit_lat = config.credit_latency
-        self._neighbor = self.topology.neighbor
-        self._opposite = self.topology.opposite
+        # Links, resolved once: each output port holds the downstream
+        # port's InputVC row, each of those VCs the credit event that
+        # returns its freed slots upstream.
+        opposite = self.topology.opposite
+        for router in self.routers:
+            for port, dst in enumerate(self.topology.neighbor[router.node]):
+                if dst >= 0:
+                    row = self.routers[dst].in_vcs[opposite[port]]
+                    router.out_links[port] = row
+                    for invc in row:
+                        invc.credit_item = (router, router.out_credits[port], port, invc.vc)
         # Injection: one FIFO per (node, vnet) + a serializing link.
         self.queues = [
             [deque() for _ in range(config.num_vnets)] for _ in range(self.topology.num_nodes)
@@ -185,7 +198,7 @@ class Network:
         )
         # RC-as-lookup: bound method of the routing algorithm's route table
         # when one was built at attach (see RoutingAlgorithm.attach); the
-        # router's va_options falls back to the per-packet queries when None.
+        # router's RC stage falls back to the per-packet queries when None.
         self._route_entry = (
             routing.route_entry
             if getattr(routing, "_route_table", None) is not None
@@ -263,13 +276,13 @@ class Network:
                 q = queues[vnet]
                 if not q:
                     continue
-                vc = self._find_idle_local_vc(router, vnet)
-                if vc is None:
+                invc = self._find_idle_local_vc(router, vnet)
+                if invc is None:
                     continue
                 pkt = q.popleft()
-                self._deliver_flit(node, LOCAL, vc, pkt, cycle)
+                self._deliver_head(invc, pkt, cycle)
                 for i in range(1, pkt.length):
-                    self._push(self._arrivals, cycle + i, (node, LOCAL, vc, None))
+                    self._push(self._arrivals, cycle + i, invc.body_item)
                 self._inject_busy_until[node] = cycle + pkt.length
                 started = True
                 break
@@ -279,16 +292,16 @@ class Network:
             self._pending_nodes.difference_update(done)
             self._pending_dirty = True
 
-    def _find_idle_local_vc(self, router: Router, vnet: int) -> int | None:
-        vcs = router._vnet_vcs_t[vnet]
+    def _find_idle_local_vc(self, router: Router, vnet: int):
+        vcs = router.vcs_local[vnet][1]
         n = len(vcs)
         start = self._inj_vc_ptr[router.node]
         local_vcs = router.in_vcs[LOCAL]
         for k in range(n):
-            vc = vcs[(start + k) % n]
-            if local_vcs[vc].pkt is None:
+            invc = local_vcs[vcs[(start + k) % n]]
+            if invc.pkt is None:
                 self._inj_vc_ptr[router.node] = (start + k + 1) % n
-                return vc
+                return invc
         return None
 
     # -- event delivery ----------------------------------------------------------------
@@ -299,6 +312,16 @@ class Network:
             table[cycle] = [item]
         else:
             lst.append(item)
+
+    def schedule_arrival(self, cycle: int, node: int, port: int, vc: int, pkt) -> None:
+        """Schedule a flit into input VC ``(node, port, vc)``: a head (``pkt``) or a body (None)."""
+        invc = self.routers[node].in_vcs[port][vc]
+        self._push(self._arrivals, cycle, invc.body_item if pkt is None else (invc, pkt))
+
+    def schedule_credit(self, cycle: int, node: int, port: int, vc: int) -> None:
+        """Schedule one credit back to output VC ``(port, vc)`` of router ``node``."""
+        router = self.routers[node]
+        self._push(self._credits, cycle, (router, router.out_credits[port], port, vc))
 
     def refresh_congestion(self, cycle: int) -> None:
         """Update the quantized congestion snapshot DBAR reads.
@@ -335,21 +358,42 @@ class Network:
         """Apply all flit arrivals and credit returns scheduled for ``cycle``."""
         arrivals = self._arrivals.pop(cycle, None)
         if arrivals:
-            for node, port, vc, pkt in arrivals:
-                self._deliver_flit(node, port, vc, pkt, cycle)
+            occupancy = self.occupancy
+            for invc, pkt in arrivals:
+                if pkt is not None:
+                    self._deliver_head(invc, pkt, cycle)
+                    continue
+                resident = invc.pkt
+                if resident is None:
+                    raise SimulationError(
+                        f"body flit arrived at empty VC "
+                        f"(node {invc.node} port {invc.port} vc {invc.vc})"
+                    )
+                if invc.flits_recv >= resident.length:
+                    raise SimulationError(f"too many flits arrived for {resident!r}")
+                buffered = invc.arrivals
+                if not buffered and invc.state == VC_ACTIVE:
+                    # Refill of a drained ACTIVE VC: sendable next cycle, if
+                    # it holds a credit (else the credit's return arms it).
+                    op = invc.out_port
+                    router = invc.router
+                    if op == LOCAL or router.out_credits[op][invc.out_vc] > 0:
+                        router.sa_pending |= invc.bit
+                        router.sa_hold |= invc.bit
+                buffered.append(cycle)
+                invc.flits_recv += 1
+                occupancy[invc.node] += 1
+                self.buffered_total += 1
         credits = self._credits.pop(cycle, None)
         if credits:
             tr = self.trace
             depth = self.config.vc_depth
-            routers = self.routers
-            for node, port, vc in credits:
-                router = routers[node]
-                out_credits = router.out_credits[port]
+            for router, out_credits, port, vc in credits:
                 c = out_credits[vc] + 1
                 out_credits[vc] = c
                 if c > depth:
                     raise SimulationError(
-                        f"credit overflow at node {node} port {port} vc {vc}"
+                        f"credit overflow at node {router.node} port {port} vc {vc}"
                     )
                 # Only two counter values change anyone's schedulability:
                 # the first credit ends the owner's starvation (sendable
@@ -360,52 +404,35 @@ class Network:
                     owner = router.out_owner[port][vc]
                     if owner is None:
                         if c == depth:
+                            router.out_free[port] |= 1 << vc
                             router.wake_parked()
                     elif c == 1 and owner.arrivals:
                         router.sa_pending |= owner.bit
                         if owner.arrivals[0] >= cycle:
                             router.sa_hold |= owner.bit
                 if tr is not None:
-                    tr.credit_return(cycle, node, port, vc)
+                    tr.credit_return(cycle, router.node, port, vc)
 
-    def _deliver_flit(self, node: int, port: int, vc: int, pkt, cycle: int) -> None:
-        router = self.routers[node]
-        invc = router.in_vcs[port][vc]
-        if pkt is not None:
-            native = router.app_id >= 0 and pkt.app_id == router.app_id
-            invc.head_arrive(pkt, cycle, native)
-            # The VC competes in VA from next cycle (va_ready).
-            router.va_pending |= invc.bit
-            if router.busy_vcs == 0:
-                self._active.add(node)
-                self._active_dirty = True
-                if self.trace is not None:
-                    self.trace.wake(cycle, node)
-            router.busy_vcs += 1
-            if native:
-                router.ovc_n += 1
-                router.native_mask |= invc.bit
-            else:
-                router.ovc_f += 1
-            router.ovc_dirty = True
+    def _deliver_head(self, invc, pkt, cycle: int) -> None:
+        """A head flit is written into ``invc``: the VC and its router wake up."""
+        router = invc.router
+        node = invc.node
+        native = router.app_id >= 0 and pkt.app_id == router.app_id
+        invc.head_arrive(pkt, cycle, native)
+        # The VC competes in VA from next cycle (va_ready).
+        router.va_pending |= invc.bit
+        if router.busy_vcs == 0:
+            self._active.add(node)
+            self._active_dirty = True
+            if self.trace is not None:
+                self.trace.wake(cycle, node)
+        router.busy_vcs += 1
+        if native:
+            router.ovc_n += 1
+            router.native_mask |= invc.bit
         else:
-            resident = invc.pkt
-            if resident is None:
-                raise SimulationError(
-                    f"body flit arrived at empty VC (node {node} port {port} vc {vc})"
-                )
-            if invc.flits_recv >= resident.length:
-                raise SimulationError(f"too many flits arrived for {resident!r}")
-            arrivals = invc.arrivals
-            if not arrivals and invc.state == VC_ACTIVE:
-                # Refill of a drained ACTIVE VC: sendable next cycle, if
-                # it holds a credit (else the credit's return arms it).
-                op = invc.out_port
-                if op == LOCAL or router.out_credits[op][invc.out_vc] > 0:
-                    router.sa_pending |= invc.bit
-                    router.sa_hold |= invc.bit
-            arrivals.append(cycle)
-            invc.flits_recv += 1
+            router.ovc_f += 1
+        router.ovc_dirty = True
         self.occupancy[node] += 1
         self.buffered_total += 1
 
@@ -416,10 +443,9 @@ class Network:
         arrivals = invc.arrivals
         if not arrivals:
             raise SimulationError("send_flit on empty buffer")
-        arrivals.popleft()
+        arrivals.pop(0)
         out_port = invc.out_port
         out_vc = invc.out_vc
-        in_port = invc.port
         sent = invc.flits_sent + 1
         invc.flits_sent = sent
         is_tail = sent == pkt.length
@@ -439,11 +465,10 @@ class Network:
             self.trace.flit_send(cycle, node, out_port, out_vc, pkt.pid, is_tail)
 
         # Free one buffer slot -> credit back to the upstream router.
-        if in_port != LOCAL:
-            upstream = self._neighbor[node][in_port]
+        item = invc.credit_item
+        if item is not None:
             when = cycle + self._credit_lat
             lst = self._credits.get(when)
-            item = (upstream, self._opposite[in_port], invc.vc)
             if lst is None:
                 self._credits[when] = [item]
             else:
@@ -455,12 +480,12 @@ class Network:
             router.out_owner[out_port][out_vc] = None
             if out_port == LOCAL:
                 # An ejection-port VC frees with its credits intact, so a
-                # VA option is born right now: re-arm the parked VCs. A
-                # link-port VC frees with at least one credit outstanding
-                # (the tail flit just consumed one), so its option is born
-                # only when the final credit returns — deliver_events
-                # handles that wake; waking here too would be harmless
-                # but pointless.
+                # VA option is born right now: mark it free and re-arm the
+                # parked VCs. A link-port VC frees with at least one credit
+                # outstanding (the tail flit just consumed one), so its
+                # option is born only when the final credit returns —
+                # deliver_events handles that one.
+                router.out_free[LOCAL] |= 1 << out_vc
                 router.wake_parked()
             router.busy_vcs -= 1
             if router.busy_vcs == 0:
@@ -500,13 +525,14 @@ class Network:
                         f"negative credits at node {node} port {out_port} vc {out_vc}"
                     )
                 sendable = False
-            dst = self._neighbor[node][out_port]
-            is_head = sent == 1
-            if is_head:
+            down = router.out_links[out_port][out_vc]
+            if sent == 1:
                 pkt.hops += 1
+                item = (down, pkt)
+            else:
+                item = down.body_item
             when = cycle + self._link_lat
             lst = self._arrivals.get(when)
-            item = (dst, self._opposite[out_port], out_vc, pkt if is_head else None)
             if lst is None:
                 self._arrivals[when] = [item]
             else:
@@ -600,15 +626,15 @@ class Network:
         event queues themselves stay private to the kernel.
         """
         return [
-            (cyc, node, port, vc, pkt)
+            (cyc, invc.node, invc.port, invc.vc, pkt)
             for cyc, lst in self._arrivals.items()
-            for (node, port, vc, pkt) in lst
+            for (invc, pkt) in lst
         ]
 
     def scheduled_credits(self) -> list[tuple[int, int, int, int]]:
         """Snapshot of in-flight credit returns as ``(cycle, node, port, vc)``."""
         return [
-            (cyc, node, port, vc)
+            (cyc, router.node, port, vc)
             for cyc, lst in self._credits.items()
-            for (node, port, vc) in lst
+            for (router, _row, port, vc) in lst
         ]

@@ -58,7 +58,9 @@ def _parse_args(argv):
     parser.add_argument(
         "--sort",
         default="cumulative",
-        choices=sorted(k for k in pstats.SortKey.__members__.values()),
+        # Everything Stats.sort_stats accepts: SortKey's members lack the
+        # aliases (tottime, cumtime, ncalls) every pstats user types.
+        choices=sorted(pstats.Stats.sort_arg_dict_default),
         help="pstats sort key for the per-function listing (default cumulative)",
     )
     parser.add_argument(

@@ -32,15 +32,22 @@ input VC every cycle, the router keeps explicit wake masks —
     arrivals, credits or ``sa_ready``: the events that change them keep
     the masks (VA grant here; flit and credit delivery and the send
     itself in :mod:`repro.noc.network`).
+``out_free``
+    Per output port, the *allocatable* output VCs as bits over the VC
+    index: unowned and (on a link port) fully drained. VA_in requests
+    from ``out_free[port] & admissible mask`` instead of listing options;
+    the grant, an ejection tail and the last credit back to an unowned VC
+    are the only events that change it.
 
-The masks are integers over the flat VC key ``port * total_vcs + vc``:
+The wake masks are integers over the flat VC key ``port * total_vcs + vc``:
 arming and retiring are single OR/AND-NOT operations, re-arming all parked
 VCs is one OR, and the lowest bit first is the (port, vc) lexicographic
 order of a full scan. Arbitration runs on the same masks: the policy
 reduces a contested candidate mask to its top priority class and
 :func:`~repro.arbitration.base.rotating_bit` rotates from the pointer. The
 invariants are cross-checked against the brute-force ``wants_va`` /
-``wants_sa`` oracle in ``tests/integration/test_kernel_invariants.py``.
+``wants_sa`` / :meth:`Router.va_options` oracles in
+``tests/integration/test_kernel_invariants.py``.
 
 Per-router RAIR state lives here so the policy hot path is field access:
 ``app_id`` (from the region map), the DPA occupied-VC counters ``ovc_n`` /
@@ -57,10 +64,15 @@ from __future__ import annotations
 
 from repro.arbitration.base import rotating_bit
 from repro.noc.buffers import VC_VA, InputVC
-from repro.noc.config import NocConfig
+from repro.noc.config import NocConfig, VcClass
 from repro.noc.topology import LOCAL
 
 __all__ = ["Router"]
+
+
+def _vc_set(vcs: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``vcs`` as ``(bitmask over the VC index, the tuple itself)``."""
+    return sum(1 << vc for vc in vcs), vcs
 
 
 def _mask_keys(mask: int) -> list[int]:
@@ -89,6 +101,8 @@ class Router:
         "vc_depth",
         "out_owner",
         "out_credits",
+        "out_free",
+        "out_links",
         "va_ptr",
         "sa_in_ptr",
         "sa_out_ptr",
@@ -98,11 +112,10 @@ class Router:
         "va_parked",
         "sa_pending",
         "sa_hold",
-        "_vnet_range",
-        "_first_data_vc",
-        "_vnet_vcs_t",
-        "_adaptive_vcs",
-        "_escape_sets",
+        "vcs_local",
+        "vcs_adaptive",
+        "vcs_escape_port",
+        "class_mask",
         "ovc_n",
         "ovc_f",
         "native_high",
@@ -128,6 +141,7 @@ class Router:
                     config.vc_class(vc),
                     config.is_escape_vc(vc),
                     port * self.total_vcs + vc,
+                    self,
                 )
                 for vc in range(self.total_vcs)
             ]
@@ -137,33 +151,38 @@ class Router:
         # plus per-VC config constants the arbitration inner loops need.
         self.vcs = [invc for port_vcs in self.in_vcs for invc in port_vcs]
         self.vc_class_of = tuple(config.vc_class(vc) for vc in range(self.total_vcs))
+        self.class_mask = tuple(
+            sum(1 << vc for vc, c in enumerate(self.vc_class_of) if c is cls)
+            for cls in VcClass
+        )
         self.vc_depth = config.vc_depth
-        self._vnet_range = [config.vnet_vcs(v) for v in range(config.num_vnets)]
-        self._first_data_vc = [r.start + config.escape_vcs for r in self._vnet_range]
-        # Candidate VC sets per vnet as tuples: the VA option walk iterates
-        # them every head-flit residency, and a prebuilt tuple beats
-        # re-materialising range objects in the hot loop.
-        self._vnet_vcs_t = [tuple(r) for r in self._vnet_range]
-        self._adaptive_vcs = [
-            tuple(range(first, r.stop))
-            for r, first in zip(self._vnet_range, self._first_data_vc)
-        ]
-        # Escape VCs grouped by dateline class: _escape_sets[vnet][cls] are
-        # the escape VCs a packet of that vnet may request when its current
-        # escape hop carries dateline class cls. One class on a mesh (the
-        # set is all escape VCs, as before the topology layer); wrap
-        # fabrics stripe their escape VCs round-robin across two classes.
+        # Admissible output VCs per vnet, each as ``(mask, VCs in request
+        # order)`` — see admissible_vcs: every vnet VC on the ejection
+        # port; the adaptive VCs on a link port; adaptive first, then the
+        # escape VCs of one dateline class, on the escape port. One class
+        # on a mesh (all escape VCs); wrap fabrics stripe their escape VCs
+        # round-robin across two.
         ncls = network.topology.num_escape_classes
-        self._escape_sets = [
-            tuple(
-                tuple(range(r.start + c, first, ncls))
-                for c in range(ncls)
+        self.vcs_local, self.vcs_adaptive, self.vcs_escape_port = [], [], []
+        for vnet in range(config.num_vnets):
+            r = config.vnet_vcs(vnet)
+            first = r.start + config.escape_vcs
+            adaptive = tuple(range(first, r.stop))
+            self.vcs_local.append(_vc_set(tuple(r)))
+            self.vcs_adaptive.append(_vc_set(adaptive))
+            self.vcs_escape_port.append(
+                tuple(
+                    _vc_set(adaptive + tuple(range(r.start + c, first, ncls)))
+                    for c in range(ncls)
+                )
             )
-            for r, first in zip(self._vnet_range, self._first_data_vc)
-        ]
         self.out_owner = [[None] * self.total_vcs for _ in range(num_ports)]
         self.out_credits = [[config.vc_depth] * self.total_vcs for _ in range(num_ports)]
-        self.va_ptr = [[0] * self.total_vcs for _ in range(num_ports)]
+        self.out_free = [(1 << self.total_vcs) - 1] * num_ports
+        # Per output port, the downstream input port's InputVC row (None
+        # without a link); wired by the Network once every router exists.
+        self.out_links = [None] * num_ports
+        self.va_ptr = [0] * (num_ports * self.total_vcs)
         self.sa_in_ptr = [0] * num_ports
         self.sa_out_ptr = [0] * num_ports
         self.va_req_ptr = [0] * num_ports
@@ -195,93 +214,126 @@ class Router:
             self.va_parked = 0
 
     # -- VC allocation ------------------------------------------------------------
+    def set_out_credits(self, port: int, vc: int, n: int) -> None:
+        """Overwrite one credit counter, keeping ``out_free`` true to it.
+
+        The seam for fault injection (chaos, tests): the kernel's own
+        credit arithmetic lives in the network's send/credit events.
+        """
+        self.out_credits[port][vc] = n
+        free = self.out_owner[port][vc] is None and (port == LOCAL or n == self.vc_depth)
+        self.out_free[port] = self.out_free[port] & ~(1 << vc) | free << vc
+
+    def admissible_vcs(self, invc: InputVC, port: int) -> tuple[int, tuple[int, ...]]:
+        """Output VCs of ``port`` a routed VA-state VC may request: ``(mask, order)``.
+
+        The single statement of VA admissibility. Ejection: the escape
+        restriction is moot, any VC of the vnet. Link port: the adaptive
+        VCs — and, only on the escape (dimension-order) port (Duato
+        deadlock freedom), after them the escape VCs of the hop's dateline
+        class.
+        """
+        vnet = invc.pkt.vnet
+        if port == LOCAL:
+            return self.vcs_local[vnet]
+        if port == invc.escape_port:
+            return self.vcs_escape_port[vnet][invc.escape_class]
+        return self.vcs_adaptive[vnet]
+
+    def _route(self, invc: InputVC) -> tuple[int, ...]:
+        """RC stage, once per head: cache the packet's ports and escape hop on the VC.
+
+        A table lookup when the routing algorithm built a (node, dst)
+        route table at attach, the dynamic queries otherwise (huge
+        fabrics, destination-impure algorithms).
+        """
+        network = self.network
+        node = self.node
+        pkt = invc.pkt
+        entry = network._route_entry
+        if entry is not None:
+            ports, invc.escape_port, invc.escape_class = entry(node, pkt.dst)
+        else:
+            routing = network.routing
+            ports = routing.admissible_ports(node, pkt)
+            invc.escape_port = routing.escape_port(node, pkt)
+            invc.escape_class = routing.escape_vc_class(node, pkt)
+        invc.route_ports = ports
+        return ports
+
     def va_options(self, invc: InputVC) -> list[tuple[int, int]]:
         """Allocatable ``(out_port, out_vc)`` pairs for a VA-state VC.
 
-        This is the single source of truth for VA admissibility — the
-        ``do_va`` walk and the invariant tests both use it, so the parked
-        condition ("no options") can never drift from the hot path.
-        Ports appear in the routing algorithm's preference order and,
-        within a port, adaptive VCs before the escape VCs.
+        The brute-force oracle for :meth:`va_request`, recounted from
+        ``out_owner`` / ``out_credits`` (atomic VCs, Table 1: a downstream
+        VC may only be reallocated once its owner released *and* all its
+        credits are back). Off the per-cycle path: the invariant tests and
+        the guard's wait-graph call it. Ports appear in the routing
+        algorithm's preference order and, within a port, in
+        :meth:`admissible_vcs` order.
+        """
+        ports = invc.route_ports or self._route(invc)
+        if len(ports) > 1:
+            ports = self.network.routing.rank_ports(self.node, invc.pkt, ports)
+        depth = self.vc_depth
+        options: list[tuple[int, int]] = []
+        for p in ports:
+            owner_p = self.out_owner[p]
+            credits_p = self.out_credits[p]
+            for vc in self.admissible_vcs(invc, p)[1]:
+                if owner_p[vc] is None and (p == LOCAL or credits_p[vc] == depth):
+                    options.append((p, vc))
+        return options
+
+    def va_request(self, invc: InputVC) -> int:
+        """VA_in: the output VC ``invc`` requests, as ``port * total_vcs + vc``.
+
+        The best-ranked admissible port with a free admissible VC, and the
+        policy's pick among those VCs; -1 when every admissible VC is
+        owned or draining (only a credit return or an owner release
+        changes that, so the caller parks the VC).
         """
         network = self.network
-        routing = network.routing
-        node = self.node
-        pkt = invc.pkt
-        ports = invc.route_ports
-        if ports is None:
-            # RC stage: a table lookup when the routing algorithm built a
-            # (node, dst) route table at attach, the dynamic queries
-            # otherwise (huge fabrics, destination-impure algorithms).
-            entry = network._route_entry
-            if entry is not None:
-                ports, invc.escape_port, invc.escape_class = entry(node, pkt.dst)
-                invc.route_ports = ports
-            else:
-                ports = routing.admissible_ports(node, pkt)
-                invc.route_ports = ports
-                invc.escape_port = routing.escape_port(node, pkt)
-                invc.escape_class = routing.escape_vc_class(node, pkt)
-        ranked = routing.rank_ports(node, pkt, ports) if len(ports) > 1 else ports
-        vnet = pkt.vnet
-        depth = self.vc_depth
-        escape_port = invc.escape_port
-        options: list[tuple[int, int]] = []
-        for p in ranked:
-            owner_p = self.out_owner[p]
-            if p == LOCAL:
-                # Ejection: the escape restriction is moot, any VC
-                # of the vnet may be requested.
-                for vc in self._vnet_vcs_t[vnet]:
-                    if owner_p[vc] is None:
-                        options.append((p, vc))
-            else:
-                # Atomic VCs (Table 1): a downstream VC may only be
-                # reallocated once it has fully drained — owner
-                # released *and* all credits back (no flit of the
-                # previous packet buffered or in flight).
-                credits_p = self.out_credits[p]
-                for vc in self._adaptive_vcs[vnet]:
-                    if owner_p[vc] is None and credits_p[vc] == depth:
-                        options.append((p, vc))
-                # Escape VCs are only admissible on the dimension-order
-                # port (Duato deadlock freedom) — and, on wrap fabrics,
-                # only those of the hop's dateline class — and are tried
-                # after the adaptive VCs of their port.
-                if p == escape_port:
-                    for vc in self._escape_sets[vnet][invc.escape_class]:
-                        if owner_p[vc] is None and credits_p[vc] == depth:
-                            options.append((p, vc))
-        return options
+        ports = invc.route_ports or self._route(invc)
+        if len(ports) > 1:
+            ports = network.routing.rank_ports(self.node, invc.pkt, ports)
+        out_free = self.out_free
+        for p in ports:
+            mask = out_free[p]
+            if mask:
+                mask &= self.admissible_vcs(invc, p)[0]
+                if mask:
+                    return p * self.total_vcs + network.policy.choose_vc(self, invc, p, mask)
+        return -1
 
     def do_va(self, cycle: int) -> None:
         """Run VA_in (request selection) and VA_out (grant) for this cycle."""
         mask = self.va_pending
         if not mask:
             return
-        policy = self.network.policy
         vcs = self.vcs
         if not (mask & (mask - 1)):
             # Lone VA candidate: its request is granted unopposed, so skip
-            # the request grouping. choose_request still runs — it both
-            # picks among the options and advances the rotation pointer,
-            # exactly as on the general path.
+            # the request grouping. va_request still runs the policy's
+            # choose_vc, which advances the rotation pointer exactly as on
+            # the general path.
             invc = vcs[mask.bit_length() - 1]
             if cycle < invc.va_ready:
                 return
-            options = self.va_options(invc)
-            if not options:
+            req = self.va_request(invc)
+            if req < 0:
                 self.va_pending = 0
                 self.va_parked |= mask
-                return
-            self._grant(invc, policy.choose_request(self, invc, options), cycle)
+            else:
+                self._grant(invc, req, cycle)
             return
         # Walk port by port, shifting each port's submask down to a small
         # int — bit tricks on the narrow masks stay single-word, and the
         # (port, vc) ascending order of a full scan is preserved.
-        # requests: (out_port, out_vc) -> mask of requesting VC keys, in
-        # first-request order (grants, and their trace events, follow it).
-        requests: dict[tuple[int, int], int] = {}
+        # requests: out_port * total_vcs + out_vc -> mask of requesting VC
+        # keys, in first-request order (grants, and their trace events,
+        # follow it).
+        requests: dict[int, int] = {}
         total = self.total_vcs
         port_all = (1 << total) - 1
         base = 0
@@ -296,35 +348,33 @@ class Router:
                 # (head just arrived) waits out its buffer-write cycle here.
                 if cycle < invc.va_ready:
                     continue
-                options = self.va_options(invc)
-                if not options:
-                    # Every admissible downstream VC is owned or draining;
-                    # only a credit return or owner release changes that.
+                req = self.va_request(invc)
+                if req < 0:
                     parks |= low
-                    continue
-                req = policy.choose_request(self, invc, options)
-                requests[req] = requests.get(req, 0) | invc.bit
+                else:
+                    requests[req] = requests.get(req, 0) | invc.bit
             if parks:
                 parks <<= base
                 self.va_pending ^= parks
                 self.va_parked |= parks
             base += total
+        policy = self.network.policy
         top_class = policy.va_out_top if policy.uses_va_priority else None
         num_keys = self.num_ports * total
         for req, won in requests.items():
             if won & (won - 1):
                 # VA_out: top priority class, then rotate over the VC keys.
-                p, vc = req
                 if top_class is not None:
-                    won = top_class(self, vc, won)
-                won = rotating_bit(won, self.va_ptr[p][vc])
-                self.va_ptr[p][vc] = won.bit_length() % num_keys
+                    won = top_class(self, req % total, won)
+                won = rotating_bit(won, self.va_ptr[req])
+                self.va_ptr[req] = won.bit_length() % num_keys
             self._grant(vcs[won.bit_length() - 1], req, cycle)
 
-    def _grant(self, invc: InputVC, req: tuple[int, int], cycle: int) -> None:
+    def _grant(self, invc: InputVC, req: int, cycle: int) -> None:
         """VA_out grants ``invc`` the output VC ``req``; SA may pick it next cycle."""
-        p, vc = req
+        p, vc = divmod(req, self.total_vcs)
         self.out_owner[p][vc] = invc
+        self.out_free[p] &= ~(1 << vc)
         invc.grant_vc(p, vc, cycle)
         # A head flit is buffered and a freshly allocated VC has all its
         # credits, so the VC is sendable — from next cycle (sa_ready).

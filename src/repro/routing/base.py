@@ -26,7 +26,7 @@ only the selection (``rank_ports``) reads dynamic state.
 :meth:`RoutingAlgorithm.attach` therefore precomputes a flat
 ``num_nodes**2`` table of ``(admissible_ports, escape_port, escape_class)``
 entries once per network, and the router's RC stage becomes a single list
-index (see ``Router.va_options``). An algorithm whose admissibility depends
+index (see ``Router._route``). An algorithm whose admissibility depends
 on more than the destination (e.g. per-vnet or source-dependent relations)
 must set ``route_table_enabled = False`` to keep the dynamic per-packet
 path; the table build probes ``admissible_ports`` with a lightweight
@@ -86,14 +86,18 @@ class RoutingAlgorithm:
         if self.route_table_enabled and n <= self.TABLE_MAX_NODES:
             probe = _RouteProbe()
             table = []
+            # A fabric has a handful of distinct entries (ports x escape
+            # hop); the n*n slots share them instead of holding a copy each.
+            shared: dict = {}
             for node in range(n):
                 for dst in range(n):
                     probe.dst = dst
-                    table.append(
-                        (self.admissible_ports(node, probe),
-                         self.escape_port(node, probe),
-                         self.escape_vc_class(node, probe))
+                    entry = (
+                        self.admissible_ports(node, probe),
+                        self.escape_port(node, probe),
+                        self.escape_vc_class(node, probe),
                     )
+                    table.append(shared.setdefault(entry, entry))
             self._route_table = table
 
     def route_entry(self, node: int, dst: int) -> tuple[tuple[int, ...], int, int]:
@@ -123,5 +127,9 @@ class RoutingAlgorithm:
         return self.network.topology.escape_class(node, pkt.dst)
 
     def rank_ports(self, node: int, pkt, ports: tuple[int, ...]) -> tuple[int, ...]:
-        """Order ``ports`` from most to least preferred (selection function)."""
+        """Order ``ports`` from most to least preferred (selection function).
+
+        Must be a pure function of router/network state: every VA attempt,
+        the ``Router.va_options`` oracle and the guard all call it.
+        """
         return ports

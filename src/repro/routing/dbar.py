@@ -17,7 +17,7 @@ content one cycle later.
 from __future__ import annotations
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.selection import dbar_rank
+from repro.routing.selection import by_score, dbar_rank
 
 __all__ = ["DbarRouting"]
 
@@ -34,6 +34,4 @@ class DbarRouting(RoutingAlgorithm):
     def rank_ports(self, node: int, pkt, ports: tuple[int, ...]) -> tuple[int, ...]:
         if len(ports) <= 1:
             return ports
-        scores = dbar_rank(self.network, node, pkt, ports)
-        order = sorted(range(len(ports)), key=lambda i: (scores[i], i))
-        return tuple(ports[i] for i in order)
+        return by_score(ports, dbar_rank(self.network, node, pkt, ports))

@@ -11,7 +11,7 @@ the local router" of the paper's Section V.C.
 from __future__ import annotations
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.selection import credit_rank
+from repro.routing.selection import by_score, credit_rank
 
 __all__ = ["DuatoAdaptiveRouting"]
 
@@ -27,6 +27,4 @@ class DuatoAdaptiveRouting(RoutingAlgorithm):
     def rank_ports(self, node: int, pkt, ports: tuple[int, ...]) -> tuple[int, ...]:
         if len(ports) <= 1:
             return ports
-        scores = credit_rank(self.network, node, pkt, ports)
-        order = sorted(range(len(ports)), key=lambda i: (scores[i], i))
-        return tuple(ports[i] for i in order)
+        return by_score(ports, credit_rank(self.network, node, pkt, ports))

@@ -23,7 +23,7 @@ across all routing algorithms.
 from __future__ import annotations
 
 from repro.routing.base import RoutingAlgorithm
-from repro.routing.selection import credit_rank
+from repro.routing.selection import by_score, credit_rank
 from repro.noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST
 from repro.util.errors import ConfigError
 
@@ -46,9 +46,7 @@ class _TurnModelRouting(RoutingAlgorithm):
     def rank_ports(self, node: int, pkt, ports: tuple[int, ...]) -> tuple[int, ...]:
         if len(ports) <= 1:
             return ports
-        scores = credit_rank(self.network, node, pkt, ports)
-        order = sorted(range(len(ports)), key=lambda i: (scores[i], i))
-        return tuple(ports[i] for i in order)
+        return by_score(ports, credit_rank(self.network, node, pkt, ports))
 
     def escape_port(self, node: int, pkt) -> int:
         # Deterministic sub-relation of an acyclic turn-model relation:

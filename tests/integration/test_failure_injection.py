@@ -19,7 +19,7 @@ def build(**kw):
 class TestCreditCorruption:
     def test_extra_credit_detected(self):
         sim, net = build()
-        net._push(net._credits, 2, (5, EAST, 1))
+        net.schedule_credit(2, 5, EAST, 1)
         with pytest.raises(SimulationError, match="credit overflow"):
             sim.run(5)
 
@@ -29,7 +29,7 @@ class TestCreditCorruption:
         net.inject(Packet(src=0, dst=3, length=1, inject_cycle=0))
         sim.step()
         for vc in range(net.config.total_vcs):
-            net.routers[0].out_credits[EAST][vc] = 0
+            net.routers[0].set_out_credits(EAST, vc, 0)
         with pytest.raises(SimulationError, match="no flit moved"):
             sim.run(1000)
 
@@ -37,7 +37,7 @@ class TestCreditCorruption:
 class TestBufferMisuse:
     def test_phantom_body_flit_detected(self):
         sim, net = build()
-        net._push(net._arrivals, 2, (5, EAST, 1, None))  # body with no packet
+        net.schedule_arrival(2, 5, EAST, 1, None)  # body with no packet
         with pytest.raises(SimulationError, match="body flit arrived at empty VC"):
             sim.run(5)
 
@@ -46,8 +46,8 @@ class TestBufferMisuse:
         p1 = Packet(src=5, dst=6, length=5, inject_cycle=0)
         p2 = Packet(src=9, dst=6, length=1, inject_cycle=0)
         # Force both heads into the same VC via raw events.
-        net._push(net._arrivals, 1, (6, EAST, 1, p1))
-        net._push(net._arrivals, 2, (6, EAST, 1, p2))
+        net.schedule_arrival(1, 6, EAST, 1, p1)
+        net.schedule_arrival(2, 6, EAST, 1, p2)
         with pytest.raises(SimulationError, match="busy VC"):
             sim.run(5)
 
@@ -55,7 +55,7 @@ class TestBufferMisuse:
         sim, net = build(num_vnets=2)
         pkt = Packet(src=5, dst=6, length=1, inject_cycle=0, vnet=1)
         # Deliver a vnet-1 packet into a vnet-0 VC.
-        net._push(net._arrivals, 1, (6, EAST, 0, pkt))
+        net.schedule_arrival(1, 6, EAST, 0, pkt)
         with pytest.raises(SimulationError, match="vnet"):
             sim.run(3)
 
@@ -97,6 +97,6 @@ class TestRecoveryAbsence:
         net.inject(Packet(src=0, dst=3, length=1, inject_cycle=0))
         sim.step()
         for vc in range(net.config.total_vcs):
-            net.routers[0].out_credits[EAST][vc] = 0
+            net.routers[0].set_out_credits(EAST, vc, 0)
         with pytest.raises(SimulationError):
             sim.run_until_drained(5000)

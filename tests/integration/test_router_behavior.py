@@ -152,7 +152,7 @@ class TestCreditLoop:
 
     def test_credit_overflow_detected(self):
         sim, net = build()
-        net._push(net._credits, 1, (0, EAST, 0))  # bogus credit
+        net.schedule_credit(1, 0, EAST, 0)  # bogus credit
         net.inject(Packet(src=3, dst=0, length=1, inject_cycle=0))
         with pytest.raises(SimulationError, match="credit overflow"):
             sim.run(3)

@@ -90,7 +90,7 @@ class TestWatchdog:
         # can never move.
         router = net.routers[0]
         for vc in range(net.config.total_vcs):
-            router.out_credits[EAST][vc] = 0
+            router.set_out_credits(EAST, vc, 0)
         sim.WATCHDOG_CYCLES = 200
         with pytest.raises(SimulationError, match="no flit moved"):
             sim.run(1000)

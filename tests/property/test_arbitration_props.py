@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro import build_simulation
@@ -11,6 +11,7 @@ from repro.arbitration.qos import WeightedQosPolicy
 from repro.arbitration.stc import StcPolicy
 from repro.core.dpa import DpaConfig
 from repro.core.rair import RairPolicy
+from repro.core.vc_regionalization import preferred_class
 from repro.noc.config import NocConfig, VcClass
 from repro.noc.flit import Packet
 
@@ -243,3 +244,90 @@ def test_rair_mask_classes_equal_the_key_derived_ones(state):
         assert policy.va_out_top(router, out_vc, mask) == ArbitrationPolicy.va_out_top(
             policy, router, out_vc, mask
         )
+
+
+# -- VA_in: the free-VC mask walk vs the option-list form ---------------------
+#
+# ``Router.va_request`` walks the ranked ports, ANDs ``out_free`` with the
+# admissible mask and lets ``choose_vc`` pick a bit. The reference below is
+# the list form it replaced, written out here: option list from owners and
+# credits (``va_options``), first port with options, RAIR's class filter,
+# ``rotating_pick`` over the VC index — pointer advanced only if it rotated.
+
+_VA_ROUTERS = {}
+
+
+def _va_router_for(scheme):
+    """An interior router of an adaptively routed mesh: two candidate ports."""
+    if scheme not in _VA_ROUTERS:
+        _, net = build_simulation(NocConfig(width=4, height=4), scheme=scheme, routing="local")
+        _VA_ROUTERS[scheme] = net.routers[5]
+    return _VA_ROUTERS[scheme]
+
+
+def _list_form_request(router, invc, class_preference):
+    options = router.va_options(invc)
+    if not options:
+        return None
+    port = options[0][0]
+    port_options = [o for o in options if o[0] == port]
+    if class_preference is not None and len(port_options) > 1:
+        want = class_preference(invc.is_native)
+        preferred = [o for o in port_options if router.vc_class_of[o[1]] is want]
+        if preferred:
+            port_options = preferred
+    if len(port_options) > 1:
+        winner, router.va_req_ptr[port] = rotating_pick(
+            port_options, lambda o: o[1], router.va_req_ptr[port], router.total_vcs
+        )
+        return winner
+    return port_options[0]
+
+
+def _both_forms(data, class_preference_of):
+    scheme = data.draw(st.sampled_from(MASK_SCHEMES))
+    router = _va_router_for(scheme)
+    total, depth = router.total_vcs, router.vc_depth
+    owner = object()
+    for port in range(router.num_ports):
+        for vc in range(total):
+            router.out_owner[port][vc] = data.draw(st.sampled_from((None, None, owner)))
+            router.set_out_credits(port, vc, data.draw(st.sampled_from((0, depth - 1, depth, depth))))
+    invc = router.in_vcs[data.draw(st.integers(0, router.num_ports - 1))][0]
+    invc.pkt = Packet(src=0, dst=data.draw(st.integers(0, 15)), length=1, inject_cycle=0)
+    invc.is_native = data.draw(st.booleans())
+    invc.route_ports = None
+    ptrs = [data.draw(st.integers(0, total - 1)) for _ in range(router.num_ports)]
+    try:
+        router.va_req_ptr[:] = ptrs
+        expected = _list_form_request(router, invc, class_preference_of(scheme))
+        expected_ptrs = list(router.va_req_ptr)
+        router.va_req_ptr[:] = ptrs
+        req = router.va_request(invc)
+        got = None if req < 0 else divmod(req, total)
+        return expected, expected_ptrs, got, list(router.va_req_ptr)
+    finally:
+        invc.pkt = None
+
+
+@given(st.data())
+@settings(max_examples=600, deadline=None)
+def test_va_in_mask_request_equals_list_form(data):
+    expected, expected_ptrs, got, ptrs = _both_forms(
+        data, lambda scheme: preferred_class if scheme.startswith("rair") else None
+    )
+    assert got == expected
+    assert ptrs == expected_ptrs
+
+
+def test_va_in_reference_notices_a_flipped_class_preference():
+    """Mutation check: the same comparison fails against a reference that
+    prefers the *other* class, so the property above does pin RAIR's rule."""
+    def flipped(scheme):
+        return (lambda native: preferred_class(not native)) if scheme.startswith("rair") else None
+
+    def disagrees(data):
+        expected, _, got, _ = _both_forms(data, flipped)
+        return got != expected
+
+    find(st.data(), disagrees)

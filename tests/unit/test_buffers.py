@@ -2,7 +2,7 @@
 
 The per-packet transitions are InputVC methods; the two per-flit ones
 (body arrival, flit departure) live in their single callers,
-``Network._deliver_flit`` and ``Network.send_flit``, and are driven
+``Network.deliver_events`` and ``Network.send_flit``, and are driven
 through those on one VC of a small network.
 """
 
@@ -37,13 +37,15 @@ class DrivenVC:
         self.vc = self.router.in_vcs[EAST][0]
 
     def head_arrive(self, pkt, cycle):
-        self.net._deliver_flit(0, EAST, 0, pkt, cycle)
+        self.net.schedule_arrival(cycle, 0, EAST, 0, pkt)
+        self.net.deliver_events(cycle)
 
     def body_arrive(self, cycle):
-        self.net._deliver_flit(0, EAST, 0, None, cycle)
+        self.net.schedule_arrival(cycle, 0, EAST, 0, None)
+        self.net.deliver_events(cycle)
 
     def grant(self, cycle):
-        self.router._grant(self.vc, OUT, cycle)
+        self.router._grant(self.vc, OUT[0] * self.router.total_vcs + OUT[1], cycle)
 
     def send_flit(self, cycle):
         self.net.send_flit(self.router, self.vc, cycle)
