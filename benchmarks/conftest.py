@@ -13,43 +13,14 @@ effort selected by the ``REPRO_BENCH_EFFORT`` environment variable
 
 from __future__ import annotations
 
-import datetime
 import os
 import pathlib
-import subprocess
 
 import pytest
 
 from repro.experiments.runner import Effort
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
-
-
-def bench_stamp() -> dict:
-    """Provenance stamp for benchmark JSON artifacts: git rev + UTC time.
-
-    Best-effort on the rev — a tarball checkout without git still
-    benchmarks fine, it just records ``unknown``.
-    """
-    rev = "unknown"
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            cwd=pathlib.Path(__file__).resolve().parent,
-            timeout=10,
-        )
-        if proc.returncode == 0 and proc.stdout.strip():
-            rev = proc.stdout.strip()
-    except OSError:
-        pass
-    return {
-        "git_rev": rev,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-    }
 
 
 def bench_effort() -> Effort:

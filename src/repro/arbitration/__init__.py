@@ -15,7 +15,6 @@ is a policy too and lives in :mod:`repro.core.rair`.
 
 from repro.arbitration.age_based import AgeBasedPolicy
 from repro.arbitration.base import ArbitrationPolicy, rotating_pick
-from repro.arbitration.qos import RairQosPolicy, WeightedQosPolicy
 from repro.arbitration.round_robin import RoundRobinPolicy
 from repro.arbitration.stc import StcPolicy
 
@@ -25,27 +24,32 @@ __all__ = [
     "RoundRobinPolicy",
     "AgeBasedPolicy",
     "StcPolicy",
-    "WeightedQosPolicy",
-    "RairQosPolicy",
     "make_policy",
 ]
 
 
+_REGISTRY = {
+    "rr": RoundRobinPolicy,
+    "round_robin": RoundRobinPolicy,
+    "ro_rr": RoundRobinPolicy,
+    "age": AgeBasedPolicy,
+    "oldest_first": AgeBasedPolicy,
+    "stc": StcPolicy,
+    "rank": StcPolicy,
+    "ro_rank": StcPolicy,
+}
+
+
 def make_policy(name: str, **kwargs) -> ArbitrationPolicy:
-    """Construct a policy by name (``rr``/``age``/``stc``/``rair`` and variants)."""
+    """Construct a policy by name (``rr``/``age``/``stc``/``rair`` and aliases)."""
     lname = name.lower()
-    if lname in ("rr", "round_robin", "ro_rr"):
-        return RoundRobinPolicy(**kwargs)
-    if lname in ("age", "oldest_first"):
-        return AgeBasedPolicy(**kwargs)
-    if lname in ("stc", "rank", "ro_rank"):
-        return StcPolicy(**kwargs)
-    if lname in ("qos", "qos_weighted"):
-        return WeightedQosPolicy(**kwargs)
-    if lname == "rair_qos":
-        return RairQosPolicy(**kwargs)
-    if lname.startswith("rair"):
+    if lname == "rair":  # imported here: repro.core.rair imports this package
         from repro.core.rair import RairPolicy
 
         return RairPolicy(**kwargs)
-    raise ValueError(f"unknown arbitration policy {name!r}")
+    try:
+        cls = _REGISTRY[lname]
+    except KeyError:
+        known = sorted([*_REGISTRY, "rair"])
+        raise ValueError(f"unknown arbitration policy {name!r}; known: {known}") from None
+    return cls(**kwargs)

@@ -33,6 +33,7 @@ import tempfile
 
 from repro.experiments.runner import ScenarioRun
 from repro.noc.stats import RunMetrics
+from repro.util.jsonl import append_record, read_records
 
 __all__ = [
     "CACHE_VERSION",
@@ -91,9 +92,12 @@ def cache_key(cell) -> str:
 
 
 # -- ScenarioRun <-> JSON payload ------------------------------------------------
+# The sweep service's wire protocol and job store reuse this payload format
+# verbatim, so a streamed result and a cached result are the same bytes
+# modulo the HTTP envelope.
 
 
-def _run_to_payload(run: ScenarioRun) -> dict:
+def run_to_payload(run: ScenarioRun) -> dict:
     return {
         "scheme": run.scheme,
         "scenario": run.scenario,
@@ -113,7 +117,7 @@ def _run_to_payload(run: ScenarioRun) -> dict:
     }
 
 
-def _run_from_payload(payload: dict) -> ScenarioRun:
+def run_from_payload(payload: dict) -> ScenarioRun:
     metrics = payload["metrics"]
     obs = payload.get("obs")
     if obs is not None:
@@ -134,14 +138,6 @@ def _run_from_payload(payload: dict) -> ScenarioRun:
         metrics=RunMetrics.from_dict(metrics) if metrics is not None else None,
         obs=obs,
     )
-
-
-#: public names for the ScenarioRun <-> JSON codec; the sweep service's
-#: wire protocol and job store reuse the cache payload format verbatim,
-#: so a streamed result and a cached result are the same bytes modulo
-#: the HTTP envelope
-run_to_payload = _run_to_payload
-run_from_payload = _run_from_payload
 
 
 class ResultCache:
@@ -175,7 +171,7 @@ class ResultCache:
             payload = entry["payload"]
             if _digest(canonicalize(payload)) != entry["sha256"]:
                 raise ValueError("cache entry failed checksum")
-            run = _run_from_payload(payload)
+            run = run_from_payload(payload)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -191,7 +187,7 @@ class ResultCache:
 
     def put(self, key: str, run: ScenarioRun) -> None:
         """Atomically persist ``run`` under ``key``."""
-        payload = _run_to_payload(run)
+        payload = run_to_payload(run)
         entry = {
             "version": CACHE_VERSION,
             "key": key,
@@ -246,15 +242,7 @@ class SweepJournal:
     def load(self) -> set[str]:
         """Cell keys recorded as completed (malformed lines are skipped)."""
         done: set[str] = set()
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return done
-        for line in text.splitlines():
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue  # torn tail from an interrupted append
+        for entry in read_records(self.path):
             if isinstance(entry, dict) and entry.get("status") == "ok":
                 key = entry.get("key")
                 if isinstance(key, str):
@@ -262,19 +250,8 @@ class SweepJournal:
         return done
 
     def record(self, key: str, status: str = "ok") -> None:
-        """Append one completion record and flush it to disk.
-
-        The record is *newline-framed* (leading and trailing): if a
-        previous append was torn mid-line, the leading newline terminates
-        the damaged line so this record still lands parseable on its own
-        line. The blank lines this produces parse as malformed and are
-        skipped by :meth:`load`.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write("\n" + json.dumps({"key": key, "status": status}) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        """Append one completion record and flush it to disk."""
+        append_record(self.path, {"key": key, "status": status})
 
 
 # -- maintenance CLI (python -m repro.experiments.cache) -------------------------

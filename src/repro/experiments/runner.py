@@ -65,10 +65,6 @@ class Scheme:
         return f"{self.key} (policy={self.policy}, routing={self.routing})"
 
 
-def _rair_kwargs(**kw) -> dict:
-    return kw
-
-
 #: The paper's evaluated schemes, by its own names.
 SCHEMES: dict[str, Scheme] = {
     # baselines
@@ -79,9 +75,7 @@ SCHEMES: dict[str, Scheme] = {
     # full RAIR
     "RA_RAIR": Scheme("RA_RAIR", "rair", "local"),
     # Fig. 9 MSP ablation
-    "RAIR_VA": Scheme(
-        "RAIR_VA", "rair", "local", _rair_kwargs(stages=Stage.VA)
-    ),
+    "RAIR_VA": Scheme("RAIR_VA", "rair", "local", {"stages": Stage.VA}),
     "RAIR_VA+SA": Scheme("RAIR_VA+SA", "rair", "local"),
     # Fig. 10 routing study
     "RO_RR_Local": Scheme("RO_RR_Local", "rr", "local"),
@@ -90,10 +84,10 @@ SCHEMES: dict[str, Scheme] = {
     "RAIR_DBAR": Scheme("RAIR_DBAR", "rair", "dbar"),
     # Fig. 12 DPA ablation
     "RAIR_NativeH": Scheme(
-        "RAIR_NativeH", "rair", "local", _rair_kwargs(dpa=DpaConfig(mode="native"))
+        "RAIR_NativeH", "rair", "local", {"dpa": DpaConfig(mode="native")}
     ),
     "RAIR_ForeignH": Scheme(
-        "RAIR_ForeignH", "rair", "local", _rair_kwargs(dpa=DpaConfig(mode="foreign"))
+        "RAIR_ForeignH", "rair", "local", {"dpa": DpaConfig(mode="foreign")}
     ),
     "RAIR_DPA": Scheme("RAIR_DPA", "rair", "local"),
 }

@@ -19,8 +19,6 @@ The entry points most users need are :class:`repro.noc.config.NocConfig`,
 :class:`repro.noc.network.Network` and :class:`repro.noc.sim.Simulator`.
 """
 
-import warnings
-
 from repro.noc.config import NocConfig, VcClass
 from repro.noc.flit import MessageClass, Packet
 from repro.noc.network import Network
@@ -69,27 +67,5 @@ __all__ = [
     "EAST",
     "SOUTH",
     "WEST",
-    "NUM_PORTS",
     "PORT_NAMES",
 ]
-
-# Mesh-specific constants kept as deprecated aliases: port arity and the
-# opposite-port map are per-topology now (Topology.num_ports /
-# Topology.opposite — e.g. network.topology.opposite), not global truths.
-_DEPRECATED_TOPOLOGY_CONSTS = ("NUM_PORTS", "OPPOSITE")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_TOPOLOGY_CONSTS:
-        warnings.warn(
-            f"repro.noc.{name} is deprecated: port arity and opposite-port "
-            f"maps are topology-specific; use the Topology API "
-            f"(e.g. network.topology.num_ports / network.topology.opposite, "
-            f"or import mesh constants from repro.noc.topology)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.noc import topology as _topology
-
-        return getattr(_topology, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

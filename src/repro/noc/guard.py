@@ -39,8 +39,8 @@ wait); flits moving while ejection is stalled — the separately-tracked
 ejection watchdog — is a ``livelock``.
 
 **Crash blackbox**: the guard taps the kernel's
-:class:`~repro.noc.trace.KernelTrace` stream through a bounded
-:class:`~repro.noc.trace.RingTrace` (tee'd behind an existing tracer such
+:class:`~repro.noc.trace.KernelTrace` stream through a depth-bounded
+:class:`~repro.noc.trace.RecordingTrace` (tee'd behind an existing tracer such
 as the obs collector, whose output stays byte-identical). On any
 violation it dumps the last K kernel events, a per-router VC/credit/DPA
 snapshot, and the classified violation as schema-versioned JSONL
@@ -66,7 +66,7 @@ from dataclasses import dataclass, replace
 
 from repro.noc.buffers import VC_ACTIVE, VC_IDLE, VC_VA
 from repro.noc.topology import LOCAL
-from repro.noc.trace import RingTrace, TeeTrace
+from repro.noc.trace import RecordingTrace, TeeTrace
 from repro.util.errors import ConfigError, GuardError
 
 __all__ = ["GUARD_MODES", "GuardConfig", "RuntimeGuard", "find_cycle"]
@@ -219,7 +219,7 @@ class RuntimeGuard:
         if config.mode == "off":
             raise ConfigError("guard mode 'off' means: do not install a guard")
         self.config = config
-        self.ring: RingTrace | None = None
+        self.ring: RecordingTrace | None = None
         self.next_check = 0
         self.checks_run = 0
         #: records of the last violation's blackbox (also written as
@@ -237,7 +237,7 @@ class RuntimeGuard:
         if self._sim is not None:
             raise ConfigError("guard is already installed on a simulator")
         net = sim.network
-        self.ring = RingTrace(self.config.depth)
+        self.ring = RecordingTrace(depth=self.config.depth)
         # Tee behind an existing tracer (e.g. the obs collector) so it
         # keeps seeing the identical event stream; claim the slot outright
         # when it is free.

@@ -155,9 +155,6 @@ class Network:
         self.congestion_cap = 3  # 2-bit congestion levels
         # Per-app offered flits (STC's intensity oracle input).
         self.app_flits_injected: dict[int, int] = {}
-        # Per-app switch traversals (bandwidth actually consumed; the QoS
-        # policies' budget accounting input).
-        self.app_flits_delivered: dict[int, int] = {}
 
         self.stats = NetworkStats()
         self.eject_callbacks: list = []
@@ -457,10 +454,6 @@ class Network:
         self.buffered_total -= 1
         self.flits_moved += 1
         self._link_flits[node][out_port] += 1
-        try:
-            self.app_flits_delivered[pkt.app_id] += 1
-        except KeyError:
-            self.app_flits_delivered[pkt.app_id] = 1
         if self.trace is not None:
             self.trace.flit_send(cycle, node, out_port, out_vc, pkt.pid, is_tail)
 

@@ -51,8 +51,7 @@ def _parse_args(argv):
     parser.add_argument(
         "--effort",
         default="FAST",
-        choices=["SMOKE", "FAST", "MEDIUM", "FULL"],
-        help="warmup/measure window size (default FAST)",
+        help="warmup/measure window size: smoke, fast (default), medium, full",
     )
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument(
@@ -113,7 +112,8 @@ def main(argv=None) -> int:
 
     # Imported here so ``--help`` stays instant and the profile run does
     # not attribute import time to the kernel.
-    from repro.experiments.runner import SCHEMES, Effort, run_scenario
+    from repro.experiments.report import parse_effort
+    from repro.experiments.runner import SCHEMES, run_scenario
     from repro.experiments.scenarios import two_app_msp
 
     try:
@@ -124,7 +124,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    effort = Effort[args.effort]
+    effort = parse_effort(args.effort)
     scenario = two_app_msp(args.p_inter)
 
     if args.naive:
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
     buf = io.StringIO()
     stats = pstats.Stats(profiler, stream=buf)
     header = (
-        f"profiled {scheme.key} on {run.scenario} at effort {args.effort} "
+        f"profiled {scheme.key} on {run.scenario} at effort {effort.name} "
         f"(seed {args.seed}, fast-forward {'off' if args.naive else 'on'}): "
         f"{run.end_cycle} cycles, {run.packets_measured} packets measured"
     )

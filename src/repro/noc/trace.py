@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-__all__ = ["KernelTrace", "RecordingTrace", "RingTrace", "TeeTrace"]
+__all__ = ["KernelTrace", "RecordingTrace", "TeeTrace"]
 
 
 class KernelTrace:
@@ -90,12 +90,19 @@ class RecordingTrace(KernelTrace):
     Each tuple starts with the event kind (``"va_grant"``, ``"sa_win"``,
     ``"flit_send"``, ``"credit_return"``, ``"wake"``, ``"sleep"``,
     ``"dpa_flip"``) followed by that event's arguments in signature order.
+
+    With ``depth`` set, :attr:`events` is a ``deque(maxlen=depth)`` — the
+    runtime guard's blackbox feed: a violation at cycle N can dump the
+    last ``depth`` scheduling decisions that led up to it while a long
+    clean run never accumulates more than ``depth`` entries.
     """
 
     __slots__ = ("events",)
 
-    def __init__(self) -> None:
-        self.events: list[tuple] = []
+    def __init__(self, depth: int | None = None) -> None:
+        self.events: list[tuple] | deque[tuple] = (
+            [] if depth is None else deque(maxlen=depth)
+        )
 
     def va_grant(self, cycle, node, in_port, in_vc, out_port, out_vc, pid) -> None:
         self.events.append(("va_grant", cycle, node, in_port, in_vc, out_port, out_vc, pid))
@@ -130,43 +137,6 @@ class RecordingTrace(KernelTrace):
     def clear(self) -> None:
         """Drop all recorded events."""
         self.events.clear()
-
-
-class RingTrace(KernelTrace):
-    """Bounded ring of the last ``depth`` kernel events.
-
-    The runtime guard's blackbox feed: events append as cheap tuples
-    (identical in shape to :class:`RecordingTrace`'s) into a
-    ``deque(maxlen=depth)``, so a violation at cycle N can dump the last
-    ``depth`` scheduling decisions that led up to it while a long clean
-    run never accumulates more than ``depth`` entries.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, depth: int = 256) -> None:
-        self.events: deque[tuple] = deque(maxlen=depth)
-
-    def va_grant(self, cycle, node, in_port, in_vc, out_port, out_vc, pid) -> None:
-        self.events.append(("va_grant", cycle, node, in_port, in_vc, out_port, out_vc, pid))
-
-    def sa_win(self, cycle, node, in_port, in_vc, out_port, pid) -> None:
-        self.events.append(("sa_win", cycle, node, in_port, in_vc, out_port, pid))
-
-    def flit_send(self, cycle, node, out_port, out_vc, pid, is_tail) -> None:
-        self.events.append(("flit_send", cycle, node, out_port, out_vc, pid, is_tail))
-
-    def credit_return(self, cycle, node, port, vc) -> None:
-        self.events.append(("credit_return", cycle, node, port, vc))
-
-    def wake(self, cycle, node) -> None:
-        self.events.append(("wake", cycle, node))
-
-    def sleep(self, cycle, node) -> None:
-        self.events.append(("sleep", cycle, node))
-
-    def dpa_flip(self, cycle, node, native_high, ovc_n, ovc_f) -> None:
-        self.events.append(("dpa_flip", cycle, node, native_high, ovc_n, ovc_f))
 
 
 class TeeTrace(KernelTrace):

@@ -6,10 +6,10 @@ Layout under the store root::
     results/<job>.jsonl   per-job result stream (cell records + job_end)
     endpoint              the daemon's bound URL (written on startup)
 
-Both JSONL files use the :class:`~repro.experiments.cache.SweepJournal`
-framing discipline — every append is newline-framed (leading *and*
-trailing ``\\n``) and fsynced, so a torn write damages at most the line it
-interrupted, and that line fails to parse and is skipped on replay. A
+Both JSONL files are written and read through :mod:`repro.util.jsonl` —
+every append is newline-framed (leading *and* trailing ``\\n``) and
+fsynced, so a torn write damages at most the line it interrupted, and
+that line fails to parse and is skipped on replay. A
 daemon killed at any instant therefore recovers to a consistent state:
 the journal replays to the last durable job event, and a result stream
 replays to the last durable cell record (an interrupted cell is simply
@@ -30,38 +30,13 @@ can replay a finished job's stream purely from disk.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
 from repro.service.protocol import PROTOCOL_VERSION, JobRecord, ProtocolError
+from repro.util.jsonl import append_record, read_records
 
 __all__ = ["JobStore"]
-
-
-def _append_framed(path: pathlib.Path, obj: dict) -> None:
-    """Newline-framed, fsynced single-record append (torn-write safe)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("\n" + json.dumps(obj, sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def _iter_lines(path: pathlib.Path):
-    """Parse a framed JSONL file, skipping blanks and torn lines."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            yield json.loads(line)
-        except ValueError:
-            continue  # torn tail from an interrupted append
 
 
 class JobStore:
@@ -77,7 +52,7 @@ class JobStore:
     # -- journal ------------------------------------------------------------------
 
     def append_submit(self, record: JobRecord) -> None:
-        _append_framed(
+        append_record(
             self.journal_path,
             {"event": "submit", "v": PROTOCOL_VERSION, "job": record.submit_wire()},
         )
@@ -85,7 +60,7 @@ class JobStore:
     def append_state(self, job_id: str, state: str, **extra) -> None:
         rec = {"event": "state", "v": PROTOCOL_VERSION, "id": job_id, "state": state}
         rec.update(extra)
-        _append_framed(self.journal_path, rec)
+        append_record(self.journal_path, rec)
 
     def recover(self) -> dict[str, JobRecord]:
         """Replay the journal into the last-known record per job, by id.
@@ -96,7 +71,7 @@ class JobStore:
         """
         jobs: dict[str, JobRecord] = {}
         self.undecodable: list[str] = []
-        for rec in _iter_lines(self.journal_path):
+        for rec in read_records(self.journal_path):
             if not isinstance(rec, dict):
                 continue
             event = rec.get("event")
@@ -131,7 +106,7 @@ class JobStore:
     def next_job_number(self) -> int:
         """1 + the highest job number ever journaled (ids are ``j<N>``)."""
         highest = 0
-        for rec in _iter_lines(self.journal_path):
+        for rec in read_records(self.journal_path):
             if not isinstance(rec, dict) or rec.get("event") != "submit":
                 continue
             job_id = (rec.get("job") or {}).get("id", "")
@@ -148,11 +123,11 @@ class JobStore:
         return self.results_dir / f"{job_id}.jsonl"
 
     def append_result(self, job_id: str, record: dict) -> None:
-        _append_framed(self.result_path(job_id), record)
+        append_record(self.result_path(job_id), record)
 
     def result_records(self, job_id: str) -> list[dict]:
         """All durable records of a job's stream, in append order."""
-        return [r for r in _iter_lines(self.result_path(job_id)) if isinstance(r, dict)]
+        return [r for r in read_records(self.result_path(job_id)) if isinstance(r, dict)]
 
     def completed_indices(self, job_id: str) -> set[int]:
         """Cell indices with a durable result record (never to re-run)."""

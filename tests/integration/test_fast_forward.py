@@ -17,7 +17,6 @@ import pathlib
 import pytest
 
 from repro.arbitration.base import ArbitrationPolicy
-from repro.arbitration.qos import RairQosPolicy, WeightedQosPolicy
 from repro.arbitration.stc import StcPolicy
 from repro.experiments.parallel import Cell, cell_obs_name, run_cells
 from repro.experiments.runner import SCHEMES, Effort
@@ -186,27 +185,6 @@ class TestPolicyBoundaryReplay:
             )
         assert state[True][:4] == state[False][:4]
         assert state[True][4] is True  # the gap was actually skipped
-        assert state[False][4] is False
-
-    @pytest.mark.parametrize("make_policy", [
-        lambda: WeightedQosPolicy(weights={0: 2.0, 1: 1.0}, frame_cycles=100),
-        lambda: RairQosPolicy(qos=WeightedQosPolicy(frame_cycles=100)),
-    ])
-    def test_qos_frame_replay(self, make_policy):
-        state = {}
-        for ff in (True, False):
-            policy = make_policy()
-            qos = policy.qos if isinstance(policy, RairQosPolicy) else policy
-            sim, net = self._gapped_run(policy, ff)
-            state[ff] = (
-                dict(qos._frame_start),
-                dict(qos.budgets),
-                net.stats.packets_ejected,
-                tuple(net.stats._eject),
-                sim.metrics.ff_jumps > 0,
-            )
-        assert state[True][:4] == state[False][:4]
-        assert state[True][4] is True
         assert state[False][4] is False
 
 

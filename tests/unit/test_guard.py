@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.noc.guard import GuardConfig, RuntimeGuard, find_cycle
-from repro.noc.trace import RecordingTrace, RingTrace, TeeTrace
+from repro.noc.trace import RecordingTrace, TeeTrace
 from repro.util.errors import ConfigError
 
 
@@ -114,16 +114,16 @@ class TestGuardConfig:
             RuntimeGuard(GuardConfig(mode="off"))
 
 
-class TestRingTrace:
+class TestBoundedRecordingTrace:
     def test_bounded_eviction(self):
-        ring = RingTrace(depth=3)
+        ring = RecordingTrace(depth=3)
         for cycle in range(5):
             ring.wake(cycle, node=0)
         assert len(ring.events) == 3
         assert [e[1] for e in ring.events] == [2, 3, 4]
 
     def test_event_tuples_match_recording_trace_shape(self):
-        ring, rec = RingTrace(depth=16), RecordingTrace()
+        ring, rec = RecordingTrace(depth=16), RecordingTrace()
         for sink in (ring, rec):
             sink.va_grant(1, node=0, in_port=2, in_vc=1, out_port=4, out_vc=3, pid=7)
             sink.sa_win(2, node=0, in_port=2, in_vc=1, out_port=4, pid=7)
@@ -134,8 +134,9 @@ class TestRingTrace:
             sink.dpa_flip(6, node=1, native_high=True, ovc_n=2, ovc_f=0)
         assert list(ring.events) == list(rec.events)
 
-    def test_default_depth(self):
-        assert RingTrace().events.maxlen == 256
+    def test_depth_is_maxlen_and_default_is_unbounded(self):
+        assert RecordingTrace(depth=256).events.maxlen == 256
+        assert RecordingTrace().events == []
 
 
 class TestTeeTrace:
@@ -152,5 +153,5 @@ class TestTeeTrace:
         alone = RecordingTrace()
         alone.credit_return(9, node=2, port=1, vc=0)
         teed = RecordingTrace()
-        TeeTrace(teed, RingTrace(depth=2)).credit_return(9, node=2, port=1, vc=0)
+        TeeTrace(teed, RecordingTrace(depth=2)).credit_return(9, node=2, port=1, vc=0)
         assert teed.events == alone.events

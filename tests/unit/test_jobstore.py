@@ -117,13 +117,6 @@ class TestResultStreams:
         assert job.completed == 1
         assert job.state == "running"  # the daemon's recovery set
 
-    def test_torn_result_line_skipped(self, tmp_path):
-        store = JobStore(tmp_path / "store")
-        store.append_result("j1", {"kind": "cell", "seq": 0, "index": 0})
-        with open(store.result_path("j1"), "a", encoding="utf-8") as fh:
-            fh.write('\n{"kind": "cell", "seq": 1, "ind')  # torn mid-append
-        assert store.completed_indices("j1") == {0}
-
 
 class TestEndpointFile:
     def test_write_and_read(self, tmp_path):

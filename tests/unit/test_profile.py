@@ -12,3 +12,8 @@ def test_documented_sort_alias_runs_and_prints_both_views(capsys):
     assert "per-module totals (sorted by internal time):" in out
     assert "Ordered by: internal time" in out
     assert "do_sa" in out
+
+
+def test_effort_is_case_insensitive_like_every_other_cli(capsys):
+    assert main(["--effort", "smoke", "--top", "1"]) == 0
+    assert "at effort SMOKE" in capsys.readouterr().out

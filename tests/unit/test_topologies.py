@@ -229,23 +229,3 @@ class TestNocConfigTopology:
         assert "8x8 mesh" in NocConfig().describe()
         assert "8x8 torus" in NocConfig.for_topology("torus").describe()
         assert "64-node ring" in NocConfig.for_topology("ring").describe()
-
-
-class TestDeprecatedModuleConstants:
-    def test_num_ports_warns_but_works(self):
-        import repro.noc as noc
-
-        with pytest.warns(DeprecationWarning, match="Topology"):
-            assert noc.NUM_PORTS == 5
-
-    def test_opposite_warns_but_works(self):
-        import repro.noc as noc
-
-        with pytest.warns(DeprecationWarning, match="Topology"):
-            assert noc.OPPOSITE[EAST] == WEST
-
-    def test_unknown_attribute_still_raises(self):
-        import repro.noc as noc
-
-        with pytest.raises(AttributeError):
-            noc.NO_SUCH_CONSTANT

@@ -1,9 +1,12 @@
-"""Unit tests for util: errors, rng, validation."""
+"""Unit tests for util: errors, rng, validation, framed JSONL."""
 
 import numpy as np
 import pytest
 
+from repro.experiments.cache import SweepJournal
+from repro.service.jobstore import JobStore
 from repro.util.errors import ConfigError, ReproError, SimulationError, TrafficError
+from repro.util.jsonl import read_records
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.validate import check_fraction, check_in, check_positive, require
 
@@ -71,3 +74,37 @@ class TestValidate:
         check_in("a", {"a", "b"}, "opt")
         with pytest.raises(ConfigError):
             check_in("c", {"a", "b"}, "opt")
+
+
+def _sweep_journal(root):
+    """(path, append(i), set of i read back) over a SweepJournal."""
+    journal = SweepJournal(root, "deadbeef")
+    return journal.path, lambda i: journal.record(f"k{i}"), lambda: {
+        int(key[1:]) for key in journal.load()
+    }
+
+
+def _job_results(root):
+    """The same triple over a JobStore result stream."""
+    store = JobStore(root / "store")
+    return (
+        store.result_path("j1"),
+        lambda i: store.append_result("j1", {"kind": "cell", "seq": i, "index": i}),
+        lambda: store.completed_indices("j1"),
+    )
+
+
+class TestFramedJsonl:
+    @pytest.mark.parametrize(
+        "caller", [_sweep_journal, _job_results], ids=["sweep_journal", "job_results"]
+    )
+    def test_torn_tail_loses_at_most_one_record(self, tmp_path, caller):
+        path, append, load = caller(tmp_path)
+        append(0)
+        append(1)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"key": "k2", "kind": "cell", "ind')  # interrupted mid-append
+        assert load() == {0, 1}
+        append(3)  # the leading newline closes the torn line
+        assert load() == {0, 1, 3}
+        assert sum(1 for _ in read_records(path)) == 3
