@@ -13,15 +13,24 @@ Fast-forward lookahead
 ----------------------
 
 :meth:`SyntheticTrafficSource.next_injection_cycle` lets the simulator
-skip provably idle gaps: it scans forward cycle by cycle consuming the
-RNG in *exactly* the order the naive per-cycle :meth:`tick` would (one
-length-``len(nodes)`` Bernoulli vector per active cycle, then one
-``make_packet`` per firing node in ascending node order), buffering any
-packets it builds. A later ``tick`` on an already-scanned cycle injects
-the buffered packets without touching the RNG, so a fast-forwarded run is
-bit-identical to a naive one. The simulator never jumps past a buffered
-injection (the lookahead's return value caps the jump), so buffered
-packets cannot be skipped over.
+skip provably idle gaps: it scans forward consuming the RNG in *exactly*
+the order the naive per-cycle :meth:`tick` would (one length-``len(nodes)``
+Bernoulli vector per active cycle, then one ``make_packet`` per firing
+node in ascending node order), buffering any packets it builds. A later
+``tick`` on an already-scanned cycle injects the buffered packets without
+touching the RNG, so a fast-forwarded run is bit-identical to a naive
+one. The simulator never jumps past a buffered injection (the lookahead's
+return value caps the jump), so buffered packets cannot be skipped over.
+
+The scan draws its vectors in blocks sized by the expected gap to the
+next firing cycle, which the source knows at construction: with
+``q = 1 - (1 - p)**n`` the chance that a cycle fires at all, a dense
+source (every figure scenario: q from 0.25 up) draws one cycle's vector
+at a time — nothing is drawn past the firing row, so there is nothing to
+undo — and a sparse one ramps 16 -> 64 -> 256 -> 512 cycles per draw.
+Only when rows past the firing one *were* drawn does the scan rewind the
+generator to the block start and re-consume the rows up to it, so that
+``make_packet``'s draws follow that row's vector as they would naively.
 """
 
 from __future__ import annotations
@@ -149,12 +158,24 @@ class SyntheticTrafficSource:
         # as (cycle, [packets]) entries until tick() reaches that cycle.
         self._pending: deque[tuple[int, list[Packet]]] = deque()
         self._scanned_until = 0
-        # Current network's pool allocator (rebound per tick/scan; None
-        # falls back to direct construction, e.g. under capture_trace).
-        self._alloc = None
+        # Packet constructor: the pool allocator of the network last seen
+        # (rebound when a different one shows up), plain construction for
+        # stand-ins without a pool (capture_trace).
+        self._network = None
+        self._alloc = Packet
+        # Cycles in the scan's first block draw: one for a dense source (a
+        # cycle fires with probability q = 1 - (1 - p)^n, so a longer block
+        # would mostly be drawn, rewound and drawn again), 16 and ramping
+        # for a sparse one.
+        q = 1.0 - (1.0 - self.p_packet) ** len(self.nodes)
+        self._first_span = 1 if q >= self._DENSE_FIRE else 16
 
-    # Lookahead scan block: 512 cycles of Bernoulli vectors per RNG call.
+    # Lookahead scan block: at most 512 cycles of Bernoulli vectors per RNG call.
     _SCAN_BLOCK = 512
+    # Firing probability q from which a source scans one cycle per draw.
+    # Measured crossover of the two scan costs: q = 0.13 (64 nodes) to 0.19
+    # (8-16 nodes); below it the ramping block wins by up to 5x.
+    _DENSE_FIRE = 3 / 16
 
     def tick(self, cycle: int, network) -> None:
         """Generate this cycle's packets into the network's source queues."""
@@ -195,37 +216,40 @@ class SyntheticTrafficSource:
         c = max(self._scanned_until, cycle, self.start)
         if c >= limit:
             return None
-        self._alloc = getattr(network, "alloc_packet", None)
+        if network is not self._network:
+            self._network = network
+            self._alloc = getattr(network, "alloc_packet", Packet)
         rng = self.rng
         p = self.p_packet
         n = len(self.nodes)
         nodes = self._node_list
-        # Scan in blocks: one (span, n) draw replaces span per-cycle draws.
-        # Generator.random fills arrays from the bit stream in C order, so
-        # the block consumes exactly the doubles the naive per-cycle vectors
-        # would. When a row fires, make_packet draws must follow *that*
-        # row's vector in the stream — so rewind to the block start and
-        # re-consume only the rows up to the firing one. The span ramps up
-        # geometrically: busy sources fire within a few rows (a big block
-        # would be drawn and mostly thrown away on rewind), idle ones reach
-        # the full block after two steps.
-        span_cap = 16
+        # One (span, n) draw replaces span per-cycle draws: Generator.random
+        # fills arrays from the bit stream in C order, so a block consumes
+        # exactly the doubles the naive per-cycle vectors would. make_packet
+        # draws must follow the *firing* row's vector in the stream, so when
+        # rows past it were drawn, rewind to the block start and re-consume
+        # only the rows up to it. A one-row draw never over-draws and needs
+        # neither the snapshot nor the rewind.
+        span_cap = self._first_span
         while c < limit:
             span = min(limit - c, span_cap)
-            span_cap = min(span_cap * 4, self._SCAN_BLOCK)
-            state = rng.bit_generator.state
-            block = rng.random((span, n))
-            hits = np.flatnonzero((block < p).any(axis=1))
-            if not len(hits):
-                c += span
-                self._scanned_until = c
-                continue
-            j = int(hits[0])
-            rng.bit_generator.state = state
-            rng.random((j + 1, n))  # stream now sits just after row j's vector
+            if span == 1:
+                j = 0
+                fired = rng.random(n) < p
+            else:
+                span_cap = min(span_cap * 4, self._SCAN_BLOCK)
+                state = rng.bit_generator.state
+                block = rng.random((span, n)) < p
+                hits = block.any(axis=1).nonzero()[0]
+                # No hit: the block's last row stands in (it fires nothing).
+                j = int(hits[0]) if len(hits) else span - 1
+                if j + 1 < span:
+                    rng.bit_generator.state = state
+                    rng.random((j + 1, n))
+                fired = block[j]
             c += j
             pkts = []
-            for idx in np.flatnonzero(block[j] < p).tolist():
+            for idx in fired.nonzero()[0].tolist():
                 pkt = self.make_packet(nodes[idx], c)
                 if pkt is not None:
                     pkts.append(pkt)
@@ -233,33 +257,13 @@ class SyntheticTrafficSource:
             if pkts:
                 pending.append((c, pkts))
                 return c
-            c += 1  # every firing node drew dst == src; keep scanning
-        self._scanned_until = limit
+            c += 1  # nothing built (no hit, or every dst == src): keep scanning
         return None
 
     def _new_packet(self, src: int, dst: int, length: int, cycle: int, is_global: bool) -> Packet:
         """Construct via the network's packet pool when one is bound."""
-        alloc = self._alloc
-        if alloc is not None:
-            return alloc(
-                src=src,
-                dst=dst,
-                length=length,
-                inject_cycle=cycle,
-                app_id=self.app_id,
-                vnet=self.vnet,
-                is_global=is_global,
-                is_adversarial=self.adversarial,
-            )
-        return Packet(
-            src=src,
-            dst=dst,
-            length=length,
-            inject_cycle=cycle,
-            app_id=self.app_id,
-            vnet=self.vnet,
-            is_global=is_global,
-            is_adversarial=self.adversarial,
+        return self._alloc(
+            src, dst, length, cycle, self.app_id, self.vnet, is_global, self.adversarial
         )
 
     def make_packet(self, src: int, cycle: int) -> Packet | None:

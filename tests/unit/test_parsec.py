@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.regions import RegionMap
-from repro.noc.flit import MessageClass
+from repro.noc.flit import MessageClass, PacketPool
 from repro.noc.topology import MeshTopology
 from repro.traffic.parsec import (
     L2_SERVICE_LATENCY,
@@ -19,6 +19,7 @@ class FakeNetwork:
     def __init__(self):
         self.packets = []
         self.eject_callbacks = []
+        self.alloc_packet = PacketPool().alloc
 
     def inject(self, pkt):
         self.packets.append(pkt)
@@ -149,3 +150,85 @@ class TestWorkload:
         rates = wl.offered_rates()
         assert set(rates) == {0, 1, 2, 3}
         assert rates[3] > rates[0]
+
+
+def scalar_step(wl, nodes, on, cycle, net):
+    """The per-node loop ``ParsecWorkload.tick`` ran before it stepped the
+    ON/OFF chain as vectors, kept as the reference (``nodes``: the assigned
+    ones, ascending; ``on`` is indexed by node; replies are left out —
+    nothing ejects from a ``FakeNetwork``)."""
+    node_app = wl.region_map.node_app
+    u_state = wl.rng.random(len(nodes))
+    u_fire = wl.rng.random(len(nodes))
+    for i, node in enumerate(nodes):
+        app = node_app[node]
+        prof = wl.profiles[app]
+        if on[node]:
+            if u_state[i] < prof.p_on_off:
+                on[node] = False
+        elif u_state[i] < prof.p_off_on:
+            on[node] = True
+        rate = prof.rate_on if on[node] else prof.rate_off
+        if u_fire[i] < rate:
+            wl._inject_request(net, node, app, prof, cycle)
+
+
+class TestVectorStep:
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_matches_scalar_loop(self, topo, seed):
+        # Five regions with a gap: column 3 and the bottom rows stay
+        # unassigned (-1). App 4 never leaves its initial state.
+        stuck = ParsecAppProfile("stuck", rate_on=0.05, rate_off=0.01, p_on_off=0.0, p_off_on=0.0)
+        rm = RegionMap.from_rects(
+            topo,
+            [(0, 0, 3, 3), (4, 0, 4, 3), (0, 3, 3, 3), (4, 3, 2, 3), (6, 3, 2, 3)],
+            allow_unassigned=True,
+        )
+        assert -1 in rm.node_app
+        profiles = profiles4() + [stuck]
+        vec, ref = ParsecWorkload(rm, profiles, seed=seed), ParsecWorkload(rm, profiles, seed=seed)
+        vec_net, ref_net = FakeNetwork(), FakeNetwork()
+        ref_on = [False] * topo.num_nodes
+        active = [n for n in range(topo.num_nodes) if rm.node_app[n] >= 0]
+        for cycle in range(2500):
+            vec.tick(cycle, vec_net)
+            scalar_step(ref, active, ref_on, cycle, ref_net)
+            if cycle % 100 == 0:
+                assert vec._on.tolist() == [ref_on[n] for n in active]
+        row = lambda p: (p.inject_cycle, p.src, p.dst, p.app_id, p.reply_latency)  # noqa: E731
+        assert [row(p) for p in vec_net.packets] == [row(p) for p in ref_net.packets]
+        assert len(vec_net.packets) > 1000
+        assert {p.app_id for p in vec_net.packets} == {0, 1, 2, 3, 4}
+        assert any(ref_on) and not any(ref_on[n] for n in rm.nodes_of(4))
+        assert vec.rng.bit_generator.state == ref.rng.bit_generator.state
+
+
+class TestPacketPool:
+    def test_parsec_packets_come_from_the_pool(self):
+        """Ejection releases every packet into the pool, so PARSEC has to
+        draw from it too: every request and reply is a counted allocation."""
+        from repro import build_simulation
+        from repro.experiments.runner import SCHEMES, Effort, run_scenario
+        from repro.experiments.scenarios import parsec_quadrants
+        from repro.noc.guard import GuardConfig
+
+        scheme = SCHEMES["RA_RAIR"]
+        scenario = parsec_quadrants(adversarial=False)
+        sim, _net = build_simulation(
+            scenario.config, region_map=scenario.region_map, scheme=scheme.policy,
+            routing=scheme.routing, policy_kwargs=dict(scheme.policy_kwargs),
+        )
+        (wl,) = scenario.traffic_factory(42)
+        sim.add_traffic(wl)
+        warmup, measure = Effort.SMOKE.warmup, Effort.SMOKE.measure
+        metrics = sim.run_measurement(warmup=warmup, measure=measure).metrics
+        replies_built = wl._reply_seq
+        assert wl.requests_injected > 0 and replies_built > 0
+        assert metrics.pool_hits + metrics.pool_allocs == wl.requests_injected + replies_built
+        assert metrics.pool_hits > 0
+        # The guard's pool sweep over the free list, on PARSEC + flood traffic.
+        run = run_scenario(
+            scheme, parsec_quadrants(adversarial=True), Effort.SMOKE, 42,
+            guard=GuardConfig(mode="strict"),
+        )
+        assert run.abort is None and run.drained
