@@ -17,7 +17,7 @@ application:
 """
 
 from repro.core.dpa import DpaConfig, hysteresis_update
-from repro.core.msp import Stage, StageSet
+from repro.core.msp import Stage
 from repro.core.rair import RairPolicy
 from repro.core.regions import RegionMap
 from repro.core.vc_regionalization import (
@@ -32,7 +32,6 @@ __all__ = [
     "DpaConfig",
     "hysteresis_update",
     "Stage",
-    "StageSet",
     "global_vc_priority",
     "regional_vc_priority",
     "vc_class_counts",

@@ -19,7 +19,7 @@ The same DPA priority value is used at VA_out/SA_in/SA_out within a cycle
 a resource that has any requester, so MSP costs no throughput relative to
 round-robin.
 
-:class:`StageSet` selects where the priority is enforced; the paper's
+:class:`Stage` selects where the priority is enforced; the paper's
 Fig. 9 ablation compares ``VA`` (RAIR_VA) against ``VA | SA``
 (RAIR_VA+SA, the full mechanism).
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Stage", "StageSet"]
+__all__ = ["Stage"]
 
 
 class Stage(enum.Flag):
@@ -38,7 +38,3 @@ class Stage(enum.Flag):
     VA = enum.auto()
     SA = enum.auto()
     ALL = VA | SA
-
-
-# Backwards-friendly alias: a set of stages *is* a Stage flag value.
-StageSet = Stage

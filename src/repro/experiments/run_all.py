@@ -7,7 +7,8 @@ CLI::
 
 Runs E-T1, E-F9/F10/F12/F14/F15/F17 and the three ablations in sequence,
 printing each table and writing ``<out>/<experiment>.txt``, plus a
-``summary.txt`` with the headline shape checks. This is the one-command
+``summary.txt`` with each experiment's row count and wall time and the
+run's cache hit/miss and failure totals. This is the one-command
 regeneration path behind EXPERIMENTS.md.
 
 ``--jobs N`` fans each experiment's independent (scheme, scenario, seed)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.noc.topology import TOPOLOGY_KINDS, num_escape_classes_for
+from repro.noc.topology import _class_for, num_escape_classes_for
 from repro.util.validate import check_positive, require
 
 __all__ = ["VcClass", "NocConfig", "DEFAULT_VC_CLASSES"]
@@ -100,17 +100,8 @@ class NocConfig:
     extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        require(
-            self.topology in TOPOLOGY_KINDS,
-            f"unknown topology {self.topology!r}; choose one of {TOPOLOGY_KINDS}",
-        )
-        if self.topology == "ring":
-            require(self.width * self.height >= 4, "ring needs at least 4 nodes")
-        else:
-            require(
-                self.width >= 2 and self.height >= 2,
-                f"{self.topology} must be at least 2x2",
-            )
+        # An unknown kind and extents too small for the fabric both raise here.
+        _class_for(self.topology).check_size(self.width, self.height)
         check_positive(self.num_vnets, "num_vnets")
         require(len(self.vc_classes) >= 1, "need at least one data VC per vnet")
         require(

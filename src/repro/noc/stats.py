@@ -194,7 +194,6 @@ class NetworkStats:
         self._hops: list[int] = []
         self._is_global: list[bool] = []
         self._is_adversarial: list[bool] = []
-        self.flits_moved = 0
         self.packets_ejected = 0
         self._arrays: dict | None = None
 

@@ -4,8 +4,10 @@ The simulator is topology-agnostic: every structural question a router,
 network, routing algorithm, or traffic pattern needs answered goes through
 a :class:`Topology` instance — node count, per-node port arity, the
 neighbour and opposite-port maps, coordinate helpers, and the region-block
-mapping used by :class:`~repro.core.regions.RegionMap`. Three fabrics are
-built in:
+mapping used by :class:`~repro.core.regions.RegionMap`. A fabric is data
+(its output ports per dimension, and whether the dimensions wrap) and the
+routing queries are lookups in one small table per dimension
+(:func:`_axis`), so the built-in fabrics are three settings of one rule:
 
 :class:`MeshTopology`
     The paper's 2-D mesh. Nodes are numbered row-major: node ``n`` sits at
@@ -15,8 +17,8 @@ built in:
 :class:`TorusTopology`
     The same grid with wrap-around links in both dimensions.
 :class:`RingTopology`
-    A bidirectional ring; three ports (``LOCAL``, clockwise,
-    counter-clockwise).
+    A bidirectional ring: one wrapped dimension, three ports (``LOCAL``,
+    clockwise, counter-clockwise).
 
 Escape routing and datelines
 ----------------------------
@@ -30,7 +32,8 @@ escape channels into **two dateline classes**: a packet travelling in a
 ring uses class 0 while it is on the near side of its destination and
 class 1 while on the far side (i.e. until it crosses the wrap edge). The
 class is a pure function of ``(current node, destination)`` —
-:meth:`Topology.escape_class` — so it lives in the precomputed route table.
+:meth:`Topology.escape_class`, read from the table in which :func:`_axis`
+applies this rule — so it lives in the precomputed route table.
 Within one directed ring, class-0 channels never use the wrap link and
 class-1 channels are only used on the segment before the wrap, with the
 only cross-class dependency being 1 -> 0 at the dateline; with dimensions
@@ -38,6 +41,10 @@ ordered X-then-Y the escape channel dependency graph is acyclic.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
+from functools import cached_property
+from itertools import permutations
 
 from repro.util.errors import ConfigError
 from repro.util.validate import require
@@ -79,25 +86,56 @@ OPPOSITE = (LOCAL, SOUTH, WEST, NORTH, EAST)
 RING_CW = 1
 RING_CCW = 2
 
-_DELTAS = {NORTH: (0, -1), EAST: (1, 0), SOUTH: (0, 1), WEST: (-1, 0)}
-
 #: topology kinds accepted by :func:`build_topology` / ``NocConfig.topology``
 TOPOLOGY_KINDS = ("mesh", "torus", "ring")
+
+
+_Span = namedtuple("_Span", "ports hops cls steps")
+_HERE = _Span((), 0, 0, {})  # a == b: nothing to travel along this dimension
+
+
+def _axis(extent: int, wrap: bool, ports: tuple[int, int]) -> list[list[_Span]]:
+    """The geometry rule of one dimension, as a table over ``[a][b]``.
+
+    An entry says how to travel from coordinate ``a`` to ``b``: the minimal
+    ``ports`` (the dimension-order choice first), the ``hops`` that takes,
+    the dateline ``cls`` of a hop through ``ports[0]``, and per port the
+    ``steps`` to ``b`` going that way. The *direct* way stays off the wrap
+    edge and the way *around* crosses it; an edge fabric has only the
+    direct way (and reports its length for either port). The shorter way
+    is minimal; a tie (antipodal coordinates of an even ring) makes both
+    minimal and dimension order prefers the positive port. Dateline rule:
+    a hop is class 0 unless the walk it belongs to still needs the wrap
+    edge — the way around is class 1 until the wrap hop lands the packet
+    on the destination's side, from where the way is direct.
+    """
+    pos, neg = ports
+    table = [[_HERE] * extent for _ in range(extent)]
+    for a, b in permutations(range(extent), 2):
+        span = abs(b - a)
+        direct, around = (pos, neg) if b > a else (neg, pos)
+        far = extent - span if wrap else span
+        if not wrap or span < far:
+            ways = (direct,)
+        elif far < span:
+            ways = (around,)
+        else:
+            ways = (pos, neg)
+        table[a][b] = _Span(
+            ways, min(span, far), int(ways[0] == around), {direct: span, around: far}
+        )
+    return table
 
 
 class Topology:
     """Geometry of a fabric: pure arithmetic, no simulation state.
 
-    Concrete subclasses populate, in ``__init__``:
+    A cube-family fabric is its class attributes; ``__init__`` derives the
+    neighbour table and the tables behind the routing queries from them:
 
-    ``width`` / ``height`` / ``num_nodes``
-        Logical grid extents (a ring is ``num_nodes x 1``) and node count.
-    ``neighbor``
-        ``neighbor[node][port]`` -> neighbour node id, or -1 where no link
-        exists (always -1 for ``LOCAL``).
-
-    and define, as class attributes:
-
+    ``dim_ports`` / ``wrap``
+        Per dimension, X first, its ``(positive, negative)`` output ports,
+        and whether the dimensions close into rings.
     ``kind`` / ``num_ports`` / ``port_names`` / ``opposite``
         The registry name, per-node port arity, printable port names, and
         the opposite-port map (``opposite[p]`` is the input port a flit
@@ -106,6 +144,16 @@ class Topology:
         Dateline VC classes the escape network needs (1 when the
         dimension-order graph is already acyclic, 2 for wrap fabrics);
         the network requires ``escape_vcs >= num_escape_classes``.
+
+    A fabric of another shape populates, in its own ``__init__``,
+
+    ``width`` / ``height`` / ``num_nodes``
+        Logical grid extents (a ring is ``num_nodes x 1``) and node count.
+    ``neighbor``
+        ``neighbor[node][port]`` -> neighbour node id, or -1 where no link
+        exists (always -1 for ``LOCAL``).
+
+    and overrides the routing queries (``path_nodes`` needs only ``neighbor``).
     """
 
     kind = "abstract"
@@ -113,6 +161,8 @@ class Topology:
     port_names = PORT_NAMES
     opposite = OPPOSITE
     num_escape_classes = 1
+    dim_ports: tuple[tuple[int, int], ...] = ((EAST, WEST), (SOUTH, NORTH))
+    wrap = False
     #: derating applied by the experiment scenarios to their mesh-calibrated
     #: injection rates: the ratio of this fabric's theoretical uniform-random
     #: saturation throughput to an equal-node mesh's, capped at 1.0 (loads
@@ -120,10 +170,39 @@ class Topology:
     #: multiplying by it is a float no-op and mesh rates stay bit-identical.
     saturation_scale = 1.0
 
-    width: int
-    height: int
-    num_nodes: int
-    neighbor: list[tuple[int, ...]]
+    def __init__(self, width: int, height: int):
+        self.check_size(width, height)
+        self.width = width
+        self.height = height
+        self.num_nodes = width * height
+        coords = [self.coords(node) for node in range(self.num_nodes)]
+        # Per dimension: its ports, extent, and node-id stride of one step.
+        dims = list(zip(self.dim_ports, (width, height), (1, width)))
+        # _ways[node][dim][dst]: the axis entry from node's coordinate to
+        # dst's. Each axis row is spread over destination *nodes* once and
+        # shared by the nodes on that coordinate, so queries index by id.
+        spread = [
+            [[row[at[dim]] for at in coords] for row in _axis(extent, self.wrap, ports)]
+            for dim, (ports, extent, _) in enumerate(dims)
+        ]
+        self._ways = [tuple(rows[c] for rows, c in zip(spread, at)) for at in coords]
+        # neighbor[node][port] -> neighbour node id, or -1 at a fabric edge.
+        self.neighbor: list[tuple[int, ...]] = []
+        for node, at in enumerate(coords):
+            row = [-1] * self.num_ports
+            for ((pos, neg), extent, stride), c in zip(dims, at):
+                for port, to in ((pos, c + 1), (neg, c - 1)):
+                    if self.wrap or 0 <= to < extent:
+                        row[port] = node + (to % extent - c) * stride
+            self.neighbor.append(tuple(row))
+
+    @classmethod
+    def check_size(cls, width: int, height: int) -> None:
+        """Reject extents too small for this fabric (its one minimum-size rule)."""
+        require(
+            width >= 2 and height >= 2,
+            f"{cls.kind} must be at least 2x2, got {width}x{height}",
+        )
 
     # -- coordinate helpers -------------------------------------------------
     def coords(self, node: int) -> tuple[int, int]:
@@ -149,7 +228,7 @@ class Topology:
     # -- routing queries ----------------------------------------------------
     def hop_distance(self, src: int, dst: int) -> int:
         """Minimal hop count between two nodes."""
-        raise NotImplementedError
+        return sum(row[dst].hops for row in self._ways[src])
 
     def minimal_ports(self, node: int, dst: int) -> tuple[int, ...]:
         """Output ports on minimal paths from ``node`` to ``dst``.
@@ -157,15 +236,17 @@ class Topology:
         Returns ``(LOCAL,)`` when ``node == dst``; otherwise one or more
         link ports (one or two per productive dimension).
         """
-        raise NotImplementedError
+        ports = ()
+        for row in self._ways[node]:
+            ports += row[dst].ports
+        return ports or (LOCAL,)
 
     def dimension_order_port(self, node: int, dst: int) -> int:
         """The deterministic dimension-order output port (the escape path)."""
-        raise NotImplementedError
-
-    def xy_port(self, node: int, dst: int) -> int:
-        """Alias of :meth:`dimension_order_port` (historical mesh name)."""
-        return self.dimension_order_port(node, dst)
+        for row in self._ways[node]:
+            if row[dst].ports:
+                return row[dst].ports[0]
+        return LOCAL
 
     def escape_class(self, node: int, dst: int) -> int:
         """Dateline VC class for the escape hop leaving ``node`` toward ``dst``.
@@ -173,6 +254,9 @@ class Topology:
         Always 0 on fabrics whose dimension-order graph is acyclic; wrap
         fabrics return 0 or 1 (see the module docstring).
         """
+        for row in self._ways[node]:
+            if row[dst].ports:
+                return row[dst].cls
         return 0
 
     def steps_to(self, node: int, dst: int, port: int) -> int:
@@ -181,7 +265,24 @@ class Topology:
         Only meaningful for ports in ``minimal_ports(node, dst)`` — the
         DBAR selection function uses it to bound its congestion path walk.
         """
-        raise NotImplementedError
+        for row in self._ways[node]:
+            if port in row[dst].steps:
+                return row[dst].steps[port]
+        return 0
+
+    @cached_property
+    def _rays(self) -> list[list[list[int]]]:
+        """``_rays[node][port]``: the walk through ``port`` to the edge, or one lap."""
+        # Links are symmetric, so a fixed-port walk never joins a cycle
+        # midway: it ends at an edge or back at ``node``.
+        rays = [[[] for _ in row] for row in self.neighbor]
+        for node, row in enumerate(self.neighbor):
+            for port in range(1, len(row)):
+                cur = row[port]
+                while cur >= 0:
+                    rays[node][port].append(cur)
+                    cur = -1 if cur == node else self.neighbor[cur][port]
+        return rays
 
     def path_nodes(self, node: int, port: int, stop: int) -> list[int]:
         """Nodes reached by repeatedly stepping through ``port`` from ``node``.
@@ -192,24 +293,30 @@ class Topology:
         function to enumerate the routers whose congestion feeds a path
         estimate.
         """
-        out: list[int] = []
-        cur = node
-        neighbor = self.neighbor
-        for _ in range(stop):
-            cur = neighbor[cur][port]
-            if cur < 0:
-                break
-            out.append(cur)
-        return out
+        ray = self._rays[node][port]
+        if len(ray) < stop and ray and ray[-1] == node:
+            ray = ray * (stop // len(ray) + 1)  # past one lap the walk repeats
+        return ray[:stop]
 
     # -- placement helpers --------------------------------------------------
     def corner_nodes(self) -> tuple[int, int, int, int]:
         """Four spread-out boundary nodes (used as memory-controller sites)."""
-        raise NotImplementedError
+        return (
+            self.node_at(0, 0),
+            self.node_at(self.width - 1, 0),
+            self.node_at(0, self.height - 1),
+            self.node_at(self.width - 1, self.height - 1),
+        )
 
     def center_nodes(self) -> tuple[int, int, int, int]:
         """Four nodes at the centre of the fabric (hotspot sites)."""
-        raise NotImplementedError
+        cx, cy = self.width // 2, self.height // 2
+        return (
+            self.node_at(cx - 1, cy - 1),
+            self.node_at(cx, cy - 1),
+            self.node_at(cx - 1, cy),
+            self.node_at(cx, cy),
+        )
 
     def region_grid(self, cols: int, rows: int) -> list[int]:
         """Node -> region assignment for a ``cols`` x ``rows`` region split.
@@ -241,8 +348,7 @@ class Topology:
 
         g = nx.Graph()
         g.add_nodes_from(range(self.num_nodes))
-        for node in range(self.num_nodes):
-            row = self.neighbor[node]
+        for node, row in enumerate(self.neighbor):
             for port in range(1, self.num_ports):
                 if row[port] >= 0:
                     g.add_edge(node, row[port])
@@ -252,53 +358,7 @@ class Topology:
         return f"{type(self).__name__}({self.width}x{self.height})"
 
 
-class _GridTopology(Topology):
-    """Shared machinery of the 2-D grid fabrics (mesh and torus)."""
-
-    _wrap = False
-
-    def __init__(self, width: int, height: int):
-        require(
-            width >= 2 and height >= 2,
-            f"{self.kind} must be at least 2x2, got {width}x{height}",
-        )
-        self.width = width
-        self.height = height
-        self.num_nodes = width * height
-        # neighbor[node][port] -> neighbour node id, or -1 at a mesh edge.
-        self.neighbor: list[tuple[int, ...]] = []
-        for node in range(self.num_nodes):
-            x, y = node % width, node // width
-            row = [-1] * NUM_PORTS
-            for port, (dx, dy) in _DELTAS.items():
-                nx_, ny_ = x + dx, y + dy
-                if self._wrap:
-                    row[port] = (ny_ % height) * width + (nx_ % width)
-                elif 0 <= nx_ < width and 0 <= ny_ < height:
-                    row[port] = ny_ * width + nx_
-            self.neighbor.append(tuple(row))
-
-    def corner_nodes(self) -> tuple[int, int, int, int]:
-        """The four corner nodes (used as memory-controller sites)."""
-        return (
-            self.node_at(0, 0),
-            self.node_at(self.width - 1, 0),
-            self.node_at(0, self.height - 1),
-            self.node_at(self.width - 1, self.height - 1),
-        )
-
-    def center_nodes(self) -> tuple[int, int, int, int]:
-        """The 2x2 block of nodes around the grid centre."""
-        cx, cy = self.width // 2, self.height // 2
-        return (
-            self.node_at(cx - 1, cy - 1),
-            self.node_at(cx, cy - 1),
-            self.node_at(cx - 1, cy),
-            self.node_at(cx, cy),
-        )
-
-
-class MeshTopology(_GridTopology):
+class MeshTopology(Topology):
     """Geometry of a ``width`` x ``height`` mesh.
 
     Pure arithmetic — holds no simulation state. Precomputes the neighbour
@@ -307,56 +367,8 @@ class MeshTopology(_GridTopology):
 
     kind = "mesh"
 
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Manhattan hop count between two nodes."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return abs(sx - dx) + abs(sy - dy)
 
-    def minimal_ports(self, node: int, dst: int) -> tuple[int, ...]:
-        """Output ports on minimal paths from ``node`` to ``dst``.
-
-        Returns ``(LOCAL,)`` when ``node == dst``. For distinct nodes the
-        result has one or two entries (one per productive dimension).
-        """
-        if node == dst:
-            return (LOCAL,)
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        ports = []
-        if dx > x:
-            ports.append(EAST)
-        elif dx < x:
-            ports.append(WEST)
-        if dy > y:
-            ports.append(SOUTH)
-        elif dy < y:
-            ports.append(NORTH)
-        return tuple(ports)
-
-    def dimension_order_port(self, node: int, dst: int) -> int:
-        """The dimension-order (X-then-Y) output port from ``node`` to ``dst``."""
-        if node == dst:
-            return LOCAL
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        if dx > x:
-            return EAST
-        if dx < x:
-            return WEST
-        return SOUTH if dy > y else NORTH
-
-    def steps_to(self, node: int, dst: int, port: int) -> int:
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        if port in (EAST, WEST):
-            return abs(dx - x)
-        if port in (NORTH, SOUTH):
-            return abs(dy - y)
-        return 0
-
-
-class TorusTopology(_GridTopology):
+class TorusTopology(Topology):
     """A ``width`` x ``height`` torus: the mesh grid plus wrap-around links.
 
     Minimal routing takes the shorter way around each dimension (ties
@@ -366,87 +378,8 @@ class TorusTopology(_GridTopology):
     """
 
     kind = "torus"
-    _wrap = True
+    wrap = True
     num_escape_classes = 2
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        hx = abs(sx - dx)
-        hy = abs(sy - dy)
-        return min(hx, self.width - hx) + min(hy, self.height - hy)
-
-    def minimal_ports(self, node: int, dst: int) -> tuple[int, ...]:
-        if node == dst:
-            return (LOCAL,)
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        ports = []
-        if dx != x:
-            east = (dx - x) % self.width
-            west = self.width - east
-            if east < west:
-                ports.append(EAST)
-            elif west < east:
-                ports.append(WEST)
-            else:  # antipodal in X: both directions are minimal
-                ports.append(EAST)
-                ports.append(WEST)
-        if dy != y:
-            south = (dy - y) % self.height
-            north = self.height - south
-            if south < north:
-                ports.append(SOUTH)
-            elif north < south:
-                ports.append(NORTH)
-            else:
-                ports.append(SOUTH)
-                ports.append(NORTH)
-        return tuple(ports)
-
-    def dimension_order_port(self, node: int, dst: int) -> int:
-        if node == dst:
-            return LOCAL
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        if dx != x:
-            east = (dx - x) % self.width
-            return EAST if east <= self.width - east else WEST
-        south = (dy - y) % self.height
-        return SOUTH if south <= self.height - south else NORTH
-
-    def escape_class(self, node: int, dst: int) -> int:
-        # Dateline rule per directed dimension ring: class 0 before the
-        # wrap edge would be needed, class 1 on the far side. Travelling
-        # east, a packet with x < dx never crosses the x = 0 dateline
-        # (class 0); one with x > dx is east-of-wrap (class 1) until the
-        # wrap hop lands it back in class 0. Symmetric for west/south/north.
-        if node == dst:
-            return 0
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        if dx != x:
-            east = (dx - x) % self.width
-            if east <= self.width - east:
-                return 0 if x < dx else 1
-            return 0 if x > dx else 1
-        south = (dy - y) % self.height
-        if south <= self.height - south:
-            return 0 if y < dy else 1
-        return 0 if y > dy else 1
-
-    def steps_to(self, node: int, dst: int, port: int) -> int:
-        x, y = self.coords(node)
-        dx, dy = self.coords(dst)
-        if port == EAST:
-            return (dx - x) % self.width
-        if port == WEST:
-            return (x - dx) % self.width
-        if port == SOUTH:
-            return (dy - y) % self.height
-        if port == NORTH:
-            return (y - dy) % self.height
-        return 0
 
 
 class RingTopology(Topology):
@@ -464,57 +397,21 @@ class RingTopology(Topology):
     port_names = ("local", "cw", "ccw")
     opposite = (LOCAL, RING_CCW, RING_CW)
     num_escape_classes = 2
+    dim_ports = ((RING_CW, RING_CCW),)
+    wrap = True
 
     def __init__(self, num_nodes: int):
-        require(num_nodes >= 4, f"ring needs at least 4 nodes, got {num_nodes}")
-        self.width = num_nodes
-        self.height = 1
-        self.num_nodes = num_nodes
-        self.neighbor = [
-            (-1, (node + 1) % num_nodes, (node - 1) % num_nodes)
-            for node in range(num_nodes)
-        ]
+        super().__init__(num_nodes, 1)
         # A bisection cut crosses 2 ring channels per direction vs ~sqrt(N)
         # for an equal-node mesh, so uniform-random saturation is ~2/sqrt(N)
         # of the mesh's (1.0 for N <= 4, 0.25 for the default 64 nodes).
         self.saturation_scale = min(1.0, 2.0 / num_nodes**0.5)
 
-    def hop_distance(self, src: int, dst: int) -> int:
-        cw = (dst - src) % self.num_nodes
-        return min(cw, self.num_nodes - cw)
-
-    def minimal_ports(self, node: int, dst: int) -> tuple[int, ...]:
-        if node == dst:
-            return (LOCAL,)
-        cw = (dst - node) % self.num_nodes
-        ccw = self.num_nodes - cw
-        if cw < ccw:
-            return (RING_CW,)
-        if ccw < cw:
-            return (RING_CCW,)
-        return (RING_CW, RING_CCW)  # antipodal: both directions minimal
-
-    def dimension_order_port(self, node: int, dst: int) -> int:
-        if node == dst:
-            return LOCAL
-        cw = (dst - node) % self.num_nodes
-        return RING_CW if cw <= self.num_nodes - cw else RING_CCW
-
-    def escape_class(self, node: int, dst: int) -> int:
-        if node == dst:
-            return 0
-        cw = (dst - node) % self.num_nodes
-        if cw <= self.num_nodes - cw:
-            return 0 if node < dst else 1
-        return 0 if node > dst else 1
-
-    def steps_to(self, node: int, dst: int, port: int) -> int:
-        cw = (dst - node) % self.num_nodes
-        if port == RING_CW:
-            return cw
-        if port == RING_CCW:
-            return (self.num_nodes - cw) % self.num_nodes
-        return 0
+    @classmethod
+    def check_size(cls, width: int, height: int) -> None:
+        """A ring folds its extents into one loop of at least four nodes."""
+        nodes = width * height
+        require(nodes >= 4, f"ring needs at least 4 nodes, got {nodes}")
 
     def corner_nodes(self) -> tuple[int, int, int, int]:
         """Four equally spread nodes (memory-controller sites)."""
@@ -535,11 +432,7 @@ class RingTopology(Topology):
                 f"cannot split {self.num_nodes}-node {self.kind} "
                 f"into {cols}x{rows} regions"
             )
-        band_of = band_index(self.num_nodes, regions)
-        return [band_of[node] for node in range(self.num_nodes)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RingTopology({self.num_nodes})"
+        return band_index(self.num_nodes, regions)
 
 
 def band_index(extent: int, bands: int) -> list[int]:
@@ -556,12 +449,17 @@ _TOPOLOGY_CLASSES: dict[str, type] = {
 }
 
 
-def num_escape_classes_for(kind: str) -> int:
-    """Dateline escape-VC classes topology ``kind`` needs (without building it)."""
+def _class_for(kind: str) -> type[Topology]:
+    """The fabric class registered as ``kind`` (also asked by ``NocConfig``)."""
     cls = _TOPOLOGY_CLASSES.get(kind)
     if cls is None:
         raise ConfigError(f"unknown topology {kind!r}; choose one of {TOPOLOGY_KINDS}")
-    return cls.num_escape_classes
+    return cls
+
+
+def num_escape_classes_for(kind: str) -> int:
+    """Dateline escape-VC classes topology ``kind`` needs (without building it)."""
+    return _class_for(kind).num_escape_classes
 
 
 def build_topology(kind: str, width: int, height: int) -> Topology:
@@ -572,10 +470,7 @@ def build_topology(kind: str, width: int, height: int) -> Topology:
     """
     if kind == "ring":
         return RingTopology(width * height)
-    cls = _TOPOLOGY_CLASSES.get(kind)
-    if cls is None:
-        raise ConfigError(f"unknown topology {kind!r}; choose one of {TOPOLOGY_KINDS}")
-    return cls(width, height)
+    return _class_for(kind)(width, height)
 
 
 def make_topology(config) -> Topology:

@@ -104,6 +104,10 @@ class CoherenceWorkload:
         self._pending: list = []
         self._seq = 0
         self._attached = False
+        # Packet constructor: the network's pool allocator once attached
+        # (ejection releases every packet into that pool), plain
+        # construction for stand-ins without one.
+        self._alloc = Packet
         self.transactions_started = 0
         self.transactions_completed = 0
         self.transaction_latency_sum = 0
@@ -134,6 +138,7 @@ class CoherenceWorkload:
                     f"(got {network.config.num_vnets})"
                 )
             network.eject_callbacks.append(self._on_ejection)
+            self._alloc = getattr(network, "alloc_packet", Packet)
             self._attached = True
         rng = self.rng
         fire = np.flatnonzero(rng.random(len(self._nodes)) < self.config.req_rate)
@@ -159,7 +164,7 @@ class CoherenceWorkload:
             # Local directory hit: no network transaction.
             return
         self.transactions_started += 1
-        request = Packet(
+        request = self._alloc(
             src=node,
             dst=home,
             length=1,
@@ -193,7 +198,7 @@ class CoherenceWorkload:
             if rng.random() < self.config.forward_prob:
                 owner = self.owner_of(data_app)
                 if owner != pkt.dst and owner != requester:
-                    fwd = Packet(
+                    fwd = self._alloc(
                         src=pkt.dst,
                         dst=owner,
                         length=1,
@@ -220,7 +225,7 @@ class CoherenceWorkload:
             self.transactions_completed += 1
             self.transaction_latency_sum += due - start
             return
-        data = Packet(
+        data = self._alloc(
             src=src,
             dst=requester,
             length=LONG_PACKET_FLITS,

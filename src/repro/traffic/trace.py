@@ -110,6 +110,9 @@ class TraceTrafficSource:
         if n == 0:
             return
         period = self.trace.duration()
+        # Ejection releases every packet into the network's pool, so replay
+        # draws from it too (plain construction for pool-less stand-ins).
+        alloc = getattr(network, "alloc_packet", Packet)
         while True:
             if self._idx >= n:
                 if not self.repeat or period == 0:
@@ -120,7 +123,7 @@ class TraceTrafficSource:
             due = int(rec["cycle"]) + self.cycle_offset + self._epoch * period
             if due > cycle:
                 return
-            pkt = Packet(
+            pkt = alloc(
                 src=int(rec["src"]),
                 dst=int(rec["dst"]),
                 length=int(rec["length"]),

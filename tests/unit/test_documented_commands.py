@@ -22,6 +22,7 @@ import repro
 ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 DOCUMENTS = [
     ROOT / "README.md",
+    ROOT / "DESIGN.md",
     ROOT / "EXPERIMENTS.md",
     *sorted((ROOT / "docs").glob("*.md")),
     ROOT / ".github" / "workflows" / "ci.yml",
@@ -31,6 +32,9 @@ DOCUMENTS = [
 # ``repro.experiments.X`` — stops at its package, which must exist too.
 MODULE = re.compile(r"python3? -m ((?:repro|benchmarks)[a-z0-9_.]*)")
 PATH = re.compile(r"(?<![\w/])((?:benchmarks|examples)/[\w/.-]*\.py|results/[\w/.*<>-]*)")
+# A back-ticked dotted name and nothing else: `repro.noc.sim.Simulator.step`
+# (`repro.noc.*` and `repro.service.submit run` are prose, not references).
+REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def _named(pattern: re.Pattern) -> list[tuple[str, str]]:
@@ -46,10 +50,11 @@ def _named(pattern: re.Pattern) -> list[tuple[str, str]]:
 
 MODULES = _named(MODULE)
 PATHS = _named(PATH)
+REFERENCES = _named(REFERENCE)
 
 
 def test_the_patterns_still_find_the_commands():
-    assert len(MODULES) > 10 and len(PATHS) > 5
+    assert len(MODULES) > 10 and len(PATHS) > 5 and len(REFERENCES) > 20
 
 
 @pytest.mark.parametrize(("doc", "module"), MODULES)
@@ -63,6 +68,21 @@ def test_documented_path_exists(doc, path):
     if "<" in path or "*" in path:  # results/<job>.jsonl: a pattern, not a file
         path = path[: path.rindex("/") + 1]
     assert (ROOT / path).exists(), f"{doc}: {path}"
+
+
+@pytest.mark.parametrize(("doc", "reference"), REFERENCES)
+def test_documented_reference_resolves(doc, reference):
+    """The longest importable prefix is a module; the rest are attributes of it."""
+    parts = reference.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:  # not a module: an attribute of a shorter prefix
+            continue
+    for attr in parts[cut:]:
+        assert hasattr(obj, attr), f"{doc}: `{reference}` stops resolving at {attr!r}"
+        obj = getattr(obj, attr)
 
 
 def test_every_exported_name_resolves():

@@ -232,3 +232,49 @@ class TestPacketPool:
             guard=GuardConfig(mode="strict"),
         )
         assert run.abort is None and run.drained
+
+    @staticmethod
+    def _guarded_run(quads, source, num_vnets, warmup=200, measure=800):
+        """Run ``source`` alone under a strict guard (the pool_safety sweep)."""
+        from repro import build_simulation
+        from repro.noc.config import NocConfig
+        from repro.noc.guard import GuardConfig, RuntimeGuard
+
+        sim, net = build_simulation(
+            NocConfig(num_vnets=num_vnets), region_map=quads, scheme="rair"
+        )
+        RuntimeGuard(GuardConfig(mode="strict")).install(sim)
+        sim.add_traffic(source)
+        res = sim.run_measurement(warmup=warmup, measure=measure)
+        assert res.abort is None and res.drained
+        return net, res.metrics
+
+    def test_coherence_packets_come_from_the_pool(self, topo):
+        """Requests, forwards and data replies are all counted allocations,
+        and a recycled object still gets the fresh pid continuations key on."""
+        from repro.traffic.coherence import CoherenceConfig, CoherenceWorkload
+
+        quads = RegionMap.quadrants(topo)
+        wl = CoherenceWorkload(quads, CoherenceConfig(), seed=7)
+        net, metrics = self._guarded_run(quads, wl, num_vnets=3)
+        built = wl.intra_packets + wl.inter_packets + len(wl._pending)
+        assert built >= net.packets_ejected > 0
+        assert metrics.pool_hits + metrics.pool_allocs == built
+        assert metrics.pool_hits > 0
+        assert wl.transactions_completed > 0
+
+    def test_trace_replay_packets_come_from_the_pool(self, topo):
+        from repro.traffic.patterns import UniformPattern
+        from repro.traffic.synthetic import SyntheticTrafficSource
+        from repro.traffic.trace import TraceTrafficSource, capture_trace
+
+        live = SyntheticTrafficSource(
+            nodes=range(64), rate=0.05, app_id=0, seed=3, pattern=UniformPattern(topo)
+        )
+        replay = TraceTrafficSource(capture_trace([live], cycles=1000))
+        net, metrics = self._guarded_run(
+            RegionMap.quadrants(topo), replay, num_vnets=1
+        )
+        assert replay.packets_injected == net.packets_ejected > 0
+        assert metrics.pool_hits + metrics.pool_allocs == replay.packets_injected
+        assert metrics.pool_hits > 0

@@ -92,7 +92,7 @@ def test_xy_is_deterministic_single_port():
             ports = net.routing.admissible_ports(src, pkt)
             assert len(ports) == 1
             if src != dst:
-                assert ports[0] == topo.xy_port(src, dst)
+                assert ports[0] == topo.dimension_order_port(src, dst)
 
 
 def test_duato_escape_port_is_always_xy():
@@ -109,7 +109,7 @@ def test_duato_escape_port_is_always_xy():
                 continue
             pkt = _pkt(src, dst)
             escape = net.routing.escape_port(src, pkt)
-            assert escape == topo.xy_port(src, dst)
+            assert escape == topo.dimension_order_port(src, dst)
             # The escape direction must itself be admissible: a blocked
             # packet can always fall back onto it.
             assert escape in net.routing.admissible_ports(src, pkt)

@@ -95,13 +95,13 @@ class TestRoutingHelpers:
         dst = topo.node_at(3, 3)
         assert set(topo.minimal_ports(src, dst)) == {EAST, SOUTH}
 
-    def test_xy_port_goes_x_first(self):
+    def test_dimension_order_port_goes_x_first(self):
         topo = MeshTopology(4, 4)
         src = topo.node_at(1, 1)
-        assert topo.xy_port(src, topo.node_at(3, 3)) == EAST
-        assert topo.xy_port(src, topo.node_at(1, 3)) == SOUTH
-        assert topo.xy_port(src, topo.node_at(0, 0)) == WEST
-        assert topo.xy_port(src, src) == LOCAL
+        assert topo.dimension_order_port(src, topo.node_at(3, 3)) == EAST
+        assert topo.dimension_order_port(src, topo.node_at(1, 3)) == SOUTH
+        assert topo.dimension_order_port(src, topo.node_at(0, 0)) == WEST
+        assert topo.dimension_order_port(src, src) == LOCAL
 
     def test_xy_route_reaches_destination(self):
         topo = MeshTopology(6, 5)
@@ -109,7 +109,7 @@ class TestRoutingHelpers:
             for dst in (0, 13, topo.num_nodes - 1):
                 cur, hops = src, 0
                 while cur != dst:
-                    port = topo.xy_port(cur, dst)
+                    port = topo.dimension_order_port(cur, dst)
                     cur = topo.neighbor[cur][port]
                     hops += 1
                     assert hops <= topo.hop_distance(src, dst)
