@@ -26,12 +26,13 @@ Fault modes:
     sleep far past any reasonable wall timeout — must be killed by the
     parent's deadline enforcement and recorded as ``CellTimeout``.
 ``kill``
-    ``SIGKILL`` the current process — breaks the worker pool every
-    attempt; quarantine must convict it.
+    ``SIGKILL`` the current process — the cell's own worker, every
+    attempt; must fail as ``WorkerDied`` after exactly ``max_attempts``
+    attempts, with no attempt charged to any other cell.
 ``kill_once``
     ``SIGKILL`` only if ``marker`` does not exist yet (created first,
     with ``open(marker, "x")``, so exactly one process dies even when
-    attempts race) — a worker crash that pool rebuild + retry must heal.
+    attempts race) — a worker crash that one retry must heal.
 ``wait_marker``
     block (polling) until ``marker`` exists, then simulate cleanly — a
     cell that pauses at a known point so a test can act mid-sweep (kill

@@ -13,29 +13,34 @@ returns one :class:`CellResult` per cell, holding either the finished
 wall time). One poisoned cell never aborts the sweep; the other cells
 complete and the caller decides how to render the hole.
 
+Under ``--jobs N`` the isolation is by construction, not by recovery:
+every cell *attempt* runs in its own worker process (at most ``jobs``
+alive, platform-default start method), which reports over its own pipe
+and exits. A worker that dies or is killed takes down exactly the cell
+it was running — no other cell is ever charged an attempt for it. The
+price is a process start per attempt instead of per worker, measured at
+≈ 2 ms under ``fork`` and ≈ 0.15 s (interpreter start plus imports)
+under ``spawn``, against cells that cost 0.3–2.5 s at SMOKE and minutes
+at paper scale (docs/ARCHITECTURE.md has the measurements).
+
 Resilience mechanisms, all governed by a :class:`FaultPolicy`:
 
-* **Retry with backoff** — transient failures (worker death, broken
-  process pool, cache I/O errors) are retried up to ``max_attempts``
-  times with exponential backoff; the jitter is derived from the cell
-  seed (:func:`backoff_delay`), never from a global RNG, so retry timing
-  is deterministic per cell. Deterministic errors (``ConfigError``,
-  ``SimulationError``, assertion-like bugs) are classified non-retryable
-  and fail immediately (:func:`classify_exception`).
+* **Retry with backoff** — transient failures (worker death, cache I/O
+  errors) are retried up to ``max_attempts`` times with exponential
+  backoff; the jitter is derived from the cell seed
+  (:func:`backoff_delay`), never from a global RNG, so retry timing is
+  deterministic per cell. A dead worker (OOM kill, SIGKILL, hard crash)
+  is a ``WorkerDied`` failure carrying its exit code. Deterministic
+  errors (``ConfigError``, ``SimulationError``, assertion-like bugs) are
+  classified non-retryable and fail immediately
+  (:func:`classify_exception`).
 * **Deadlines** — ``cycle_budget`` threads a cooperative cycle budget
   into :meth:`~repro.noc.sim.Simulator.run_measurement` (a livelocked
   simulation aborts with ``abort="deadline"`` or a ``DeadlineError``),
   and ``wall_timeout_s`` is enforced by the *parent* for wedged workers:
-  in-flight submissions are capped at the worker count so submission
-  time ≈ start time, and an expired cell gets its worker processes
-  killed and is recorded as a ``CellTimeout`` failure.
-* **Broken-pool recovery** — a worker that dies (OOM kill, SIGKILL)
-  breaks the whole ``ProcessPoolExecutor`` and the true victim is
-  indistinguishable from innocent collateral. Every in-flight cell gets
-  a *strike* and is rescheduled on a rebuilt pool; a cell with two
-  strikes is quarantined to run **solo**, so a third strike proves it is
-  the killer and it becomes a recorded failure instead of taking the
-  sweep down with it.
+  an attempt whose process outlives it is killed — that process only —
+  and recorded as a ``CellTimeout`` failure. A wall timeout puts cells
+  in worker processes at any job count.
 * **Checkpoint/resume** — with a cache directory, completed cells are
   journaled (:class:`~repro.experiments.cache.SweepJournal`); a
   re-invocation of the same sweep restores journaled cells from the
@@ -59,11 +64,11 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import multiprocessing
 import time
 import traceback as _tb
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 from repro.experiments.cache import ResultCache, SweepJournal, cache_key
 from repro.experiments.runner import Effort, ScenarioRun, Scheme, run_scenario
@@ -91,10 +96,6 @@ __all__ = [
     "run_cells",
     "run_cells_detailed",
 ]
-
-#: strikes (broken-pool / timeout-collateral events) after which a cell is
-#: scheduled alone, so the next pool break unambiguously convicts it
-_QUARANTINE_STRIKES = 2
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ _NON_RETRYABLE = (
 )
 
 #: environmental failures worth another attempt
-_RETRYABLE = (OSError, MemoryError, BrokenProcessPool)
+_RETRYABLE = (OSError, MemoryError)
 
 
 def classify_exception(exc: BaseException) -> bool:
@@ -233,10 +234,9 @@ def classify_exception(exc: BaseException) -> bool:
 
     Deterministic errors — config mistakes, simulator invariants,
     programming bugs — are checked first: retrying a pure function on the
-    same inputs cannot help. Environmental errors (I/O, memory pressure,
-    a broken worker pool) are retryable. Unknown exception types default
-    to **non-retryable**, so a novel bug surfaces once instead of three
-    times slower.
+    same inputs cannot help. Environmental errors (I/O, memory pressure)
+    are retryable. Unknown exception types default to **non-retryable**,
+    so a novel bug surfaces once instead of three times slower.
     """
     if isinstance(exc, _NON_RETRYABLE):
         return False
@@ -298,6 +298,21 @@ def compute_cell(
     )
 
 
+def _cached_run(cache: ResultCache, key: str) -> tuple[ScenarioRun | None, int]:
+    """Defensive cache read: ``(run or None, cache_errors)``.
+
+    A corrupt or unreadable entry is a counted miss, never an exception;
+    a hit is flagged on the run's metrics.
+    """
+    try:
+        run = cache.get(key)
+    except Exception:
+        return None, 1
+    if run is not None and run.metrics is not None:
+        run.metrics.cache_hit = True
+    return run, 0
+
+
 def _execute(
     cell: Cell,
     cache_dir: str | None,
@@ -320,17 +335,10 @@ def _execute(
     """
     if cache_dir is None:
         return compute_cell(cell, cycle_budget, obs, guard), False, 0
-    cache_errors = 0
     cache = ResultCache(cache_dir)
     key = cache_key(cell)
-    try:
-        run = cache.get(key)
-    except Exception:
-        run = None
-        cache_errors += 1
+    run, cache_errors = _cached_run(cache, key)
     if run is not None:
-        if run.metrics is not None:
-            run.metrics.cache_hit = True
         return run, True, cache_errors
     run = compute_cell(cell, cycle_budget, obs, guard)
     if run.abort != "deadline":
@@ -341,30 +349,36 @@ def _execute(
     return run, False, cache_errors
 
 
-def _worker(
-    cell: Cell, cache_dir: str | None, cycle_budget: int | None, obs=None, guard=None
-):
-    """Pool entry point: tagged-tuple transport instead of raising.
+def _error_record(exc: BaseException) -> tuple[str, str, str, bool]:
+    """``(label, message, traceback, retryable)`` of the exception being handled."""
+    return (
+        # A guard-classified failure renders as FAILED(Deadlock) etc.
+        getattr(exc, "failure_label", type(exc).__name__),
+        str(exc),
+        _tb.format_exc(),
+        classify_exception(exc),
+    )
 
-    Exceptions are flattened to ``("err", type, message, traceback,
-    retryable)`` — exception objects themselves may not pickle, and the
-    parent needs the traceback text for the failure record either way.
+
+def _worker(
+    conn, cell: Cell, cache_dir: str | None, cycle_budget: int | None, obs, guard
+) -> None:
+    """Worker-process entry point: one cell attempt, one message on ``conn``.
+
+    The outcome travels as a tagged tuple instead of a raised exception:
+    ``("ok", run, hit, cache_errors)`` or ``("err", label, message,
+    traceback, retryable)`` — exception objects themselves may not
+    pickle, and the parent needs the traceback text for the failure
+    record either way. A run that will not pickle fails inside ``send``
+    before a byte is written, so it is reported as an ``err`` too.
     Workers write their obs JSONL directly (the per-cell file names from
     :func:`cell_obs_name` cannot collide); only the summary rides back on
     the pickled run.
     """
     try:
-        run, hit, cache_errors = _execute(cell, cache_dir, cycle_budget, obs, guard)
-        return ("ok", run, hit, cache_errors)
+        conn.send(("ok", *_execute(cell, cache_dir, cycle_budget, obs, guard)))
     except Exception as exc:
-        return (
-            "err",
-            # A guard-classified failure renders as FAILED(Deadlock) etc.
-            getattr(exc, "failure_label", type(exc).__name__),
-            str(exc),
-            _tb.format_exc(),
-            classify_exception(exc),
-        )
+        conn.send(("err", *_error_record(exc)))
 
 
 @dataclass
@@ -427,19 +441,13 @@ class _Pending:
     index: int
     cell: Cell
     key: str | None
-    #: completed execution attempts that returned an error
+    #: failed attempts so far (error, worker death or timeout), each
+    #: charged against ``max_attempts``
     attempts: int = 0
-    #: broken-pool / timeout-collateral events (cell may be innocent)
-    strikes: int = 0
-    #: monotonic time before which the cell must not be resubmitted
+    #: monotonic time before which the cell must not be restarted
     ready_at: float = 0.0
-    #: monotonic time of the first submission (for failure wall time)
+    #: monotonic time of the first start (for failure wall time)
     started_at: float = 0.0
-
-    @property
-    def tries(self) -> int:
-        """Total scheduling attempts charged against ``max_attempts``."""
-        return self.attempts + self.strikes
 
 
 class _Sweep:
@@ -468,7 +476,7 @@ class _Sweep:
             self.on_result(result)
 
     def record_ok(self, entry: _Pending, run: ScenarioRun, hit: bool, cerr: int):
-        attempts = entry.tries + 1
+        attempts = entry.attempts + 1
         if run.metrics is not None:
             run.metrics.attempts = attempts
         self._store(
@@ -506,12 +514,12 @@ class _Sweep:
                     error_type=error_type,
                     message=message,
                     traceback=traceback_text,
-                    attempts=max(1, entry.tries),
+                    attempts=entry.attempts,
                     wall_time_s=wall_time_s,
                     retryable=retryable,
                     exception=exception,
                 ),
-                attempts=max(1, entry.tries),
+                attempts=entry.attempts,
             )
         )
         self.report.failures += 1
@@ -520,15 +528,16 @@ class _Sweep:
         self, entry: _Pending, now: float, error_type: str, message: str,
         traceback_text: str, retryable: bool, exception: BaseException | None = None,
     ) -> float | None:
-        """The one retry decision, taken after an attempt has been charged.
+        """Charge the failed attempt and take the one retry decision.
 
         A retryable error with attempts left counts a retry and returns
         the backoff delay the caller must honour before re-running the
         cell; anything else records the failure and returns ``None``.
         """
-        if retryable and entry.tries < self.policy.max_attempts:
+        entry.attempts += 1
+        if retryable and entry.attempts < self.policy.max_attempts:
             self.report.retries += 1
-            return backoff_delay(self.policy, entry.cell.seed, entry.tries)
+            return backoff_delay(self.policy, entry.cell.seed, entry.attempts)
         self.record_failure(
             entry, error_type, message, traceback_text, retryable,
             now - entry.started_at, exception=exception,
@@ -554,15 +563,8 @@ def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
                     entry.cell, cache_dir, policy.cycle_budget, sweep.obs, sweep.guard
                 )
             except Exception as exc:
-                entry.attempts += 1
                 delay = sweep.retry_delay(
-                    entry,
-                    time.monotonic(),
-                    getattr(exc, "failure_label", type(exc).__name__),
-                    str(exc),
-                    _tb.format_exc(),
-                    classify_exception(exc),
-                    exception=exc,
+                    entry, time.monotonic(), *_error_record(exc), exception=exc
                 )
                 if delay is None:
                     break
@@ -572,169 +574,111 @@ def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
             break
 
 
-def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """SIGKILL every worker of ``pool`` (wedged workers ignore terminate)."""
-    for proc in list((pool._processes or {}).values()):
-        try:
-            proc.kill()
-        except Exception:
-            pass
+def _reap(recv, proc, kill: bool = False) -> int | None:
+    """Close an attempt's pipe, join and close its process; the exit code."""
+    if kill:
+        proc.kill()  # SIGKILL: a wedged worker ignores terminate
+    recv.close()
+    proc.join()
+    code = proc.exitcode
+    proc.close()
+    return code
 
 
 def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> None:
-    """Submit/wait scheduler with timeout kills and broken-pool recovery.
+    """One worker process per cell attempt, at most ``jobs`` alive.
 
-    In-flight submissions are capped at the worker count so a submitted
-    future is (approximately) a *started* future — that is what makes the
-    parent-side wall-clock deadline meaningful. On any pool break the
-    remaining in-flight cells are struck and rescheduled without waiting
-    on their doomed futures, and the pool is rebuilt.
+    The process is the fault domain: a worker that dies is a retryable
+    ``WorkerDied`` failure of exactly the cell it was running, and a
+    wall-clock expiry kills exactly that process — no other cell is
+    charged an attempt. A process is started the moment it is submitted,
+    so its deadline is measured from its own start. The loop sleeps on
+    the result pipes, the process sentinels (a dead worker may never
+    close its pipe: a sibling forked by another thread can hold a copy)
+    and the nearest deadline or backoff expiry.
     """
     policy = sweep.policy
-    report = sweep.report
-    max_workers = min(jobs, len(work))
+    ctx = multiprocessing.get_context()
     queue: collections.deque[_Pending] = collections.deque(work)
-    inflight: dict = {}  # future -> (_Pending, deadline | None)
-    pool = ProcessPoolExecutor(max_workers=max_workers)
+    running: dict = {}  # result pipe -> (_Pending, Process, deadline | None)
 
     def retry_or_fail(entry: _Pending, now: float, *failure) -> None:
         """Requeue ``entry`` behind its backoff, or record ``failure``."""
         delay = sweep.retry_delay(entry, now, *failure)
-        if delay is None:
-            return
-        entry.ready_at = now + delay
-        if entry.strikes >= _QUARANTINE_STRIKES:
-            queue.appendleft(entry)  # head position => scheduled solo next
-        else:
+        if delay is not None:
+            entry.ready_at = now + delay
             queue.append(entry)
 
-    def strike(entry: _Pending, now: float) -> None:
-        entry.strikes += 1
-        retry_or_fail(
-            entry,
-            now,
-            "BrokenProcessPool",
-            f"worker process died {entry.strikes} time(s) while running "
-            f"{entry.cell.describe()}",
-            "",
-            True,
-        )
-
-    def abandon_inflight(now: float) -> None:
-        for entry, _deadline in inflight.values():
-            strike(entry, now)
-        inflight.clear()
-
-    def rebuild_pool() -> ProcessPoolExecutor:
-        pool.shutdown(wait=False, cancel_futures=True)
-        return ProcessPoolExecutor(max_workers=max_workers)
-
     try:
-        while queue or inflight:
+        while queue or running:
             now = time.monotonic()
             # -- fill free slots -------------------------------------------------
-            while queue and len(inflight) < max_workers:
-                head = queue[0]
-                solo = head.strikes >= _QUARANTINE_STRIKES
-                if solo and inflight:
-                    break  # quarantined suspect waits for the pool to drain
-                if head.ready_at > now:
-                    if inflight:
-                        break  # backoff not elapsed; wait on running cells
-                    time.sleep(head.ready_at - now)
-                    now = time.monotonic()
+            while queue and len(running) < jobs and queue[0].ready_at <= now:
                 entry = queue.popleft()
                 if entry.started_at == 0.0:
                     entry.started_at = now
-                fut = pool.submit(
-                    _worker, entry.cell, cache_dir, policy.cycle_budget,
-                    sweep.obs, sweep.guard,
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_worker,
+                    args=(send, entry.cell, cache_dir, policy.cycle_budget,
+                          sweep.obs, sweep.guard),
                 )
-                deadline = (
-                    now + policy.wall_timeout_s if policy.wall_timeout_s else None
-                )
-                inflight[fut] = (entry, deadline)
-                if solo:
-                    break  # run the suspect alone
-            if not inflight:
-                continue  # queue head was backoff-delayed; loop sleeps above
+                try:
+                    proc.start()
+                except Exception as exc:  # fork refused / unpicklable under spawn
+                    recv.close()
+                    retry_or_fail(entry, now, *_error_record(exc))
+                else:
+                    timeout = policy.wall_timeout_s
+                    running[recv] = (entry, proc, now + timeout if timeout else None)
+                finally:
+                    send.close()  # the worker holds the only write end
 
-            # -- wait for a completion, a deadline, or a backoff expiry ---------
-            timeout = None
-            for _entry, deadline in inflight.values():
-                if deadline is not None:
-                    remaining = deadline - now
-                    timeout = remaining if timeout is None else min(timeout, remaining)
-            if queue and len(inflight) < max_workers and queue[0].ready_at > now:
-                remaining = queue[0].ready_at - now
-                timeout = remaining if timeout is None else min(timeout, remaining)
-            if timeout is not None:
-                timeout = max(timeout, 0.01)
-            done, _ = wait(list(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+            # -- wait for a result, a death, a deadline, or a backoff expiry ----
+            wake = [d for _e, _p, d in running.values() if d is not None]
+            if queue and len(running) < jobs:
+                wake.append(queue[0].ready_at)
+            sentinels = [proc.sentinel for _e, proc, _d in running.values()]
+            ready = set(wait(
+                [*running, *sentinels], max(0.0, min(wake) - now) if wake else None
+            ))
             now = time.monotonic()
 
-            if not done:
-                expired = [
-                    fut
-                    for fut, (_e, deadline) in inflight.items()
-                    if deadline is not None and now >= deadline
-                ]
-                if not expired:
-                    continue  # woke up to submit a backoff-delayed cell
-                for fut in expired:
-                    entry, _deadline = inflight.pop(fut)
-                    entry.attempts += 1
-                    report.timeouts += 1
-                    retry_or_fail(
-                        entry,
-                        now,
-                        "CellTimeout",
+            for recv, (entry, proc, deadline) in list(running.items()):  # start order
+                finished = recv in ready or proc.sentinel in ready
+                if not finished and (deadline is None or now < deadline):
+                    continue  # still running, still in time
+                del running[recv]
+                if finished:
+                    try:
+                        # Once the sentinel has fired, an empty pipe stays empty.
+                        outcome = recv.recv() if recv.poll() else None
+                    except (EOFError, OSError):
+                        outcome = None  # died mid-send
+                    code = _reap(recv, proc)
+                    if outcome is None:
+                        outcome = (
+                            "err", "WorkerDied",
+                            f"worker process exited with code {code} while "
+                            f"running {entry.cell.describe()}",
+                            "", True,
+                        )
+                else:
+                    _reap(recv, proc, kill=True)
+                    sweep.report.timeouts += 1
+                    outcome = (
+                        "err", "CellTimeout",
                         f"wall-clock timeout after {policy.wall_timeout_s}s "
                         f"running {entry.cell.describe()}",
-                        "",
-                        bool(policy.retry_timeouts),
+                        "", bool(policy.retry_timeouts),
                     )
-                # The wedged worker cannot be told apart from its siblings
-                # portably, so kill them all; innocent in-flight cells are
-                # struck (bounded) and retried on a fresh pool.
-                _kill_pool_processes(pool)
-                abandon_inflight(now)
-                pool = rebuild_pool()
-                continue
-
-            broken = False
-            for fut in done:
-                entry, _deadline = inflight.pop(fut)
-                try:
-                    tag = fut.result()
-                except BrokenProcessPool:
-                    broken = True
-                    strike(entry, now)
-                    continue
-                except Exception as exc:  # submit-side failure (unpicklable?)
-                    sweep.record_failure(
-                        entry,
-                        type(exc).__name__,
-                        str(exc),
-                        _tb.format_exc(),
-                        retryable=False,
-                        wall_time_s=now - entry.started_at,
-                        exception=exc,
-                    )
-                    continue
-                if tag[0] == "ok":
-                    _, run, hit, cerr = tag
-                    sweep.record_ok(entry, run, hit, cerr)
+                if outcome[0] == "ok":
+                    sweep.record_ok(entry, *outcome[1:])
                 else:
-                    entry.attempts += 1
-                    retry_or_fail(entry, now, *tag[1:])
-            if broken:
-                # Every surviving in-flight future is doomed with the pool;
-                # strike/reschedule them now rather than wait on it.
-                abandon_inflight(now)
-                pool = rebuild_pool()
+                    retry_or_fail(entry, now, *outcome[1:])
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        for recv, (_entry, proc, _deadline) in running.items():
+            _reap(recv, proc, kill=True)
 
 
 def run_cells_detailed(
@@ -751,9 +695,10 @@ def run_cells_detailed(
     """Execute ``cells`` fault-tolerantly; one :class:`CellResult` each.
 
     Results come back in input order. ``jobs=1`` runs serially in this
-    process (wall-clock timeouts are not enforceable there — use
-    ``policy.cycle_budget`` to bound runaway cells); ``jobs>1`` fans out
-    over a process pool with the full recovery machinery. ``cache`` is a
+    process; ``jobs>1`` gives every cell attempt its own worker process,
+    at most ``jobs`` alive at once — and so does ``jobs=1`` under a
+    ``policy.wall_timeout_s``, one at a time, because only a separate
+    process can be killed when its deadline expires. ``cache`` is a
     directory path or :class:`ResultCache`; when given, finished cells
     are persisted, completed cell keys are journaled per sweep, and a
     repeated invocation resumes: journaled cells are restored from the
@@ -826,14 +771,9 @@ def run_cells_detailed(
         store = ResultCache(cache_dir)
         for i, (cell, key) in enumerate(zip(cells, keys)):
             if key in completed:
-                try:
-                    run = store.get(key)
-                except Exception:
-                    run = None
-                    report.cache_errors += 1
+                run, cerr = _cached_run(store, key)
+                report.cache_errors += cerr
                 if run is not None:
-                    if run.metrics is not None:
-                        run.metrics.cache_hit = True
                     report.cache_hits += 1
                     report.resumed += 1
                     resumed.append(
@@ -850,11 +790,10 @@ def run_cells_detailed(
     for res in resumed:
         sweep._store(res)
 
-    if work:
-        if jobs == 1 or len(work) == 1:
-            _run_serial(work, cache_dir, sweep)
-        else:
-            _run_parallel(work, jobs, cache_dir, sweep)
+    if jobs == 1 and policy.wall_timeout_s is None:
+        _run_serial(work, cache_dir, sweep)
+    else:
+        _run_parallel(work, jobs, cache_dir, sweep)
 
     report.wall_time_s = time.perf_counter() - start
     ordered = [sweep.results[i] for i in range(len(cells))]

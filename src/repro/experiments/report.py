@@ -95,8 +95,8 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget per cell, enforced by killing wedged "
-        "workers (jobs>1 only)",
+        help="wall-clock budget per cell, enforced by killing the wedged "
+        "worker (cells run in worker processes at any job count)",
     )
     parser.add_argument(
         "--cycle-budget",

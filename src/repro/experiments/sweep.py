@@ -64,7 +64,7 @@ class SweepResult:
         if self.n < 2:
             return (self.mean, self.mean)
         # Imported here: scipy.stats costs ~0.7 s and ~60 MB, and every CLI,
-        # pool worker and daemon imports this module via repro.experiments.
+        # worker process and daemon imports this module via repro.experiments.
         from scipy import stats as sp_stats
 
         half = self.std_error * sp_stats.t.ppf(0.5 + level / 2, df=self.n - 1)

@@ -590,10 +590,6 @@ class Network:
         """Sorted nodes in the kernel's active set (holding >= 1 packet)."""
         return sorted(self._active)
 
-    def has_pending_events(self) -> bool:
-        """Whether any arrivals or credits are still scheduled."""
-        return bool(self._arrivals) or bool(self._credits)
-
     def idle(self) -> bool:
         """True when nothing is queued, buffered, or in flight.
 

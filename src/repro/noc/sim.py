@@ -315,15 +315,6 @@ class Simulator:
             f"busy routers (node, busy_vcs): {stuck}"
         )
 
-    def progress_marks(self) -> dict:
-        """Watchdog bookkeeping, for tests and forensics dumps."""
-        return {
-            "last_moved": self._last_moved,
-            "last_progress_cycle": self._last_progress_cycle,
-            "last_ejected": self._last_ejected,
-            "last_eject_cycle": self._last_eject_cycle,
-        }
-
     # -- measurement protocol ----------------------------------------------------------
     def run_measurement(
         self,

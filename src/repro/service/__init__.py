@@ -4,7 +4,7 @@ The batch CLIs under :mod:`repro.experiments` run one sweep and exit. This
 package turns the same execution engine into a long-lived local service:
 
 * :mod:`repro.service.daemon` — an asyncio daemon
-  (``python -m repro.service.daemon``) that owns the worker pool and
+  (``python -m repro.service.daemon``) that owns the worker processes and
   exposes a localhost HTTP+JSONL API for submitting sweep jobs,
 * :mod:`repro.service.scheduler` — priority-class admission and dispatch
   (``high``/``normal``/``low``, FIFO within a class, bounded queue with

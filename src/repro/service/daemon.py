@@ -1,7 +1,7 @@
 """The sweep-service daemon: ``python -m repro.service.daemon``.
 
-A single-process asyncio service that owns the experiment worker pool and
-serves a localhost HTTP+JSONL API::
+A single-process asyncio service that owns the experiment worker
+processes and serves a localhost HTTP+JSONL API::
 
     GET  /v1/health                 liveness + queue depths + version
     GET  /v1/version                version/git-rev/protocol stamp
@@ -34,7 +34,7 @@ The HTTP implementation is deliberately minimal (stdlib asyncio only):
 one request per connection, ``Connection: close``, streaming responses
 are unframed JSONL flushed per record. The daemon binds 127.0.0.1 by
 default and treats the socket as a local trust boundary, like the
-process-pool pipes it wraps.
+worker-process pipes it wraps.
 """
 
 from __future__ import annotations
@@ -195,8 +195,8 @@ class SweepDaemon:
             self._fanout(job.id, rec)
 
         def on_result(result) -> None:
-            # Called from the executor thread (or its pool workers'
-            # parent); hop to the loop so publish() is serialized.
+            # Called from the engine's thread, never the loop's; hop to
+            # the loop so publish() is serialized.
             loop.call_soon_threadsafe(publish, result)
 
         try:

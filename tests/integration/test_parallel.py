@@ -73,11 +73,11 @@ class TestCellEngine:
 
 @pytest.mark.chaos
 class TestBitIdentityUnderRetries:
-    """Retries, backoff, and pool rebuilds must not perturb a single sample.
+    """Retries, backoff, and dead workers must not perturb a single sample.
 
     Strategy: run with jobs=3 *first*, while the faults are armed — the
-    kill_once cell SIGKILLs one worker (pool rebuild + victim retry) and
-    the flaky cell raises a transient OSError once (backoff + retry).
+    kill_once cell SIGKILLs its own worker (WorkerDied + retry) and the
+    flaky cell raises a transient OSError once (backoff + retry).
     Both faults disarm themselves through their marker files, so the
     jobs=1 rerun sees no fault at all; the parallel-with-retries samples
     must still be bit-identical to that clean serial baseline.

@@ -293,9 +293,9 @@ class TestCrashRecovery:
             assert status["completed"] == 1
 
     def test_daemon_survives_killed_worker(self, tmp_path):
-        # kill_once SIGKILLs the *executing* process. jobs=2 puts cells in
-        # pool workers, so the casualty is a worker — never the daemon —
-        # and the engine's pool rebuild + retry heals the cell.
+        # kill_once SIGKILLs the *executing* process. jobs=2 gives every
+        # cell attempt its own worker process, so the casualty is that
+        # worker — never the daemon — and the engine's retry heals the cell.
         marker = str(tmp_path / "kill.marker")
         cells = [
             chaos_cell(

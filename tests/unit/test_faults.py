@@ -4,8 +4,6 @@ failure records, report accounting, and the serial retry loop."""
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
-
 import pytest
 
 from repro.experiments.chaos import chaos_cell
@@ -50,7 +48,6 @@ class TestClassification:
     @pytest.mark.parametrize("exc", [
         OSError("io"),
         MemoryError(),
-        BrokenProcessPool("worker died"),
     ])
     def test_environmental_errors_are_retryable(self, exc):
         assert classify_exception(exc) is True

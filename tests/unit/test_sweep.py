@@ -49,7 +49,7 @@ class TestSweepResult:
 
 class TestColdStart:
     def test_importing_experiments_leaves_scipy_unloaded(self):
-        """Every CLI, pool worker and daemon imports ``repro.experiments``;
+        """Every CLI, worker process and daemon imports ``repro.experiments``;
         scipy is needed by ``confidence_interval`` alone and loads there."""
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)
