@@ -6,10 +6,12 @@ rows/series the paper reports. A figure module is a declaration — default
 axes, a cell plan (per row: label columns, its own cell, and the reference
 cell it is compared against), a projection from finished runs to value
 columns, and captions. :mod:`repro.experiments.cellplan` is the one place
-that runs a plan through the cell engine, renders rows (failed ones
-included), and provides the CLI. The ``effort`` knob scales the paper's
-10K-warmup / 100K-measure windows down so the full suite completes on one
-machine (DESIGN.md §5); the window used is always recorded in the result.
+that runs a plan through the cell engine — once, or once per seed with
+``seeds=[...]``, reducing value columns to mean ± CI half-width —
+renders rows (failed ones included), and provides the CLI. The ``effort``
+knob scales the paper's 10K-warmup / 100K-measure windows down so the
+full suite completes on one machine (DESIGN.md §5); the window used is
+always recorded in the result.
 
 Index (DESIGN.md §3):
 
@@ -49,7 +51,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.saturation_table import saturation_load
 from repro.experiments.scenarios import ScenarioSpec
-from repro.experiments.sweep import SweepResult, compare_schemes, replicate
+from repro.experiments.sweep import SweepResult, compare_schemes
 
 __all__ = [
     "Effort",
@@ -61,7 +63,6 @@ __all__ = [
     "run_scenario",
     "saturation_load",
     "SweepResult",
-    "replicate",
     "compare_schemes",
     "Cell",
     "CellFailure",

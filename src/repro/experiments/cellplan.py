@@ -13,27 +13,45 @@ declares only what differs between figures and hands it to
   row without a reference cell);
 * title, columns and notes.
 
-This module is the only caller of :func:`run_cells_detailed` for
-figures. Each distinct cell is submitted once, a row's reference before
-its own cell, in row order — the cell list (and so every cache key and
-sweep-journal digest) is a function of the plan alone. The engine's
-keyword arguments (``jobs``, ``cache``, ``policy``, ``obs``, ``guard``,
-``service``) pass through ``**engine`` verbatim; fabric selection is not
-an engine matter — modules resolve ``topology`` into the scenario config
-with :func:`~repro.experiments.report.config_for_topology` (mesh, torus
-or ring) before building their cells.
+This module is the only caller of :func:`run_cells_detailed` above the
+engine. Each distinct cell — distinct by :func:`cache_key`, the identity
+the cache, the journal and the obs file names use — is submitted once, a
+row's reference before its own cell, in row order, so the cell list (and
+every cache key and sweep-journal digest) is a function of the plan
+alone. The engine's keyword arguments (``jobs``, ``cache``, ``policy``,
+``obs``, ``guard``, ``service``) pass through ``**engine`` verbatim;
+fabric selection is not an engine matter — modules resolve ``topology``
+into the scenario config with
+:func:`~repro.experiments.report.config_for_topology` (mesh, torus or
+ring) before building their cells.
+
+Seeds are an axis of the plan, not a second path: ``seeds=[...]``
+submits every plan cell once per seed (the cell's own seed is replaced;
+each cell's seeds stay adjacent, in the order given), projects each row
+per seed with own and reference paired on the *same* seed, and reduces
+every float value column to its across-seed mean plus a
+``<column>_ci`` 95 % confidence half-width
+(:class:`~repro.experiments.sweep.SweepResult`); ``drained`` must hold
+on every seed. A seed whose own or reference cell failed is dropped from
+that row: ``n`` counts the surviving seeds, ``dropped`` the lost ones.
+Figure modules forward ``**engine``: ``fig14_sixapp.run(seeds=[1, 2, 3])``.
 
 Failed rows (the one rule, for every figure): a cell that fails after
 retries never aborts the sweep. Its row keeps its label columns, every
 value column reads ``FAILED(<ErrorType>)`` and ``drained`` is ``""``.
 The row's own failure wins; a healthy row whose reference cell failed
-reads ``FAILED(baseline <ErrorType>)``. ``metrics["failures"]`` counts
-failed *cells*, and :func:`~repro.experiments.report.finish` turns a
-non-zero count into exit code 3.
+reads ``FAILED(baseline <ErrorType>)``. A replicated row with no
+surviving seed renders by the same rule from its first seed.
+``metrics["failures"]`` counts failed *cells*, and
+:func:`~repro.experiments.report.finish` turns a non-zero count into
+exit code 3.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.experiments.cache import cache_key
 from repro.experiments.parallel import Cell, CellResult, run_cells_detailed
 from repro.experiments.report import (
     common_from_args,
@@ -42,6 +60,7 @@ from repro.experiments.report import (
     parse_effort,
 )
 from repro.experiments.runner import Effort, FigureResult
+from repro.util.errors import ConfigError
 
 __all__ = [
     "run_figure",
@@ -65,6 +84,27 @@ def render_row(
     return {**dict.fromkeys(columns, label), **labels, "drained": ""}
 
 
+def _replicated_row(labels: dict, columns, project, pairs) -> dict:
+    """One table row from a row's ``(own, reference)`` results, one pair per seed."""
+    kept = [(own, ref) for own, ref in pairs if own.ok and (ref is None or ref.ok)]
+    counts = {"n": len(kept), "dropped": len(pairs) - len(kept)}
+    if not kept:
+        return {**render_row(labels, columns, project, *pairs[0]), **counts}
+    # Imported here: sweep.py builds its comparison on this module.
+    from repro.experiments.sweep import SweepResult
+
+    samples = [render_row({}, columns, project, own, ref) for own, ref in kept]
+    row = dict(labels)
+    for column in samples[0]:
+        values = [sample[column] for sample in samples]
+        if isinstance(values[0], float):
+            stat = SweepResult(column, values)
+            row[column], row[f"{column}_ci"] = stat.mean, stat.half_width()
+        else:
+            row[column] = all(values)
+    return {**row, **counts}
+
+
 def run_figure(
     plan,
     project,
@@ -75,39 +115,69 @@ def run_figure(
     columns: list[str],
     notes=(),
     windows_suffix: str = "",
+    seeds=None,
     **engine,
 ) -> FigureResult:
     """Execute a cell plan and render it (see the module docstring).
 
     ``columns`` is label columns, then value columns, then ``drained``;
     ``notes`` follow the generated ``windows:`` note, which
-    ``windows_suffix`` extends.
+    ``windows_suffix`` extends. With ``seeds`` each value column gains
+    its ``<column>_ci`` neighbour and ``n`` / ``dropped`` close the row.
     """
     plan = list(plan)
-    cells: list[Cell] = []
-    for _labels, own, ref in plan:
-        for cell in (ref, own):
-            if cell is not None and cell not in cells:
-                cells.append(cell)
-    results, report = run_cells_detailed(cells, **engine)
+    notes = [
+        f"windows: warmup={effort.warmup}, measure={effort.measure}{windows_suffix}",
+        *notes,
+    ]
+    axis = [None]
+    if seeds is not None:
+        axis = list(seeds)
+        if not axis:
+            raise ConfigError("need at least one seed")
+        plain = {"drained"}.union(*(labels for labels, _own, _ref in plan))
+        columns = [
+            name
+            for column in columns
+            for name in ([column] if column in plain else [column, f"{column}_ci"])
+        ] + ["n", "dropped"]
+        notes.insert(
+            1, f"seeds: {axis}; values are across-seed means, *_ci the 95% CI half-width"
+        )
+    cells: dict[str, Cell] = {}
 
-    def result_of(cell: Cell | None) -> CellResult | None:
-        return None if cell is None else results[cells.index(cell)]
+    def key_of(cell: Cell | None, seed) -> str | None:
+        """Enter ``cell`` (re-seeded, on a seed axis) in the cell table; its key."""
+        if cell is None:
+            return None
+        if seed is not None:
+            cell = replace(cell, seed=seed)
+        key = cache_key(cell)
+        cells.setdefault(key, cell)
+        return key
 
+    # The order cells reach the engine: row by row, reference before own,
+    # each cell's seeds adjacent.
+    keyed = [
+        [[key_of(cell, seed) for seed in axis] for cell in (ref, own)]
+        for _labels, own, ref in plan
+    ]
+    results, report = run_cells_detailed(list(cells.values()), **engine)
+    finished = {None: None, **dict(zip(cells, results))}
+    rows = []
+    for (labels, _own, _ref), (ref_keys, own_keys) in zip(plan, keyed):
+        pairs = [(finished[o], finished[r]) for o, r in zip(own_keys, ref_keys)]
+        if seeds is None:
+            rows.append(render_row(labels, columns, project, *pairs[0]))
+        else:
+            rows.append(_replicated_row(labels, columns, project, pairs))
     return FigureResult(
         metrics=report.to_metrics(),
         figure=figure,
         title=title,
         columns=columns,
-        rows=[
-            render_row(labels, columns, project, result_of(own), result_of(ref))
-            for labels, own, ref in plan
-        ],
-        notes=[
-            f"windows: warmup={effort.warmup}, measure={effort.measure}"
-            f"{windows_suffix}",
-            *notes,
-        ],
+        rows=rows,
+        notes=notes,
     )
 
 

@@ -33,9 +33,10 @@ class Effort(enum.Enum):
     """Warmup/measure window sizes.
 
     ``FULL`` is the paper's protocol (10K warmup + 100K measure); ``FAST``
-    and ``MEDIUM`` scale it down for CI/benchmark runs. The shape of every
-    reproduced comparison is stable across efforts (EXPERIMENTS.md records
-    which effort produced the reported numbers).
+    and ``MEDIUM`` scale it down for CI/benchmark runs. Not every
+    comparison keeps its ordering across efforts: EXPERIMENTS.md records
+    which effort produced each reported number and, under "Window
+    stability", which orderings flip between windows.
     """
 
     SMOKE = (200, 800)
@@ -153,7 +154,6 @@ def run_scenario(
     seed: int = 42,
     config: NocConfig | None = None,
     policy_overrides: dict | None = None,
-    cache=None,
     cycle_budget: int | None = None,
     obs=None,
     guard=None,
@@ -163,22 +163,19 @@ def run_scenario(
     ``scenario`` is a :class:`~repro.experiments.scenarios.Scenario`;
     ``config`` overrides its network config (used by the VC-split
     ablation); ``policy_overrides`` merge into the scheme's policy kwargs
-    (used by the hysteresis ablation). ``cache`` is a result-cache
-    directory (or :class:`~repro.experiments.cache.ResultCache`): when
-    given and the scenario carries a rebuild spec, an already-computed
-    identical cell is restored from disk instead of simulated.
+    (used by the hysteresis ablation). This always simulates, in this
+    process: the cell engine calls it, never the reverse, so a cached,
+    journaled or multi-process run is reached one way — as a ``Cell``.
     ``cycle_budget`` caps the total simulated cycles (see
     :meth:`~repro.noc.sim.Simulator.run_measurement`); it is an execution
     policy, not part of the cell identity, so it never enters cache keys.
     ``obs`` is an optional :class:`repro.obs.ObsConfig` — also execution
     policy — that installs a metrics collector on the run; the resulting
-    :class:`repro.obs.ObsSummary` lands on :attr:`ScenarioRun.obs`. Note
-    a cache hit restores the summary stored with the original run (and
-    does not regenerate its JSONL stream). ``guard`` is an optional
-    :class:`repro.noc.guard.GuardConfig` — execution policy as well,
-    since a guarded run is bit-identical to an unguarded one — that
-    installs a :class:`~repro.noc.guard.RuntimeGuard` on the run; when
-    ``None``, the ``REPRO_GUARD`` environment (see
+    :class:`repro.obs.ObsSummary` lands on :attr:`ScenarioRun.obs`.
+    ``guard`` is an optional :class:`repro.noc.guard.GuardConfig` —
+    execution policy as well, since a guarded run is bit-identical to an
+    unguarded one — that installs a :class:`~repro.noc.guard.RuntimeGuard`
+    on the run; when ``None``, the ``REPRO_GUARD`` environment (see
     :meth:`~repro.noc.guard.GuardConfig.from_env`) decides, so workers
     and CI lanes can arm whole sweeps externally.
     """
@@ -186,24 +183,6 @@ def run_scenario(
         from repro.noc.guard import GuardConfig
 
         guard = GuardConfig.from_env()
-    if cache is not None and getattr(scenario, "spec", None) is not None:
-        # Late import: parallel imports this module.
-        from repro.experiments.parallel import Cell, FaultPolicy, run_cells
-
-        cell = Cell(
-            scheme=scheme,
-            spec=scenario.spec,
-            effort=effort,
-            seed=seed,
-            config=config,
-            policy_overrides=policy_overrides,
-        )
-        runs, _ = run_cells(
-            [cell], jobs=1, cache=cache,
-            policy=FaultPolicy(cycle_budget=cycle_budget),
-            obs=obs, guard=guard,
-        )
-        return runs[0]
     cfg = config or scenario.config
     kwargs = dict(scheme.policy_kwargs)
     if policy_overrides:
@@ -261,7 +240,7 @@ class FigureResult:
     rows: list[dict]
     notes: list[str] = field(default_factory=list)
     #: execution counters (wall time, cells, cache hits/misses, sim
-    #: cycles/sec) attached by the parallel/cache layer
+    #: cycles/sec) attached by the cell engine
     metrics: dict = field(default_factory=dict)
 
     def format_table(self) -> str:

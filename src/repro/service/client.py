@@ -66,10 +66,6 @@ class ServiceSpec:
 
     url: str
     priority: str = "normal"
-    #: max 429-retry attempts before submission gives up
-    submit_retries: int = 10
-    #: cap on a single Retry-After sleep, seconds
-    max_retry_after_s: float = 10.0
 
 
 def resolve_service_url(url: str) -> str:
@@ -307,12 +303,7 @@ def run_cells_via_service(
         guard=_abspath_config(guard),
     )
     client = ServiceClient(service.url)
-    submitted = client.submit(
-        spec,
-        retries=service.submit_retries,
-        max_sleep_s=service.max_retry_after_s,
-    )
-    job_id = submitted["id"]
+    job_id = client.submit(spec)["id"]
 
     by_index: dict[int, object] = {}
     end = None

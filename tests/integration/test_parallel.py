@@ -21,23 +21,34 @@ from repro.experiments.parallel import (
     run_cells,
     run_cells_detailed,
 )
-from repro.experiments.runner import SCHEMES, Effort, run_scenario
+from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
-from repro.experiments.sweep import replicate
 from repro.util.errors import ConfigError
 
 SEEDS = [1, 2]
 
 
+@pytest.fixture(scope="module")
+def signatures_by_jobs():
+    """One cell list, every scheme x two seeds, run at jobs=1 and at jobs=4."""
+    cells = [
+        Cell.for_scenario(SCHEMES[key], two_app_msp(0.5), Effort.SMOKE, seed)
+        for key in sorted(SCHEMES)
+        for seed in SEEDS
+    ]
+    return cells, [
+        [run.determinism_signature() for run in run_cells(cells, jobs=jobs)[0]]
+        for jobs in (1, 4)
+    ]
+
+
 @pytest.mark.parametrize("key", sorted(SCHEMES))
-def test_replicate_parallel_matches_serial(key):
-    """jobs=1 vs jobs=4 per-app APL samples are bit-identical per scheme."""
-    scheme = SCHEMES[key]
-    serial = replicate(scheme, two_app_msp(0.5), SEEDS, effort=Effort.SMOKE, jobs=1)
-    para = replicate(scheme, two_app_msp(0.5), SEEDS, effort=Effort.SMOKE, jobs=4)
-    assert sorted(serial) == sorted(para)
-    for app in serial:
-        assert serial[app].samples.tolist() == para[app].samples.tolist()
+def test_replicate_parallel_matches_serial(key, signatures_by_jobs):
+    """jobs=1 vs jobs=4 runs are bit-identical, per scheme and seed."""
+    cells, (serial, para) = signatures_by_jobs
+    mine = [i for i, cell in enumerate(cells) if cell.scheme.key == key]
+    assert len(mine) == len(SEEDS) and serial[mine[0]] != serial[mine[1]]
+    assert [serial[i] for i in mine] == [para[i] for i in mine]
 
 
 class TestCellEngine:
@@ -58,14 +69,10 @@ class TestCellEngine:
         with pytest.raises(ConfigError, match="jobs"):
             run_cells([cell], jobs=0)
 
-    def test_run_scenario_cache_round_trip(self, tmp_path):
-        scheme = SCHEMES["RA_RAIR"]
-        cold = run_scenario(
-            scheme, two_app_msp(0.5), effort=Effort.SMOKE, seed=3, cache=tmp_path
-        )
-        warm = run_scenario(
-            scheme, two_app_msp(0.5), effort=Effort.SMOKE, seed=3, cache=tmp_path
-        )
+    def test_cell_cache_round_trip(self, tmp_path):
+        cell = Cell.for_scenario(SCHEMES["RA_RAIR"], two_app_msp(0.5), Effort.SMOKE, 3)
+        (cold,), _ = run_cells([cell], cache=tmp_path)
+        (warm,), _ = run_cells([cell], cache=tmp_path)
         assert not cold.metrics.cache_hit
         assert warm.metrics.cache_hit
         assert warm.determinism_signature() == cold.determinism_signature()

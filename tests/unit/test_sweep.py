@@ -10,7 +10,7 @@ import pytest
 
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
-from repro.experiments.sweep import SweepResult, compare_schemes, replicate
+from repro.experiments.sweep import SweepResult, compare_schemes
 from repro.util.errors import ConfigError
 
 
@@ -35,7 +35,8 @@ class TestSweepResult:
     def test_single_sample_ci_degenerates(self):
         r = SweepResult("x", [5.0])
         assert r.confidence_interval() == (5.0, 5.0)
-        assert np.isnan(r.std_error)
+        assert np.isnan(r.std_error) and np.isnan(r.half_width())
+        assert not r.excludes_zero()  # one sample bounds nothing, however far from zero
 
     def test_level_validated(self):
         r = SweepResult("x", [1.0, 2.0])
@@ -67,21 +68,6 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
 
 
-class TestReplicate:
-    def test_needs_seeds(self):
-        with pytest.raises(ConfigError):
-            replicate(SCHEMES["RO_RR"], two_app_msp(0.5), seeds=[])
-
-    def test_samples_per_app(self):
-        result = replicate(
-            SCHEMES["RO_RR"], two_app_msp(0.5), seeds=[1, 2], effort=Effort.SMOKE
-        )
-        assert set(result) == {-1, 0, 1}
-        assert result[0].n == 2
-        # Different seeds give different APLs.
-        assert result[0].samples[0] != result[0].samples[1]
-
-
 class TestCompareSchemes:
     def test_paired_comparison(self):
         fig = compare_schemes(
@@ -92,8 +78,10 @@ class TestCompareSchemes:
             effort=Effort.SMOKE,
         )
         row = fig.row_by(scheme="RA_RAIR")
-        assert row["n"] == 2
-        assert row["ci_lo"] <= row["red_mean"] <= row["ci_hi"]
+        assert (row["n"], row["dropped"]) == (2, 0)
+        assert row["red_avg_ci"] > 0
+        assert row["significant"] == (abs(row["red_avg"]) > row["red_avg_ci"])
+        assert fig.metrics["cells"] == 4  # baseline and scheme, two seeds each
         assert "Sweep" in fig.format_table()
 
 
@@ -109,7 +97,8 @@ class TestSweepCli:
             "--obs", str(obs_dir), "--guard", "strict",
         ])
         assert code == 0
-        assert "RA_RAIR" in capsys.readouterr().out
+        row = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("RA_RAIR"))
+        assert row.split()[-1] == "False"  # one seed is never "significant"
         streams = sorted(p.name for p in obs_dir.glob("*.jsonl"))
         assert len(streams) == 2  # the RO_RR baseline and RA_RAIR, one seed
         assert streams[0].startswith("RA_RAIR_") and streams[1].startswith("RO_RR_")
