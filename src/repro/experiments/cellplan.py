@@ -30,11 +30,14 @@ submits every plan cell once per seed (the cell's own seed is replaced;
 each cell's seeds stay adjacent, in the order given), projects each row
 per seed with own and reference paired on the *same* seed, and reduces
 every float value column to its across-seed mean plus a
-``<column>_ci`` 95 % confidence half-width
-(:class:`~repro.experiments.sweep.SweepResult`); ``drained`` must hold
-on every seed. A seed whose own or reference cell failed is dropped from
-that row: ``n`` counts the surviving seeds, ``dropped`` the lost ones.
-Figure modules forward ``**engine``: ``fig14_sixapp.run(seeds=[1, 2, 3])``.
+``<column>_ci`` 95 % confidence half-width (:class:`SweepResult`);
+``drained`` must hold on every seed. A seed whose own or reference cell
+failed is dropped from that row: ``n`` counts the surviving seeds,
+``dropped`` the lost ones. The one-seed tables the means are taken over
+stay on the result (``FigureResult.seed_rows``, one table per seed), which
+is what a paper claim's margin is evaluated on
+(:mod:`repro.experiments.fidelity`). Figure modules forward ``**engine``:
+``fig14_sixapp.run(seeds=[1, 2, 3])``.
 
 Failed rows (the one rule, for every figure): a cell that fails after
 retries never aborts the sweep. Its row keeps its label columns, every
@@ -49,7 +52,9 @@ exit code 3.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from repro.experiments.cache import cache_key
 from repro.experiments.parallel import Cell, CellResult, run_cells_detailed
@@ -63,12 +68,71 @@ from repro.experiments.runner import Effort, FigureResult
 from repro.util.errors import ConfigError
 
 __all__ = [
+    "SweepResult",
     "run_figure",
     "render_row",
     "reduction_columns",
     "run_from_args",
     "figure_main",
 ]
+
+
+@dataclass
+class SweepResult:
+    """Samples of one scalar metric across replications."""
+
+    name: str
+    samples: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.samples = np.asarray(self.samples, dtype=float)
+        if self.samples.size == 0:
+            raise ConfigError(f"sweep {self.name!r} has no samples")
+
+    @property
+    def n(self) -> int:
+        return int(self.samples.size)
+
+    @property
+    def mean(self) -> float:
+        return float(self.samples.mean())
+
+    @property
+    def std_error(self) -> float:
+        if self.n < 2:
+            return float("nan")
+        return float(self.samples.std(ddof=1) / np.sqrt(self.n))
+
+    def half_width(self, level: float = 0.95) -> float:
+        """Half-width of the Student-t CI of the mean; ``nan`` for one
+        sample, which bounds nothing."""
+        if not 0 < level < 1:
+            raise ConfigError(f"confidence level must be in (0,1), got {level}")
+        if self.n < 2:
+            return float("nan")
+        # Imported here: scipy.stats costs ~0.7 s and ~60 MB, and every CLI,
+        # worker process and daemon imports this module via repro.experiments.
+        from scipy import stats as sp_stats
+
+        return float(self.std_error * sp_stats.t.ppf(0.5 + level / 2, df=self.n - 1))
+
+    def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
+        """Student-t CI of the mean (degenerate to a point for n == 1)."""
+        half = self.half_width(level)
+        return (self.mean - half, self.mean + half) if self.n > 1 else (self.mean,) * 2
+
+    def verdict(self, level: float = 0.95) -> str:
+        """Where the CI of the mean lies: ``"holds"`` wholly above zero,
+        ``"fails"`` wholly below, ``"undecided"`` when it straddles zero —
+        or for one sample, which decides nothing."""
+        if not abs(self.mean) > self.half_width(level):  # a nan half-width too
+            return "undecided"
+        return "holds" if self.mean > 0 else "fails"
+
+    def excludes_zero(self, level: float = 0.95) -> bool:
+        """Whether the CI excludes zero (a 'significant' reduction)."""
+        return self.verdict(level) != "undecided"
 
 
 def render_row(
@@ -84,19 +148,23 @@ def render_row(
     return {**dict.fromkeys(columns, label), **labels, "drained": ""}
 
 
-def _replicated_row(labels: dict, columns, project, pairs) -> dict:
-    """One table row from a row's ``(own, reference)`` results, one pair per seed."""
-    kept = [(own, ref) for own, ref in pairs if own.ok and (ref is None or ref.ok)]
+def _replicated_row(labels: dict, columns, per_seed, pairs) -> dict:
+    """One table row from a row's one-seed renderings and the ``(own,
+    reference)`` results they came from, one of each per seed."""
+    kept = [
+        row
+        for row, (own, ref) in zip(per_seed, pairs)
+        if own.ok and (ref is None or ref.ok)
+    ]
     counts = {"n": len(kept), "dropped": len(pairs) - len(kept)}
-    if not kept:
-        return {**render_row(labels, columns, project, *pairs[0]), **counts}
-    # Imported here: sweep.py builds its comparison on this module.
-    from repro.experiments.sweep import SweepResult
-
-    samples = [render_row({}, columns, project, own, ref) for own, ref in kept]
+    if not kept:  # the first seed's row; a *_ci column reads what its value column reads
+        first = per_seed[0]
+        return {**{c: first.get(c.removesuffix("_ci"), "") for c in columns}, **counts}
     row = dict(labels)
-    for column in samples[0]:
-        values = [sample[column] for sample in samples]
+    for column in kept[0]:
+        if column in labels:
+            continue
+        values = [sample[column] for sample in kept]
         if isinstance(values[0], float):
             stat = SweepResult(column, values)
             row[column], row[f"{column}_ci"] = stat.mean, stat.half_width()
@@ -124,13 +192,15 @@ def run_figure(
     ``notes`` follow the generated ``windows:`` note, which
     ``windows_suffix`` extends. With ``seeds`` each value column gains
     its ``<column>_ci`` neighbour and ``n`` / ``dropped`` close the row.
+    ``seed_rows`` holds the one-seed table of every seed (without
+    ``seeds``: the table itself).
     """
     plan = list(plan)
     notes = [
         f"windows: warmup={effort.warmup}, measure={effort.measure}{windows_suffix}",
         *notes,
     ]
-    axis = [None]
+    axis, one_seed_columns = [None], columns
     if seeds is not None:
         axis = list(seeds)
         if not axis:
@@ -164,20 +234,24 @@ def run_figure(
     ]
     results, report = run_cells_detailed(list(cells.values()), **engine)
     finished = {None: None, **dict(zip(cells, results))}
-    rows = []
+    rows, seed_rows = [], [[] for _seed in axis]
     for (labels, _own, _ref), (ref_keys, own_keys) in zip(plan, keyed):
         pairs = [(finished[o], finished[r]) for o, r in zip(own_keys, ref_keys)]
-        if seeds is None:
-            rows.append(render_row(labels, columns, project, *pairs[0]))
-        else:
-            rows.append(_replicated_row(labels, columns, project, pairs))
+        per_seed = [
+            render_row(labels, one_seed_columns, project, own, ref) for own, ref in pairs
+        ]
+        for table, row in zip(seed_rows, per_seed):
+            table.append(row)
+        if seeds is not None:
+            rows.append(_replicated_row(labels, columns, per_seed, pairs))
     return FigureResult(
         metrics=report.to_metrics(),
         figure=figure,
         title=title,
         columns=columns,
-        rows=rows,
+        rows=rows if seeds is not None else seed_rows[0],
         notes=notes,
+        seed_rows=seed_rows,
     )
 
 

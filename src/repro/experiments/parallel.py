@@ -811,8 +811,7 @@ def run_cells(
     """Strict variant: execute ``cells`` and raise on any cell failure.
 
     This is the historical interface — callers that cannot render a
-    partial result (unit tests, the single-cell path of
-    :func:`~repro.experiments.runner.run_scenario`) get the original
+    partial result (the determinism and seed-matrix tests) get the original
     exception back: the exact object when the cell ran in-process, a
     :class:`~repro.util.errors.CellExecutionError` carrying the worker's
     traceback text otherwise. Figure CLIs should prefer

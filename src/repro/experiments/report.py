@@ -51,10 +51,18 @@ def parse_effort(name: str) -> Effort:
         ) from None
 
 
+def seed_count(text: str) -> int:
+    """``--seeds N``: a positive replication count (argparse ``type=``)."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError("need at least one seed")
+    return count
+
+
 def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Install the flag block shared by every figure CLI and ``run_all``.
 
-    One definition for ``--effort/--seed/--jobs/--cache/--max-attempts/
+    One definition for ``--effort/--seed/--seeds/--jobs/--cache/--max-attempts/
     --timeout/--cycle-budget/--obs/--obs-sample-period/--topology/--guard/
     --service/--priority/--version`` — the nine figure CLIs (through
     :func:`repro.experiments.cellplan.figure_main`), ``run_all``, the sweep
@@ -70,6 +78,16 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         help="window scale: smoke, fast, medium (default), full (paper-size)",
     )
     parser.add_argument("--seed", type=int, default=42, help="master RNG seed")
+    parser.add_argument(
+        "--seeds",
+        type=seed_count,
+        default=None,
+        metavar="N",
+        help="replicate every cell over the N seeds seed, seed+1, ...: value "
+        "columns become across-seed means with 95%% CI half-widths, and "
+        "run_all gives each paper claim its verdict (default: one seed, "
+        "the plain table)",
+    )
     parser.add_argument(
         "--jobs",
         type=int,
@@ -172,13 +190,13 @@ def effort_argparser(description: str) -> argparse.ArgumentParser:
 def common_from_args(args: argparse.Namespace) -> dict:
     """The shared run() keyword arguments the :func:`add_common_args` flags describe.
 
-    ``topology`` plus the engine's own keywords (``jobs``, ``cache``,
-    ``policy``, ``obs``, ``guard``, ``service``), assembled in this one
-    place so no CLI can drift. ``obs``/``guard``/``service`` are ``None``
-    unless asked for (the overhead-free defaults), and their packages are
-    imported only then. Guard blackboxes land next to the obs streams
-    when ``--obs`` was given, otherwise they stay in memory on the raised
-    error.
+    ``topology``, the ``seeds`` axis (``None`` without ``--seeds``) and the
+    engine's own keywords (``jobs``, ``cache``, ``policy``, ``obs``,
+    ``guard``, ``service``), assembled in this one place so no CLI can
+    drift. ``obs``/``guard``/``service`` are ``None`` unless asked for (the
+    overhead-free defaults), and their packages are imported only then.
+    Guard blackboxes land next to the obs streams when ``--obs`` was given,
+    otherwise they stay in memory on the raised error.
     """
     obs = guard = service = None
     if args.obs is not None:
@@ -205,6 +223,7 @@ def common_from_args(args: argparse.Namespace) -> dict:
         "guard": guard,
         "topology": args.topology,
         "service": service,
+        "seeds": args.seeds and [args.seed + i for i in range(args.seeds)],
     }
 
 

@@ -4,12 +4,21 @@ CLI::
 
     python -m repro.experiments.run_all [--effort medium] [--out results/]
                                         [--jobs N] [--cache DIR] [--obs DIR]
+                                        [--seeds N]
 
 Runs E-T1, E-F9/F10/F12/F14/F15/F17 and the three ablations in sequence,
-printing each table and writing ``<out>/<experiment>.txt``, plus a
-``summary.txt`` with each experiment's row count and wall time and the
-run's cache hit/miss and failure totals. This is the one-command
-regeneration path behind EXPERIMENTS.md.
+printing each table (with its run-dependent ``metrics:`` line) and writing
+it without that line to ``<out>/<experiment>.txt``, plus a ``summary.txt``
+with each experiment's row count and wall time and the run's cache
+hit/miss and failure totals. This is the one-command regeneration path
+behind EXPERIMENTS.md; ``--effort fast --out results`` leaves a clean
+tree clean.
+
+``--seeds N`` replicates every figure and makes this the one evaluator of
+the paper's claims (:mod:`repro.experiments.fidelity`): verdicts print
+under each table and land in ``<out>/verdicts.json`` by claim id and
+window. Other windows' records already there are kept and no clock goes
+in, so a warm re-run rewrites the same bytes.
 
 ``--jobs N`` fans each experiment's independent (scheme, scenario, seed)
 cells over N worker processes; ``--cache DIR`` reuses cells already
@@ -22,9 +31,12 @@ uncached path either way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import pathlib
 import time
 
+from repro._version import git_revision
 from repro.experiments import (
     ablation_hysteresis,
     ablation_routing,
@@ -37,6 +49,7 @@ from repro.experiments import (
     fig17_parsec,
     table1,
 )
+from repro.experiments.fidelity import CLAIMS, by_figure, evaluate, shown
 from repro.experiments.report import (
     EXIT_CELL_FAILURE,
     add_common_args,
@@ -61,6 +74,9 @@ EXPERIMENTS = {
     "ablation_routing": ablation_routing,
 }
 
+#: experiment name -> the paper claims its table decides
+CLAIMS_OF = by_figure(CLAIMS, EXPERIMENTS)
+
 
 def main(argv=None) -> int:
     parser = add_common_args(argparse.ArgumentParser(description=__doc__))
@@ -79,6 +95,13 @@ def main(argv=None) -> int:
     unknown = set(names) - set(EXPERIMENTS)
     if unknown:
         raise SystemExit(f"unknown experiments: {sorted(unknown)}")
+
+    verdicts_path = out / "verdicts.json"
+    verdicts = {}
+    if args.seeds and verdicts_path.exists():
+        verdicts = json.loads(verdicts_path.read_text(encoding="utf-8"))
+    window = f"{effort.warmup}/{effort.measure}"
+    run_stamp = {"seeds": common["seeds"], "rev": git_revision()}
 
     summary = []
     hits = misses = failures = errors = 0
@@ -106,9 +129,16 @@ def main(argv=None) -> int:
         misses += result.metrics.get("cache_misses", 0)
         exp_failures = result.metrics.get("failures", 0)
         failures += exp_failures
-        text = result.format_table()
-        print(f"\n{text}\n[{name}: {elapsed:.1f}s]")
-        write_text_atomic(out / f"{name}.txt", text + "\n")
+        print(f"\n{result.format_table()}")
+        claims = CLAIMS_OF.get(name, ()) if args.seeds else ()
+        for claim in claims:
+            record = evaluate(claim, result.seed_rows)
+            print(f"claim {claim.id}: {shown(record)}  [paper: {claim.paper}]")
+            verdicts.setdefault(claim.id, {})[window] = {**record, **run_stamp}
+        print(f"[{name}: {elapsed:.1f}s]")
+        # Without the counters: the file is a function of the arguments alone.
+        table = dataclasses.replace(result, metrics={}).format_table()
+        write_text_atomic(out / f"{name}.txt", table + "\n")
         line = f"{name}: {len(result.rows)} rows, {elapsed:.1f}s"
         if exp_failures:
             line += f", {exp_failures} FAILED cell(s)"
@@ -120,6 +150,9 @@ def main(argv=None) -> int:
     if failures or errors:
         header += f" failures={failures} errors={errors}"
     write_text_atomic(out / "summary.txt", header + "\n" + "\n".join(summary) + "\n")
+    if args.seeds:
+        text = json.dumps(verdicts, indent=1, sort_keys=True, ensure_ascii=False)
+        write_text_atomic(verdicts_path, text + "\n")
     print(f"\nwrote {len(names)} experiment reports to {out}/")
     if failures or errors:
         print(

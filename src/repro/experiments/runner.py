@@ -34,9 +34,8 @@ class Effort(enum.Enum):
 
     ``FULL`` is the paper's protocol (10K warmup + 100K measure); ``FAST``
     and ``MEDIUM`` scale it down for CI/benchmark runs. Not every
-    comparison keeps its ordering across efforts: EXPERIMENTS.md records
-    which effort produced each reported number and, under "Window
-    stability", which orderings flip between windows.
+    comparison keeps its ordering across efforts: EXPERIMENTS.md's verdict
+    table has one column per window and shows which orderings flip.
     """
 
     SMOKE = (200, 800)
@@ -242,9 +241,11 @@ class FigureResult:
     #: execution counters (wall time, cells, cache hits/misses, sim
     #: cycles/sec) attached by the cell engine
     metrics: dict = field(default_factory=dict)
+    #: the one-seed tables behind ``rows``, one list of rows per seed run
+    seed_rows: list[list[dict]] = field(default_factory=list)
 
     def format_table(self) -> str:
-        """Fixed-width text table (what the benchmark harness prints)."""
+        """Fixed-width text table (what every figure CLI and ``run_all`` print)."""
         widths = {c: len(c) for c in self.columns}
         rendered: list[list[str]] = []
         for row in self.rows:

@@ -1,8 +1,8 @@
 """End-to-end behavioural tests of the arbitration policies.
 
 These tests verify the *direction* of each mechanism's effect on real
-simulations (small meshes, short windows) — the quantitative shape checks
-against the paper live in the benchmark harness.
+simulations (small meshes, short windows) — the paper's own claims are
+judged over replicated seeds by ``repro.experiments.fidelity``.
 """
 
 

@@ -1,6 +1,8 @@
 """CLI tests: run_all with a cheap subset, figure CLIs' argument handling,
 and the graceful-degradation contract (partial table + exit code 3)."""
 
+import json
+
 import pytest
 
 from repro.experiments import run_all, table1
@@ -24,6 +26,36 @@ class TestRunAllCli:
     def test_unknown_effort_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run_all.main(["--effort", "ludicrous", "--out", str(tmp_path)])
+
+    def test_zero_seeds_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_all.main(["--seeds", "0", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2  # argparse's, not a ConfigError traceback
+        assert "at least one seed" in capsys.readouterr().err
+
+    def test_seeds_give_verdicts_and_a_warm_rerun_writes_the_same_bytes(
+        self, tmp_path, capsys
+    ):
+        outputs = []
+        for out in ("cold", "warm"):
+            code = run_all.main([
+                "--only", "fig14_sixapp", "--effort", "smoke", "--seeds", "2",
+                "--cache", str(tmp_path / "cache"), "--out", str(tmp_path / out),
+            ])
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        verdict_lines = [x for x in outputs[0].splitlines() if x.startswith("claim fig14 ")]
+        assert len(verdict_lines) == len(run_all.CLAIMS_OF["fig14_sixapp"])
+        assert all(" (n=2)  [paper: " in line for line in verdict_lines)
+        assert verdict_lines == [
+            x for x in outputs[1].splitlines() if x.startswith("claim fig14 ")
+        ]
+        assert "cache_misses=0" in (tmp_path / "warm" / "summary.txt").read_text()
+        for name in ("fig14_sixapp.txt", "verdicts.json"):  # no clock in either
+            cold, warm = ((tmp_path / out / name).read_bytes() for out in ("cold", "warm"))
+            assert cold == warm and b"metrics:" not in cold
+        assert set(json.loads(cold)) == {c.id for c in run_all.CLAIMS_OF["fig14_sixapp"]}
+        assert b'"200/800"' in cold and b"wall_time" not in cold
 
 
 class TestFigureCli:

@@ -118,6 +118,10 @@ def test_seed_axis_submission_order_pairing_and_reduction(monkeypatch):
     assert (row["scheme"], row["drained"], row["n"], row["dropped"]) == ("RA_RAIR", True, 3, 0)
     assert (row["gap"], row["gap_ci"]) == (0.0, 0.0)
     assert row["seed"] == 3.0 and row["seed_ci"] == pytest.approx(6.572, abs=1e-3)
+    assert [table[1] for table in result.seed_rows] == [  # the one-seed tables, kept
+        {"scheme": "RA_RAIR", "seed": float(seed), "gap": 0.0, "drained": True}
+        for seed in (1, 6, 2)
+    ]
     with pytest.raises(ConfigError, match="seed"):
         _seeded_figure([])
 
@@ -128,6 +132,7 @@ def test_without_seeds_the_table_is_the_one_seed_one(monkeypatch):
     assert engine.submitted == [("RO_RR", 42), ("RO_Rank", 42), ("RA_RAIR", 42)]
     assert result.columns == ["scheme", "seed", "gap", "drained"] and len(result.notes) == 1
     assert result.rows[0] == {"scheme": "RO_Rank", "seed": 42.0, "gap": 0.0, "drained": True}
+    assert result.seed_rows == [result.rows]
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,8 @@ class TestSweepResult:
         r = SweepResult("x", [5.0])
         assert r.confidence_interval() == (5.0, 5.0)
         assert np.isnan(r.std_error) and np.isnan(r.half_width())
-        assert not r.excludes_zero()  # one sample bounds nothing, however far from zero
+        # one sample bounds nothing, however far from zero
+        assert not r.excludes_zero() and r.verdict() == "undecided"
 
     def test_level_validated(self):
         r = SweepResult("x", [1.0, 2.0])
@@ -44,8 +45,15 @@ class TestSweepResult:
             r.confidence_interval(1.5)
 
     def test_excludes_zero(self):
-        assert SweepResult("x", [5.0, 5.1, 4.9]).excludes_zero()
-        assert not SweepResult("x", [-1.0, 1.0, -0.5, 0.5]).excludes_zero()
+        """The one sign rule: where the interval lies relative to zero."""
+        for samples, verdict in [
+            ([5.0, 5.1, 4.9], "holds"),
+            ([-5.0, -5.1, -4.9], "fails"),
+            ([-1.0, 1.0, -0.5, 0.5], "undecided"),
+        ]:
+            stat = SweepResult("x", samples)
+            assert stat.verdict() == verdict
+            assert stat.excludes_zero() == (verdict != "undecided")
 
 
 class TestColdStart:
