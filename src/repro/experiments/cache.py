@@ -1,4 +1,19 @@
-"""Content-addressed on-disk cache for experiment cells.
+"""Content-addressed on-disk cache for experiment cells, and the JSON codec.
+
+This module owns the package's two JSON rules:
+
+* :func:`canonicalize` — the lossy, order-insensitive *identity* of a
+  value, hashed into cache keys;
+* :func:`encode_value` / :func:`decode_value` — the invertible *payload*
+  form of the same type universe, used for everything that crosses a
+  process, disk or socket boundary (cache entries, and the sweep
+  service's job specs, journal events and result streams). Decoding only
+  instantiates types from the ``repro`` package (:func:`is_repro_module`,
+  checked before any import) and raises
+  :class:`~repro.util.errors.ProtocolError` for every malformed shape.
+
+They stay two functions on purpose: one codec serving both callers would
+have to branch on which caller it serves.
 
 Every experiment cell — one ``(scheme, scenario, effort, seed)``
 simulation — is deterministic, so its :class:`~repro.experiments.runner.
@@ -14,11 +29,12 @@ effort window, and the seed). Canonicalization makes the key
 * distinct for any changed config field (every dataclass field is keyed
   by name and included).
 
-Entries are JSON files named by their key, written atomically
-(temp file + ``os.replace``) so concurrent workers computing the same
-cell race benignly. Each entry embeds a checksum of its payload; a
-corrupted or truncated entry fails verification and reads as a miss, so
-the cell is recomputed rather than a bad result returned.
+Entries are JSON files named by their key, holding the codec payload of
+the run, written atomically (temp file + ``os.replace``) so concurrent
+workers computing the same cell race benignly. Each entry embeds a
+checksum of its payload; a corrupted, truncated or stale-version entry
+fails verification and reads as a miss, so the cell is recomputed rather
+than a bad result returned.
 """
 
 from __future__ import annotations
@@ -26,28 +42,35 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import importlib
 import json
 import os
 import pathlib
 import tempfile
 
 from repro.experiments.runner import ScenarioRun
-from repro.noc.stats import RunMetrics
+from repro.util.errors import ProtocolError
 from repro.util.jsonl import append_record, read_records
 
 __all__ = [
     "CACHE_VERSION",
     "canonicalize",
     "cache_key",
-    "run_to_payload",
-    "run_from_payload",
+    "is_repro_module",
+    "encode_value",
+    "decode_value",
+    "decode_as",
     "ResultCache",
     "SweepJournal",
 ]
 
 #: Bump to invalidate every existing cache entry (key derivation or
 #: payload schema change).
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+
+#: marker key for non-plain JSON values in codec payloads; no repro
+#: dataclass has a field with this name, so plain dicts never collide
+_TAG = "__repro__"
 
 
 def canonicalize(obj):
@@ -91,74 +114,163 @@ def cache_key(cell) -> str:
     return _digest(["cell", CACHE_VERSION, canonicalize(cell)])
 
 
-# -- ScenarioRun <-> JSON payload ------------------------------------------------
-# The sweep service's wire protocol and job store reuse this payload format
-# verbatim, so a streamed result and a cached result are the same bytes
-# modulo the HTTP envelope.
+# -- the payload codec -----------------------------------------------------------
+# One invertible JSON form for every repro object that crosses a process,
+# disk or socket boundary: cache entries here, and the sweep service's job
+# specs, journal events and result streams (repro.service.protocol).
 
 
-def run_to_payload(run: ScenarioRun) -> dict:
-    return {
-        "scheme": run.scheme,
-        "scenario": run.scenario,
-        "window": list(run.window),
-        "drained": run.drained,
-        "undrained_packets": run.undrained_packets,
-        "apl": run.apl,
-        "per_app_apl": {str(k): v for k, v in run.per_app_apl.items()},
-        "end_cycle": run.end_cycle,
-        "packets_measured": run.packets_measured,
-        "abort": run.abort,
-        "metrics": run.metrics.to_dict() if run.metrics is not None else None,
-        # Optional key (absent when the run had no collector); read back
-        # with .get so payloads written before the obs subsystem — and
-        # obs-free payloads — restore unchanged without a version bump.
-        "obs": run.obs.to_dict() if run.obs is not None else None,
-    }
+def is_repro_module(name: str) -> bool:
+    """The one rule for code a payload may name: the ``repro`` package.
+
+    Checked on the string before anything is imported, by the decoder for
+    types and by :class:`~repro.experiments.scenarios.ScenarioSpec` for
+    builders.
+    """
+    return name == "repro" or name.startswith("repro.")
 
 
-def run_from_payload(payload: dict) -> ScenarioRun:
-    metrics = payload["metrics"]
-    obs = payload.get("obs")
-    if obs is not None:
-        from repro.obs.collector import ObsSummary
+def _type_ref(obj) -> str:
+    cls = type(obj)
+    return f"{cls.__module__}:{cls.__qualname__}"
 
-        obs = ObsSummary.from_dict(obs)
-    return ScenarioRun(
-        scheme=payload["scheme"],
-        scenario=payload["scenario"],
-        window=tuple(payload["window"]),
-        drained=payload["drained"],
-        undrained_packets=payload["undrained_packets"],
-        apl=payload["apl"],
-        per_app_apl={int(k): v for k, v in payload["per_app_apl"].items()},
-        end_cycle=payload["end_cycle"],
-        packets_measured=payload["packets_measured"],
-        abort=payload["abort"],
-        metrics=RunMetrics.from_dict(metrics) if metrics is not None else None,
-        obs=obs,
-    )
+
+def encode_value(obj):
+    """Encode ``obj`` to a JSON-serializable structure, invertibly.
+
+    Raises :class:`ProtocolError` for types outside the payload universe
+    (the same things :func:`canonicalize` rejects, so anything that has a
+    cache key also has a payload form).
+    """
+    # Enum before scalar: IntEnum/StrEnum members pass the isinstance
+    # scalar check but must round-trip as their type, not their value.
+    if isinstance(obj, enum.Enum):
+        rec = {_TAG: "enum", "type": _type_ref(obj)}
+        # Flag combinations may have no member name; their int value is
+        # canonical. Plain members round-trip by name.
+        name = getattr(obj, "name", None)
+        if name is not None and name in type(obj).__members__:
+            rec["name"] = name
+        else:
+            rec["value"] = encode_value(obj.value)
+        return rec
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {
+            _TAG: "dataclass",
+            "type": _type_ref(obj),
+            "fields": {
+                f.name: encode_value(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)
+            },
+        }
+    if isinstance(obj, tuple):
+        return {_TAG: "tuple", "items": [encode_value(x) for x in obj]}
+    if isinstance(obj, list):
+        return [encode_value(x) for x in obj]
+    if isinstance(obj, dict):
+        if all(isinstance(k, str) for k in obj) and _TAG not in obj:
+            return {k: encode_value(v) for k, v in obj.items()}
+        return {
+            _TAG: "dict",
+            "items": [[encode_value(k), encode_value(v)] for k, v in obj.items()],
+        }
+    raise ProtocolError(f"cannot encode {type(obj).__name__!r} as a payload: {obj!r}")
+
+
+def _resolve_type(ref: str):
+    module_name, _, qualname = ref.partition(":")
+    if not is_repro_module(module_name):
+        raise ProtocolError(f"payload names non-repro type {ref!r}")
+    try:
+        target = importlib.import_module(module_name)
+    except ImportError as exc:
+        raise ProtocolError(f"cannot resolve payload type {ref!r}: {exc}") from exc
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    # An attribute path can leave the package (a module a repro module
+    # imports): the type itself must be defined in repro too.
+    if not is_repro_module(getattr(target, "__module__", None) or ""):
+        raise ProtocolError(f"payload type {ref!r} is not defined in repro")
+    return target
+
+
+def decode_value(obj):
+    """Invert :func:`encode_value`.
+
+    Every malformed shape raises :class:`ProtocolError` and nothing else,
+    so a caller reading untrusted JSON catches exactly that. Compatibility
+    is one rule: a dataclass field the class no longer has is dropped, and
+    one the payload lacks takes its default.
+    """
+    try:
+        return _decode(obj)
+    except ProtocolError:
+        raise
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError(
+            f"malformed payload ({type(exc).__name__}: {exc})"
+        ) from exc
+
+
+def _decode(obj):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, list):
+        return [_decode(x) for x in obj]
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"undecodable payload value: {obj!r}")
+    tag = obj.get(_TAG)
+    if tag is None:
+        return {k: _decode(v) for k, v in obj.items()}
+    if tag == "tuple":
+        return tuple(_decode(x) for x in obj["items"])
+    if tag == "dict":
+        return {_decode(k): _decode(v) for k, v in obj["items"]}
+    if tag == "enum":
+        cls = _resolve_type(obj["type"])
+        if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
+            raise ProtocolError(f"{obj['type']!r} is not an enum")
+        if "name" in obj:
+            return cls[obj["name"]]
+        return cls(_decode(obj["value"]))
+    if tag == "dataclass":
+        cls = _resolve_type(obj["type"])
+        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+            raise ProtocolError(f"{obj['type']!r} is not a dataclass")
+        known = {f.name for f in dataclasses.fields(cls)}
+        return cls(**{k: _decode(v) for k, v in obj["fields"].items() if k in known})
+    raise ProtocolError(f"unknown payload tag {tag!r}")
+
+
+def decode_as(obj, cls: type):
+    """:func:`decode_value`, then require an instance of ``cls``."""
+    value = decode_value(obj)
+    if not isinstance(value, cls):
+        raise ProtocolError(
+            f"payload decoded to {type(value).__name__}, expected {cls.__name__}"
+        )
+    return value
 
 
 class ResultCache:
     """On-disk store of finished cells, one JSON file per key.
 
-    Instances are cheap to construct (workers open their own); ``hits`` /
-    ``misses`` count this instance's lookups only — cross-process totals
-    are aggregated by :func:`repro.experiments.parallel.run_cells`.
+    Instances are cheap to construct (workers open their own); hit and
+    miss totals are counted by the engine, in
+    :class:`~repro.experiments.parallel.ExecutionReport`.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = pathlib.Path(root)
-        self.hits = 0
-        self.misses = 0
 
     def path_for(self, key: str) -> pathlib.Path:
         """Entry path; two-level fan-out keeps directories small."""
         return self.root / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> ScenarioRun | None:
-        """Verified lookup: any parse/schema/checksum failure is a miss.
+        """Verified lookup: any parse/version/checksum failure is a miss.
 
         A detected-corrupt entry is deleted (best effort) so the caller's
         recomputation can overwrite it cleanly.
@@ -171,23 +283,19 @@ class ResultCache:
             payload = entry["payload"]
             if _digest(canonicalize(payload)) != entry["sha256"]:
                 raise ValueError("cache entry failed checksum")
-            run = run_from_payload(payload)
+            return decode_as(payload, ScenarioRun)
         except FileNotFoundError:
-            self.misses += 1
             return None
         except Exception:
             try:
                 path.unlink()
             except OSError:
                 pass
-            self.misses += 1
             return None
-        self.hits += 1
-        return run
 
     def put(self, key: str, run: ScenarioRun) -> None:
         """Atomically persist ``run`` under ``key``."""
-        payload = run_to_payload(run)
+        payload = encode_value(run)
         entry = {
             "version": CACHE_VERSION,
             "key": key,
@@ -249,9 +357,9 @@ class SweepJournal:
                     done.add(key)
         return done
 
-    def record(self, key: str, status: str = "ok") -> None:
+    def record(self, key: str) -> None:
         """Append one completion record and flush it to disk."""
-        append_record(self.path, {"key": key, "status": status})
+        append_record(self.path, {"key": key, "status": "ok"})
 
 
 # -- maintenance CLI (python -m repro.experiments.cache) -------------------------

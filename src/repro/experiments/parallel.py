@@ -548,7 +548,7 @@ class _Sweep:
         if self.journal is None or key is None:
             return
         try:
-            self.journal.record(key, "ok")
+            self.journal.record(key)
         except OSError:
             self.report.cache_errors += 1
 

@@ -22,10 +22,12 @@ All rates are percentages of the calibrated saturation loads
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.regions import RegionMap
+from repro.experiments.cache import is_repro_module
 from repro.experiments.saturation_table import saturation_load
 from repro.noc.config import NocConfig
 from repro.noc.topology import make_topology
@@ -33,6 +35,7 @@ from repro.traffic.adversarial import AdversarialTrafficSource
 from repro.traffic.parsec import PARSEC_PROFILES, ParsecWorkload
 from repro.traffic.patterns import UniformPattern, make_pattern
 from repro.traffic.regional import RegionalAppTraffic
+from repro.util.errors import ConfigError
 from repro.util.rng import spawn_rngs
 
 __all__ = [
@@ -64,30 +67,32 @@ class ScenarioSpec:
     builder: str
     kwargs: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # A spec arrives from the wire as readily as from code, so the
+        # builder is checked on construction, before anything is imported.
+        module, dotted, _ = self.builder.partition(":")
+        if self.builder not in SCENARIO_BUILDERS and not (
+            dotted and is_repro_module(module)
+        ):
+            raise ConfigError(
+                f"unknown scenario builder {self.builder!r}; known: "
+                f"{sorted(SCENARIO_BUILDERS)} or a dotted 'repro.module:function'"
+            )
+
     def build(self) -> "Scenario":
         """Reconstruct the scenario via the builder registry.
 
         ``builder`` is either a key of :data:`SCENARIO_BUILDERS` or a
-        dotted reference ``"package.module:function"``. Dotted references
-        are imported on demand, so builders living outside this module
-        (e.g. the fault-injection scenarios of
+        dotted reference ``"repro.module:function"`` inside the ``repro``
+        package. Dotted references are imported on demand, so builders
+        living outside this module (e.g. the fault-injection scenarios of
         :mod:`repro.experiments.chaos`) resolve in worker processes under
         any multiprocessing start method, without a registration step.
         """
-        if ":" in self.builder:
-            import importlib
-
-            mod_name, _, fn_name = self.builder.partition(":")
-            fn = getattr(importlib.import_module(mod_name), fn_name)
-            return fn(**self.kwargs)
-        try:
-            fn = SCENARIO_BUILDERS[self.builder]
-        except KeyError:
-            raise KeyError(
-                f"unknown scenario builder {self.builder!r}; known: "
-                f"{sorted(SCENARIO_BUILDERS)} or a dotted 'module:function'"
-            ) from None
-        return fn(**self.kwargs)
+        if self.builder in SCENARIO_BUILDERS:
+            return SCENARIO_BUILDERS[self.builder](**self.kwargs)
+        mod_name, _, fn_name = self.builder.partition(":")
+        return getattr(importlib.import_module(mod_name), fn_name)(**self.kwargs)
 
 
 @dataclass

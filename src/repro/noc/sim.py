@@ -126,10 +126,6 @@ class Simulator:
         #: ``run_measurement(cycle_budget=...)``.
         self.deadline_cycle: int | None = None
 
-    def reset_metrics(self) -> None:
-        """Zero the run-metrics counters (cycle/wall-time/phase timings)."""
-        self.metrics.reset()
-
     def add_traffic(self, source) -> None:
         """Register a traffic source (object with ``tick(cycle, network)``)."""
         self.traffic_sources.append(source)

@@ -13,6 +13,7 @@ and reductions relative to a baseline scheme.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,9 @@ class RunMetrics:
     (``warmup`` / ``measure`` / ``drain``). ``cache_hit`` is set by the
     experiment cache layer when the run was restored from disk instead of
     simulated (its timings then describe the *original* computation).
+    Cache entries and the service wire carry it through the generic codec
+    (:func:`repro.experiments.cache.encode_value`), so a new counter is one
+    field line here and nothing else.
     """
 
     wall_time_s: float = 0.0
@@ -79,79 +83,14 @@ class RunMetrics:
         self.cycles += cycles
         self.wall_time_s += seconds
 
-    def reset(self) -> None:
-        """Zero every counter (e.g. before reusing a simulator)."""
-        self.wall_time_s = 0.0
-        self.cycles = 0
-        self.phase_cycles.clear()
-        self.phase_seconds.clear()
-        self.cache_hit = False
-        self.attempts = 1
-        self.obs_samples = 0
-        self.obs_events = 0
-        self.ff_jumps = 0
-        self.ff_cycles_skipped = 0
-        self.pool_hits = 0
-        self.pool_allocs = 0
-
     def snapshot(self) -> "RunMetrics":
-        """Independent copy of the current counters.
+        """Independent (deep) copy of the current counters.
 
         :meth:`~repro.noc.sim.Simulator.run_measurement` hands each result
         a snapshot so later runs on the same simulator cannot mutate
         results already returned.
         """
-        return RunMetrics(
-            wall_time_s=self.wall_time_s,
-            cycles=self.cycles,
-            phase_cycles=dict(self.phase_cycles),
-            phase_seconds=dict(self.phase_seconds),
-            cache_hit=self.cache_hit,
-            attempts=self.attempts,
-            obs_samples=self.obs_samples,
-            obs_events=self.obs_events,
-            ff_jumps=self.ff_jumps,
-            ff_cycles_skipped=self.ff_cycles_skipped,
-            pool_hits=self.pool_hits,
-            pool_allocs=self.pool_allocs,
-        )
-
-    # -- serialization (result cache / FigureResult output) ------------------
-    def to_dict(self) -> dict:
-        return {
-            "wall_time_s": self.wall_time_s,
-            "cycles": self.cycles,
-            "cycles_per_sec": self.cycles_per_sec,
-            "phase_cycles": dict(self.phase_cycles),
-            "phase_seconds": dict(self.phase_seconds),
-            "cache_hit": self.cache_hit,
-            "attempts": self.attempts,
-            "obs_samples": self.obs_samples,
-            "obs_events": self.obs_events,
-            "ff_jumps": self.ff_jumps,
-            "ff_cycles_skipped": self.ff_cycles_skipped,
-            "pool_hits": self.pool_hits,
-            "pool_allocs": self.pool_allocs,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunMetrics":
-        # .get defaults keep payloads cached before these counters existed
-        # loadable (the result cache stores metrics dicts on disk).
-        return cls(
-            wall_time_s=float(d["wall_time_s"]),
-            cycles=int(d["cycles"]),
-            phase_cycles={str(k): int(v) for k, v in d["phase_cycles"].items()},
-            phase_seconds={str(k): float(v) for k, v in d["phase_seconds"].items()},
-            cache_hit=bool(d.get("cache_hit", False)),
-            attempts=int(d.get("attempts", 1)),
-            obs_samples=int(d.get("obs_samples", 0)),
-            obs_events=int(d.get("obs_events", 0)),
-            ff_jumps=int(d.get("ff_jumps", 0)),
-            ff_cycles_skipped=int(d.get("ff_cycles_skipped", 0)),
-            pool_hits=int(d.get("pool_hits", 0)),
-            pool_allocs=int(d.get("pool_allocs", 0)),
-        )
+        return copy.deepcopy(self)
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,9 @@ class ObsSummary:
     the same cell — serial, in a worker, or restored from the result
     cache — compare equal. ``jsonl_path`` is excluded from comparisons:
     it reflects where *this* invocation wrote the stream, not what the
-    simulation did.
+    simulation did. It is stored and sent through the generic codec
+    (:func:`repro.experiments.cache.encode_value`), which keeps int- and
+    tuple-keyed dicts as they are, so a new field is one line here.
     """
 
     end_cycle: int
@@ -98,35 +100,6 @@ class ObsSummary:
     link_util: dict
     schema: int = SCHEMA_VERSION
     jsonl_path: str | None = field(default=None, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "end_cycle": self.end_cycle,
-            "sample_period": self.sample_period,
-            "samples": self.samples,
-            "events": self.events,
-            "dpa_flips": self.dpa_flips,
-            "dpa_flips_by_node": {str(k): v for k, v in self.dpa_flips_by_node.items()},
-            "latency": {cls: dict(stats) for cls, stats in self.latency.items()},
-            "link_util": dict(self.link_util),
-            "jsonl_path": self.jsonl_path,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ObsSummary":
-        return cls(
-            schema=int(d.get("schema", SCHEMA_VERSION)),
-            end_cycle=int(d["end_cycle"]),
-            sample_period=int(d["sample_period"]),
-            samples=int(d["samples"]),
-            events=int(d["events"]),
-            dpa_flips=int(d["dpa_flips"]),
-            dpa_flips_by_node={int(k): int(v) for k, v in d["dpa_flips_by_node"].items()},
-            latency={str(c): dict(s) for c, s in d["latency"].items()},
-            link_util=dict(d["link_util"]),
-            jsonl_path=d.get("jsonl_path"),
-        )
 
 
 def _latency_stats(samples: list[int]) -> dict:

@@ -14,8 +14,8 @@ package turns the same execution engine into a long-lived local service:
   :class:`~repro.experiments.cache.SweepJournal`), crash-recoverable on
   daemon restart,
 * :mod:`repro.service.protocol` — the schema-versioned JSON wire format
-  (invertible codec for cells, fault policies, obs/guard configs, and
-  results — the result payload *is* the cache payload format),
+  (job and stream records whose every repro object is the payload form
+  of the cache's codec, :func:`repro.experiments.cache.encode_value`),
 * :mod:`repro.service.client` — the thin blocking client every figure CLI
   routes through via ``--service URL``, plus
   ``python -m repro.service.submit`` for ops (health, list, watch,

@@ -29,12 +29,13 @@ import os
 import time
 import urllib.parse
 
+from repro.experiments.parallel import CellResult, ExecutionReport
 from repro.service.protocol import (
     TERMINAL_STATES,
     JobSpec,
     ProtocolError,
-    cell_result_from_wire,
-    report_from_wire,
+    decode_as,
+    encode_value,
 )
 from repro.util.errors import ReproError
 
@@ -175,7 +176,7 @@ class ServiceClient:
 
     def submit(self, spec: JobSpec, retries: int = 10, max_sleep_s: float = 10.0):
         """Submit a job; honors 429 + Retry-After. Returns the 201 body."""
-        wire = spec.to_wire()
+        wire = encode_value(spec)
         attempt = 0
         while True:
             status, headers, payload = self._request("POST", "/v1/jobs", body=wire)
@@ -311,8 +312,8 @@ def run_cells_via_service(
         kind = rec.get("kind")
         if kind == "cell":
             try:
-                result = cell_result_from_wire(rec)
-            except (ProtocolError, KeyError, TypeError) as exc:
+                result = decode_as(rec.get("result"), CellResult)
+            except ProtocolError as exc:
                 raise ServiceError(
                     f"bad cell record from job {job_id}: {exc}"
                 ) from exc
@@ -337,8 +338,9 @@ def run_cells_via_service(
         raise ServiceError(
             f"job {job_id} completed but cells {missing} have no result record"
         )
-    if end.get("report") is None:
-        raise ServiceError(f"job {job_id} job_end carries no execution report")
-    report = report_from_wire(end["report"])
+    try:
+        report = decode_as(end.get("report"), ExecutionReport)
+    except ProtocolError as exc:
+        raise ServiceError(f"job {job_id} job_end has no report: {exc}") from exc
     results = [by_index[i] for i in range(len(cells))]
     return results, report

@@ -5,7 +5,7 @@ processes and serves a localhost HTTP+JSONL API::
 
     GET  /v1/health                 liveness + queue depths + version
     GET  /v1/version                version/git-rev/protocol stamp
-    POST /v1/jobs                   submit a job (JobSpec wire form)
+    POST /v1/jobs                   submit a job (encoded JobSpec)
                                     -> 201 {id, state, position}
                                     -> 429 + Retry-After on backpressure
     GET  /v1/jobs                   job listing (spec-free status records)
@@ -54,7 +54,8 @@ from repro.service.protocol import (
     JobSpec,
     ProtocolError,
     cell_result_to_wire,
-    report_to_wire,
+    decode_as,
+    encode_value,
     stamp,
 )
 from repro.service.scheduler import PriorityScheduler, QueueFull
@@ -235,7 +236,7 @@ class SweepDaemon:
             "id": job.id,
             "state": job.state,
             "error": job.error,
-            "report": report_to_wire(report) if report is not None else None,
+            "report": encode_value(report),
             "job": job.status_wire(),
         }
         self.store.append_result(job.id, end)
@@ -388,9 +389,8 @@ class SweepDaemon:
 
     async def _submit(self, body: bytes, writer) -> None:
         try:
-            payload = json.loads(body.decode("utf-8"))
-            spec = JobSpec.from_wire(payload)
-        except (ValueError, ProtocolError) as exc:
+            spec = decode_as(json.loads(body.decode("utf-8")), JobSpec)
+        except (UnicodeDecodeError, json.JSONDecodeError, ProtocolError) as exc:
             raise _HttpError(400, f"bad job spec: {exc}") from None
         job = JobRecord.new(f"j{self._next_number:06d}", spec)
         try:

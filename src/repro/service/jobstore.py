@@ -18,8 +18,12 @@ stream before scheduling the remainder).
 
 The journal records two event kinds::
 
-    {"event": "submit", "v": 1, "job": {...full record incl. spec...}}
-    {"event": "state",  "v": 1, "id": ..., "state": ..., ...extras}
+    {"event": "submit", "v": 2, "id": ..., "job": <encoded JobRecord>}
+    {"event": "state",  "v": 2, "id": ..., "state": ..., ...extras}
+
+The submit event's ``job`` is the codec payload of the whole record, spec
+included (:func:`repro.experiments.cache.encode_value`); ``id`` sits at
+top level in both kinds, so numbering reads it without decoding.
 
 Replay folds state events over submit events; jobs whose folded state is
 non-terminal (``queued``/``running``) are the daemon's recovery set.
@@ -33,7 +37,13 @@ from __future__ import annotations
 import os
 import pathlib
 
-from repro.service.protocol import PROTOCOL_VERSION, JobRecord, ProtocolError
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    JobRecord,
+    ProtocolError,
+    decode_as,
+    encode_value,
+)
 from repro.util.jsonl import append_record, read_records
 
 __all__ = ["JobStore"]
@@ -54,7 +64,12 @@ class JobStore:
     def append_submit(self, record: JobRecord) -> None:
         append_record(
             self.journal_path,
-            {"event": "submit", "v": PROTOCOL_VERSION, "job": record.submit_wire()},
+            {
+                "event": "submit",
+                "v": PROTOCOL_VERSION,
+                "id": record.id,
+                "job": encode_value(record),
+            },
         )
 
     def append_state(self, job_id: str, state: str, **extra) -> None:
@@ -66,8 +81,9 @@ class JobStore:
         """Replay the journal into the last-known record per job, by id.
 
         Submit events for records that no longer decode (e.g. a cell
-        type from a removed module) are dropped with their job id noted
-        in :attr:`undecodable` rather than failing the whole recovery.
+        type from a removed module, or any malformed payload) are dropped
+        with their job id noted in :attr:`undecodable` rather than failing
+        the whole recovery.
         """
         jobs: dict[str, JobRecord] = {}
         self.undecodable: list[str] = []
@@ -76,15 +92,11 @@ class JobStore:
                 continue
             event = rec.get("event")
             if event == "submit":
-                payload = rec.get("job")
-                if not isinstance(payload, dict):
-                    continue
                 try:
-                    job = JobRecord.from_submit_wire(payload)
-                except (ProtocolError, KeyError, TypeError, ValueError):
-                    job_id = payload.get("id")
-                    if isinstance(job_id, str):
-                        self.undecodable.append(job_id)
+                    job = decode_as(rec.get("job"), JobRecord)
+                except ProtocolError:
+                    if isinstance(rec.get("id"), str):
+                        self.undecodable.append(rec["id"])
                     continue
                 jobs[job.id] = job
             elif event == "state":
@@ -104,12 +116,14 @@ class JobStore:
         return jobs
 
     def next_job_number(self) -> int:
-        """1 + the highest job number ever journaled (ids are ``j<N>``)."""
+        """1 + the highest job number ever journaled (ids are ``j<N>``).
+
+        Every event's top-level ``id`` counts, decodable or not, so a new
+        job never reuses the id (and result stream) of an old one.
+        """
         highest = 0
         for rec in read_records(self.journal_path):
-            if not isinstance(rec, dict) or rec.get("event") != "submit":
-                continue
-            job_id = (rec.get("job") or {}).get("id", "")
+            job_id = rec.get("id") if isinstance(rec, dict) else None
             if isinstance(job_id, str) and job_id.startswith("j"):
                 try:
                     highest = max(highest, int(job_id[1:]))

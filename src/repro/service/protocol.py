@@ -1,31 +1,27 @@
-"""Wire protocol for the sweep service: codec, job records, priorities.
+"""Wire protocol for the sweep service: job records, stream records, priorities.
 
 Everything the daemon and client exchange — and everything the job store
 persists — is JSON, framed as one object per line (JSONL) on streaming
-endpoints. Two codecs cover the payloads:
+endpoints, and every repro object in it is the payload form of the one
+codec, :func:`repro.experiments.cache.encode_value` /
+:func:`~repro.experiments.cache.decode_value` (re-exported here). A cell
+round-trips to an equal object with the same
+:func:`~repro.experiments.cache.cache_key`, which is what makes
+service-side and direct execution share one cache, and a streamed run is
+the same JSON as a cached one. Decoding names nothing outside the
+``repro`` package: the codec resolves only ``repro.*`` types and
+:class:`~repro.experiments.scenarios.ScenarioSpec` accepts only registered
+or ``repro.*`` builders, both checked before any import.
 
-* **Value codec** (:func:`encode_value` / :func:`decode_value`) — an
-  *invertible* encoding of the object graph a
-  :class:`~repro.experiments.parallel.Cell` can contain: scalars, lists,
-  tuples, dicts, enums, and dataclasses from the ``repro`` package. It
-  is the same type universe :func:`repro.experiments.cache.canonicalize`
-  accepts (anything cacheable is transmittable), but unlike
-  ``canonicalize`` it round-trips: ``decode_value(encode_value(cell))``
-  compares equal to ``cell`` and hashes to the same
-  :func:`~repro.experiments.cache.cache_key`, which is what makes
-  service-side and direct execution share one cache. Decoding only
-  instantiates enums/dataclasses imported from ``repro.*`` modules —
-  the wire format cannot name arbitrary types.
-* **Result codec** (:func:`cell_result_to_wire` / ``from_wire``) — one
-  :class:`~repro.experiments.parallel.CellResult` per line, with the
-  successful run embedded in the *cache payload format*
-  (:func:`repro.experiments.cache.run_to_payload`), so a streamed result
-  and a cached result are literally the same JSON object.
-
-Record kinds on a result stream: ``cell`` records (one per finished
-cell, tagged with a job-local ``seq``) and a single terminal ``job_end``
-carrying the final job state and the
-:class:`~repro.experiments.parallel.ExecutionReport`.
+* ``POST /v1/jobs`` carries an encoded :class:`JobSpec`; the journal's
+  submit event is an encoded :class:`JobRecord` with ``id`` kept at top
+  level. Both classes validate in ``__post_init__``, so a decoded object
+  is checked exactly as a constructed one is.
+* A result stream holds ``cell`` records (:func:`cell_result_to_wire`:
+  ``kind``/``seq``/``index`` plus the encoded
+  :class:`~repro.experiments.parallel.CellResult`) and a single terminal
+  ``job_end`` carrying the final job state and the encoded
+  :class:`~repro.experiments.parallel.ExecutionReport`.
 
 Versioning: every job record and stream header carries
 :data:`PROTOCOL_VERSION`; the policy mirrors :mod:`repro.obs.schema` —
@@ -36,21 +32,13 @@ it, and readers reject versions they do not understand.
 from __future__ import annotations
 
 import dataclasses
-import enum
-import importlib
 import time
 from dataclasses import dataclass, field
 
 from repro._version import __version__, git_revision
-from repro.experiments.cache import cache_key, run_from_payload, run_to_payload
-from repro.experiments.parallel import (
-    Cell,
-    CellFailure,
-    CellResult,
-    ExecutionReport,
-    FaultPolicy,
-)
-from repro.util.errors import ReproError
+from repro.experiments.cache import cache_key, decode_as, decode_value, encode_value
+from repro.experiments.parallel import Cell, CellResult, FaultPolicy
+from repro.util.errors import ProtocolError
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -60,19 +48,17 @@ __all__ = [
     "ProtocolError",
     "encode_value",
     "decode_value",
+    "decode_as",
     "encode_cells",
     "decode_cells",
     "cell_result_to_wire",
-    "cell_result_from_wire",
-    "report_to_wire",
-    "report_from_wire",
     "JobSpec",
     "JobRecord",
     "stamp",
 ]
 
 #: wire/schema version for job records and result streams
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: priority classes in scheduling order (index = class rank, 0 first)
 PRIORITIES = ("high", "normal", "low")
@@ -83,129 +69,13 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: states a job never leaves
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
-#: marker key for non-plain JSON values; no repro dataclass has a field
-#: with this name, so plain dicts never collide with codec envelopes
-_TAG = "__repro__"
-
-
-class ProtocolError(ReproError, ValueError):
-    """A wire payload is malformed, unsupported, or names a bad type."""
-
 
 def stamp() -> dict:
     """Build-provenance fields stamped into job records and headers."""
     return {"repro_version": __version__, "git_rev": git_revision() or ""}
 
 
-# -- value codec -----------------------------------------------------------------
-
-
-def _type_ref(obj) -> str:
-    cls = type(obj)
-    return f"{cls.__module__}:{cls.__qualname__}"
-
-
-def encode_value(obj):
-    """Encode ``obj`` to a JSON-serializable structure, invertibly.
-
-    Raises :class:`ProtocolError` for types outside the cell-payload
-    universe (the same things :func:`~repro.experiments.cache.canonicalize`
-    rejects, so anything that has a cache key also has a wire form).
-    """
-    # Enum before scalar: IntEnum/StrEnum members pass the isinstance
-    # scalar check but must round-trip as their type, not their value.
-    if isinstance(obj, enum.Enum):
-        rec = {_TAG: "enum", "type": _type_ref(obj)}
-        # Flag combinations may have no member name; their int value is
-        # canonical. Plain members round-trip by name.
-        name = getattr(obj, "name", None)
-        if name is not None and name in type(obj).__members__:
-            rec["name"] = name
-        else:
-            rec["value"] = encode_value(obj.value)
-        return rec
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            _TAG: "dataclass",
-            "type": _type_ref(obj),
-            "fields": {
-                f.name: encode_value(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)
-            },
-        }
-    if isinstance(obj, tuple):
-        return {_TAG: "tuple", "items": [encode_value(x) for x in obj]}
-    if isinstance(obj, list):
-        return [encode_value(x) for x in obj]
-    if isinstance(obj, dict):
-        if all(isinstance(k, str) for k in obj) and _TAG not in obj:
-            return {k: encode_value(v) for k, v in obj.items()}
-        return {
-            _TAG: "dict",
-            "items": [[encode_value(k), encode_value(v)] for k, v in obj.items()],
-        }
-    raise ProtocolError(
-        f"cannot encode {type(obj).__name__!r} for the service wire: {obj!r}"
-    )
-
-
-def _resolve_type(ref: str):
-    module_name, _, qualname = ref.partition(":")
-    if not module_name.startswith("repro"):
-        raise ProtocolError(f"wire payload names non-repro type {ref!r}")
-    try:
-        target = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            target = getattr(target, part)
-    except (ImportError, AttributeError) as exc:
-        raise ProtocolError(f"cannot resolve wire type {ref!r}: {exc}") from exc
-    return target
-
-
-def decode_value(obj):
-    """Invert :func:`encode_value`; raises :class:`ProtocolError` on junk."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, list):
-        return [decode_value(x) for x in obj]
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"undecodable wire value: {obj!r}")
-    tag = obj.get(_TAG)
-    if tag is None:
-        return {k: decode_value(v) for k, v in obj.items()}
-    if tag == "tuple":
-        return tuple(decode_value(x) for x in obj["items"])
-    if tag == "dict":
-        return {decode_value(k): decode_value(v) for k, v in obj["items"]}
-    if tag == "enum":
-        cls = _resolve_type(obj["type"])
-        if not (isinstance(cls, type) and issubclass(cls, enum.Enum)):
-            raise ProtocolError(f"{obj['type']!r} is not an enum")
-        if "name" in obj:
-            try:
-                return cls[obj["name"]]
-            except KeyError as exc:
-                raise ProtocolError(
-                    f"unknown {cls.__name__} member {obj['name']!r}"
-                ) from exc
-        try:
-            return cls(decode_value(obj["value"]))
-        except ValueError as exc:
-            raise ProtocolError(f"bad {cls.__name__} value: {exc}") from exc
-    if tag == "dataclass":
-        cls = _resolve_type(obj["type"])
-        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
-            raise ProtocolError(f"{obj['type']!r} is not a dataclass")
-        fields = {k: decode_value(v) for k, v in obj["fields"].items()}
-        try:
-            return cls(**fields)
-        except TypeError as exc:
-            raise ProtocolError(
-                f"cannot rebuild {cls.__name__} from wire fields: {exc}"
-            ) from exc
-    raise ProtocolError(f"unknown wire tag {tag!r}")
+# -- cells and stream records ------------------------------------------------------
 
 
 def encode_cells(cells) -> list:
@@ -215,73 +85,25 @@ def encode_cells(cells) -> list:
 
 def decode_cells(payload) -> list[Cell]:
     """Decode a submitted cell list, type-checking each element."""
-    cells = []
-    for i, entry in enumerate(payload):
-        cell = decode_value(entry)
-        if not isinstance(cell, Cell):
-            raise ProtocolError(
-                f"cells[{i}] decoded to {type(cell).__name__}, expected Cell"
-            )
-        cells.append(cell)
-    return cells
-
-
-# -- result codec ----------------------------------------------------------------
+    if not isinstance(payload, list):
+        raise ProtocolError("cells must be a list")
+    return [decode_as(entry, Cell) for entry in payload]
 
 
 def cell_result_to_wire(res: CellResult, seq: int) -> dict:
-    """One ``cell`` stream record. ``seq`` is the job-local completion index."""
-    rec = {
-        "kind": "cell",
-        "seq": seq,
-        "index": res.index,
-        "attempts": res.attempts,
-        "cache_hit": res.cache_hit,
-        "resumed": res.resumed,
-        "cell": encode_value(res.cell),
-        "run": run_to_payload(res.run) if res.run is not None else None,
-        "failure": None,
-    }
+    """One ``cell`` stream record. ``seq`` is the job-local completion index.
+
+    ``kind``/``seq``/``index`` stay at top level so the store and the
+    stream dedup read them without decoding; ``result`` is the encoded
+    :class:`~repro.experiments.parallel.CellResult`. The in-process
+    exception object, which cannot cross the wire, is dropped — same rule
+    as worker processes.
+    """
     if res.failure is not None:
-        f = res.failure
-        rec["failure"] = {
-            "error_type": f.error_type,
-            "message": f.message,
-            "traceback": f.traceback,
-            "attempts": f.attempts,
-            "wall_time_s": f.wall_time_s,
-            "retryable": f.retryable,
-        }
-    return rec
-
-
-def cell_result_from_wire(rec: dict) -> CellResult:
-    """Invert :func:`cell_result_to_wire` (the in-process exception object,
-    which cannot cross the wire, is dropped — same rule as worker
-    processes)."""
-    cell = decode_value(rec["cell"])
-    failure = None
-    if rec.get("failure") is not None:
-        failure = CellFailure(**rec["failure"])
-    run = run_from_payload(rec["run"]) if rec.get("run") is not None else None
-    return CellResult(
-        cell=cell,
-        index=rec["index"],
-        run=run,
-        failure=failure,
-        attempts=rec.get("attempts", 1),
-        cache_hit=rec.get("cache_hit", False),
-        resumed=rec.get("resumed", False),
-    )
-
-
-def report_to_wire(report: ExecutionReport) -> dict:
-    return dataclasses.asdict(report)
-
-
-def report_from_wire(payload: dict) -> ExecutionReport:
-    known = {f.name for f in dataclasses.fields(ExecutionReport)}
-    return ExecutionReport(**{k: v for k, v in payload.items() if k in known})
+        res = dataclasses.replace(
+            res, failure=dataclasses.replace(res.failure, exception=None)
+        )
+    return {"kind": "cell", "seq": seq, "index": res.index, "result": encode_value(res)}
 
 
 # -- job records -----------------------------------------------------------------
@@ -316,39 +138,8 @@ class JobSpec:
             raise ProtocolError(f"jobs must be >= 1, got {self.jobs}")
         if not self.cells:
             raise ProtocolError("a job needs at least one cell")
-
-    def to_wire(self) -> dict:
-        return {
-            "cells": encode_cells(self.cells),
-            "priority": self.priority,
-            "jobs": self.jobs,
-            "cache": self.cache,
-            "use_journal": self.use_journal,
-            "policy": encode_value(self.policy),
-            "obs": encode_value(self.obs),
-            "guard": encode_value(self.guard),
-        }
-
-    @classmethod
-    def from_wire(cls, payload: dict) -> "JobSpec":
-        if not isinstance(payload, dict):
-            raise ProtocolError("job spec must be an object")
-        try:
-            cells_payload = payload["cells"]
-        except KeyError:
-            raise ProtocolError("job spec missing 'cells'") from None
-        if not isinstance(cells_payload, list):
-            raise ProtocolError("'cells' must be a list")
-        return cls(
-            cells=decode_cells(cells_payload),
-            priority=payload.get("priority", "normal"),
-            jobs=int(payload.get("jobs", 1)),
-            cache=payload.get("cache"),
-            use_journal=bool(payload.get("use_journal", True)),
-            policy=decode_value(payload.get("policy")),
-            obs=decode_value(payload.get("obs")),
-            guard=decode_value(payload.get("guard")),
-        )
+        if not all(isinstance(c, Cell) for c in self.cells):
+            raise ProtocolError("every entry of a job's cells must be a Cell")
 
     def cell_keys(self) -> list[str]:
         """Content keys of the cells (for logging and dedup diagnostics)."""
@@ -372,6 +163,12 @@ class JobRecord:
     completed: int = 0
     error: str | None = None
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.spec, JobSpec):
+            raise ProtocolError("a job record needs a JobSpec")
+        if self.state not in JOB_STATES:
+            raise ProtocolError(f"unknown job state {self.state!r}")
 
     @classmethod
     def new(cls, job_id: str, spec: JobSpec) -> "JobRecord":
@@ -402,28 +199,3 @@ class JobRecord:
             "error": self.error,
             "meta": dict(self.meta),
         }
-
-    def submit_wire(self) -> dict:
-        """The full journal form (includes the spec; crash recovery input)."""
-        rec = self.status_wire()
-        rec["spec"] = self.spec.to_wire()
-        return rec
-
-    @classmethod
-    def from_submit_wire(cls, payload: dict) -> "JobRecord":
-        rec = cls(
-            id=str(payload["id"]),
-            spec=JobSpec.from_wire(payload["spec"]),
-            state=payload.get("state", "queued"),
-            priority=payload.get("priority", "normal"),
-            submitted_at=float(payload.get("submitted_at", 0.0)),
-            started_at=payload.get("started_at"),
-            finished_at=payload.get("finished_at"),
-            start_seq=payload.get("start_seq"),
-            completed=int(payload.get("completed", 0)),
-            error=payload.get("error"),
-            meta=dict(payload.get("meta", {})),
-        )
-        if rec.state not in JOB_STATES:
-            raise ProtocolError(f"unknown job state {rec.state!r}")
-        return rec

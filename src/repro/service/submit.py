@@ -30,10 +30,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from repro._version import version_blurb
+from repro.experiments.parallel import CellResult, ExecutionReport
 from repro.experiments.report import add_common_args
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.protocol import ProtocolError, decode_as
 
 __all__ = ["main"]
 
@@ -50,8 +53,9 @@ def _watch(client: ServiceClient, job_id: str) -> int:
     for rec in client.stream_results(job_id):
         kind = rec.get("kind")
         if kind == "cell":
-            label = "ok" if rec.get("run") is not None else "FAILED"
-            extra = " (cache hit)" if rec.get("cache_hit") else ""
+            res = decode_as(rec.get("result"), CellResult)
+            label = "ok" if res.ok else "FAILED"
+            extra = " (cache hit)" if res.cache_hit else ""
             print(f"cell {rec.get('index')}: {label}{extra}", flush=True)
         elif kind == "job_end":
             state = rec.get("state", "unknown")
@@ -59,7 +63,8 @@ def _watch(client: ServiceClient, job_id: str) -> int:
             if rec.get("error"):
                 print(f"  error: {rec['error']}", flush=True)
             if rec.get("report"):
-                print(f"  report: {json.dumps(rec['report'], sort_keys=True)}")
+                report = decode_as(rec["report"], ExecutionReport)
+                print(f"  report: {json.dumps(asdict(report), sort_keys=True)}")
     return 0 if state == "done" else 1
 
 
@@ -141,7 +146,7 @@ def main(argv=None) -> int:
         elif args.command == "resume":
             _dump(client.resume())
         return 0
-    except ServiceError as exc:
+    except (ServiceError, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

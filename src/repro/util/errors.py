@@ -14,6 +14,11 @@ class ConfigError(ReproError, ValueError):
     """An invalid or inconsistent configuration value was supplied."""
 
 
+class ProtocolError(ReproError, ValueError):
+    """A payload read from disk or the wire is malformed, unsupported, or
+    names a type outside the ``repro`` package."""
+
+
 class SimulationError(ReproError, RuntimeError):
     """The simulator reached an internal inconsistency.
 

@@ -37,7 +37,7 @@ from repro.experiments.scenarios import two_app_msp
 from repro.obs.collector import ObsConfig
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobstore import JobStore
-from repro.service.protocol import JobSpec
+from repro.service.protocol import JobSpec, encode_value
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -194,7 +194,7 @@ class TestSchedulingAndBackpressure:
             first = daemon.client.submit(JobSpec(cells=[ok_cell(0)]))
             assert first["state"] == "queued"
             status, headers, payload = daemon.client._request(
-                "POST", "/v1/jobs", body=JobSpec(cells=[ok_cell(1)]).to_wire()
+                "POST", "/v1/jobs", body=encode_value(JobSpec(cells=[ok_cell(1)]))
             )
             assert status == 429
             assert float(headers.get("Retry-After", 0)) > 0
@@ -227,11 +227,10 @@ class TestSchedulingAndBackpressure:
             with pytest.raises(ServiceError) as exc:
                 daemon.client.job("j999999")
             assert exc.value.status == 404
-            status, _, payload = daemon.client._request(
-                "POST", "/v1/jobs", body={"cells": ["garbage"]}
-            )
-            assert status == 400
-            assert "bad job spec" in payload["error"]
+            for body in ({"cells": ["garbage"]}, {"cells": [{"__repro__": "tuple"}]}):
+                status, _, payload = daemon.client._request("POST", "/v1/jobs", body=body)
+                assert status == 400
+                assert "bad job spec" in payload["error"]
 
 
 @pytest.mark.chaos
@@ -277,7 +276,7 @@ class TestCrashRecovery:
             assert sorted(indices) == [0, 1]
             assert len(indices) == len(set(indices))
             assert records[-1]["kind"] == "job_end"
-            assert records[-1]["report"]["resumed"] >= 1
+            assert records[-1]["report"]["fields"]["resumed"] >= 1
 
     def test_queued_jobs_survive_restart(self, tmp_path):
         store = tmp_path / "store"

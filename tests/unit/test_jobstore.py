@@ -72,12 +72,12 @@ class TestJournalReplay:
         store.append_submit(make_job("j000001"))
         import json
 
+        # fields not an object: an AttributeError, which once stopped recovery
+        job = {"__repro__": "dataclass", "type": "repro.service.protocol:JobRecord", "fields": [1]}
         with open(store.journal_path, "a", encoding="utf-8") as fh:
             fh.write(
                 "\n"
-                + json.dumps(
-                    {"event": "submit", "v": 1, "job": {"id": "j000002", "spec": {}}}
-                )
+                + json.dumps({"event": "submit", "v": 2, "id": "j000002", "job": job})
                 + "\n"
             )
         fresh = JobStore(tmp_path / "store")

@@ -47,16 +47,6 @@ class TestRunMetricsCounters:
         assert set(m.phase_seconds) == {"warmup", "measure", "drain"}
         assert all(s >= 0.0 for s in m.phase_seconds.values())
 
-    def test_zeroed_on_reset(self):
-        sim, _ = _small_run()
-        sim.reset_metrics()
-        m = sim.metrics
-        assert m.cycles == 0
-        assert m.wall_time_s == 0.0
-        assert m.cycles_per_sec == 0.0
-        assert m.phase_cycles == {} and m.phase_seconds == {}
-        assert not m.cache_hit
-
     def test_accumulates_across_runs_until_reset(self):
         sim, res1 = _small_run(warmup=50, measure=100)
         before = sim.metrics.phase_cycles["warmup"]
@@ -71,13 +61,6 @@ class TestRunMetricsCounters:
         assert res1.metrics.cycles == frozen_cycles
         assert res1.metrics.phase_cycles["warmup"] == frozen_warmup
         assert res2.metrics.cycles > res1.metrics.cycles
-
-    def test_dict_round_trip(self):
-        _, res = _small_run()
-        d = res.metrics.to_dict()
-        back = RunMetrics.from_dict(d)
-        assert back == res.metrics
-        assert d["cycles_per_sec"] == res.metrics.cycles_per_sec
 
 
 class TestCyclesPerSecEdgeCases:
@@ -110,21 +93,9 @@ class TestCyclesPerSecEdgeCases:
         m = RunMetrics(cycles=500, wall_time_s=2.0)
         assert m.cycles_per_sec == 250.0
 
-    def test_round_trip_preserves_zero_rate_payload(self):
-        m = RunMetrics(cycles=10, wall_time_s=0.0)
-        d = m.to_dict()
-        assert d["cycles_per_sec"] == 0.0
-        assert RunMetrics.from_dict(d) == m
-
 
 class TestObsCounters:
     """obs_samples / obs_events ride along with the other counters."""
-
-    def test_default_zero_and_reset(self):
-        m = RunMetrics(cycles=5, obs_samples=3, obs_events=11)
-        assert m.obs_samples == 3 and m.obs_events == 11
-        m.reset()
-        assert m.obs_samples == 0 and m.obs_events == 0
 
     def test_snapshot_copies_obs_counters(self):
         m = RunMetrics(obs_samples=7, obs_events=42)
@@ -132,16 +103,6 @@ class TestObsCounters:
         m.obs_samples = 0
         m.obs_events = 0
         assert snap.obs_samples == 7 and snap.obs_events == 42
-
-    def test_dict_round_trip_with_and_without_keys(self):
-        m = RunMetrics(obs_samples=2, obs_events=9)
-        d = m.to_dict()
-        assert d["obs_samples"] == 2 and d["obs_events"] == 9
-        assert RunMetrics.from_dict(d) == m
-        # Payloads written before the obs subsystem existed lack the keys.
-        legacy = {k: v for k, v in d.items() if not k.startswith("obs_")}
-        back = RunMetrics.from_dict(legacy)
-        assert back.obs_samples == 0 and back.obs_events == 0
 
     def test_populated_by_an_obs_enabled_run(self):
         from repro.obs import MetricsCollector, ObsConfig
