@@ -32,6 +32,7 @@ E-A3   :mod:`repro.experiments.ablation_routing`     RAIR across routing algorit
 """
 
 from repro.experiments.cache import ResultCache, SweepJournal, cache_key
+from repro.experiments.cellplan import SweepResult
 from repro.experiments.parallel import (
     Cell,
     CellFailure,
@@ -51,7 +52,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.saturation_table import saturation_load
 from repro.experiments.scenarios import ScenarioSpec
-from repro.experiments.sweep import SweepResult, compare_schemes
 
 __all__ = [
     "Effort",
@@ -63,7 +63,6 @@ __all__ = [
     "run_scenario",
     "saturation_load",
     "SweepResult",
-    "compare_schemes",
     "Cell",
     "CellFailure",
     "CellResult",

@@ -13,6 +13,11 @@ declares only what differs between figures and hands it to
   row without a reference cell);
 * title, columns and notes.
 
+:func:`figure_main` is the CLI of every figure: the flag block of
+:func:`~repro.experiments.report.add_common_args` runs it locally,
+replicated (``--seeds N``) or through a sweep-service daemon
+(``--service URL``), with one rendering.
+
 This module is the only caller of :func:`run_cells_detailed` above the
 engine. Each distinct cell — distinct by :func:`cache_key`, the identity
 the cache, the journal and the obs file names use — is submitted once, a
@@ -52,15 +57,16 @@ exit code 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import argparse
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.experiments.cache import cache_key
 from repro.experiments.parallel import Cell, CellResult, run_cells_detailed
 from repro.experiments.report import (
+    add_common_args,
     common_from_args,
-    effort_argparser,
     finish,
     parse_effort,
 )
@@ -72,7 +78,6 @@ __all__ = [
     "run_figure",
     "render_row",
     "reduction_columns",
-    "run_from_args",
     "figure_main",
 ]
 
@@ -83,7 +88,6 @@ class SweepResult:
 
     name: str
     samples: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
@@ -117,11 +121,6 @@ class SweepResult:
 
         return float(self.std_error * sp_stats.t.ppf(0.5 + level / 2, df=self.n - 1))
 
-    def confidence_interval(self, level: float = 0.95) -> tuple[float, float]:
-        """Student-t CI of the mean (degenerate to a point for n == 1)."""
-        half = self.half_width(level)
-        return (self.mean - half, self.mean + half) if self.n > 1 else (self.mean,) * 2
-
     def verdict(self, level: float = 0.95) -> str:
         """Where the CI of the mean lies: ``"holds"`` wholly above zero,
         ``"fails"`` wholly below, ``"undecided"`` when it straddles zero —
@@ -129,10 +128,6 @@ class SweepResult:
         if not abs(self.mean) > self.half_width(level):  # a nan half-width too
             return "undecided"
         return "holds" if self.mean > 0 else "fails"
-
-    def excludes_zero(self, level: float = 0.95) -> bool:
-        """Whether the CI excludes zero (a 'significant' reduction)."""
-        return self.verdict(level) != "undecided"
 
 
 def render_row(
@@ -270,17 +265,11 @@ def reduction_columns(run, ref) -> dict:
     return {**reds, "red_avg": avg, "drained": run.drained}
 
 
-def run_from_args(run, args) -> int:
-    """Run a figure as the parsed common flags describe; print; exit code."""
-    return finish(
-        run(
-            effort=parse_effort(args.effort),
-            seed=args.seed,
-            **common_from_args(args),
-        )
-    )
-
-
 def figure_main(run, description: str, argv=None) -> int:
-    """The CLI behind every ``python -m repro.experiments.<figure>``."""
-    return run_from_args(run, effort_argparser(description).parse_args(argv))
+    """The CLI behind every ``python -m repro.experiments.<figure>``: run the
+    figure as the common flags describe, print it, return the exit code."""
+    parser = add_common_args(argparse.ArgumentParser(description=description))
+    args = parser.parse_args(argv)
+    return finish(
+        run(effort=parse_effort(args.effort), seed=args.seed, **common_from_args(args))
+    )

@@ -54,10 +54,9 @@ so ``jobs=N`` is bit-identical to ``jobs=1`` for every
 simulation-determined field, including under injected faults (asserted
 by ``tests/integration/test_parallel.py`` and ``test_chaos.py``).
 
-:func:`run_cells` keeps the historical strict interface: it raises on
-the first cell failure (the exact exception object on the serial path, a
-:class:`~repro.util.errors.CellExecutionError` carrying the worker's
-traceback otherwise).
+:func:`run_cells` is the strict interface: it raises a
+:class:`~repro.util.errors.CellExecutionError` carrying the failure's
+traceback text on the first failed cell, whichever process ran it.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import hashlib
 import multiprocessing
 import time
 import traceback as _tb
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import wait
 
 from repro.experiments.cache import ResultCache, SweepJournal, cache_key
@@ -146,9 +145,8 @@ class FaultPolicy:
     ``cycle_budget`` and ``wall_timeout_s`` are *execution* policy: they
     bound how long a cell may run but are not part of its identity, so
     they never enter cache keys (a deadline-aborted run is likewise never
-    cached — see :func:`_execute`). ``retry_timeouts`` defaults to False
-    because a wall-clock timeout on a deterministic simulation almost
-    always recurs.
+    cached — see :func:`_execute`). A wall-clock timeout is never retried:
+    on a deterministic simulation it almost always recurs.
     """
 
     max_attempts: int = 3
@@ -156,7 +154,6 @@ class FaultPolicy:
     backoff_max_s: float = 2.0
     wall_timeout_s: float | None = None
     cycle_budget: int | None = None
-    retry_timeouts: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -171,10 +168,8 @@ class FaultPolicy:
 class CellFailure:
     """Structured record of a cell that exhausted its attempts.
 
-    ``traceback`` is text (the exception was usually raised in another
-    process); ``exception`` carries the original object only when the
-    failure happened in-process (serial path), so :func:`run_cells` can
-    re-raise it exactly.
+    The same record on every path: ``traceback`` is text, because the
+    exception may have been raised in another process.
     """
 
     error_type: str
@@ -183,7 +178,6 @@ class CellFailure:
     attempts: int
     wall_time_s: float
     retryable: bool
-    exception: BaseException | None = field(default=None, compare=False, repr=False)
 
     def summary(self) -> str:
         """One-line ``Type: first line of message`` form for table cells."""
@@ -390,7 +384,7 @@ class ExecutionReport:
     the subset of hits restored via the sweep journal of an earlier,
     interrupted invocation. ``retries`` counts re-executions beyond each
     cell's first attempt; ``timeouts`` counts wall-clock expiries (also
-    recorded as failures unless ``retry_timeouts`` salvaged them).
+    recorded as failures).
     """
 
     cells: int
@@ -504,7 +498,6 @@ class _Sweep:
         traceback_text: str,
         retryable: bool,
         wall_time_s: float,
-        exception: BaseException | None = None,
     ):
         self._store(
             CellResult(
@@ -517,7 +510,6 @@ class _Sweep:
                     attempts=entry.attempts,
                     wall_time_s=wall_time_s,
                     retryable=retryable,
-                    exception=exception,
                 ),
                 attempts=entry.attempts,
             )
@@ -526,7 +518,7 @@ class _Sweep:
 
     def retry_delay(
         self, entry: _Pending, now: float, error_type: str, message: str,
-        traceback_text: str, retryable: bool, exception: BaseException | None = None,
+        traceback_text: str, retryable: bool
     ) -> float | None:
         """Charge the failed attempt and take the one retry decision.
 
@@ -539,8 +531,7 @@ class _Sweep:
             self.report.retries += 1
             return backoff_delay(self.policy, entry.cell.seed, entry.attempts)
         self.record_failure(
-            entry, error_type, message, traceback_text, retryable,
-            now - entry.started_at, exception=exception,
+            entry, error_type, message, traceback_text, retryable, now - entry.started_at
         )
         return None
 
@@ -563,9 +554,7 @@ def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
                     entry.cell, cache_dir, policy.cycle_budget, sweep.obs, sweep.guard
                 )
             except Exception as exc:
-                delay = sweep.retry_delay(
-                    entry, time.monotonic(), *_error_record(exc), exception=exc
-                )
+                delay = sweep.retry_delay(entry, time.monotonic(), *_error_record(exc))
                 if delay is None:
                     break
                 time.sleep(delay)
@@ -670,7 +659,7 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
                         "err", "CellTimeout",
                         f"wall-clock timeout after {policy.wall_timeout_s}s "
                         f"running {entry.cell.describe()}",
-                        "", bool(policy.retry_timeouts),
+                        "", False,
                     )
                 if outcome[0] == "ok":
                     sweep.record_ok(entry, *outcome[1:])
@@ -810,12 +799,11 @@ def run_cells(
 ) -> tuple[list[ScenarioRun], ExecutionReport]:
     """Strict variant: execute ``cells`` and raise on any cell failure.
 
-    This is the historical interface — callers that cannot render a
-    partial result (the determinism and seed-matrix tests) get the original
-    exception back: the exact object when the cell ran in-process, a
-    :class:`~repro.util.errors.CellExecutionError` carrying the worker's
-    traceback text otherwise. Figure CLIs should prefer
-    :func:`run_cells_detailed` and degrade gracefully.
+    For callers that cannot render a partial result (the determinism and
+    seed-matrix tests): the first failed cell raises a
+    :class:`~repro.util.errors.CellExecutionError` carrying its
+    traceback text, on the serial path as in a worker. Figure CLIs should
+    prefer :func:`run_cells_detailed` and degrade gracefully.
     """
     cells = list(cells)
     results, report = run_cells_detailed(
@@ -824,8 +812,6 @@ def run_cells(
     for res in results:
         if res.failure is not None:
             f = res.failure
-            if f.exception is not None:
-                raise f.exception
             raise CellExecutionError(
                 f"cell {res.index} ({res.cell.describe()}) failed after "
                 f"{f.attempts} attempt(s): {f.summary()}\n{f.traceback}"

@@ -23,7 +23,6 @@ __all__ = [
     "pct",
     "add_common_args",
     "common_from_args",
-    "effort_argparser",
     "parse_effort",
     "config_for_topology",
     "finish",
@@ -65,10 +64,10 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     One definition for ``--effort/--seed/--seeds/--jobs/--cache/--max-attempts/
     --timeout/--cycle-budget/--obs/--obs-sample-period/--topology/--guard/
     --service/--priority/--version`` — the nine figure CLIs (through
-    :func:`repro.experiments.cellplan.figure_main`), ``run_all``, the sweep
-    tool and ``repro.service.submit run`` all hang off this helper, so a
-    new execution-policy flag lands everywhere by being added here once.
-    Consume the parsed namespace with :func:`common_from_args`.
+    :func:`repro.experiments.cellplan.figure_main`) and ``run_all`` are
+    the only parsers, so a new execution-policy flag lands on both by
+    being added here once. Consume the parsed namespace with
+    :func:`common_from_args`.
     """
     from repro._version import version_blurb
 
@@ -180,11 +179,6 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         help="print repro version and git revision, then exit",
     )
     return parser
-
-
-def effort_argparser(description: str) -> argparse.ArgumentParser:
-    """Argument parser shared by every figure CLI."""
-    return add_common_args(argparse.ArgumentParser(description=description))
 
 
 def common_from_args(args: argparse.Namespace) -> dict:

@@ -174,14 +174,8 @@ def run_scenario(
     ``guard`` is an optional :class:`repro.noc.guard.GuardConfig` —
     execution policy as well, since a guarded run is bit-identical to an
     unguarded one — that installs a :class:`~repro.noc.guard.RuntimeGuard`
-    on the run; when ``None``, the ``REPRO_GUARD`` environment (see
-    :meth:`~repro.noc.guard.GuardConfig.from_env`) decides, so workers
-    and CI lanes can arm whole sweeps externally.
+    on the run.
     """
-    if guard is None:
-        from repro.noc.guard import GuardConfig
-
-        guard = GuardConfig.from_env()
     cfg = config or scenario.config
     kwargs = dict(scheme.policy_kwargs)
     if policy_overrides:

@@ -146,28 +146,6 @@ class GuardConfig:
         """This config with ``name`` defaulted if unset (blackbox file stem)."""
         return replace(self, name=self.name or default)
 
-    @classmethod
-    def from_env(cls) -> "GuardConfig | None":
-        """The guard the ``REPRO_GUARD`` environment selects, or ``None``.
-
-        ``REPRO_GUARD`` is the mode (unset/empty/``off`` disable the
-        guard); ``REPRO_GUARD_DIR`` the blackbox directory;
-        ``REPRO_GUARD_AGE`` / ``REPRO_GUARD_STALL`` the optional age
-        watermark and watchdog override. This is how worker processes and
-        CI lanes opt whole sweeps in without threading a config through.
-        """
-        mode = os.environ.get("REPRO_GUARD", "").strip().lower()
-        if mode in ("", "off"):
-            return None
-        age = os.environ.get("REPRO_GUARD_AGE")
-        stall = os.environ.get("REPRO_GUARD_STALL")
-        return cls(
-            mode=mode,
-            dir=os.environ.get("REPRO_GUARD_DIR") or None,
-            age_watermark=int(age) if age else None,
-            stall_cycles=int(stall) if stall else None,
-        )
-
 
 def find_cycle(edges: dict) -> list | None:
     """First cycle in a wait graph (``key -> list of keys``), or ``None``.

@@ -31,12 +31,11 @@ it, and readers reject versions they do not understand.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 
 from repro._version import __version__, git_revision
-from repro.experiments.cache import cache_key, decode_as, decode_value, encode_value
+from repro.experiments.cache import decode_as, decode_value, encode_value
 from repro.experiments.parallel import Cell, CellResult, FaultPolicy
 from repro.util.errors import ProtocolError
 
@@ -95,14 +94,8 @@ def cell_result_to_wire(res: CellResult, seq: int) -> dict:
 
     ``kind``/``seq``/``index`` stay at top level so the store and the
     stream dedup read them without decoding; ``result`` is the encoded
-    :class:`~repro.experiments.parallel.CellResult`. The in-process
-    exception object, which cannot cross the wire, is dropped — same rule
-    as worker processes.
+    :class:`~repro.experiments.parallel.CellResult`.
     """
-    if res.failure is not None:
-        res = dataclasses.replace(
-            res, failure=dataclasses.replace(res.failure, exception=None)
-        )
     return {"kind": "cell", "seq": seq, "index": res.index, "result": encode_value(res)}
 
 
@@ -140,10 +133,6 @@ class JobSpec:
             raise ProtocolError("a job needs at least one cell")
         if not all(isinstance(c, Cell) for c in self.cells):
             raise ProtocolError("every entry of a job's cells must be a Cell")
-
-    def cell_keys(self) -> list[str]:
-        """Content keys of the cells (for logging and dedup diagnostics)."""
-        return [cache_key(c) for c in self.cells]
 
 
 @dataclass

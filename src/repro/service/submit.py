@@ -9,20 +9,11 @@ Subcommands (all take ``--service URL``, where URL is the daemon's
     watch JOB               tail a job's result stream until it ends
     cancel JOB              cancel a queued job
     pause / resume          hold or release dispatch
-    run EXPERIMENT          run a figure/ablation through the service and
-                            render its table, e.g.::
 
-        python -m repro.service.submit --service http://127.0.0.1:8642 \\
-            run fig10_routing --effort smoke --priority high
-
-``run`` takes every flag the figure CLIs take (its sub-parser is built
-from the same :func:`~repro.experiments.report.add_common_args`) and goes
-through the same :func:`~repro.experiments.cellplan.run_from_args`, so
-``submit --service U run X <flags>`` is the invocation
-``python -m repro.experiments.X --service U <flags>``: the sweep
-executes remotely, the table renders locally, and the output is
-identical to the direct CLI because the service path is bit-identical
-by construction.
+A figure runs through the daemon from its own CLI, e.g.
+``python -m repro.experiments.fig10_routing --service URL --priority high``:
+the sweep executes remotely and the table renders locally, identical to
+the direct run.
 """
 
 from __future__ import annotations
@@ -34,7 +25,6 @@ from dataclasses import asdict
 
 from repro._version import version_blurb
 from repro.experiments.parallel import CellResult, ExecutionReport
-from repro.experiments.report import add_common_args
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import ProtocolError, decode_as
 
@@ -68,28 +58,11 @@ def _watch(client: ServiceClient, job_id: str) -> int:
     return 0 if state == "done" else 1
 
 
-def _run_experiment(args) -> int:
-    from repro.experiments.cellplan import run_from_args
-    from repro.experiments.run_all import EXPERIMENTS
-
-    module = EXPERIMENTS.get(args.experiment)
-    if module is None:
-        print(
-            f"unknown experiment {args.experiment!r}; known: "
-            f"{sorted(n for n in EXPERIMENTS if n != 'table1')}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.experiment == "table1":
-        print("table1 is analytic (no sweep); run it directly", file=sys.stderr)
-        return 2
-    return run_from_args(module.run, args)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.service.submit",
-        description="Submit to and inspect a running repro sweep service.",
+        description="Inspect and control a running repro sweep service "
+        "(figures are submitted by their own CLIs' --service).",
     )
     parser.add_argument(
         "--service",
@@ -114,22 +87,8 @@ def main(argv=None) -> int:
     sub.add_parser("pause", help="hold dispatch (queued jobs wait)")
     sub.add_parser("resume", help="release dispatch")
 
-    run_p = sub.add_parser(
-        "run",
-        help="run a figure/ablation through the service",
-        conflict_handler="resolve",
-    )
-    run_p.add_argument("experiment", help="experiment name (see run_all)")
-    add_common_args(run_p)
-    # The daemon address is the top-level (required) --service. argparse
-    # copies every sub-parser attribute over the top-level namespace, so
-    # the sub-parser's copy is re-declared without a default.
-    run_p.add_argument("--service", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _run_experiment(args)
         client = ServiceClient(args.service)
         if args.command == "health":
             _dump(client.health())

@@ -88,16 +88,6 @@ class TestFaultClassification:
         else:
             assert violation["ring"] == []
 
-    def test_env_armed_worker_detects_deadlock(self, tmp_path, monkeypatch):
-        """REPRO_GUARD arms a sweep whose caller passed no guard at all."""
-        monkeypatch.setenv("REPRO_GUARD", "strict")
-        monkeypatch.setenv("REPRO_GUARD_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_GUARD_STALL", "200")
-        cell = guard_chaos_cell(SCHEME, Effort.SMOKE, seed=7, fault="deadlock")
-        results, _ = run_cells_detailed([cell], jobs=1)
-        assert results[0].failure.error_type == "Deadlock"
-        assert any(f.endswith("_blackbox.jsonl") for f in os.listdir(tmp_path))
-
 
 class TestCleanTraffic:
     @pytest.mark.parametrize("topology", ["mesh", "torus", "ring"])

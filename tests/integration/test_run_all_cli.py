@@ -85,18 +85,6 @@ class TestGracefulDegradation:
         assert "WARNING" in out
         assert "cell(s) failed" in out
 
-    def test_sweep_cli_renders_failures_and_exits_3(self, capsys):
-        from repro.experiments import sweep
-
-        code = sweep.main([
-            "--effort", "smoke", "--seeds", "2", "--cycle-budget", "1",
-            "--schemes", "RA_RAIR",
-        ])
-        out = capsys.readouterr().out
-        assert code == EXIT_CELL_FAILURE
-        assert "FAILED(DeadlineError)" in out
-        assert "WARNING" in out
-
     def test_run_all_aggregates_cell_failures(self, tmp_path, capsys):
         code = run_all.main([
             "--only", "fig09_msp", "--effort", "smoke",

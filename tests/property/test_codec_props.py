@@ -7,7 +7,7 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dpa import DpaConfig
@@ -46,7 +46,7 @@ cells = st.builds(Cell, st.sampled_from(list(SCHEMES.values())), specs,
                   st.sampled_from(Effort), INTS, policy_overrides=st.none() | st.builds(
                       DpaConfig, mode=st.sampled_from(["native", "foreign"])).map(
                       lambda d: {"dpa": d}))
-failures = scalar_fields(CellFailure, exception=st.just(RuntimeError("in-process")))
+failures = scalar_fields(CellFailure)
 results = scalar_fields(CellResult, cell=cells, run=runs) | scalar_fields(
     CellResult, cell=cells, failure=failures)
 job_specs = st.builds(JobSpec, st.lists(cells, min_size=1, max_size=3),
@@ -56,6 +56,21 @@ job_specs = st.builds(JobSpec, st.lists(cells, min_size=1, max_size=3),
 records = scalar_fields(JobRecord, spec=job_specs, state=st.sampled_from(JOB_STATES),
                         start_seq=st.none() | INTS, meta=st.dictionaries(TEXT, TEXT))
 tuple_keyed = st.dictionaries(st.tuples(INTS, TEXT, st.sampled_from(["VA", "SA"])), INTS)
+# A JobSpec byte for byte as journaled while FaultPolicy still had a sixth field,
+# since deleted: the codec drops the unknown field, so an old journal replays.
+OLD_JOB = json.loads(
+    '{"__repro__":"dataclass","type":"repro.service.protocol:JobSpec","fields":{"cells":[{'
+    '"__repro__":"dataclass","type":"repro.experiments.parallel:Cell","fields":{"scheme":{'
+    '"__repro__":"dataclass","type":"repro.experiments.runner:Scheme","fields":{"key":'
+    '"RO_RR","policy":"rr","routing":"local","policy_kwargs":{}}},"spec":{"__repro__":'
+    '"dataclass","type":"repro.experiments.scenarios:ScenarioSpec","fields":{"builder":'
+    '"six_app","kwargs":{}}},"effort":{"__repro__":"enum","type":'
+    '"repro.experiments.runner:Effort","name":"SMOKE"},"seed":1,"config":null,'
+    '"policy_overrides":null}}],"priority":"normal","jobs":1,"cache":null,"use_journal":'
+    'true,"policy":{"__repro__":"dataclass","type":"repro.experiments.parallel:FaultPolicy",'
+    '"fields":{"max_attempts":2,"backoff_base_s":0.05,"backoff_max_s":2.0,"wall_timeout_s":'
+    'null,"cycle_budget":null,"retry_timeouts":false}},"obs":null,"guard":null}}'
+)
 
 
 def assert_same(back, obj):  # the encoded form also compares compare=False fields
@@ -63,6 +78,7 @@ def assert_same(back, obj):  # the encoded form also compares compare=False fiel
 
 
 @given(st.one_of(runs, scalar_fields(ExecutionReport), job_specs, records, tuple_keyed))
+@example(decode_as(OLD_JOB, JobSpec))
 @settings(max_examples=60, deadline=None)
 def test_every_payload_round_trips_through_json(obj):
     assert_same(decode_value(json.loads(json.dumps(encode_value(obj)))), obj)
@@ -74,7 +90,7 @@ def test_stream_record_round_trips_and_drops_the_exception(res, seq):
     rec = json.loads(json.dumps(cell_result_to_wire(res, seq)))
     assert (rec["kind"], rec["seq"], rec["index"]) == ("cell", seq, res.index)
     back = decode_as(rec["result"], CellResult)
-    assert back == res and (back.failure is None or back.failure.exception is None)
+    assert back == res
 
 
 @given(runs)

@@ -1,14 +1,21 @@
-"""The shared figure runner: failed-row rendering, the seed axis, and the chaos end-to-end."""
+"""The shared figure runner: failed-row rendering, the seed axis and its
+statistics, and the chaos end-to-end."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
 from repro.core.dpa import DpaConfig
 from repro.experiments import cellplan
 from repro.experiments.chaos import chaos_cell
-from repro.experiments.cellplan import render_row, run_figure
+from repro.experiments.cellplan import SweepResult, render_row, run_figure
 from repro.experiments.parallel import Cell, CellFailure, CellResult, ExecutionReport
 from repro.experiments.report import EXIT_CELL_FAILURE, finish
-from repro.experiments.runner import SCHEMES, Effort, Scheme
+from repro.experiments.runner import SCHEMES, Effort, FigureResult, Scheme
 from repro.experiments.scenarios import two_app_msp
 from repro.util.errors import ConfigError
 
@@ -165,27 +172,77 @@ def test_cells_are_told_apart_by_cache_key_not_equality(monkeypatch):
     assert [row["seen"] for row in result.rows] == [0.1, 0.3]
 
 
-def test_submit_run_takes_the_figure_flag_block(monkeypatch):
-    """``submit --service U run X <flags>`` is ``X --service U <flags>``."""
-    from repro.experiments import fig10_routing
-    from repro.service import submit
-
+def test_figure_main_takes_the_flag_block(tmp_path):
+    """Every figure CLI hands the common flags to its ``run``: the one way to
+    run a figure locally, replicated or through a daemon."""
     seen = {}
 
-    def fake_run_from_args(run, args) -> int:
-        seen.update(run=run, args=args)
-        return 0
+    def run(**kwargs):
+        seen.update(kwargs)
+        return FigureResult(figure="F", title="t", columns=["a"], rows=[])
 
-    monkeypatch.setattr(cellplan, "run_from_args", fake_run_from_args)
-    code = submit.main([
-        "--service", "http://127.0.0.1:1", "run", "fig10_routing",
-        "--effort", "smoke", "--topology", "torus", "--guard", "sample",
-        "--cycle-budget", "9", "--priority", "high",
-    ])
-    assert code == 0
-    assert seen["run"] is fig10_routing.run
-    args = seen["args"]
-    assert args.service == "http://127.0.0.1:1"  # the top-level value survives
-    assert (args.topology, args.guard, args.cycle_budget, args.priority) == (
-        "torus", "sample", 9, "high",
+    assert cellplan.figure_main(run, "doc", [
+        "--effort", "smoke", "--seed", "3", "--seeds", "2", "--topology", "torus",
+        "--guard", "sample", "--obs", str(tmp_path), "--cycle-budget", "9",
+        "--service", "http://127.0.0.1:1", "--priority", "high",
+    ]) == 0
+    assert (seen["effort"], seen["seed"], seen["seeds"], seen["topology"]) == (
+        Effort.SMOKE, 3, [3, 4], "torus",
     )
+    assert seen["guard"].mode == "sample"
+    assert seen["guard"].dir == seen["obs"].dir == str(tmp_path)  # blackboxes beside obs
+    assert seen["policy"].cycle_budget == 9
+    assert (seen["service"].url, seen["service"].priority) == ("http://127.0.0.1:1", "high")
+
+
+class TestSweepResult:
+    def test_basic_stats(self):
+        r = SweepResult("x", [10.0, 12.0, 14.0])
+        assert r.n == 3
+        assert r.mean == pytest.approx(12.0)
+        assert r.std_error == pytest.approx(2.0 / np.sqrt(3))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigError):
+            SweepResult("x", [])
+
+    def test_ci_widens_with_level(self):
+        r = SweepResult("x", [10.0, 12.0, 14.0, 16.0])
+        assert r.half_width(0.99) > r.half_width(0.95) > 0
+
+    def test_single_sample_ci_degenerates(self):
+        r = SweepResult("x", [5.0])
+        assert np.isnan(r.std_error) and np.isnan(r.half_width())
+        assert r.verdict() == "undecided"  # one sample bounds nothing, however far from zero
+
+    def test_level_validated(self):
+        with pytest.raises(ConfigError):
+            SweepResult("x", [1.0, 2.0]).half_width(1.5)
+
+    def test_verdict(self):
+        """The one sign rule: where the interval lies relative to zero."""
+        for samples, verdict in [
+            ([5.0, 5.1, 4.9], "holds"),
+            ([-5.0, -5.1, -4.9], "fails"),
+            ([-1.0, 1.0, -0.5, 0.5], "undecided"),
+        ]:
+            assert SweepResult("x", samples).verdict() == verdict
+
+
+class TestColdStart:
+    def test_importing_experiments_leaves_scipy_unloaded(self):
+        """Every CLI, worker process and daemon imports ``repro.experiments``;
+        scipy is needed by ``half_width`` alone and loads there."""
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro.experiments\n"
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+            "assert repro.experiments.SweepResult('x', [1.0, 2.0, 3.0]).half_width() > 0\n"
+            "assert 'scipy.stats' in sys.modules\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr

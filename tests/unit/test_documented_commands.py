@@ -33,7 +33,7 @@ DOCUMENTS = [
 MODULE = re.compile(r"python3? -m ((?:repro|benchmarks)[a-z0-9_.]*)")
 PATH = re.compile(r"(?<![\w/])((?:benchmarks|examples)/[\w/.-]*\.py|results/[\w/.*<>-]*)")
 # A back-ticked dotted name and nothing else: `repro.noc.sim.Simulator.step`
-# (`repro.noc.*` and `repro.service.submit run` are prose, not references).
+# (`repro.noc.*` and `repro.service.submit health` are prose, not references).
 REFERENCE = re.compile(r"`(repro(?:\.\w+)+)`")
 
 

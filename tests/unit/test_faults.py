@@ -18,6 +18,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import SCHEMES, Effort
 from repro.util.errors import (
+    CellExecutionError,
     ConfigError,
     DeadlineError,
     SimulationError,
@@ -100,7 +101,6 @@ class TestFaultPolicyValidation:
         policy = FaultPolicy()
         assert policy.max_attempts == 3
         assert policy.wall_timeout_s is None
-        assert policy.retry_timeouts is False
 
 
 class TestCellFailure:
@@ -188,7 +188,7 @@ class TestSerialRetryLoop:
 
     def test_strict_interface_reraises_the_original_exception(self):
         cell = chaos_cell(SCHEME, Effort.SMOKE, seed=1, mode="raise")
-        with pytest.raises(SimulationError, match="injected deterministic"):
+        with pytest.raises(CellExecutionError, match="injected deterministic"):
             run_cells([cell], jobs=1, policy=FAST)
 
     def test_cycle_budget_expiry_is_a_deadline_failure(self):

@@ -2,7 +2,7 @@
 
 Covers the pieces that do not need a live simulation: the wait-graph
 cycle finder, :class:`~repro.noc.guard.GuardConfig` (mode defaults,
-environment arming, validation), and the blackbox's ring-buffer /
+validation), and the blackbox's ring-buffer /
 tee trace plumbing from :mod:`repro.noc.trace`.
 """
 
@@ -81,31 +81,6 @@ class TestGuardConfig:
         assert anon.named("cell_3").name == "cell_3"
         named = GuardConfig(mode="sample", name="keep")
         assert named.named("cell_3").name == "keep"
-
-    def test_from_env_disarmed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_GUARD", raising=False)
-        assert GuardConfig.from_env() is None
-        monkeypatch.setenv("REPRO_GUARD", "off")
-        assert GuardConfig.from_env() is None
-        monkeypatch.setenv("REPRO_GUARD", "")
-        assert GuardConfig.from_env() is None
-
-    def test_from_env_armed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD", "strict")
-        monkeypatch.setenv("REPRO_GUARD_DIR", "/tmp/bb")
-        monkeypatch.setenv("REPRO_GUARD_AGE", "5000")
-        monkeypatch.setenv("REPRO_GUARD_STALL", "1000")
-        cfg = GuardConfig.from_env()
-        assert cfg is not None
-        assert cfg.mode == "strict"
-        assert cfg.dir == "/tmp/bb"
-        assert cfg.age_watermark == 5000
-        assert cfg.stall_cycles == 1000
-
-    def test_from_env_rejects_garbage_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GUARD", "bogus")
-        with pytest.raises(ConfigError):
-            GuardConfig.from_env()
 
     def test_runtime_guard_refuses_off(self):
         # GuardConfig(mode="off") itself is legal (the disarmed token);

@@ -1,8 +1,10 @@
 """Unit tests for report helpers, Effort presets and the run_all registry."""
 
+import argparse
+
 import pytest
 
-from repro.experiments.report import effort_argparser, parse_effort, pct
+from repro.experiments.report import add_common_args, parse_effort, pct
 from repro.experiments.run_all import EXPERIMENTS
 from repro.experiments.runner import SCHEMES, Effort, FigureResult, Scheme
 
@@ -27,7 +29,7 @@ class TestEffort:
             parse_effort("warp")
 
     def test_argparser_defaults(self):
-        args = effort_argparser("x").parse_args([])
+        args = add_common_args(argparse.ArgumentParser()).parse_args([])
         assert args.effort == "medium"
         assert args.seed == 42
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import pathlib
 import re
 
@@ -45,9 +46,9 @@ class TestVersion:
 
 class TestVersionFlag:
     def test_cli_version_flag(self, capsys):
-        from repro.experiments.report import effort_argparser
+        from repro.experiments.report import add_common_args
 
-        parser = effort_argparser("doc")
+        parser = add_common_args(argparse.ArgumentParser())
         with pytest.raises(SystemExit) as exc:
             parser.parse_args(["--version"])
         assert exc.value.code == 0
