@@ -46,11 +46,10 @@ import importlib
 import json
 import os
 import pathlib
-import tempfile
 
 from repro.experiments.runner import ScenarioRun
 from repro.util.errors import ProtocolError
-from repro.util.jsonl import append_record, read_records
+from repro.util.jsonl import append_record, read_records, write_text_atomic
 
 __all__ = [
     "CACHE_VERSION",
@@ -304,17 +303,7 @@ class ResultCache:
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_text_atomic(path, json.dumps(entry))
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))

@@ -24,7 +24,7 @@ the cache, the journal and the obs file names use — is submitted once, a
 row's reference before its own cell, in row order, so the cell list (and
 every cache key and sweep-journal digest) is a function of the plan
 alone. The engine's keyword arguments (``jobs``, ``cache``, ``policy``,
-``obs``, ``guard``, ``service``) pass through ``**engine`` verbatim;
+``service``) pass through ``**engine`` verbatim;
 fabric selection is not an engine matter — modules resolve ``topology``
 into the scenario config with
 :func:`~repro.experiments.report.config_for_topology` (mesh, torus or

@@ -34,8 +34,8 @@ from repro.experiments.ablation_vcsplit import SPLITS
 from repro.experiments.cellplan import SweepResult
 from repro.experiments.fig15_patterns import PATTERNS
 from repro.experiments.fig17_parsec import FIG17_SCHEMES
-from repro.experiments.report import write_text_atomic
 from repro.util.errors import ConfigError
+from repro.util.jsonl import write_text_atomic
 
 __all__ = [
     "Claim", "CLAIMS", "Table", "by_figure", "evaluate", "shown", "render_block", "main",

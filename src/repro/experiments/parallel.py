@@ -140,13 +140,32 @@ class Cell:
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Knobs for the fault-tolerant execution engine.
+    """Everything one cell attempt runs under — none of it the cell's identity.
 
-    ``cycle_budget`` and ``wall_timeout_s`` are *execution* policy: they
-    bound how long a cell may run but are not part of its identity, so
-    they never enter cache keys (a deadline-aborted run is likewise never
-    cached — see :func:`_execute`). A wall-clock timeout is never retried:
-    on a deterministic simulation it almost always recurs.
+    The rule: a setting for the whole sweep (``jobs``, ``cache``,
+    ``use_journal``, ``service``, ``on_result``) is a keyword of
+    :func:`run_cells_detailed`; everything one cell attempt runs under is
+    this policy. No policy field enters a cache key, because none changes
+    what a finished simulation computes:
+
+    * ``max_attempts`` / ``backoff_*`` — the retry schedule
+      (:func:`backoff_delay`);
+    * ``wall_timeout_s`` — the parent kills an attempt that outlives it;
+      never retried, since on a deterministic simulation it almost always
+      recurs;
+    * ``cycle_budget`` — a cooperative cap on simulated cycles; a run it
+      aborts (``abort="deadline"``) is never cached, so a truncated run is
+      never served to a caller with a larger (or no) budget;
+    * ``obs`` — an optional :class:`repro.obs.ObsConfig`: a simulated cell
+      writes its JSONL stream, a cache hit restores whatever summary the
+      original run stored (possibly none) and writes nothing;
+    * ``guard`` — an optional :class:`repro.noc.guard.GuardConfig`: a
+      tripped guard fails the cell under its classified label
+      (``Deadlock``, ``Livelock``, ...), so tables print
+      ``FAILED(Deadlock)``.
+
+    ``obs`` and ``guard`` are typed ``object`` so that importing the engine
+    does not import :mod:`repro.obs`.
     """
 
     max_attempts: int = 3
@@ -154,6 +173,8 @@ class FaultPolicy:
     backoff_max_s: float = 2.0
     wall_timeout_s: float | None = None
     cycle_budget: int | None = None
+    obs: object | None = None
+    guard: object | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -264,17 +285,15 @@ def cell_obs_name(cell: Cell) -> str:
     )
 
 
-def compute_cell(
-    cell: Cell, cycle_budget: int | None = None, obs=None, guard=None
-) -> ScenarioRun:
-    """Simulate one cell from scratch (no cache involvement).
+def compute_cell(cell: Cell, policy: FaultPolicy | None = None) -> ScenarioRun:
+    """Simulate one cell from scratch under ``policy`` (no cache involvement).
 
-    ``obs`` is an optional :class:`repro.obs.ObsConfig`; an unset name is
-    filled with :func:`cell_obs_name` so concurrent cells never collide
-    on an output file. ``guard`` is an optional
-    :class:`repro.noc.guard.GuardConfig`, named the same way (its
-    blackbox file rides next to the cell's obs stream).
+    An unset ``policy.obs`` / ``policy.guard`` name is filled with
+    :func:`cell_obs_name`, so concurrent cells never collide on an output
+    file and a guard's blackbox rides next to the cell's obs stream.
     """
+    policy = policy or FaultPolicy()
+    obs, guard = policy.obs, policy.guard
     if obs is not None and obs.name is None:
         obs = obs.named(cell_obs_name(cell))
     if guard is not None and guard.name is None:
@@ -286,7 +305,7 @@ def compute_cell(
         seed=cell.seed,
         config=cell.config,
         policy_overrides=cell.policy_overrides,
-        cycle_budget=cycle_budget,
+        cycle_budget=policy.cycle_budget,
         obs=obs,
         guard=guard,
     )
@@ -308,33 +327,23 @@ def _cached_run(cache: ResultCache, key: str) -> tuple[ScenarioRun | None, int]:
 
 
 def _execute(
-    cell: Cell,
-    cache_dir: str | None,
-    cycle_budget: int | None = None,
-    obs=None,
-    guard=None,
+    cell: Cell, cache_dir: str | None, policy: FaultPolicy
 ) -> tuple[ScenarioRun, bool, int]:
     """Cache-aware cell execution; runs in-process or inside a worker.
 
     Returns ``(run, cache_hit, cache_errors)``. Cache I/O is defensive:
     a corrupt or unreadable entry is a counted miss and a failed write is
     a counted error — neither ever aborts the cell, let alone the sweep.
-    A run aborted by the cooperative cycle budget (``abort="deadline"``)
-    is **not** cached: the budget is execution policy, not part of the
-    cell key, and a truncated run must not be served to callers running
-    under a larger (or no) budget. ``obs`` is likewise execution policy
-    (never part of the key): a hit restores whatever summary the original
-    run stored — possibly none — and regenerates no JSONL. ``guard``
-    follows the same rule: execution policy, never part of the key.
+    A deadline-aborted run is not cached (see :class:`FaultPolicy`).
     """
     if cache_dir is None:
-        return compute_cell(cell, cycle_budget, obs, guard), False, 0
+        return compute_cell(cell, policy), False, 0
     cache = ResultCache(cache_dir)
     key = cache_key(cell)
     run, cache_errors = _cached_run(cache, key)
     if run is not None:
         return run, True, cache_errors
-    run = compute_cell(cell, cycle_budget, obs, guard)
+    run = compute_cell(cell, policy)
     if run.abort != "deadline":
         try:
             cache.put(key, run)
@@ -354,9 +363,7 @@ def _error_record(exc: BaseException) -> tuple[str, str, str, bool]:
     )
 
 
-def _worker(
-    conn, cell: Cell, cache_dir: str | None, cycle_budget: int | None, obs, guard
-) -> None:
+def _worker(conn, cell: Cell, cache_dir: str | None, policy: FaultPolicy) -> None:
     """Worker-process entry point: one cell attempt, one message on ``conn``.
 
     The outcome travels as a tagged tuple instead of a raised exception:
@@ -370,7 +377,7 @@ def _worker(
     the pickled run.
     """
     try:
-        conn.send(("ok", *_execute(cell, cache_dir, cycle_budget, obs, guard)))
+        conn.send(("ok", *_execute(cell, cache_dir, policy)))
     except Exception as exc:
         conn.send(("err", *_error_record(exc)))
 
@@ -448,19 +455,11 @@ class _Sweep:
     """Shared state + recording helpers for one run_cells_detailed call."""
 
     def __init__(
-        self,
-        policy: FaultPolicy,
-        report: ExecutionReport,
-        journal,
-        obs=None,
-        guard=None,
-        on_result=None,
+        self, policy: FaultPolicy, report: ExecutionReport, journal, on_result=None
     ):
         self.policy = policy
         self.report = report
         self.journal = journal
-        self.obs = obs
-        self.guard = guard
         self.on_result = on_result
         self.results: dict[int, CellResult] = {}
 
@@ -545,14 +544,11 @@ class _Sweep:
 
 
 def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
-    policy = sweep.policy
     for entry in work:
         entry.started_at = time.monotonic()
         while True:
             try:
-                run, hit, cerr = _execute(
-                    entry.cell, cache_dir, policy.cycle_budget, sweep.obs, sweep.guard
-                )
+                run, hit, cerr = _execute(entry.cell, cache_dir, sweep.policy)
             except Exception as exc:
                 delay = sweep.retry_delay(entry, time.monotonic(), *_error_record(exc))
                 if delay is None:
@@ -608,9 +604,7 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
                     entry.started_at = now
                 recv, send = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
-                    target=_worker,
-                    args=(send, entry.cell, cache_dir, policy.cycle_budget,
-                          sweep.obs, sweep.guard),
+                    target=_worker, args=(send, entry.cell, cache_dir, policy)
                 )
                 try:
                     proc.start()
@@ -676,14 +670,13 @@ def run_cells_detailed(
     cache=None,
     policy: FaultPolicy | None = None,
     use_journal: bool = True,
-    obs=None,
-    guard=None,
     service=None,
     on_result=None,
 ) -> tuple[list[CellResult], ExecutionReport]:
     """Execute ``cells`` fault-tolerantly; one :class:`CellResult` each.
 
-    Results come back in input order. ``jobs=1`` runs serially in this
+    Results come back in input order. Every cell attempt runs under
+    ``policy`` (a :class:`FaultPolicy`). ``jobs=1`` runs serially in this
     process; ``jobs>1`` gives every cell attempt its own worker process,
     at most ``jobs`` alive at once — and so does ``jobs=1`` under a
     ``policy.wall_timeout_s``, one at a time, because only a separate
@@ -693,22 +686,14 @@ def run_cells_detailed(
     repeated invocation resumes: journaled cells are restored from the
     cache up front (``report.resumed``) instead of re-simulated.
     ``use_journal=False`` disables the journal (single-cell convenience
-    calls skip it automatically). ``obs`` is an optional
-    :class:`repro.obs.ObsConfig` applied to every simulated cell (cells
-    restored from cache or journal keep whatever summary was stored with
-    them); it is execution policy and never affects cache keys. ``guard``
-    is an optional :class:`repro.noc.guard.GuardConfig` applied the same
-    way — a guard-tripped cell surfaces as a failure whose ``error_type``
-    is the guard's classified label (``Deadlock``, ``Livelock``, ...), so
-    figure tables print ``FAILED(Deadlock)`` instead of a generic
-    simulator error.
+    calls skip it automatically).
 
     ``service`` routes the whole sweep through a running sweep-service
     daemon (:mod:`repro.service`) instead of executing locally: a URL
     string or :class:`repro.service.client.ServiceSpec` (which adds a
     priority class). The daemon executes this very function with the
-    same cells, policy, cache, obs, and guard, so results — including
-    cache keys and obs JSONL bytes — are identical to direct execution.
+    same cells, policy and cache, so results — including cache keys and
+    obs JSONL bytes — are identical to direct execution.
     ``on_result`` is an optional callable invoked with each
     :class:`CellResult` as it is recorded (completion order, resumed
     cells first); it must not raise.
@@ -726,8 +711,6 @@ def run_cells_detailed(
             cache=cache,
             policy=policy,
             use_journal=use_journal,
-            obs=obs,
-            guard=guard,
             on_result=on_result,
         )
     policy = policy or FaultPolicy()
@@ -775,7 +758,7 @@ def run_cells_detailed(
                 # runs are never cached) — fall through and re-run
             work.append(_Pending(index=i, cell=cell, key=key))
 
-    sweep = _Sweep(policy, report, journal, obs=obs, guard=guard, on_result=on_result)
+    sweep = _Sweep(policy, report, journal, on_result=on_result)
     for res in resumed:
         sweep._store(res)
 
@@ -794,8 +777,6 @@ def run_cells(
     jobs: int = 1,
     cache=None,
     policy: FaultPolicy | None = None,
-    obs=None,
-    guard=None,
 ) -> tuple[list[ScenarioRun], ExecutionReport]:
     """Strict variant: execute ``cells`` and raise on any cell failure.
 
@@ -806,9 +787,7 @@ def run_cells(
     prefer :func:`run_cells_detailed` and degrade gracefully.
     """
     cells = list(cells)
-    results, report = run_cells_detailed(
-        cells, jobs=jobs, cache=cache, policy=policy, obs=obs, guard=guard
-    )
+    results, report = run_cells_detailed(cells, jobs=jobs, cache=cache, policy=policy)
     for res in results:
         if res.failure is not None:
             f = res.failure

@@ -12,7 +12,6 @@ missing" apart from "the tool is broken".
 from __future__ import annotations
 
 import argparse
-import os
 
 from repro.experiments.parallel import FaultPolicy
 from repro.experiments.runner import Effort
@@ -26,7 +25,6 @@ __all__ = [
     "parse_effort",
     "config_for_topology",
     "finish",
-    "write_text_atomic",
 ]
 
 #: process exit code when one or more cells failed but the (partial)
@@ -185,12 +183,14 @@ def common_from_args(args: argparse.Namespace) -> dict:
     """The shared run() keyword arguments the :func:`add_common_args` flags describe.
 
     ``topology``, the ``seeds`` axis (``None`` without ``--seeds``) and the
-    engine's own keywords (``jobs``, ``cache``, ``policy``, ``obs``,
-    ``guard``, ``service``), assembled in this one place so no CLI can
-    drift. ``obs``/``guard``/``service`` are ``None`` unless asked for (the
-    overhead-free defaults), and their packages are imported only then.
-    Guard blackboxes land next to the obs streams when ``--obs`` was given,
-    otherwise they stay in memory on the raised error.
+    engine's own keywords (``jobs``, ``cache``, ``policy``, ``service``),
+    assembled in this one place so no CLI can drift. The one
+    :class:`~repro.experiments.parallel.FaultPolicy` carries all five
+    per-attempt settings. Its ``obs``/``guard`` and ``service`` are
+    ``None`` unless asked for (the overhead-free defaults), and their
+    packages are imported only then. Guard blackboxes land next to the obs
+    streams when ``--obs`` was given, otherwise they stay in memory on the
+    raised error.
     """
     obs = guard = service = None
     if args.obs is not None:
@@ -212,26 +212,13 @@ def common_from_args(args: argparse.Namespace) -> dict:
             max_attempts=args.max_attempts,
             wall_timeout_s=args.timeout,
             cycle_budget=args.cycle_budget,
+            obs=obs,
+            guard=guard,
         ),
-        "obs": obs,
-        "guard": guard,
         "topology": args.topology,
         "service": service,
         "seeds": args.seeds and [args.seed + i for i in range(args.seeds)],
     }
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    A crash or kill mid-write leaves either the previous file or the new
-    one, never a truncated hybrid — the same contract the obs exporters
-    give their JSONL streams. ``path`` is a ``str`` or ``Path``.
-    """
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def config_for_topology(topology: str | None, **kwargs):

@@ -55,8 +55,8 @@ from repro.experiments.report import (
     add_common_args,
     common_from_args,
     parse_effort,
-    write_text_atomic,
 )
+from repro.util.jsonl import write_text_atomic
 
 __all__ = ["main", "EXPERIMENTS"]
 

@@ -96,7 +96,7 @@ _STATE_NAMES = ("idle", "va", "active")
 
 @dataclass(frozen=True)
 class GuardConfig:
-    """Runtime-guard settings, threaded through the experiment stack.
+    """Runtime-guard settings, carried by the engine's ``FaultPolicy``.
 
     Frozen and picklable so it crosses process boundaries with a cell.
     Like ``ObsConfig`` and ``cycle_budget`` it is *execution* policy: it

@@ -48,7 +48,7 @@ def sanitize_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Observability settings, threaded through the experiment stack.
+    """Observability settings, carried by the engine's ``FaultPolicy``.
 
     Frozen and picklable so it crosses process boundaries with the cell.
     It is *execution* policy, like ``cycle_budget``: it never enters

@@ -12,6 +12,7 @@ import os
 
 from repro.obs.collector import dumps_record
 from repro.obs.schema import LATENCY_CLASSES, load_jsonl
+from repro.util.jsonl import write_text_atomic
 
 __all__ = ["write_jsonl", "export_csv"]
 
@@ -19,15 +20,11 @@ __all__ = ["write_jsonl", "export_csv"]
 def write_jsonl(records, path) -> None:
     """Write records to ``path`` in canonical one-line-per-record form.
 
-    Written via a temp file + atomic rename so a crash mid-export never
-    leaves a half-stream behind for the report tool to choke on.
+    Written atomically (:func:`~repro.util.jsonl.write_text_atomic`) so a
+    crash mid-export never leaves a half-stream behind for the report tool
+    to choke on.
     """
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(dumps_record(rec))
-            fh.write("\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, "".join(dumps_record(rec) + "\n" for rec in records))
 
 
 def _write_csv(path, header, rows) -> None:

@@ -8,11 +8,12 @@ Two layers:
 * :func:`run_cells_via_service` — the drop-in execution path behind
   ``run_cells_detailed(..., service=...)``: encode the cells, submit,
   stream, decode, and hand back the same ``(results, report)`` pair the
-  direct engine returns, in the same cell order. Cache and obs/guard
-  directory paths are resolved to absolute paths before submission so
-  the daemon (a different process, possibly a different cwd) writes the
-  exact files a direct run would — that plus the invertible codec is the
-  whole bit-identity story on the client side.
+  direct engine returns, in the same cell order. The cache directory and
+  the policy's obs/guard directories are resolved to absolute paths
+  before submission so the daemon (a different process, possibly a
+  different cwd) writes the exact files a direct run would — that plus
+  the invertible codec is the whole bit-identity story on the client
+  side.
 
 Backpressure: a 429 from the daemon carries ``Retry-After``; submission
 sleeps and retries a bounded number of times before surfacing
@@ -30,13 +31,7 @@ import time
 import urllib.parse
 
 from repro.experiments.parallel import CellResult, ExecutionReport
-from repro.service.protocol import (
-    TERMINAL_STATES,
-    JobSpec,
-    ProtocolError,
-    decode_as,
-    encode_value,
-)
+from repro.service.protocol import JobSpec, ProtocolError, decode_as, encode_value
 from repro.util.errors import ReproError
 
 __all__ = [
@@ -150,10 +145,6 @@ class ServiceClient:
         status, _, payload = self._request("GET", "/v1/health")
         return self._check(status, payload, "health check")
 
-    def version(self) -> dict:
-        status, _, payload = self._request("GET", "/v1/version")
-        return self._check(status, payload, "version query")
-
     def jobs(self) -> list[dict]:
         status, _, payload = self._request("GET", "/v1/jobs")
         return self._check(status, payload, "job listing").get("jobs", [])
@@ -243,29 +234,11 @@ class ServiceClient:
         finally:
             conn.close()
 
-    def wait(self, job_id: str, poll_s: float = 0.2, timeout: float | None = None):
-        """Poll until the job reaches a terminal state; returns its status."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            status = self.job(job_id)
-            if status.get("state") in TERMINAL_STATES:
-                return status
-            if deadline is not None and time.monotonic() > deadline:
-                raise ServiceError(
-                    f"job {job_id} not terminal after {timeout:g}s "
-                    f"(state={status.get('state')!r})"
-                )
-            time.sleep(poll_s)
-
-
-def _abspath_config(cfg, attr: str = "dir"):
-    """Rebase a config's directory field to an absolute path (or pass through)."""
-    if cfg is None:
-        return None
-    value = getattr(cfg, attr, None)
-    if value is None or os.path.isabs(value):
+def _abspath_config(cfg):
+    """Rebase a config's ``dir`` to an absolute path (or pass it through)."""
+    if cfg is None or cfg.dir is None or os.path.isabs(cfg.dir):
         return cfg
-    return dataclasses.replace(cfg, **{attr: os.path.abspath(value)})
+    return dataclasses.replace(cfg, dir=os.path.abspath(cfg.dir))
 
 
 def run_cells_via_service(
@@ -275,17 +248,15 @@ def run_cells_via_service(
     cache=None,
     policy=None,
     use_journal: bool = True,
-    obs=None,
-    guard=None,
     on_result=None,
 ):
     """Execute a sweep through the daemon; same contract as the direct path.
 
     Returns ``(list[CellResult], ExecutionReport)`` with results in cell
     order. ``service`` is a :class:`ServiceSpec` or a bare URL/store
-    path. The per-job parallelism (``jobs``), cache directory, fault
-    policy, and obs/guard configs travel with the job and are applied by
-    the daemon's engine verbatim.
+    path. The per-job parallelism (``jobs``), cache directory and fault
+    policy travel with the job and are applied by the daemon's engine
+    verbatim.
     """
     if isinstance(service, str):
         service = ServiceSpec(url=service)
@@ -293,6 +264,10 @@ def run_cells_via_service(
     cache_dir = getattr(cache, "root", cache)
     if cache_dir is not None:
         cache_dir = os.path.abspath(os.fspath(cache_dir))
+    if policy is not None:
+        policy = dataclasses.replace(
+            policy, obs=_abspath_config(policy.obs), guard=_abspath_config(policy.guard)
+        )
     spec = JobSpec(
         cells=cells,
         priority=service.priority,
@@ -300,8 +275,6 @@ def run_cells_via_service(
         cache=cache_dir,
         use_journal=use_journal,
         policy=policy,
-        obs=_abspath_config(obs),
-        guard=_abspath_config(guard),
     )
     client = ServiceClient(service.url)
     job_id = client.submit(spec)["id"]

@@ -3,8 +3,8 @@
 A single-process asyncio service that owns the experiment worker
 processes and serves a localhost HTTP+JSONL API::
 
-    GET  /v1/health                 liveness + queue depths + version
-    GET  /v1/version                version/git-rev/protocol stamp
+    GET  /v1/health                 liveness + queue depths + version/git-rev/
+                                    protocol stamp
     POST /v1/jobs                   submit a job (encoded JobSpec)
                                     -> 201 {id, state, position}
                                     -> 429 + Retry-After on backpressure
@@ -15,13 +15,14 @@ processes and serves a localhost HTTP+JSONL API::
     POST /v1/jobs/<id>/cancel       cancel a *queued* job (409 otherwise)
     POST /v1/control/pause|resume   hold / release dispatch (testing, ops)
 
-Execution model: the dispatch loop pulls the highest-priority queued job
-(FIFO within class) whenever a concurrency slot is free and runs the
-unmodified :func:`~repro.experiments.parallel.run_cells_detailed` in a
-worker thread — the daemon adds scheduling, durability, and streaming
-*around* the engine, never a different engine, which is what keeps
-service results bit-identical to direct runs (same cache keys, same
-fault-policy semantics, byte-identical obs JSONL).
+Execution model: the dispatch loop runs one job at a time — the
+highest-priority queued job, FIFO within class — through the unmodified
+:func:`~repro.experiments.parallel.run_cells_detailed` in a worker
+thread; a job's own ``jobs`` fans its cells over worker processes. The
+daemon adds scheduling, durability, and streaming *around* the engine,
+never a different engine, which is what keeps service results
+bit-identical to direct runs (same cache keys, same fault-policy
+semantics, byte-identical obs JSONL).
 
 Durability: every submit/state transition is journaled and every
 completed cell appended to the job's result stream *before* clients see
@@ -99,18 +100,15 @@ class SweepDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         max_queued: int = 64,
-        concurrency: int = 1,
         paused: bool = False,
     ):
         self.store = store
         self.host = host
         self.port = port
-        self.concurrency = max(1, concurrency)
         self.paused = paused
         self.scheduler = PriorityScheduler(max_queued=max_queued)
         self.jobs: dict[str, JobRecord] = {}
         self._subscribers: dict[str, set[asyncio.Queue]] = {}
-        self._active = 0
         self._next_number = 1
         self._wake: asyncio.Event | None = None
         self._started = time.time()
@@ -155,27 +153,22 @@ class SweepDaemon:
             self._wake.set()
 
     async def _dispatch_loop(self) -> None:
+        """Run queued jobs one at a time; sleep until a submit or resume."""
         while True:
             self._wake.clear()
-            while not self.paused and self._active < self.concurrency:
-                job_id = self.scheduler.next_job()
-                if job_id is None:
-                    break
-                job = self.jobs[job_id]
-                job.state = "running"
-                job.started_at = time.time()
-                job.start_seq = self.scheduler.dispatched
-                self.store.append_state(
-                    job.id,
-                    "running",
-                    started_at=job.started_at,
-                    start_seq=job.start_seq,
-                )
-                self._active += 1
-                asyncio.ensure_future(self._run_job(job))
-            await self._wake.wait()
+            job_id = None if self.paused else self.scheduler.next_job()
+            if job_id is None:
+                await self._wake.wait()
+            else:
+                await self._run_job(self.jobs[job_id])
 
     async def _run_job(self, job: JobRecord) -> None:
+        job.state = "running"
+        job.started_at = time.time()
+        job.start_seq = self.scheduler.dispatched
+        self.store.append_state(
+            job.id, "running", started_at=job.started_at, start_seq=job.start_seq
+        )
         loop = asyncio.get_running_loop()
         spec = job.spec
         done_indices = self.store.completed_indices(job.id)
@@ -209,8 +202,6 @@ class SweepDaemon:
                     cache=spec.cache,
                     policy=spec.policy,
                     use_journal=spec.use_journal,
-                    obs=spec.obs,
-                    guard=spec.guard,
                     on_result=on_result,
                 )
             else:
@@ -242,9 +233,7 @@ class SweepDaemon:
         self.store.append_result(job.id, end)
         self._fanout(job.id, end)
         self._close_stream(job.id)
-        self._active -= 1
         self.scheduler.finish(job.id)
-        self._kick()
 
     # -- streaming fan-out -------------------------------------------------------
 
@@ -333,10 +322,6 @@ class SweepDaemon:
         tail = parts[1:]
         if tail == ["health"] and method == "GET":
             await self._send_json(writer, 200, self._health())
-        elif tail == ["version"] and method == "GET":
-            await self._send_json(
-                writer, 200, {**stamp(), "protocol": PROTOCOL_VERSION}
-            )
         elif tail == ["jobs"] and method == "POST":
             await self._submit(body, writer)
         elif tail == ["jobs"] and method == "GET":
@@ -380,8 +365,6 @@ class SweepDaemon:
             "paused": self.paused,
             "uptime_s": round(time.time() - self._started, 3),
             "jobs": len(self.jobs),
-            "active": self._active,
-            "concurrency": self.concurrency,
             **self.scheduler.snapshot(),
             **stamp(),
             "protocol": PROTOCOL_VERSION,
@@ -509,14 +492,6 @@ def main(argv=None) -> int:
         "HTTP 429 + Retry-After (default 64)",
     )
     parser.add_argument(
-        "--concurrency",
-        type=int,
-        default=1,
-        metavar="N",
-        help="jobs executed simultaneously (default 1; each job still fans "
-        "its cells over its own --jobs worker processes)",
-    )
-    parser.add_argument(
         "--paused",
         action="store_true",
         help="start with dispatch held; release via POST /v1/control/resume",
@@ -531,12 +506,14 @@ def main(argv=None) -> int:
         host=args.host,
         port=args.port,
         max_queued=args.max_queued,
-        concurrency=args.concurrency,
         paused=args.paused,
     )
     recovered = daemon.recover()
     if recovered:
         print(f"recovered {recovered} unfinished job(s) from {args.store}", flush=True)
+    if daemon.store.undecodable:
+        skipped = ", ".join(daemon.store.undecodable)
+        print(f"not replaying undecodable job(s) {skipped}", flush=True)
     try:
         asyncio.run(daemon.serve())
     except KeyboardInterrupt:

@@ -18,12 +18,15 @@ stream before scheduling the remainder).
 
 The journal records two event kinds::
 
-    {"event": "submit", "v": 2, "id": ..., "job": <encoded JobRecord>}
-    {"event": "state",  "v": 2, "id": ..., "state": ..., ...extras}
+    {"event": "submit", "v": 3, "id": ..., "job": <encoded JobRecord>}
+    {"event": "state",  "v": 3, "id": ..., "state": ..., ...extras}
 
 The submit event's ``job`` is the codec payload of the whole record, spec
 included (:func:`repro.experiments.cache.encode_value`); ``id`` sits at
-top level in both kinds, so numbering reads it without decoding.
+top level in both kinds, so numbering reads it without decoding. A submit
+event written under another protocol version is never decoded: the
+codec's drop rule would replay it with whatever fields survive, so it is
+listed as undecodable instead.
 
 Replay folds state events over submit events; jobs whose folded state is
 non-terminal (``queued``/``running``) are the daemon's recovery set.
@@ -44,7 +47,7 @@ from repro.service.protocol import (
     decode_as,
     encode_value,
 )
-from repro.util.jsonl import append_record, read_records
+from repro.util.jsonl import append_record, read_records, write_text_atomic
 
 __all__ = ["JobStore"]
 
@@ -80,10 +83,11 @@ class JobStore:
     def recover(self) -> dict[str, JobRecord]:
         """Replay the journal into the last-known record per job, by id.
 
-        Submit events for records that no longer decode (e.g. a cell
-        type from a removed module, or any malformed payload) are dropped
-        with their job id noted in :attr:`undecodable` rather than failing
-        the whole recovery.
+        Submit events written under another :data:`PROTOCOL_VERSION`, or
+        whose records no longer decode (e.g. a cell type from a removed
+        module, or any malformed payload), are dropped with their job id
+        noted in :attr:`undecodable` rather than failing the whole
+        recovery.
         """
         jobs: dict[str, JobRecord] = {}
         self.undecodable: list[str] = []
@@ -93,6 +97,8 @@ class JobStore:
             event = rec.get("event")
             if event == "submit":
                 try:
+                    if rec.get("v") != PROTOCOL_VERSION:
+                        raise ProtocolError(f"protocol version {rec.get('v')!r}")
                     job = decode_as(rec.get("job"), JobRecord)
                 except ProtocolError:
                     if isinstance(rec.get("id"), str):
@@ -156,9 +162,7 @@ class JobStore:
     def write_endpoint(self, url: str) -> None:
         """Advertise the bound URL (atomic; read by clients and tests)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / "endpoint.tmp"
-        tmp.write_text(url + "\n", encoding="utf-8")
-        os.replace(tmp, self.root / "endpoint")
+        write_text_atomic(self.root / "endpoint", url + "\n")
 
     def read_endpoint(self) -> str | None:
         try:

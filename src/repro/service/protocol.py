@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: wire/schema version for job records and result streams
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: priority classes in scheduling order (index = class rank, 0 first)
 PRIORITIES = ("high", "normal", "low")
@@ -106,11 +106,12 @@ def cell_result_to_wire(res: CellResult, seq: int) -> dict:
 class JobSpec:
     """What to run: the client-controlled half of a job.
 
-    ``cache``/``obs``/``guard`` semantics are exactly those of
-    :func:`~repro.experiments.parallel.run_cells_detailed` — the daemon
-    forwards them verbatim, which is the bit-identity guarantee. Paths
-    are interpreted by the daemon process, so clients send absolute
-    paths (the stock client resolves them).
+    ``jobs``/``cache``/``use_journal``/``policy`` semantics are exactly
+    those of :func:`~repro.experiments.parallel.run_cells_detailed` — the
+    daemon forwards them verbatim, which is the bit-identity guarantee.
+    Paths (the cache and the policy's obs/guard directories) are
+    interpreted by the daemon process, so clients send absolute paths
+    (the stock client resolves them).
     """
 
     cells: list[Cell]
@@ -119,8 +120,6 @@ class JobSpec:
     cache: str | None = None
     use_journal: bool = True
     policy: FaultPolicy | None = None
-    obs: object | None = None
-    guard: object | None = None
 
     def __post_init__(self) -> None:
         if self.priority not in PRIORITIES:

@@ -1,13 +1,17 @@
-"""Append-only, torn-write-tolerant JSON Lines files.
+"""The package's two file-write disciplines: framed appends and atomic replaces.
 
-The one framing the sweep journal (:class:`~repro.experiments.cache.SweepJournal`)
-and the service's job journal and result streams
+Append-only, torn-write-tolerant JSON Lines files are the one framing the
+sweep journal (:class:`~repro.experiments.cache.SweepJournal`) and the
+service's job journal and result streams
 (:class:`~repro.service.jobstore.JobStore`) share: every record is
 *newline-framed* (leading and trailing ``\\n``) and fsynced. If a previous
 append was torn mid-line, the leading newline terminates the damaged line
 so the next record still lands parseable on its own line; the reader skips
 the damaged line and the blank lines the framing produces. A process
 killed at any instant therefore loses at most the record it was writing.
+
+Whole files — cache entries, obs streams, result tables, the daemon's
+endpoint — are replaced with :func:`write_text_atomic`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,30 @@ import os
 import pathlib
 from collections.abc import Iterator
 
-__all__ = ["append_record", "read_records"]
+__all__ = ["append_record", "read_records", "write_text_atomic"]
+
+
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Replace ``path`` with ``text``: a reader sees the old file or the new one.
+
+    The text goes to a temp file of its own in the target's directory
+    (random name, exclusive create, the umask's usual permissions), which
+    ``os.replace`` then renames over ``path``; two concurrent writers of
+    one path never share a temp file, and a failed write removes its own.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # exclusive: the file is this call's alone
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def append_record(path: str | os.PathLike, obj) -> None:

@@ -22,7 +22,7 @@ import pytest
 
 from repro import build_simulation
 from repro.experiments.chaos import GUARD_FAULTS, guard_chaos_cell
-from repro.experiments.parallel import run_cells_detailed
+from repro.experiments.parallel import FaultPolicy, run_cells_detailed
 from repro.experiments.runner import SCHEMES, Effort
 from repro.noc.config import NocConfig
 from repro.noc.guard import GuardConfig, RuntimeGuard
@@ -63,7 +63,7 @@ class TestFaultClassification:
     def test_seeded_fault_is_detected_and_classified(self, fault, tmp_path):
         cell = guard_chaos_cell(SCHEME, Effort.SMOKE, seed=7, fault=fault)
         results, report = run_cells_detailed(
-            [cell], jobs=1, guard=strict_guard(tmp_path)
+            [cell], jobs=1, policy=FaultPolicy(guard=strict_guard(tmp_path))
         )
         (res,) = results
         assert not res.ok

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.experiments.parallel import Cell, cell_obs_name, run_cells
+from repro.experiments.parallel import Cell, FaultPolicy, cell_obs_name, run_cells
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.obs import ObsConfig
@@ -32,19 +32,19 @@ def _cells():
     ]
 
 
-def _obs(tmp_path: pathlib.Path, sub: str) -> ObsConfig:
-    return ObsConfig(dir=str(tmp_path / sub), sample_period=50)
+def _policy(tmp_path: pathlib.Path, sub: str) -> FaultPolicy:
+    return FaultPolicy(obs=ObsConfig(dir=str(tmp_path / sub), sample_period=50))
 
 
 def test_seed_matrix_serial_parallel_cache_identical(tmp_path):
     cells = _cells()
 
-    runs_serial, _ = run_cells(cells, jobs=1, obs=_obs(tmp_path, "serial"))
-    runs_par, _ = run_cells(cells, jobs=2, obs=_obs(tmp_path, "par"))
+    runs_serial, _ = run_cells(cells, jobs=1, policy=_policy(tmp_path, "serial"))
+    runs_par, _ = run_cells(cells, jobs=2, policy=_policy(tmp_path, "par"))
 
     cache = str(tmp_path / "cache")
     runs_cold, report_cold = run_cells(
-        cells, jobs=1, cache=cache, obs=_obs(tmp_path, "cold")
+        cells, jobs=1, cache=cache, policy=_policy(tmp_path, "cold")
     )
     runs_hit, report_hit = run_cells(cells, jobs=1, cache=cache)
     assert report_cold.cache_misses == len(SEEDS)
@@ -73,8 +73,8 @@ def test_seed_matrix_serial_parallel_cache_identical(tmp_path):
 
 def test_obs_jsonl_streams_byte_identical_across_jobs(tmp_path):
     cells = _cells()
-    run_cells(cells, jobs=1, obs=_obs(tmp_path, "serial"))
-    run_cells(cells, jobs=2, obs=_obs(tmp_path, "par"))
+    run_cells(cells, jobs=1, policy=_policy(tmp_path, "serial"))
+    run_cells(cells, jobs=2, policy=_policy(tmp_path, "par"))
 
     serial_dir = tmp_path / "serial"
     par_dir = tmp_path / "par"

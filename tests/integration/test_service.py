@@ -31,13 +31,13 @@ import pytest
 
 import repro
 from repro.experiments.chaos import chaos_cell
-from repro.experiments.parallel import Cell, run_cells_detailed
+from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.obs.collector import ObsConfig
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobstore import JobStore
-from repro.service.protocol import JobSpec, encode_value
+from repro.service.protocol import TERMINAL_STATES, JobSpec, encode_value
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -98,6 +98,14 @@ class Daemon:
         self.client = ServiceClient(url)
         assert self.client.health()["status"] == "ok"
 
+    def wait(self, job_id: str, timeout_s: float = 120.0) -> dict:
+        """Poll until the job is terminal; its status record."""
+        deadline = time.monotonic() + timeout_s
+        while (status := self.client.job(job_id))["state"] not in TERMINAL_STATES:
+            assert time.monotonic() < deadline, f"job {job_id} stuck: {status}"
+            time.sleep(0.05)
+        return status
+
     def kill(self) -> None:
         if self.proc.poll() is None:
             self.proc.kill()
@@ -148,11 +156,11 @@ class TestBitIdentity:
         cells = [ok_cell(cell_id=i) for i in range(2)]
         direct_dir = tmp_path / "obs-direct"
         service_dir = tmp_path / "obs-service"
-        run_cells_detailed(cells, jobs=1, obs=ObsConfig(dir=str(direct_dir)))
+        direct = FaultPolicy(obs=ObsConfig(dir=str(direct_dir)))
+        run_cells_detailed(cells, jobs=1, policy=direct)
         with Daemon(tmp_path / "store") as daemon:
-            run_cells_detailed(
-                cells, jobs=1, obs=ObsConfig(dir=str(service_dir)), service=daemon.url
-            )
+            via = FaultPolicy(obs=ObsConfig(dir=str(service_dir)))
+            run_cells_detailed(cells, jobs=1, policy=via, service=daemon.url)
         direct_files = sorted(p.name for p in direct_dir.glob("*.jsonl"))
         service_files = sorted(p.name for p in service_dir.glob("*.jsonl"))
         assert direct_files == service_files and direct_files
@@ -184,7 +192,7 @@ class TestSchedulingAndBackpressure:
             assert daemon.client.health()["queued"] == 3
             daemon.client.resume()
             seqs = {
-                p: daemon.client.wait(job_id, timeout=120)["start_seq"]
+                p: daemon.wait(job_id)["start_seq"]
                 for p, job_id in ids.items()
             }
             assert seqs["high"] < seqs["normal"] < seqs["low"]
@@ -267,7 +275,7 @@ class TestCrashRecovery:
 
         open(marker, "w").close()  # release the blocked cell for the revival
         with Daemon(store) as revived:
-            status = revived.client.wait(job_id, timeout=120)
+            status = revived.wait(job_id)
             assert status["state"] == "done"
             records = list(revived.client.stream_results(job_id))
             cell_records = [r for r in records if r["kind"] == "cell"]
@@ -287,7 +295,7 @@ class TestCrashRecovery:
         finally:
             daemon.kill()
         with Daemon(store) as revived:  # not paused: dispatch resumes
-            status = revived.client.wait(job_id, timeout=120)
+            status = revived.wait(job_id)
             assert status["state"] == "done"
             assert status["completed"] == 1
 
@@ -331,7 +339,7 @@ class TestSubmitCli:
     def test_health_list_show_watch(self, tmp_path):
         with Daemon(tmp_path / "store") as daemon:
             job_id = daemon.client.submit(JobSpec(cells=[ok_cell()]))["id"]
-            daemon.client.wait(job_id, timeout=120)
+            daemon.wait(job_id)
 
             health = self.run_cli("--service", daemon.url, "health")
             assert health.returncode == 0

@@ -16,6 +16,7 @@ from repro.experiments.parallel import (Cell, CellFailure, CellResult, Execution
                                        FaultPolicy)
 from repro.experiments.runner import SCHEMES, Effort, ScenarioRun
 from repro.experiments.scenarios import SCENARIO_BUILDERS, ScenarioSpec
+from repro.noc.guard import GUARD_MODES, GuardConfig
 from repro.noc.stats import RunMetrics
 from repro.obs.collector import ObsConfig, ObsSummary
 from repro.service.protocol import (JOB_STATES, PRIORITIES, JobRecord, JobSpec,
@@ -49,15 +50,19 @@ cells = st.builds(Cell, st.sampled_from(list(SCHEMES.values())), specs,
 failures = scalar_fields(CellFailure)
 results = scalar_fields(CellResult, cell=cells, run=runs) | scalar_fields(
     CellResult, cell=cells, failure=failures)
+policies = st.builds(
+    FaultPolicy, st.integers(1, 5), cycle_budget=st.none() | INTS,
+    obs=st.none() | st.builds(ObsConfig, st.none() | TEXT, st.integers(1, 99)),
+    guard=st.none() | st.builds(GuardConfig, st.sampled_from(GUARD_MODES), st.none() | TEXT,
+                                check_period=st.none() | st.integers(1, 99)))
 job_specs = st.builds(JobSpec, st.lists(cells, min_size=1, max_size=3),
                       st.sampled_from(PRIORITIES), st.integers(1, 8), st.none() | TEXT,
-                      st.booleans(), st.none() | st.builds(FaultPolicy, st.integers(1, 5)),
-                      st.none() | st.builds(ObsConfig, st.none() | TEXT, st.integers(1, 99)))
+                      st.booleans(), st.none() | policies)
 records = scalar_fields(JobRecord, spec=job_specs, state=st.sampled_from(JOB_STATES),
                         start_seq=st.none() | INTS, meta=st.dictionaries(TEXT, TEXT))
 tuple_keyed = st.dictionaries(st.tuples(INTS, TEXT, st.sampled_from(["VA", "SA"])), INTS)
-# A JobSpec byte for byte as journaled while FaultPolicy still had a sixth field,
-# since deleted: the codec drops the unknown field, so an old journal replays.
+# A JobSpec byte for byte as journaled while FaultPolicy still had a sixth field
+# and JobSpec its own obs/guard, since deleted: the codec drops unknown fields.
 OLD_JOB = json.loads(
     '{"__repro__":"dataclass","type":"repro.service.protocol:JobSpec","fields":{"cells":[{'
     '"__repro__":"dataclass","type":"repro.experiments.parallel:Cell","fields":{"scheme":{'

@@ -189,9 +189,9 @@ def test_figure_main_takes_the_flag_block(tmp_path):
     assert (seen["effort"], seen["seed"], seen["seeds"], seen["topology"]) == (
         Effort.SMOKE, 3, [3, 4], "torus",
     )
-    assert seen["guard"].mode == "sample"
-    assert seen["guard"].dir == seen["obs"].dir == str(tmp_path)  # blackboxes beside obs
-    assert seen["policy"].cycle_budget == 9
+    policy = seen["policy"]
+    assert (policy.guard.mode, policy.cycle_budget) == ("sample", 9)
+    assert policy.guard.dir == policy.obs.dir == str(tmp_path)  # blackboxes beside obs
     assert (seen["service"].url, seen["service"].priority) == ("http://127.0.0.1:1", "high")
 
 

@@ -6,7 +6,8 @@ from repro.experiments.parallel import Cell
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import ScenarioSpec
 from repro.service.jobstore import JobStore
-from repro.service.protocol import JobRecord, JobSpec
+from repro.service.protocol import PROTOCOL_VERSION, JobRecord, JobSpec, encode_value
+from repro.util.jsonl import append_record
 
 
 def make_job(job_id: str, priority: str = "normal", n_cells: int = 1) -> JobRecord:
@@ -70,20 +71,28 @@ class TestJournalReplay:
     def test_undecodable_submit_collected_not_fatal(self, tmp_path):
         store = JobStore(tmp_path / "store")
         store.append_submit(make_job("j000001"))
-        import json
-
         # fields not an object: an AttributeError, which once stopped recovery
         job = {"__repro__": "dataclass", "type": "repro.service.protocol:JobRecord", "fields": [1]}
-        with open(store.journal_path, "a", encoding="utf-8") as fh:
-            fh.write(
-                "\n"
-                + json.dumps({"event": "submit", "v": 2, "id": "j000002", "job": job})
-                + "\n"
-            )
+        append_record(
+            store.journal_path,
+            {"event": "submit", "v": PROTOCOL_VERSION, "id": "j000002", "job": job},
+        )
         fresh = JobStore(tmp_path / "store")
         jobs = fresh.recover()
         assert set(jobs) == {"j000001"}
         assert fresh.undecodable == ["j000002"]
+
+    def test_submit_from_another_protocol_version_is_not_replayed(self, tmp_path):
+        """A queued job journaled under protocol 2 would decode — the codec
+        drops the fields it no longer knows — and re-run without them."""
+        store = JobStore(tmp_path / "store")
+        job = encode_value(make_job("j000007"))
+        append_record(
+            store.journal_path, {"event": "submit", "v": 2, "id": "j000007", "job": job}
+        )
+        assert store.recover() == {}
+        assert store.undecodable == ["j000007"]
+        assert store.next_job_number() == 8
 
     def test_next_job_number_skips_ids(self, tmp_path):
         store = JobStore(tmp_path / "store")

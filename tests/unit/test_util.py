@@ -1,12 +1,14 @@
 """Unit tests for util: errors, rng, validation, framed JSONL."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.experiments.cache import SweepJournal
 from repro.service.jobstore import JobStore
 from repro.util.errors import ConfigError, ReproError, SimulationError, TrafficError
-from repro.util.jsonl import read_records
+from repro.util.jsonl import read_records, write_text_atomic
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.validate import check_fraction, check_in, check_positive, require
 
@@ -108,3 +110,30 @@ class TestFramedJsonl:
         append(3)  # the leading newline closes the torn line
         assert load() == {0, 1, 3}
         assert sum(1 for _ in read_records(path)) == 3
+
+
+class TestAtomicWrite:
+    def test_two_writers_of_one_path_use_distinct_temp_files(self, tmp_path, monkeypatch):
+        target = tmp_path / "table.txt"
+        published = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            published.append(src)
+            if len(published) == 1:  # a second writer lands mid-publish
+                write_text_atomic(target, "second\n")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        write_text_atomic(target, "first\n")
+        assert len(set(published)) == 2
+        assert target.read_text() == "first\n"
+        assert os.listdir(tmp_path) == ["table.txt"]
+
+    def test_failed_write_keeps_the_old_content_and_no_temp_file(self, tmp_path):
+        target = tmp_path / "table.txt"
+        write_text_atomic(target, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text_atomic(target, "half \ud800")  # a lone surrogate: unencodable
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["table.txt"]
