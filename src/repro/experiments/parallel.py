@@ -73,14 +73,7 @@ from repro.experiments.cache import ResultCache, SweepJournal, cache_key
 from repro.experiments.runner import Effort, ScenarioRun, Scheme, run_scenario
 from repro.experiments.scenarios import ScenarioSpec
 from repro.noc.config import NocConfig
-from repro.util.errors import (
-    CellExecutionError,
-    ConfigError,
-    DeadlineError,
-    ReproError,
-    SimulationError,
-    TrafficError,
-)
+from repro.util.errors import CellExecutionError, ConfigError, ReproError
 
 __all__ = [
     "Cell",
@@ -224,13 +217,11 @@ class CellResult:
         return self.run is not None
 
 
-#: deterministic outcomes of the cell itself — retrying cannot change them
+#: deterministic outcomes of the cell itself — retrying cannot change them.
+#: Checked before _RETRYABLE, so a type deriving from both (a domain error
+#: that is also an OSError, or io.UnsupportedOperation) is not retried.
 _NON_RETRYABLE = (
-    ConfigError,
-    SimulationError,
-    TrafficError,
-    DeadlineError,
-    ReproError,
+    ReproError,  # ConfigError, SimulationError, TrafficError, DeadlineError, ...
     ValueError,
     TypeError,
     KeyError,

@@ -3,7 +3,7 @@
 The batch CLIs under :mod:`repro.experiments` run one sweep and exit. This
 package turns the same execution engine into a long-lived local service:
 
-* :mod:`repro.service.daemon` — an asyncio daemon
+* :mod:`repro.service.daemon` — a daemon on the stdlib HTTP server
   (``python -m repro.service.daemon``) that owns the worker processes and
   exposes a localhost HTTP+JSONL API for submitting sweep jobs,
 * :mod:`repro.service.scheduler` — priority-class admission and dispatch
@@ -18,8 +18,8 @@ package turns the same execution engine into a long-lived local service:
   of the cache's codec, :func:`repro.experiments.cache.encode_value`),
 * :mod:`repro.service.client` — the thin blocking client every figure CLI
   routes through via ``--service URL``, plus
-  ``python -m repro.service.submit`` for ops (health, list, watch,
-  cancel, run).
+  ``python -m repro.service.submit`` for ops (health, list, show,
+  watch, cancel, pause, resume).
 
 The invariant the whole package is built around: a sweep submitted
 through the service is **bit-identical** to the same sweep run directly —

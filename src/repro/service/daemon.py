@@ -1,7 +1,7 @@
 """The sweep-service daemon: ``python -m repro.service.daemon``.
 
-A single-process asyncio service that owns the experiment worker
-processes and serves a localhost HTTP+JSONL API::
+A single-process service that owns the experiment worker processes and
+serves a localhost HTTP+JSONL API::
 
     GET  /v1/health                 liveness + queue depths + version/git-rev/
                                     protocol stamp
@@ -15,14 +15,22 @@ processes and serves a localhost HTTP+JSONL API::
     POST /v1/jobs/<id>/cancel       cancel a *queued* job (409 otherwise)
     POST /v1/control/pause|resume   hold / release dispatch (testing, ops)
 
-Execution model: the dispatch loop runs one job at a time — the
+Execution model: one dispatcher thread runs one job at a time — the
 highest-priority queued job, FIFO within class — through the unmodified
-:func:`~repro.experiments.parallel.run_cells_detailed` in a worker
-thread; a job's own ``jobs`` fans its cells over worker processes. The
-daemon adds scheduling, durability, and streaming *around* the engine,
-never a different engine, which is what keeps service results
-bit-identical to direct runs (same cache keys, same fault-policy
-semantics, byte-identical obs JSONL).
+:func:`~repro.experiments.parallel.run_cells_detailed`; a job's own
+``jobs`` fans its cells over worker processes. The daemon adds
+scheduling, durability, and streaming *around* the engine, never a
+different engine, which is what keeps service results bit-identical to
+direct runs (same cache keys, same fault-policy semantics, byte-identical
+obs JSONL).
+
+Threads: the stdlib :class:`~http.server.ThreadingHTTPServer` answers
+each connection on its own thread, beside the dispatcher. One lock,
+``_lock``, guards every read and write of daemon state — jobs, scheduler,
+subscribers and store appends; only the engine call and socket writes
+run outside it. All threads are daemon threads, so SIGINT returns at
+once: a running job stays ``running`` in the journal and resumes on
+restart, exactly as after SIGKILL.
 
 Durability: every submit/state transition is journaled and every
 completed cell appended to the job's result stream *before* clients see
@@ -31,23 +39,27 @@ journal, re-enqueues every non-terminal job in original submission
 order, and re-runs only cells without a durable result record — a killed
 daemon never duplicates completed work and never loses an accepted job.
 
-The HTTP implementation is deliberately minimal (stdlib asyncio only):
-one request per connection, ``Connection: close``, streaming responses
-are unframed JSONL flushed per record. The daemon binds 127.0.0.1 by
-default and treats the socket as a local trust boundary, like the
-worker-process pipes it wraps.
+HTTP is :mod:`http.server`'s HTTP/1.0: one request per connection, and
+streaming responses are unframed JSONL written per record. The daemon
+binds 127.0.0.1 by default and treats the socket as a local trust
+boundary, like the worker-process pipes it wraps.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import dataclasses
+import itertools
 import json
+import multiprocessing
+import os
+import queue
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro._version import version_blurb
-from repro.experiments.parallel import run_cells_detailed
+from repro.experiments.parallel import ExecutionReport, run_cells_detailed
 from repro.service.jobstore import JobStore
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -64,10 +76,6 @@ from repro.service.scheduler import PriorityScheduler, QueueFull
 __all__ = ["SweepDaemon", "main"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
-_MAX_HEADER_BYTES = 64 * 1024
-
-#: queue sentinel that tells a streaming subscriber to stop tailing
-_STREAM_END = None
 
 
 class _HttpError(Exception):
@@ -77,18 +85,8 @@ class _HttpError(Exception):
         self.headers = headers or {}
 
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-}
+def _jsonl(record: dict) -> bytes:
+    return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
 
 
 class SweepDaemon:
@@ -108,9 +106,12 @@ class SweepDaemon:
         self.paused = paused
         self.scheduler = PriorityScheduler(max_queued=max_queued)
         self.jobs: dict[str, JobRecord] = {}
-        self._subscribers: dict[str, set[asyncio.Queue]] = {}
+        #: live result feeds per job, fed by publish() until the job_end
+        self._subscribers: dict[str, list[queue.SimpleQueue]] = {}
         self._next_number = 1
-        self._wake: asyncio.Event | None = None
+        self._lock = threading.Lock()
+        #: notified on submit and resume; the dispatcher waits on it
+        self._wake = threading.Condition(self._lock)
         self._started = time.time()
         self.url: str | None = None
 
@@ -118,240 +119,163 @@ class SweepDaemon:
 
     def recover(self) -> int:
         """Replay the journal; re-enqueue non-terminal jobs. Returns count."""
-        self.jobs = self.store.recover()
-        self._next_number = self.store.next_job_number()
-        requeued = 0
-        for job in self.jobs.values():  # journal order == submission order
-            if job.terminal:
-                continue
-            if job.state != "queued":
-                job.state = "queued"
-                self.store.append_state(job.id, "queued", recovered=True)
-            self.scheduler.requeue(job)  # bypasses the admission bound
-            requeued += 1
-        return requeued
+        with self._lock:
+            self.jobs = self.store.recover()
+            self._next_number = self.store.next_job_number()
+            requeued = 0
+            for job in self.jobs.values():  # journal order == submission order
+                if job.terminal:
+                    continue
+                if job.state != "queued":
+                    job.state = "queued"
+                    self.store.append_state(job.id, "queued", recovered=True)
+                self.scheduler.requeue(job)  # bypasses the admission bound
+                requeued += 1
+            return requeued
 
-    async def serve(self) -> None:
-        """Bind, advertise the endpoint, and run until cancelled."""
-        self._wake = asyncio.Event()
-        server = await asyncio.start_server(self._handle_conn, self.host, self.port)
-        bound_port = server.sockets[0].getsockname()[1]
-        self.url = f"http://{self.host}:{bound_port}"
+    def serve(self) -> None:
+        """Bind, advertise the endpoint, and serve until interrupted."""
+        server = ThreadingHTTPServer((self.host, self.port), _Handler)
+        server.sweep = self
+        self.url = f"http://{self.host}:{server.server_address[1]}"
         self.store.write_endpoint(self.url)
         print(f"repro sweep service listening on {self.url}", flush=True)
-        dispatcher = asyncio.ensure_future(self._dispatch_loop())
+        threading.Thread(target=self._dispatch_loop, daemon=True).start()
         try:
-            async with server:
-                await server.serve_forever()
+            server.serve_forever()
         finally:
-            dispatcher.cancel()
+            server.server_close()
 
     # -- dispatch ----------------------------------------------------------------
 
-    def _kick(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
-
-    async def _dispatch_loop(self) -> None:
+    def _dispatch_loop(self) -> None:
         """Run queued jobs one at a time; sleep until a submit or resume."""
         while True:
-            self._wake.clear()
-            job_id = None if self.paused else self.scheduler.next_job()
-            if job_id is None:
-                await self._wake.wait()
-            else:
-                await self._run_job(self.jobs[job_id])
+            with self._lock:
+                while self.paused or (job_id := self.scheduler.next_job()) is None:
+                    self._wake.wait()
+                job = self.jobs[job_id]
+            self._run_job(job)
 
-    async def _run_job(self, job: JobRecord) -> None:
-        job.state = "running"
-        job.started_at = time.time()
-        job.start_seq = self.scheduler.dispatched
-        self.store.append_state(
-            job.id, "running", started_at=job.started_at, start_seq=job.start_seq
-        )
-        loop = asyncio.get_running_loop()
+    def _run_job(self, job: JobRecord) -> None:
         spec = job.spec
-        done_indices = self.store.completed_indices(job.id)
+        with self._lock:
+            job.state = "running"
+            job.started_at = time.time()
+            job.start_seq = self.scheduler.dispatched
+            self.store.append_state(
+                job.id, "running", started_at=job.started_at, start_seq=job.start_seq
+            )
+            done_indices = self.store.completed_indices(job.id)
+            seq = len(self.store.result_records(job.id))
         remaining = [c for i, c in enumerate(spec.cells) if i not in done_indices]
         # engine indices are remainder-relative; map back to spec positions
         spec_index = [i for i in range(len(spec.cells)) if i not in done_indices]
-        seq = len(self.store.result_records(job.id))
 
         def publish(result) -> None:
-            # Runs on the event loop: seq assignment, the durable append,
-            # and subscriber fan-out stay ordered and race-free.
+            # Called on this thread by the engine, once per finished cell.
             nonlocal seq
             result = dataclasses.replace(result, index=spec_index[result.index])
-            rec = cell_result_to_wire(result, seq)
-            seq += 1
-            self.store.append_result(job.id, rec)
-            job.completed += 1
-            self._fanout(job.id, rec)
-
-        def on_result(result) -> None:
-            # Called from the engine's thread, never the loop's; hop to
-            # the loop so publish() is serialized.
-            loop.call_soon_threadsafe(publish, result)
+            with self._lock:
+                rec = cell_result_to_wire(result, seq)
+                seq += 1
+                self.store.append_result(job.id, rec)
+                job.completed += 1
+                self._fanout(job.id, rec)
 
         try:
             if remaining:
-                _results, report = await asyncio.to_thread(
-                    run_cells_detailed,
+                _results, report = run_cells_detailed(
                     remaining,
                     jobs=spec.jobs,
                     cache=spec.cache,
                     policy=spec.policy,
                     use_journal=spec.use_journal,
-                    on_result=on_result,
+                    on_result=publish,
                 )
             else:
-                from repro.experiments.parallel import ExecutionReport
-
                 report = ExecutionReport(cells=0, jobs=spec.jobs)
             # Fold pre-crash completions into the report the client sees.
             if done_indices:
                 report.cells = len(spec.cells)
                 report.resumed += len(done_indices)
-            job.state = "done"
-            job.error = None
+            state, error = "done", None
         except Exception as exc:  # engine-level failure, not a cell failure
             report = None
-            job.state = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+        with self._lock:
+            self._end(job, state, report, error)
+            self.scheduler.finish(job.id)
+
+    def _end(self, job: JobRecord, state: str, report, error=None) -> None:
+        """Make ``job`` terminal: its stream's job_end first, then the journal.
+
+        A kill between the two writes leaves a job the journal still calls
+        live, whose stream already ends; recovery re-runs it, finds no cell
+        left, and a late client stops at the original job_end.
+        """
+        job.state = state
+        job.error = error
         job.finished_at = time.time()
-        self.store.append_state(
-            job.id, job.state, finished_at=job.finished_at, error=job.error
-        )
         end = {
             "kind": "job_end",
             "id": job.id,
-            "state": job.state,
+            "state": state,
             "error": job.error,
             "report": encode_value(report),
             "job": job.status_wire(),
         }
         self.store.append_result(job.id, end)
+        self.store.append_state(
+            job.id, state, finished_at=job.finished_at, error=job.error
+        )
         self._fanout(job.id, end)
-        self._close_stream(job.id)
-        self.scheduler.finish(job.id)
-
-    # -- streaming fan-out -------------------------------------------------------
+        self._subscribers.pop(job.id, None)
 
     def _fanout(self, job_id: str, rec: dict) -> None:
-        for queue in self._subscribers.get(job_id, ()):
-            queue.put_nowait(rec)
-
-    def _close_stream(self, job_id: str) -> None:
-        for queue in self._subscribers.pop(job_id, ()):
-            queue.put_nowait(_STREAM_END)
-
-    # -- HTTP plumbing -----------------------------------------------------------
-
-    async def _handle_conn(self, reader, writer) -> None:
-        try:
-            try:
-                method, path, body = await self._read_request(reader)
-                await self._route(method, path, body, writer)
-            except _HttpError as exc:
-                await self._send_json(
-                    writer, exc.status, {"error": str(exc)}, extra=exc.headers
-                )
-            except (ConnectionError, asyncio.IncompleteReadError):
-                pass
-            except Exception as exc:  # never take the daemon down for a request
-                try:
-                    await self._send_json(
-                        writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                    )
-                except Exception:
-                    pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _read_request(self, reader):
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise _HttpError(413, "headers too large") from None
-        if len(head) > _MAX_HEADER_BYTES:
-            raise _HttpError(413, "headers too large")
-        lines = head.decode("latin-1").split("\r\n")
-        try:
-            method, path, _version = lines[0].split(" ", 2)
-        except ValueError:
-            raise _HttpError(400, f"malformed request line {lines[0]!r}") from None
-        headers = {}
-        for line in lines[1:]:
-            if ":" in line:
-                name, _, value = line.partition(":")
-                headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        if length > _MAX_BODY_BYTES:
-            raise _HttpError(413, f"body of {length} bytes exceeds limit")
-        body = await reader.readexactly(length) if length else b""
-        return method.upper(), path.split("?", 1)[0], body
-
-    async def _send_json(self, writer, status, payload, extra=None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        headers = {
-            "Content-Type": "application/json",
-            "Content-Length": str(len(body)),
-            "Connection": "close",
-            **(extra or {}),
-        }
-        writer.write(self._head(status, headers) + body)
-        await writer.drain()
-
-    @staticmethod
-    def _head(status: int, headers: dict) -> bytes:
-        reason = _REASONS.get(status, "Unknown")
-        lines = [f"HTTP/1.1 {status} {reason}"]
-        lines += [f"{k}: {v}" for k, v in headers.items()]
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        for feed in self._subscribers.get(job_id, ()):
+            feed.put(rec)
 
     # -- routing -----------------------------------------------------------------
 
-    async def _route(self, method, path, body, writer) -> None:
+    def route(self, method: str, path: str, body: bytes):
+        """Answer one request: ``(status, JSON payload or record iterator)``.
+
+        Runs under the lock; a result stream's iterator is the durable
+        records plus a live feed subscribed in the same critical section,
+        so no record is missed or sent twice.
+        """
         parts = [p for p in path.split("/") if p]
         if parts[:1] != ["v1"]:
             raise _HttpError(404, f"unknown path {path!r}")
         tail = parts[1:]
-        if tail == ["health"] and method == "GET":
-            await self._send_json(writer, 200, self._health())
-        elif tail == ["jobs"] and method == "POST":
-            await self._submit(body, writer)
-        elif tail == ["jobs"] and method == "GET":
-            await self._send_json(
-                writer,
-                200,
-                {"jobs": [j.status_wire() for j in self.jobs.values()]},
-            )
-        elif len(tail) == 2 and tail[0] == "jobs" and method == "GET":
-            job = self._job_or_404(tail[1])
-            payload = job.status_wire()
-            payload["position"] = self.scheduler.position(job.id)
-            await self._send_json(writer, 200, payload)
-        elif len(tail) == 3 and tail[:1] == ["jobs"] and tail[2] == "results":
-            if method != "GET":
-                raise _HttpError(405, "results endpoint is GET-only")
-            await self._stream_results(self._job_or_404(tail[1]), writer)
-        elif len(tail) == 3 and tail[:1] == ["jobs"] and tail[2] == "cancel":
-            if method != "POST":
-                raise _HttpError(405, "cancel endpoint is POST-only")
-            await self._cancel(self._job_or_404(tail[1]), writer)
-        elif tail == ["control", "pause"] and method == "POST":
-            self.paused = True
-            await self._send_json(writer, 200, {"paused": True})
-        elif tail == ["control", "resume"] and method == "POST":
-            self.paused = False
-            self._kick()
-            await self._send_json(writer, 200, {"paused": False})
-        else:
-            raise _HttpError(404, f"no route for {method} {path!r}")
+        with self._lock:
+            if tail == ["health"] and method == "GET":
+                return 200, self._health()
+            if tail == ["jobs"] and method == "POST":
+                return 201, self._submit(body)
+            if tail == ["jobs"] and method == "GET":
+                return 200, {"jobs": [j.status_wire() for j in self.jobs.values()]}
+            if len(tail) == 2 and tail[0] == "jobs" and method == "GET":
+                job = self._job_or_404(tail[1])
+                position = self.scheduler.position(job.id)
+                return 200, {**job.status_wire(), "position": position}
+            if len(tail) == 3 and tail[0] == "jobs" and tail[2] == "results":
+                if method != "GET":
+                    raise _HttpError(405, "results endpoint is GET-only")
+                return 200, self._results(self._job_or_404(tail[1]))
+            if len(tail) == 3 and tail[0] == "jobs" and tail[2] == "cancel":
+                if method != "POST":
+                    raise _HttpError(405, "cancel endpoint is POST-only")
+                return 200, self._cancel(self._job_or_404(tail[1]))
+            if tail == ["control", "pause"] and method == "POST":
+                self.paused = True
+                return 200, {"paused": True}
+            if tail == ["control", "resume"] and method == "POST":
+                self.paused = False
+                self._wake.notify()
+                return 200, {"paused": False}
+        raise _HttpError(404, f"no route for {method} {path!r}")
 
     def _job_or_404(self, job_id: str) -> JobRecord:
         job = self.jobs.get(job_id)
@@ -370,7 +294,7 @@ class SweepDaemon:
             "protocol": PROTOCOL_VERSION,
         }
 
-    async def _submit(self, body: bytes, writer) -> None:
+    def _submit(self, body: bytes) -> dict:
         try:
             spec = decode_as(json.loads(body.decode("utf-8")), JobSpec)
         except (UnicodeDecodeError, json.JSONDecodeError, ProtocolError) as exc:
@@ -387,79 +311,87 @@ class SweepDaemon:
         self._next_number += 1
         self.jobs[job.id] = job
         self.store.append_submit(job)
-        self._kick()
-        await self._send_json(
-            writer,
-            201,
-            {
-                "id": job.id,
-                "state": job.state,
-                "priority": job.priority,
-                "cells": len(spec.cells),
-                "position": position,
-            },
-        )
+        self._wake.notify()
+        return {
+            "id": job.id,
+            "state": job.state,
+            "priority": job.priority,
+            "cells": len(spec.cells),
+            "position": position,
+        }
 
-    async def _cancel(self, job: JobRecord, writer) -> None:
+    def _cancel(self, job: JobRecord) -> dict:
         if job.terminal:
             raise _HttpError(409, f"job {job.id} already {job.state}")
         if not self.scheduler.cancel(job.id):
             raise _HttpError(409, f"job {job.id} is running; cannot cancel")
-        job.state = "cancelled"
-        job.finished_at = time.time()
-        self.store.append_state(job.id, "cancelled", finished_at=job.finished_at)
-        end = {
-            "kind": "job_end",
-            "id": job.id,
-            "state": "cancelled",
-            "error": None,
-            "report": None,
-            "job": job.status_wire(),
-        }
-        self.store.append_result(job.id, end)
-        self._fanout(job.id, end)
-        self._close_stream(job.id)
-        await self._send_json(writer, 200, job.status_wire())
+        self._end(job, "cancelled", None)
+        return job.status_wire()
 
-    async def _stream_results(self, job: JobRecord, writer) -> None:
-        # Subscribe before replaying the durable records: publish() runs
-        # on this same loop, so nothing can land between the two steps,
-        # and seq-dedup below makes the overlap harmless regardless.
-        queue: asyncio.Queue | None = None
-        if not job.terminal:
-            queue = asyncio.Queue()
-            self._subscribers.setdefault(job.id, set()).add(queue)
+    def _results(self, job: JobRecord):
+        records = self.store.result_records(job.id)
+        if job.terminal:
+            return iter(records)
+        feed = queue.SimpleQueue()
+        self._subscribers.setdefault(job.id, []).append(feed)
+        # the feed never yields the sentinel: the reader stops at job_end
+        return itertools.chain(records, iter(feed.get, None))
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One request: read the bounded body, route it, write JSON or JSONL."""
+
+    def _handle(self) -> None:
         try:
-            writer.write(
-                self._head(
-                    200,
-                    {"Content-Type": "application/x-ndjson", "Connection": "close"},
-                )
+            status, payload = self.server.sweep.route(
+                self.command, self.path.split("?", 1)[0], self._body()
             )
-            seen_seq = set()
-            ended = False
-            for rec in self.store.result_records(job.id):
-                if rec.get("kind") == "cell":
-                    seen_seq.add(rec.get("seq"))
-                elif rec.get("kind") == "job_end":
-                    ended = True
-                writer.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
-            await writer.drain()
-            while queue is not None and not ended:
-                rec = await queue.get()
-                if rec is _STREAM_END:
-                    break
-                if rec.get("kind") == "cell" and rec.get("seq") in seen_seq:
-                    continue
-                if rec.get("kind") == "job_end":
-                    ended = True
-                writer.write((json.dumps(rec, sort_keys=True) + "\n").encode("utf-8"))
-                await writer.drain()
-        finally:
-            if queue is not None:
-                subs = self._subscribers.get(job.id)
-                if subs is not None:
-                    subs.discard(queue)
+            if isinstance(payload, dict):
+                self._send_json(status, payload)
+            else:
+                self._send_stream(payload)
+        except _HttpError as exc:
+            self._send_json(exc.status, {"error": str(exc)}, exc.headers)
+        except ConnectionError:
+            pass  # the client hung up
+        except Exception as exc:  # never take the daemon down for a request
+            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+
+    do_GET = do_POST = _handle
+
+    def _body(self) -> bytes:
+        text = (self.headers.get("Content-Length") or "0").strip()
+        if not text.isdecimal():
+            raise _HttpError(400, f"malformed Content-Length {text!r}")
+        if int(text) > _MAX_BODY_BYTES:
+            raise _HttpError(413, f"body of {text} bytes exceeds limit")
+        return self.rfile.read(int(text))
+
+    def _send_json(self, status: int, payload: dict, headers=None) -> None:
+        body = _jsonl(payload)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _send_stream(self, records) -> None:
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.end_headers()
+        for rec in records:
+            self.wfile.write(_jsonl(rec))
+            if rec.get("kind") == "job_end":
+                break
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # the base class's own refusals (bad request line, 501) in JSON too
+        self._send_json(code, {"error": message or self.responses[code][0]})
+
+    def log_message(self, format, *args) -> None:
+        pass  # no per-request access log
 
 
 def main(argv=None) -> int:
@@ -515,9 +447,14 @@ def main(argv=None) -> int:
         skipped = ", ".join(daemon.store.undecodable)
         print(f"not replaying undecodable job(s) {skipped}", flush=True)
     try:
-        asyncio.run(daemon.serve())
+        daemon.serve()
     except KeyboardInterrupt:
-        pass
+        # Every durable write is already fsynced: leave as SIGKILL would,
+        # taking a running job's workers along, since the interpreter's
+        # own shutdown would join them and wait for their cells.
+        for worker in multiprocessing.active_children():
+            worker.kill()
+        os._exit(0)
     return 0
 
 

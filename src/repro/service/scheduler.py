@@ -17,8 +17,8 @@ what produces *backpressure* instead of unbounded memory growth — the
 same reasoning the NoC applies to VC buffers and credits.
 
 The scheduler is plain synchronous data structures (deques + a dict), so
-it unit-tests without an event loop; the daemon serializes access from
-its single asyncio thread.
+it unit-tests without a server; the daemon serializes access under its
+one state lock.
 """
 
 from __future__ import annotations

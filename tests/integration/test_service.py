@@ -14,7 +14,11 @@ mirror the subsystem's contract:
 * a daemon SIGKILLed mid-job recovers on restart: queued and incomplete
   jobs resume, completed cells are never re-run or duplicated;
 * a killed *worker* (chaos ``kill_once``) is healed by the engine and
-  the daemon stays up.
+  the daemon stays up;
+* a job's stream gets its ``job_end`` before the journal calls it
+  terminal, so a kill between the two writes still ends the stream;
+* a stream opened while its job publishes sees each cell exactly once;
+* SIGINT exits 0 at once, mid-job too, and the job resumes on restart.
 """
 
 from __future__ import annotations
@@ -23,21 +27,35 @@ import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
+import urllib.parse
 
 import pytest
 
 import repro
 from repro.experiments.chaos import chaos_cell
-from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
+from repro.experiments.parallel import (
+    Cell,
+    ExecutionReport,
+    FaultPolicy,
+    run_cells_detailed,
+)
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.obs.collector import ObsConfig
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.daemon import SweepDaemon
 from repro.service.jobstore import JobStore
-from repro.service.protocol import TERMINAL_STATES, JobSpec, encode_value
+from repro.service.protocol import (
+    TERMINAL_STATES,
+    JobSpec,
+    decode_as,
+    encode_value,
+)
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -110,6 +128,13 @@ class Daemon:
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.wait(10)
+
+    def interrupt(self) -> None:
+        """SIGINT must exit 0 within 2 s, without a traceback."""
+        self.proc.send_signal(signal.SIGINT)
+        code = self.proc.wait(2.0)
+        output = self.proc.stdout.read()
+        assert code == 0 and "Traceback" not in output, output
 
     def terminate(self) -> None:
         if self.proc.poll() is None:
@@ -239,6 +264,131 @@ class TestSchedulingAndBackpressure:
                 status, _, payload = daemon.client._request("POST", "/v1/jobs", body=body)
                 assert status == 400
                 assert "bad job spec" in payload["error"]
+
+    @pytest.mark.parametrize(
+        "length, status", [("abc", 400), ("-5", 400), (str(64 * 1024 * 1024 + 1), 413)]
+    )
+    def test_content_length_is_validated(self, tmp_path, length, status):
+        with Daemon(tmp_path / "store") as daemon:
+            address = urllib.parse.urlsplit(daemon.url)
+            with socket.create_connection((address.hostname, address.port), 10) as sock:
+                sock.sendall(
+                    f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                status_line = sock.makefile("rb").readline()
+            assert status_line.split()[1] == str(status).encode(), status_line
+            assert daemon.client.health()["jobs"] == 0
+
+
+class TestJobEnd:
+    def test_stream_ends_before_the_journal_does(self, tmp_path):
+        # A store whose terminal state write fails stands in for a kill
+        # between the two end-of-job writes.
+        class KilledAtTerminalState(JobStore):
+            def append_state(self, job_id, state, **extra):
+                if state in TERMINAL_STATES:
+                    raise OSError("killed")
+                super().append_state(job_id, state, **extra)
+
+        daemon = SweepDaemon(KilledAtTerminalState(tmp_path))
+        body = json.dumps(encode_value(JobSpec(cells=[ok_cell()]))).encode()
+        _, submitted = daemon.route("POST", "/v1/jobs", body)
+        job = daemon.jobs[daemon.scheduler.next_job()]
+        with pytest.raises(OSError, match="killed"):
+            daemon._run_job(job)
+
+        fresh = SweepDaemon(JobStore(tmp_path))
+        assert fresh.recover() == 1
+        assert fresh.jobs[submitted["id"]].state == "queued"
+        ends = [
+            r for r in fresh.store.result_records(job.id) if r["kind"] == "job_end"
+        ]
+        assert [e["state"] for e in ends] == ["done"]
+        assert decode_as(ends[0]["report"], ExecutionReport).cells == 1
+
+
+class TestOneLock:
+    def test_every_stream_sees_each_cell_once(self, tmp_path):
+        # Readers subscribe at staggered points while the job publishes. A
+        # record both in a reader's snapshot and in its feed, or in neither,
+        # breaks that reader's count. Cache hits make the job mostly
+        # publishing, so most subscriptions land beside a publish.
+        cache = str(tmp_path / "cache")
+        cells = [ok_cell(cell_id=i) for i in range(4)]
+        run_cells_detailed(cells, cache=cache)
+        daemon = SweepDaemon(JobStore(tmp_path / "store"))
+        spec = JobSpec(cells=cells * 8, cache=cache)
+        body = json.dumps(encode_value(spec)).encode()
+        _, submitted = daemon.route("POST", "/v1/jobs", body)
+        results_path = f"/v1/jobs/{submitted['id']}/results"
+        job = daemon.jobs[daemon.scheduler.next_job()]
+        streams = []
+
+        def read(delay_s: float) -> None:
+            time.sleep(delay_s)
+            _, records = daemon.route("GET", results_path, b"")
+            indices = []
+            for rec in records:
+                if rec["kind"] == "job_end":
+                    break
+                indices.append(rec["index"])
+            streams.append(indices)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=daemon._run_job, args=(job,))]
+            threads += [
+                threading.Thread(target=read, args=(0.003 * k,)) for k in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(streams) == 16
+        assert all(sorted(s) == list(range(32)) for s in streams), streams
+
+
+class TestSigint:
+    def test_idle_daemon_exits_at_once(self, tmp_path):
+        Daemon(tmp_path / "store").interrupt()
+
+    @pytest.mark.parametrize("jobs", [1, 2])  # the cell in-thread / in a worker
+    def test_mid_job_daemon_exits_and_the_job_resumes(self, tmp_path, jobs):
+        marker = str(tmp_path / "release.marker")
+        cells = [
+            ok_cell(cell_id=0),
+            chaos_cell(
+                SCHEMES["RO_RR"],
+                Effort.SMOKE,
+                seed=1,
+                mode="wait_marker",
+                marker=marker,
+                cell_id=1,
+            ),
+        ]
+        store = tmp_path / "store"
+        daemon = Daemon(store)
+        try:
+            job_id = daemon.client.submit(JobSpec(cells=cells, jobs=jobs))["id"]
+            deadline = time.monotonic() + 60.0
+            while daemon.client.job(job_id)["completed"] < 1:
+                assert time.monotonic() < deadline, "first cell never completed"
+                time.sleep(0.05)
+            daemon.interrupt()  # cell 1 is blocked on the marker
+        finally:
+            daemon.kill()
+
+        open(marker, "w").close()
+        with Daemon(store) as revived:
+            assert revived.wait(job_id)["state"] == "done"
+            records = list(revived.client.stream_results(job_id))
+        indices = [r["index"] for r in records if r["kind"] == "cell"]
+        assert sorted(indices) == [0, 1]
 
 
 @pytest.mark.chaos
