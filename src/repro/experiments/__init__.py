@@ -39,7 +39,6 @@ from repro.experiments.parallel import (
     CellResult,
     ExecutionReport,
     FaultPolicy,
-    run_cells,
     run_cells_detailed,
 )
 from repro.experiments.runner import (
@@ -68,7 +67,6 @@ __all__ = [
     "CellResult",
     "ExecutionReport",
     "FaultPolicy",
-    "run_cells",
     "run_cells_detailed",
     "ResultCache",
     "SweepJournal",

@@ -9,9 +9,10 @@ figure sweep is an embarrassingly parallel map.
 Each cell is also its own **fault domain**: :func:`run_cells_detailed`
 returns one :class:`CellResult` per cell, holding either the finished
 :class:`~repro.experiments.runner.ScenarioRun` or a structured
-:class:`CellFailure` (exception type, message, traceback, attempt count,
-wall time). One poisoned cell never aborts the sweep; the other cells
-complete and the caller decides how to render the hole.
+:class:`CellFailure` (exception type, message, traceback, wall time),
+plus the attempt count and whether the run came from the cache. One
+poisoned cell never aborts the sweep; the other cells complete and the
+caller decides how to render the hole.
 
 Under ``--jobs N`` the isolation is by construction, not by recovery:
 every cell *attempt* runs in its own worker process (at most ``jobs``
@@ -53,10 +54,6 @@ seed it identically, and results are collected *in submission order* —
 so ``jobs=N`` is bit-identical to ``jobs=1`` for every
 simulation-determined field, including under injected faults (asserted
 by ``tests/integration/test_parallel.py`` and ``test_chaos.py``).
-
-:func:`run_cells` is the strict interface: it raises a
-:class:`~repro.util.errors.CellExecutionError` carrying the failure's
-traceback text on the first failed cell, whichever process ran it.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ from repro.experiments.cache import ResultCache, SweepJournal, cache_key
 from repro.experiments.runner import Effort, ScenarioRun, Scheme, run_scenario
 from repro.experiments.scenarios import ScenarioSpec
 from repro.noc.config import NocConfig
-from repro.util.errors import CellExecutionError, ConfigError, ReproError
+from repro.util.errors import ConfigError, ReproError
 
 __all__ = [
     "Cell",
@@ -85,7 +82,6 @@ __all__ = [
     "cell_obs_name",
     "classify_exception",
     "compute_cell",
-    "run_cells",
     "run_cells_detailed",
 ]
 
@@ -189,7 +185,6 @@ class CellFailure:
     error_type: str
     message: str
     traceback: str
-    attempts: int
     wall_time_s: float
     retryable: bool
 
@@ -201,12 +196,18 @@ class CellFailure:
 
 @dataclass
 class CellResult:
-    """Outcome of one cell: exactly one of ``run`` / ``failure`` is set."""
+    """Outcome of one cell: exactly one of ``run`` / ``failure`` is set.
+
+    ``attempts`` and ``cache_hit`` are recorded here and only here: the
+    run itself is what the simulation computed, the same whichever
+    attempt produced it or whether it was restored from the cache.
+    """
 
     cell: Cell
     index: int
     run: ScenarioRun | None = None
     failure: CellFailure | None = None
+    #: execution attempts charged to the cell (1 = first try)
     attempts: int = 1
     cache_hit: bool = False
     #: restored from a sweep journal written by an earlier invocation
@@ -305,16 +306,12 @@ def compute_cell(cell: Cell, policy: FaultPolicy | None = None) -> ScenarioRun:
 def _cached_run(cache: ResultCache, key: str) -> tuple[ScenarioRun | None, int]:
     """Defensive cache read: ``(run or None, cache_errors)``.
 
-    A corrupt or unreadable entry is a counted miss, never an exception;
-    a hit is flagged on the run's metrics.
+    A corrupt or unreadable entry is a counted miss, never an exception.
     """
     try:
-        run = cache.get(key)
+        return cache.get(key), 0
     except Exception:
         return None, 1
-    if run is not None and run.metrics is not None:
-        run.metrics.cache_hit = True
-    return run, 0
 
 
 def _execute(
@@ -375,7 +372,7 @@ def _worker(conn, cell: Cell, cache_dir: str | None, policy: FaultPolicy) -> Non
 
 @dataclass
 class ExecutionReport:
-    """What one :func:`run_cells` / :func:`run_cells_detailed` cost.
+    """What one :func:`run_cells_detailed` call cost.
 
     ``cache_hits`` / ``cache_misses`` count *successful* cells only (a
     failed cell produced no result to hit or miss); ``resumed`` counts
@@ -460,15 +457,12 @@ class _Sweep:
             self.on_result(result)
 
     def record_ok(self, entry: _Pending, run: ScenarioRun, hit: bool, cerr: int):
-        attempts = entry.attempts + 1
-        if run.metrics is not None:
-            run.metrics.attempts = attempts
         self._store(
             CellResult(
                 cell=entry.cell,
                 index=entry.index,
                 run=run,
-                attempts=attempts,
+                attempts=entry.attempts + 1,
                 cache_hit=hit,
             )
         )
@@ -497,7 +491,6 @@ class _Sweep:
                     error_type=error_type,
                     message=message,
                     traceback=traceback_text,
-                    attempts=entry.attempts,
                     wall_time_s=wall_time_s,
                     retryable=retryable,
                 ),
@@ -762,28 +755,3 @@ def run_cells_detailed(
     ordered = [sweep.results[i] for i in range(len(cells))]
     return ordered, report
 
-
-def run_cells(
-    cells,
-    jobs: int = 1,
-    cache=None,
-    policy: FaultPolicy | None = None,
-) -> tuple[list[ScenarioRun], ExecutionReport]:
-    """Strict variant: execute ``cells`` and raise on any cell failure.
-
-    For callers that cannot render a partial result (the determinism and
-    seed-matrix tests): the first failed cell raises a
-    :class:`~repro.util.errors.CellExecutionError` carrying its
-    traceback text, on the serial path as in a worker. Figure CLIs should
-    prefer :func:`run_cells_detailed` and degrade gracefully.
-    """
-    cells = list(cells)
-    results, report = run_cells_detailed(cells, jobs=jobs, cache=cache, policy=policy)
-    for res in results:
-        if res.failure is not None:
-            f = res.failure
-            raise CellExecutionError(
-                f"cell {res.index} ({res.cell.describe()}) failed after "
-                f"{f.attempts} attempt(s): {f.summary()}\n{f.traceback}"
-            )
-    return [res.run for res in results], report

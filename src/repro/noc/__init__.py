@@ -23,7 +23,7 @@ from repro.noc.config import NocConfig, VcClass
 from repro.noc.flit import MessageClass, Packet
 from repro.noc.network import Network
 from repro.noc.sim import Simulator
-from repro.noc.stats import LatencyStats, NetworkStats
+from repro.noc.stats import NetworkStats
 from repro.noc.timing import mean_ur_hops, zero_load_latency
 from repro.noc.trace import KernelTrace, RecordingTrace
 from repro.noc.topology import (
@@ -49,7 +49,6 @@ __all__ = [
     "MessageClass",
     "Network",
     "Simulator",
-    "LatencyStats",
     "NetworkStats",
     "KernelTrace",
     "RecordingTrace",

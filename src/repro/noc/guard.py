@@ -60,7 +60,6 @@ would compute), so enabling the guard never changes simulation results.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -603,7 +602,7 @@ class RuntimeGuard:
         """Dump the blackbox and raise the classified :class:`GuardError`."""
         # Lazy obs imports: repro.noc stays import-free of repro.obs at
         # module level; the blackbox writer is only touched on violation.
-        from repro.obs.collector import sanitize_name
+        from repro.obs.exporters import write_stream
         from repro.obs.schema import SCHEMA_VERSION
 
         cfg = net.config
@@ -648,12 +647,9 @@ class RuntimeGuard:
         self.blackbox_records = records
         path = None
         if self.config.dir is not None:
-            from repro.obs.exporters import write_jsonl
-
-            os.makedirs(self.config.dir, exist_ok=True)
-            stem = sanitize_name(self.config.name or "guard")
-            path = os.path.join(self.config.dir, f"{stem}_blackbox.jsonl")
-            write_jsonl(records, path)
+            path = write_stream(
+                records, self.config.dir, self.config.name or "guard", "_blackbox"
+            )
         full = f"guard violation ({reason}) at cycle {cycle}: {message}"
         if path is not None:
             full += f" [blackbox: {path}]"

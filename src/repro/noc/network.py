@@ -87,8 +87,8 @@ class Network:
         else:
             self.region_of = np.zeros(self.topology.num_nodes, dtype=np.int64)
         # Plain-int twin of ``region_of`` for per-flit consumers (DBAR's
-        # path walk, the obs ejection classifier) — indexing an ndarray
-        # yields numpy scalars whose comparisons cost several times an int's.
+        # path walk) — indexing an ndarray yields numpy scalars whose
+        # comparisons cost several times an int's.
         self.region_ids = [int(a) for a in self.region_of]
         self.routers = [
             Router(n, config, self, int(region_map.node_app[n]) if region_map else -1)
@@ -140,8 +140,8 @@ class Network:
         self.occupancy = [0] * self.topology.num_nodes
         # Per-(router, output port) flit counters for link-utilization
         # reports (port 0 counts ejections into the local NI). Nested
-        # lists for the same per-flit-update reason; the ``link_flits``
-        # property serves consumers the ndarray view they index.
+        # lists for the same per-flit-update reason; consumers read copies
+        # through ``link_flit_counts``.
         self._link_flits = [
             [0] * self.topology.num_ports for _ in range(self.topology.num_nodes)
         ]
@@ -568,17 +568,11 @@ class Network:
                 hook(router, cycle)
 
     # -- queries --------------------------------------------------------------------------
-    @property
-    def link_flits(self):
-        """Per-(router, output port) flit counters as an ndarray snapshot."""
-        return np.asarray(self._link_flits, dtype=np.int64)
-
     def link_flit_counts(self) -> list[list[int]]:
         """Per-(router, output port) flit counters as copied nested lists.
 
-        The observability sampler diffs successive copies to get per-link
-        flit deltas per sample period; copying lists is cheaper than the
-        ndarray conversion of :attr:`link_flits` at sampling frequency.
+        Indexed ``[node][port]``. The observability sampler diffs
+        successive copies to get per-link flit deltas per sample period.
         """
         return [row[:] for row in self._link_flits]
 

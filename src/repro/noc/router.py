@@ -460,15 +460,6 @@ class Router:
         """Total flits currently buffered across all input VCs."""
         return sum(invc.occupancy() for port in self.in_vcs for invc in port)
 
-    def dpa_state(self) -> tuple[bool, int, int]:
-        """Current DPA state ``(native_high, ovc_n, ovc_f)``.
-
-        The counters are the incrementally-maintained ones the policy hot
-        path reads (not a recount) — cheap enough for the observability
-        sampler to call on every router every sample period.
-        """
-        return self.native_high, self.ovc_n, self.ovc_f
-
     def occupied_vcs(self) -> tuple[int, int]:
         """Recount (native, foreign) occupied VCs from scratch (for checks)."""
         n = f = 0

@@ -387,8 +387,8 @@ class Simulator:
         obs_summary = None
         if obs is not None:
             obs_summary = obs.finalize(self.cycle)
-            self.metrics.obs_samples = obs.samples_taken
-            self.metrics.obs_events = obs.events_recorded
+            self.metrics.obs_samples = obs_summary.samples
+            self.metrics.obs_events = obs_summary.events
         # Pool counters are per-network totals; for the standard
         # one-measurement-per-simulator pattern they are this run's numbers.
         # (getattr: duck-typed fake networks in tests carry no pool.)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["NetworkStats", "LatencyStats", "RunMetrics"]
+__all__ = ["NetworkStats", "RunMetrics", "latency_summary"]
 
 
 @dataclass
@@ -28,10 +28,11 @@ class RunMetrics:
 
     Filled in by :meth:`repro.noc.sim.Simulator.run_measurement`:
     ``phase_cycles`` / ``phase_seconds`` are keyed by the protocol phases
-    (``warmup`` / ``measure`` / ``drain``). ``cache_hit`` is set by the
-    experiment cache layer when the run was restored from disk instead of
-    simulated (its timings then describe the *original* computation).
-    Cache entries and the service wire carry it through the generic codec
+    (``warmup`` / ``measure`` / ``drain``). A run restored from the result
+    cache carries the timings of the original computation; whether it was
+    a hit, and how many attempts it took, is recorded on the engine's
+    ``CellResult``, not here. Cache entries and the service wire carry
+    these counters through the generic codec
     (:func:`repro.experiments.cache.encode_value`), so a new counter is one
     field line here and nothing else.
     """
@@ -40,10 +41,6 @@ class RunMetrics:
     cycles: int = 0
     phase_cycles: dict[str, int] = field(default_factory=dict)
     phase_seconds: dict[str, float] = field(default_factory=dict)
-    cache_hit: bool = False
-    #: execution attempts the fault-tolerant engine needed for this run
-    #: (1 = first try; set by the parent after retries, never by workers)
-    attempts: int = 1
     #: periodic observability samples taken during the run (0 = no
     #: collector attached; see :mod:`repro.obs`)
     obs_samples: int = 0
@@ -93,31 +90,26 @@ class RunMetrics:
         return copy.deepcopy(self)
 
 
-@dataclass(frozen=True)
-class LatencyStats:
-    """Summary of one latency sample set."""
+def latency_summary(samples) -> dict:
+    """Count, mean, p50/p95/p99, max and log2 histogram of one latency set.
 
-    count: int
-    mean: float
-    median: float
-    p95: float
-    p99: float
-    max: float
-
-    @classmethod
-    def from_samples(cls, samples: np.ndarray) -> "LatencyStats":
-        """Summarize an array of latencies; empty input gives NaN fields."""
-        if len(samples) == 0:
-            nan = float("nan")
-            return cls(0, nan, nan, nan, nan, nan)
-        return cls(
-            count=int(len(samples)),
-            mean=float(np.mean(samples)),
-            median=float(np.median(samples)),
-            p95=float(np.percentile(samples, 95)),
-            p99=float(np.percentile(samples, 99)),
-            max=float(np.max(samples)),
-        )
+    An empty set gives ``{"count": 0}``. Bucket ``i`` of ``hist`` counts
+    latencies in ``[2^i, 2^(i+1))``; ``frexp`` gives the exact binary
+    exponent, immune to the float rounding of ``log2`` at powers of 2.
+    """
+    a = np.asarray(samples, dtype=np.int64)
+    if len(a) == 0:
+        return {"count": 0}
+    hist = np.bincount(np.frexp(a.astype(np.float64))[1] - 1)
+    return {
+        "count": int(len(a)),
+        "mean": float(np.mean(a)),
+        "p50": float(np.percentile(a, 50)),
+        "p95": float(np.percentile(a, 95)),
+        "p99": float(np.percentile(a, 99)),
+        "max": float(np.max(a)),
+        "hist": [int(x) for x in hist],
+    }
 
 
 class NetworkStats:
@@ -209,9 +201,26 @@ class NetworkStats:
         lat = self.latencies(**kw)
         return float(np.mean(lat)) if len(lat) else float("nan")
 
-    def summary(self, **kw) -> LatencyStats:
-        """Latency summary over the filtered set."""
-        return LatencyStats.from_samples(self.latencies(**kw))
+    def latency_classes(
+        self, window: tuple[int, int], region_of
+    ) -> dict[str, np.ndarray]:
+        """Measured latencies in ``window`` split into the obs classes.
+
+        Adversarial packets are excluded. ``native`` packets have an app id
+        whose region (``region_of[dst]``) holds their destination;
+        ``foreign`` are the rest; ``global`` are those that rode the global
+        VCs, a subset of the other two. Each array is in ejection order.
+        """
+        a = self._as_arrays()
+        mask = self._mask(None, window, False, None)
+        lat = (a["eject"] - a["inject"])[mask]
+        app = a["app"][mask]
+        native = (app >= 0) & (np.asarray(region_of)[a["dst"][mask]] == app)
+        return {
+            "native": lat[native],
+            "foreign": lat[~native],
+            "global": lat[a["is_global"][mask]],
+        }
 
     def packet_count(self, **kw) -> int:
         """Number of ejected packets matching the filters."""

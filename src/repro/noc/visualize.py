@@ -72,12 +72,12 @@ def render_link_utilization(network, cycles: int) -> str:
     if cycles <= 0:
         raise ValueError("cycles must be positive")
     topo: Topology = network.topology
-    lf = network.link_flits
+    lf = network.link_flit_counts()
     lines = [f"link utilization over {cycles} cycles (flits/cycle):"]
     if topo.kind == "ring":
         for node in range(topo.num_nodes):
-            cw = lf[node, RING_CW] / cycles
-            ccw = lf[node, RING_CCW] / cycles
+            cw = lf[node][RING_CW] / cycles
+            ccw = lf[node][RING_CCW] / cycles
             lines.append(f"{node:3d}: cw={cw:.2f} ccw={ccw:.2f}")
         return "\n".join(lines)
     for y in range(topo.height):
@@ -87,9 +87,9 @@ def render_link_utilization(network, cycles: int) -> str:
             node = topo.node_at(x, y)
             east_row.append("o")
             if x < topo.width - 1:
-                east_row.append(f"-{lf[node, EAST] / cycles:.2f}-")
+                east_row.append(f"-{lf[node][EAST] / cycles:.2f}-")
             if y < topo.height - 1:
-                south_row.append(f"{lf[node, SOUTH] / cycles:.2f}".ljust(7))
+                south_row.append(f"{lf[node][SOUTH] / cycles:.2f}".ljust(7))
         lines.append("".join(east_row))
         if south_row:
             lines.append("".join(s for s in south_row))

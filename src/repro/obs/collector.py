@@ -9,14 +9,16 @@
 * a periodic sampler called from :meth:`repro.noc.sim.Simulator.step`
   every ``sample_period`` cycles, snapshotting per-router buffered flits,
   native/foreign occupied-VC counters, and per-link flit deltas;
-* an ejection callback classifying each measured packet's latency as
-  native / foreign (destination-region membership) and global (global-VC
-  packets, a subset), for the per-class percentile summaries.
+* the kernel's own ejection log (:class:`~repro.noc.stats.NetworkStats`),
+  queried once at :meth:`~MetricsCollector.finalize` for the measured
+  packets' latencies split native / foreign (destination-region
+  membership) and global (global-VC packets, a subset).
 
 The collector is single-use per simulator but :meth:`finalize` is
 idempotent: it derives the latency/summary records from the accumulated
 state without consuming it, so a second ``run_measurement`` on the same
-simulator extends the time series and re-finalizes a longer stream.
+simulator extends the time series and re-finalizes a longer stream whose
+latency classes cover the latest measurement window.
 
 Nothing in ``repro.noc`` imports this module — the simulator talks to the
 collector through the duck-typed ``next_sample`` / ``take_sample`` /
@@ -25,25 +27,15 @@ collector through the duck-typed ``next_sample`` / ``take_sample`` /
 
 from __future__ import annotations
 
-import json
-import os
-import re
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
+from repro.noc.stats import latency_summary
 from repro.noc.trace import KernelTrace
+from repro.obs.exporters import sanitize_name, write_stream
 from repro.obs.schema import LATENCY_CLASSES, SCHEMA_VERSION
 from repro.util.errors import ConfigError
 
-__all__ = ["ObsConfig", "ObsSummary", "MetricsCollector", "sanitize_name"]
-
-_NAME_OK = re.compile(r"[^A-Za-z0-9._+-]+")
-
-
-def sanitize_name(name: str) -> str:
-    """Collapse anything filesystem-hostile in a run name to ``-``."""
-    return _NAME_OK.sub("-", name).strip("-") or "run"
+__all__ = ["ObsConfig", "ObsSummary", "MetricsCollector"]
 
 
 @dataclass(frozen=True)
@@ -102,24 +94,6 @@ class ObsSummary:
     jsonl_path: str | None = field(default=None, compare=False)
 
 
-def _latency_stats(samples: list[int]) -> dict:
-    """p50/p95/p99 summary + log2 histogram of one latency class."""
-    a = np.asarray(samples, dtype=np.int64)
-    # Bucket i counts latencies in [2^i, 2^(i+1)); frexp gives the exact
-    # binary exponent, immune to the float rounding of log2 at powers of 2.
-    buckets = np.frexp(a.astype(np.float64))[1] - 1
-    hist = np.bincount(buckets)
-    return {
-        "count": int(len(a)),
-        "mean": float(np.mean(a)),
-        "p50": float(np.percentile(a, 50)),
-        "p95": float(np.percentile(a, 95)),
-        "p99": float(np.percentile(a, 99)),
-        "max": float(np.max(a)),
-        "hist": [int(x) for x in hist],
-    }
-
-
 class MetricsCollector(KernelTrace):
     """Records the observability stream for one simulator.
 
@@ -133,14 +107,11 @@ class MetricsCollector(KernelTrace):
         "config",
         "next_sample",
         "samples_taken",
-        "events_recorded",
         "_net",
-        "_region_of",
         "_records",
         "_prev_link",
         "_install_link",
         "_start_cycle",
-        "_lat",
         "_flips_by_node",
     )
 
@@ -148,15 +119,13 @@ class MetricsCollector(KernelTrace):
         self.config = config
         self.next_sample = 0
         self.samples_taken = 0
-        self.events_recorded = 0
         self._net = None
         self._records: list[dict] = []
-        self._lat: dict[str, list[int]] = {cls: [] for cls in LATENCY_CLASSES}
         self._flips_by_node: dict[int, int] = {}
 
     # -- wiring -----------------------------------------------------------------
     def install(self, sim) -> "MetricsCollector":
-        """Attach to ``sim``: trace slot, obs slot, ejection callback."""
+        """Attach to ``sim``: trace slot and obs slot."""
         net = sim.network
         if net.trace is not None:
             raise ConfigError(
@@ -168,8 +137,6 @@ class MetricsCollector(KernelTrace):
         net.trace = self
         sim.obs = self
         self._net = net
-        self._region_of = net.region_ids
-        net.eject_callbacks.append(self._on_eject)
         self._start_cycle = sim.cycle
         period = self.config.sample_period
         self.next_sample = (sim.cycle // period + 1) * period
@@ -186,6 +153,7 @@ class MetricsCollector(KernelTrace):
                 "width": cfg.width,
                 "height": cfg.height,
                 "num_nodes": net.topology.num_nodes,
+                "topology": net.topology.kind,
                 "sample_period": period,
                 "start_cycle": sim.cycle,
                 # provenance stamp: optional additive fields, so no schema
@@ -216,7 +184,6 @@ class MetricsCollector(KernelTrace):
             }
         )
         self._flips_by_node[node] = self._flips_by_node.get(node, 0) + 1
-        self.events_recorded += 1
 
     # -- periodic sampler (called by Simulator.step) ------------------------------
     def take_sample(self, cycle: int, net) -> None:
@@ -247,45 +214,30 @@ class MetricsCollector(KernelTrace):
         self.samples_taken += 1
         self.next_sample = cycle + self.config.sample_period
 
-    # -- per-packet latency classification ----------------------------------------
-    def _on_eject(self, pkt, eject_cycle: int) -> None:
-        w = self._net.measure_window
-        if w is None or not (w[0] <= pkt.inject_cycle < w[1]) or pkt.is_adversarial:
-            return
-        latency = eject_cycle - pkt.inject_cycle
-        app = pkt.app_id
-        if app >= 0 and self._region_of[pkt.dst] == app:
-            self._lat["native"].append(latency)
-        else:
-            self._lat["foreign"].append(latency)
-        if pkt.is_global:
-            self._lat["global"].append(latency)
-        self.events_recorded += 1
-
     # -- finalization ---------------------------------------------------------------
     def finalize(self, end_cycle: int) -> ObsSummary:
         """Derive the latency/summary records, write JSONL, return the digest."""
         net = self._net
         if net is None:
             raise ConfigError("collector was never installed")
-        latency: dict[str, dict] = {}
-        tail: list[dict] = []
-        for cls in LATENCY_CLASSES:
-            samples = self._lat[cls]
-            if samples:
-                stats = _latency_stats(samples)
-            else:
-                stats = {"count": 0}
-            latency[cls] = stats
-            tail.append({"kind": "latency_class", "cls": cls, **stats})
+        # No window set yet: nothing was measured.
+        window = net.measure_window or (0, 0)
+        classes = net.stats.latency_classes(window, net.region_of)
+        latency = {cls: latency_summary(classes[cls]) for cls in LATENCY_CLASSES}
+        tail = [
+            {"kind": "latency_class", "cls": cls, **stats}
+            for cls, stats in latency.items()
+        ]
         link_util = self._link_utilization(end_cycle)
         dpa_flips = sum(self._flips_by_node.values())
+        # Every classified packet is native or foreign; global is a subset.
+        events = dpa_flips + latency["native"]["count"] + latency["foreign"]["count"]
         tail.append(
             {
                 "kind": "summary",
                 "cycle": end_cycle,
                 "samples": self.samples_taken,
-                "events": self.events_recorded,
+                "events": events,
                 "dpa_flips": dpa_flips,
                 "link_util": link_util,
             }
@@ -293,17 +245,12 @@ class MetricsCollector(KernelTrace):
         records = self._records + tail
         path = None
         if self.config.dir is not None:
-            from repro.obs.exporters import write_jsonl
-
-            os.makedirs(self.config.dir, exist_ok=True)
-            stem = sanitize_name(self.config.name or "run")
-            path = os.path.join(self.config.dir, f"{stem}.jsonl")
-            write_jsonl(records, path)
+            path = write_stream(records, self.config.dir, self.config.name or "run")
         return ObsSummary(
             end_cycle=end_cycle,
             sample_period=self.config.sample_period,
             samples=self.samples_taken,
-            events=self.events_recorded,
+            events=events,
             dpa_flips=dpa_flips,
             dpa_flips_by_node=dict(sorted(self._flips_by_node.items())),
             latency=latency,
@@ -342,13 +289,3 @@ class MetricsCollector(KernelTrace):
     def records(self) -> list[dict]:
         """The time-series records accumulated so far (no finalize tail)."""
         return list(self._records)
-
-
-def dumps_record(rec: dict) -> str:
-    """Canonical one-line JSON encoding (sorted keys, no whitespace).
-
-    Shared by the JSONL writer so the stream is byte-identical wherever
-    it is produced — the seed-matrix determinism test diffs raw files
-    across serial and worker-process runs.
-    """
-    return json.dumps(rec, sort_keys=True, separators=(",", ":"))

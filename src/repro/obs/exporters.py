@@ -1,4 +1,4 @@
-"""Exporters: the canonical JSONL writer and CSV flatteners.
+"""Exporters: the one JSONL stream writer and CSV flatteners.
 
 JSONL is the primary format (one self-describing record per line, schema
 in the header — see :mod:`repro.obs.schema`); CSV is a convenience export
@@ -8,23 +8,46 @@ for spreadsheet/pandas consumers, one file per time-series kind.
 from __future__ import annotations
 
 import csv
+import json
 import os
+import re
 
-from repro.obs.collector import dumps_record
 from repro.obs.schema import LATENCY_CLASSES, load_jsonl
 from repro.util.jsonl import write_text_atomic
 
-__all__ = ["write_jsonl", "export_csv"]
+__all__ = ["dumps_record", "export_csv", "sanitize_name", "write_stream"]
+
+_NAME_OK = re.compile(r"[^A-Za-z0-9._+-]+")
 
 
-def write_jsonl(records, path) -> None:
-    """Write records to ``path`` in canonical one-line-per-record form.
+def sanitize_name(name: str) -> str:
+    """Collapse anything filesystem-hostile in a run name to ``-``."""
+    return _NAME_OK.sub("-", name).strip("-") or "run"
 
-    Written atomically (:func:`~repro.util.jsonl.write_text_atomic`) so a
-    crash mid-export never leaves a half-stream behind for the report tool
-    to choke on.
+
+def dumps_record(rec: dict) -> str:
+    """Canonical one-line JSON encoding (sorted keys, no whitespace).
+
+    The stream is then byte-identical wherever it is produced — the
+    seed-matrix determinism test diffs raw files across serial and
+    worker-process runs.
     """
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"))
+
+
+def write_stream(records, out_dir, name: str, suffix: str = "") -> str:
+    """Write ``records`` to ``out_dir/<sanitized name><suffix>.jsonl``.
+
+    Creates ``out_dir`` and writes atomically
+    (:func:`~repro.util.jsonl.write_text_atomic`), so a crash mid-export
+    never leaves a half-stream behind for the report tool to choke on.
+    Returns the path. Both the collector's obs stream and the guard's
+    blackbox go through here.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{sanitize_name(name)}{suffix}.jsonl")
     write_text_atomic(path, "".join(dumps_record(rec) + "\n" for rec in records))
+    return path
 
 
 def _write_csv(path, header, rows) -> None:

@@ -69,8 +69,9 @@ def render_summary(path: str, records: list[dict], counts: dict) -> str:
     summary = records[-1]
     lines = [
         f"{path}",
-        f"  {header['width']}x{header['height']} mesh, schema v{header['schema']}, "
-        f"run {header['name']!r}",
+        # Streams written before the header named its fabric are meshes.
+        f"  {header['width']}x{header['height']} {header.get('topology', 'mesh')}, "
+        f"schema v{header['schema']}, run {header['name']!r}",
         f"  cycles {header['start_cycle']}..{summary['cycle']}, "
         f"{summary['samples']} samples every {header['sample_period']} cycles, "
         f"{summary['events']} events",

@@ -12,8 +12,10 @@ Record kinds (``kind`` → required fields):
     ``schema`` (int, == :data:`SCHEMA_VERSION`), ``name`` (str),
     ``width`` / ``height`` / ``num_nodes`` (int), ``sample_period``
     (int), ``start_cycle`` (int). Also carries the optional provenance
-    fields ``repro_version`` / ``git_rev`` (str) — additive, so they
-    did not bump the schema version (validators ignore extra fields).
+    fields ``repro_version`` / ``git_rev`` (str) and the optional
+    ``topology`` (str: ``mesh`` / ``torus`` / ``ring``; a stream without
+    it is a mesh) — additive, so they did not bump the schema version
+    (validators ignore extra fields).
 ``dpa_init``
     ``cycle`` (int), ``native_high`` (list[bool], one per node) — the
     DPA state when the collector was installed, so the flip stream

@@ -76,14 +76,5 @@ class DeadlineError(ReproError, RuntimeError):
     """
 
 
-class CellExecutionError(ReproError, RuntimeError):
-    """An experiment cell failed in a worker and could not be re-raised.
-
-    Carries the worker-side exception type, message, and traceback as
-    text; the original exception object is unavailable because it was
-    raised in another process (or the process died entirely).
-    """
-
-
 class TrafficError(ReproError, ValueError):
     """A traffic generator was asked for something it cannot produce."""

@@ -70,6 +70,5 @@ def test_parsec_with_flood_does_not_deadlock():
     sim.run(1500)
     assert net.stats.packets_ejected > 200
     # Replies were generated and delivered on vnet 1.
-    assert any(v == 1 for v in net.stats._as_arrays()["length"] == 5) or True
     lengths = net.stats._as_arrays()["length"]
     assert (lengths == 5).any()

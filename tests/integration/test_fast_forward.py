@@ -18,7 +18,12 @@ import pytest
 
 from repro.arbitration.base import ArbitrationPolicy
 from repro.arbitration.stc import StcPolicy
-from repro.experiments.parallel import Cell, FaultPolicy, cell_obs_name, run_cells
+from repro.experiments.parallel import (
+    Cell,
+    FaultPolicy,
+    cell_obs_name,
+    run_cells_detailed,
+)
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.noc.config import NocConfig
@@ -211,6 +216,13 @@ def _policy(tmp_path: pathlib.Path, sub: str) -> FaultPolicy:
     return FaultPolicy(obs=ObsConfig(dir=str(tmp_path / sub), sample_period=50))
 
 
+def _runs(cells, **engine):
+    """The runs of a sweep that must not fail, and its report."""
+    results, report = run_cells_detailed(cells, **engine)
+    assert all(r.ok for r in results), [r.failure for r in results]
+    return [r.run for r in results], report
+
+
 def test_seed_matrix_ff_vs_naive_identical(tmp_path, monkeypatch):
     """Serial × jobs=2 × cache-hit under fast-forward all equal naive.
 
@@ -222,16 +234,16 @@ def test_seed_matrix_ff_vs_naive_identical(tmp_path, monkeypatch):
     cells = _cells()
 
     monkeypatch.delenv("REPRO_DISABLE_FAST_FORWARD", raising=False)
-    runs_ff, _ = run_cells(cells, jobs=1, policy=_policy(tmp_path, "ff"))
-    runs_ff_par, _ = run_cells(cells, jobs=2, policy=_policy(tmp_path, "ff_par"))
+    runs_ff, _ = _runs(cells, jobs=1, policy=_policy(tmp_path, "ff"))
+    runs_ff_par, _ = _runs(cells, jobs=2, policy=_policy(tmp_path, "ff_par"))
     cache = str(tmp_path / "cache")
-    run_cells(cells, jobs=1, cache=cache)
-    runs_ff_hit, report_hit = run_cells(cells, jobs=1, cache=cache)
+    _runs(cells, jobs=1, cache=cache)
+    runs_ff_hit, report_hit = _runs(cells, jobs=1, cache=cache)
     assert report_hit.cache_hits == len(SEEDS)
 
     monkeypatch.setenv("REPRO_DISABLE_FAST_FORWARD", "1")
-    runs_naive, _ = run_cells(cells, jobs=1, policy=_policy(tmp_path, "naive"))
-    runs_naive_par, _ = run_cells(cells, jobs=2, policy=_policy(tmp_path, "naive_par"))
+    runs_naive, _ = _runs(cells, jobs=1, policy=_policy(tmp_path, "naive"))
+    runs_naive_par, _ = _runs(cells, jobs=2, policy=_policy(tmp_path, "naive_par"))
 
     for ff, ff_par, ff_hit, naive, naive_par in zip(
         runs_ff, runs_ff_par, runs_ff_hit, runs_naive, runs_naive_par

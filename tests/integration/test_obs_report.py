@@ -19,7 +19,11 @@ from repro.noc.topology import MeshTopology
 from repro.obs import MetricsCollector, ObsConfig
 from repro.obs.exporters import export_csv
 from repro.obs.report import main as report_main
+from repro.obs.report import render_summary
+from repro.obs.schema import load_jsonl
+from repro.traffic.patterns import UniformPattern
 from repro.traffic.regional import RegionalAppTraffic
+from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,23 @@ class TestReportSummaryMode:
         assert "p99" in outp
         assert "priority flips" in outp
         assert "flits/cycle" in outp
+
+    def test_names_the_fabric(self, tmp_path, capsys):
+        cfg = NocConfig.for_topology("torus", width=4, height=4)
+        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim.add_traffic(SyntheticTrafficSource(
+            nodes=range(cfg.num_nodes), rate=0.05, pattern=UniformPattern(net.topology),
+            app_id=0, seed=3, lengths=FixedLength(2),
+        ))
+        MetricsCollector(ObsConfig(dir=str(tmp_path), name="torus")).install(sim)
+        sim.run_measurement(warmup=50, measure=200)
+        path = tmp_path / "torus.jsonl"
+        assert report_main([str(path)]) == 0
+        assert "4x4 torus, schema v1" in capsys.readouterr().out
+        # A stream written before the header named its fabric reads as a mesh.
+        records = load_jsonl(path)
+        del records[0]["topology"]
+        assert "4x4 mesh, schema v1" in render_summary(str(path), records, {})
 
 
 class TestCsvExport:

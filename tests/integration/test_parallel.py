@@ -15,12 +15,7 @@ import pytest
 
 from repro.experiments.chaos import chaos_cell
 from repro.experiments.fig09_msp import run as fig09_run
-from repro.experiments.parallel import (
-    Cell,
-    FaultPolicy,
-    run_cells,
-    run_cells_detailed,
-)
+from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.util.errors import ConfigError
@@ -37,7 +32,7 @@ def signatures_by_jobs():
         for seed in SEEDS
     ]
     return cells, [
-        [run.determinism_signature() for run in run_cells(cells, jobs=jobs)[0]]
+        [r.run.determinism_signature() for r in run_cells_detailed(cells, jobs=jobs)[0]]
         for jobs in (1, 4)
     ]
 
@@ -67,15 +62,15 @@ class TestCellEngine:
     def test_bad_jobs_rejected(self):
         cell = Cell.for_scenario(SCHEMES["RO_RR"], two_app_msp(0.5), Effort.SMOKE, 1)
         with pytest.raises(ConfigError, match="jobs"):
-            run_cells([cell], jobs=0)
+            run_cells_detailed([cell], jobs=0)
 
     def test_cell_cache_round_trip(self, tmp_path):
         cell = Cell.for_scenario(SCHEMES["RA_RAIR"], two_app_msp(0.5), Effort.SMOKE, 3)
-        (cold,), _ = run_cells([cell], cache=tmp_path)
-        (warm,), _ = run_cells([cell], cache=tmp_path)
-        assert not cold.metrics.cache_hit
-        assert warm.metrics.cache_hit
-        assert warm.determinism_signature() == cold.determinism_signature()
+        (cold,), _ = run_cells_detailed([cell], cache=tmp_path)
+        (warm,), _ = run_cells_detailed([cell], cache=tmp_path)
+        assert not cold.cache_hit
+        assert warm.cache_hit
+        assert warm.run.determinism_signature() == cold.run.determinism_signature()
 
 
 @pytest.mark.chaos

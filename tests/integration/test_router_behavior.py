@@ -135,7 +135,7 @@ class TestEjectionBandwidth:
         sim, net = build()
         net.inject(Packet(src=0, dst=5, length=5, inject_cycle=0))
         sim.run_until_drained(1000)
-        assert net.link_flits[5, LOCAL] == 5
+        assert net.link_flit_counts()[5][LOCAL] == 5
 
 
 class TestCreditLoop:

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 import pathlib
 
-from repro.experiments.parallel import Cell, FaultPolicy, cell_obs_name, run_cells
+from repro.experiments.parallel import (
+    Cell,
+    FaultPolicy,
+    cell_obs_name,
+    run_cells_detailed,
+)
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.obs import ObsConfig
@@ -36,17 +41,24 @@ def _policy(tmp_path: pathlib.Path, sub: str) -> FaultPolicy:
     return FaultPolicy(obs=ObsConfig(dir=str(tmp_path / sub), sample_period=50))
 
 
+def _runs(cells, **engine):
+    """The runs of a sweep that must not fail, and its report."""
+    results, report = run_cells_detailed(cells, **engine)
+    assert all(r.ok for r in results), [r.failure for r in results]
+    return [r.run for r in results], report
+
+
 def test_seed_matrix_serial_parallel_cache_identical(tmp_path):
     cells = _cells()
 
-    runs_serial, _ = run_cells(cells, jobs=1, policy=_policy(tmp_path, "serial"))
-    runs_par, _ = run_cells(cells, jobs=2, policy=_policy(tmp_path, "par"))
+    runs_serial, _ = _runs(cells, jobs=1, policy=_policy(tmp_path, "serial"))
+    runs_par, _ = _runs(cells, jobs=2, policy=_policy(tmp_path, "par"))
 
     cache = str(tmp_path / "cache")
-    runs_cold, report_cold = run_cells(
+    runs_cold, report_cold = _runs(
         cells, jobs=1, cache=cache, policy=_policy(tmp_path, "cold")
     )
-    runs_hit, report_hit = run_cells(cells, jobs=1, cache=cache)
+    runs_hit, report_hit = _runs(cells, jobs=1, cache=cache)
     assert report_cold.cache_misses == len(SEEDS)
     assert report_hit.cache_hits == len(SEEDS)
     assert report_hit.sim_cycles == 0  # nothing was re-simulated
@@ -73,8 +85,8 @@ def test_seed_matrix_serial_parallel_cache_identical(tmp_path):
 
 def test_obs_jsonl_streams_byte_identical_across_jobs(tmp_path):
     cells = _cells()
-    run_cells(cells, jobs=1, policy=_policy(tmp_path, "serial"))
-    run_cells(cells, jobs=2, policy=_policy(tmp_path, "par"))
+    _runs(cells, jobs=1, policy=_policy(tmp_path, "serial"))
+    _runs(cells, jobs=2, policy=_policy(tmp_path, "par"))
 
     serial_dir = tmp_path / "serial"
     par_dir = tmp_path / "par"

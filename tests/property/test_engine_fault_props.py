@@ -59,7 +59,6 @@ def test_every_attempt_is_charged_to_its_own_cell(modes, jobs, max_attempts):
             assert failure.error_type == (
                 "WorkerDied" if modes[i] == "kill" else "SimulationError"
             )
-            assert failure.attempts == results[i].attempts
         assert report.failures == len(failures)
         assert report.retries == sum(r.attempts - 1 for r in results)
 

@@ -154,7 +154,9 @@ def literal_steps(topo, node, port, count):
 
 @given(topologies())
 @example(MeshTopology(2, 2))
+@example(MeshTopology(8, 8))  # the paper's fabric
 @example(TorusTopology(2, 2))
+@example(TorusTopology(8, 8))
 @example(TorusTopology(5, 4))  # odd x even: antipodal ties in Y only
 @example(TorusTopology(4, 6))  # even x even: ties in both dimensions
 @example(RingTopology(4))

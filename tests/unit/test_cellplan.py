@@ -28,7 +28,7 @@ def _result(error_type=None, run=None) -> CellResult:
     """A synthetic finished cell: a stand-in run, or a failure of that type."""
     if error_type is None:
         return CellResult(cell=None, index=0, run=run or object())
-    failure = CellFailure(error_type, "boom", "", 1, 0.0, retryable=False)
+    failure = CellFailure(error_type, "boom", "", 0.0, retryable=False)
     return CellResult(cell=None, index=0, failure=failure)
 
 

@@ -13,12 +13,10 @@ from repro.experiments.parallel import (
     FaultPolicy,
     backoff_delay,
     classify_exception,
-    run_cells,
     run_cells_detailed,
 )
 from repro.experiments.runner import SCHEMES, Effort
 from repro.util.errors import (
-    CellExecutionError,
     ConfigError,
     DeadlineError,
     SimulationError,
@@ -107,14 +105,14 @@ class TestCellFailure:
     def test_summary_is_one_line(self):
         f = CellFailure(
             error_type="OSError", message="disk on fire\ndetails follow",
-            traceback="...", attempts=3, wall_time_s=1.0, retryable=True,
+            traceback="...", wall_time_s=1.0, retryable=True,
         )
         assert f.summary() == "OSError: disk on fire"
 
     def test_summary_without_message(self):
         f = CellFailure(
             error_type="MemoryError", message="", traceback="",
-            attempts=1, wall_time_s=0.1, retryable=True,
+            wall_time_s=0.1, retryable=True,
         )
         assert f.summary() == "MemoryError"
 
@@ -162,7 +160,7 @@ class TestSerialRetryLoop:
         assert failure is not None
         assert failure.error_type == "OSError"
         assert failure.retryable is True
-        assert failure.attempts == FAST.max_attempts
+        assert results[0].attempts == FAST.max_attempts
         assert report.retries == FAST.max_attempts - 1
         assert report.failures == 1
 
@@ -172,7 +170,7 @@ class TestSerialRetryLoop:
         failure = results[0].failure
         assert failure.error_type == "SimulationError"
         assert failure.retryable is False
-        assert failure.attempts == 1
+        assert results[0].attempts == 1
         assert report.retries == 0
         assert "chaos" in failure.traceback  # real traceback text captured
 
@@ -186,11 +184,6 @@ class TestSerialRetryLoop:
         assert [r.ok for r in results] == [True, False, True]
         assert report.failures == 1
 
-    def test_strict_interface_reraises_the_original_exception(self):
-        cell = chaos_cell(SCHEME, Effort.SMOKE, seed=1, mode="raise")
-        with pytest.raises(CellExecutionError, match="injected deterministic"):
-            run_cells([cell], jobs=1, policy=FAST)
-
     def test_cycle_budget_expiry_is_a_deadline_failure(self):
         cell = chaos_cell(SCHEME, Effort.SMOKE, seed=1, mode="ok")
         policy = FaultPolicy(max_attempts=3, cycle_budget=1)
@@ -199,7 +192,7 @@ class TestSerialRetryLoop:
         assert failure is not None
         assert failure.error_type == "DeadlineError"
         assert failure.retryable is False  # rerunning cannot beat the budget
-        assert failure.attempts == 1
+        assert results[0].attempts == 1
         assert report.retries == 0
 
     def test_deadline_aborted_run_is_never_cached(self, tmp_path):

@@ -10,13 +10,9 @@ from repro import RegionMap, build_simulation
 from repro.noc.config import NocConfig
 from repro.noc.topology import MeshTopology
 from repro.noc.trace import RecordingTrace
-from repro.obs.collector import (
-    MetricsCollector,
-    ObsConfig,
-    _latency_stats,
-    dumps_record,
-    sanitize_name,
-)
+from repro.noc.stats import latency_summary
+from repro.obs.collector import MetricsCollector, ObsConfig
+from repro.obs.exporters import dumps_record, sanitize_name
 from repro.obs.schema import SCHEMA_VERSION, load_jsonl, validate_stream
 from repro.traffic.regional import RegionalAppTraffic
 from repro.util.errors import ConfigError
@@ -157,7 +153,7 @@ class TestCollectedStream:
 
 class TestLatencyStats:
     def test_log2_histogram_is_exact_at_powers_of_two(self):
-        stats = _latency_stats([1, 2, 3, 4, 8, 1024])
+        stats = latency_summary([1, 2, 3, 4, 8, 1024])
         # [2^0,2^1): {1}; [2^1,2^2): {2,3}; [2^2,2^3): {4}; [2^3,2^4): {8};
         # [2^10,2^11): {1024}
         assert stats["hist"][0] == 1
@@ -169,7 +165,7 @@ class TestLatencyStats:
         assert stats["max"] == 1024.0
 
     def test_percentiles(self):
-        stats = _latency_stats(list(range(1, 101)))
+        stats = latency_summary(list(range(1, 101)))
         assert stats["p50"] == pytest.approx(50.5)
         assert stats["p95"] == pytest.approx(95.05)
         assert stats["p99"] == pytest.approx(99.01)

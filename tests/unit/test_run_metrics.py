@@ -123,9 +123,11 @@ class TestObsCounters:
         collector.install(sim)
         res = sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
         assert res.metrics.obs_samples == collector.samples_taken > 0
-        assert res.metrics.obs_events == collector.events_recorded > 0
         assert res.obs is not None
         assert res.obs.samples == res.metrics.obs_samples
+        # events = DPA flips + every measured packet classified at finalize
+        measured = net.stats.packet_count(window=res.window)
+        assert res.metrics.obs_events == res.obs.events == res.obs.dpa_flips + measured > 0
 
 
 class TestFigureResultMetricsOutput:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.noc.flit import Packet
-from repro.noc.stats import LatencyStats, NetworkStats
+from repro.noc.stats import NetworkStats, latency_summary
 
 
 def eject(stats, src=0, dst=1, app=0, inject=0, eject_cycle=10, length=1,
@@ -19,18 +19,16 @@ def eject(stats, src=0, dst=1, app=0, inject=0, eject_cycle=10, length=1,
 
 
 class TestLatencyStats:
-    def test_empty_gives_nans(self):
-        summary = LatencyStats.from_samples(np.array([]))
-        assert summary.count == 0
-        assert math.isnan(summary.mean)
+    def test_empty_is_count_only(self):
+        assert latency_summary(np.array([], dtype=np.int64)) == {"count": 0}
 
     def test_summary_values(self):
-        summary = LatencyStats.from_samples(np.arange(1, 101, dtype=float))
-        assert summary.count == 100
-        assert summary.mean == pytest.approx(50.5)
-        assert summary.median == pytest.approx(50.5)
-        assert summary.p95 == pytest.approx(95.05)
-        assert summary.max == 100
+        summary = latency_summary(np.arange(1, 101))
+        assert summary["count"] == 100
+        assert summary["mean"] == pytest.approx(50.5)
+        assert summary["p50"] == pytest.approx(50.5)
+        assert summary["p95"] == pytest.approx(95.05)
+        assert summary["max"] == 100
 
 
 class TestNetworkStats:
@@ -88,6 +86,19 @@ class TestNetworkStats:
         assert stats.apl() == 10.0
         eject(stats, inject=0, eject_cycle=30)
         assert stats.apl() == 20.0
+
+    def test_latency_classes_split_by_destination_region(self):
+        stats = NetworkStats()
+        region_of = [0, 0, 1, 1]
+        eject(stats, app=0, dst=1, inject=5, eject_cycle=15)  # native
+        eject(stats, app=0, dst=2, inject=5, eject_cycle=25, is_global=True)
+        eject(stats, app=-1, dst=0, inject=5, eject_cycle=35)  # unattributed
+        eject(stats, app=1, dst=3, inject=5, eject_cycle=45, adversarial=True)
+        eject(stats, app=1, dst=3, inject=50, eject_cycle=55)  # outside window
+        classes = stats.latency_classes((0, 10), region_of)
+        assert classes["native"].tolist() == [10]
+        assert classes["foreign"].tolist() == [20, 30]
+        assert classes["global"].tolist() == [20]
 
     def test_per_app_excludes_unattributed(self):
         stats = NetworkStats()

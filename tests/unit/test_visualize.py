@@ -60,9 +60,10 @@ class TestLinkUtilization:
         text = render_link_utilization(net, cycles=sim.cycle)
         assert "link utilization" in text
         # The east links on row 0 carried the 5 flits.
-        assert net.link_flits[0, 2] == 5  # node 0, EAST
-        assert net.link_flits[1, 2] == 5
-        assert net.link_flits[2, 2] == 5
+        flits = net.link_flit_counts()
+        assert flits[0][2] == 5  # node 0, EAST
+        assert flits[1][2] == 5
+        assert flits[2][2] == 5
 
     def test_requires_positive_cycles(self, small_net):
         _, net = small_net
