@@ -10,9 +10,10 @@ Each cell is also its own **fault domain**: :func:`run_cells_detailed`
 returns one :class:`CellResult` per cell, holding either the finished
 :class:`~repro.experiments.runner.ScenarioRun` or a structured
 :class:`CellFailure` (exception type, message, traceback, wall time),
-plus the attempt count and whether the run came from the cache. One
-poisoned cell never aborts the sweep; the other cells complete and the
-caller decides how to render the hole.
+plus the attempt count and where the result came from (its ``source``).
+One poisoned cell never aborts the sweep; the other cells complete and
+the caller decides how to render the hole. The sweep's
+:class:`ExecutionReport` is folded from those results.
 
 Under ``--jobs N`` the isolation is by construction, not by recovery:
 every cell *attempt* runs in its own worker process (at most ``jobs``
@@ -42,10 +43,13 @@ Resilience mechanisms, all governed by a :class:`FaultPolicy`:
   an attempt whose process outlives it is killed — that process only —
   and recorded as a ``CellTimeout`` failure. A wall timeout puts cells
   in worker processes at any job count.
-* **Checkpoint/resume** — with a cache directory, completed cells are
-  journaled (:class:`~repro.experiments.cache.SweepJournal`); a
-  re-invocation of the same sweep restores journaled cells from the
-  result cache instead of re-simulating them (``resumed`` counter).
+* **Cache and checkpoint/resume** — with a cache directory, the parent
+  restores every cached cell before dispatch, so workers only simulate
+  and write entries, and a warm sweep starts no process. Completed cells
+  are journaled (:class:`~repro.experiments.cache.SweepJournal`); the
+  journal decides only the label: a restored cell it lists is
+  ``"journal"`` (an earlier invocation of this sweep finished it), any
+  other ``"cache"``.
 
 Determinism guarantee: the per-cell results are a function of the cell
 alone, never of scheduling, retries, or resume. Workers rebuild the
@@ -78,6 +82,7 @@ __all__ = [
     "CellResult",
     "ExecutionReport",
     "FaultPolicy",
+    "SOURCES",
     "backoff_delay",
     "cell_obs_name",
     "classify_exception",
@@ -168,6 +173,9 @@ class FaultPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        for name in ("backoff_base_s", "backoff_max_s"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.wall_timeout_s is not None and self.wall_timeout_s <= 0:
             raise ConfigError(
                 f"wall_timeout_s must be > 0, got {self.wall_timeout_s}"
@@ -194,13 +202,19 @@ class CellFailure:
         return f"{self.error_type}: {first}" if first else self.error_type
 
 
+#: where a :class:`CellResult` came from: computed in this call, restored
+#: from the result cache, restored because this sweep's journal lists it,
+#: or replayed by the sweep daemon from a job's durable stream after a restart
+SOURCES = ("simulated", "cache", "journal", "replay")
+
+
 @dataclass
 class CellResult:
     """Outcome of one cell: exactly one of ``run`` / ``failure`` is set.
 
-    ``attempts`` and ``cache_hit`` are recorded here and only here: the
-    run itself is what the simulation computed, the same whichever
-    attempt produced it or whether it was restored from the cache.
+    ``attempts`` and ``source`` (one of :data:`SOURCES`) are recorded here
+    and only here: the run itself is what the simulation computed, the
+    same whichever attempt produced it or wherever it was restored from.
     """
 
     cell: Cell
@@ -209,9 +223,13 @@ class CellResult:
     failure: CellFailure | None = None
     #: execution attempts charged to the cell (1 = first try)
     attempts: int = 1
-    cache_hit: bool = False
-    #: restored from a sweep journal written by an earlier invocation
-    resumed: bool = False
+    source: str = "simulated"
+
+    def __post_init__(self) -> None:
+        if self.source not in SOURCES:
+            raise ConfigError(
+                f"unknown result source {self.source!r}; known: {SOURCES}"
+            )
 
     @property
     def ok(self) -> bool:
@@ -303,41 +321,24 @@ def compute_cell(cell: Cell, policy: FaultPolicy | None = None) -> ScenarioRun:
     )
 
 
-def _cached_run(cache: ResultCache, key: str) -> tuple[ScenarioRun | None, int]:
-    """Defensive cache read: ``(run or None, cache_errors)``.
-
-    A corrupt or unreadable entry is a counted miss, never an exception.
-    """
-    try:
-        return cache.get(key), 0
-    except Exception:
-        return None, 1
-
-
 def _execute(
-    cell: Cell, cache_dir: str | None, policy: FaultPolicy
-) -> tuple[ScenarioRun, bool, int]:
-    """Cache-aware cell execution; runs in-process or inside a worker.
+    cell: Cell, key: str | None, cache_dir: str | None, policy: FaultPolicy
+) -> tuple[ScenarioRun, int]:
+    """Simulate one cell and cache the run; in-process or inside a worker.
 
-    Returns ``(run, cache_hit, cache_errors)``. Cache I/O is defensive:
-    a corrupt or unreadable entry is a counted miss and a failed write is
-    a counted error — neither ever aborts the cell, let alone the sweep.
-    A deadline-aborted run is not cached (see :class:`FaultPolicy`).
+    Returns ``(run, cache_errors)``. The cache is only written here — the
+    parent has already restored every cached cell — and a failed write is
+    a counted error, never a failed cell. A deadline-aborted run is not
+    cached (see :class:`FaultPolicy`).
     """
-    if cache_dir is None:
-        return compute_cell(cell, policy), False, 0
-    cache = ResultCache(cache_dir)
-    key = cache_key(cell)
-    run, cache_errors = _cached_run(cache, key)
-    if run is not None:
-        return run, True, cache_errors
     run = compute_cell(cell, policy)
-    if run.abort != "deadline":
-        try:
-            cache.put(key, run)
-        except Exception:
-            cache_errors += 1
-    return run, False, cache_errors
+    if key is None or run.abort == "deadline":
+        return run, 0
+    try:
+        ResultCache(cache_dir).put(key, run)
+    except Exception:
+        return run, 1
+    return run, 0
 
 
 def _error_record(exc: BaseException) -> tuple[str, str, str, bool]:
@@ -351,11 +352,11 @@ def _error_record(exc: BaseException) -> tuple[str, str, str, bool]:
     )
 
 
-def _worker(conn, cell: Cell, cache_dir: str | None, policy: FaultPolicy) -> None:
+def _worker(conn, cell: Cell, key, cache_dir, policy: FaultPolicy) -> None:
     """Worker-process entry point: one cell attempt, one message on ``conn``.
 
     The outcome travels as a tagged tuple instead of a raised exception:
-    ``("ok", run, hit, cache_errors)`` or ``("err", label, message,
+    ``("ok", run, cache_errors)`` or ``("err", label, message,
     traceback, retryable)`` — exception objects themselves may not
     pickle, and the parent needs the traceback text for the failure
     record either way. A run that will not pickle fails inside ``send``
@@ -365,21 +366,21 @@ def _worker(conn, cell: Cell, cache_dir: str | None, policy: FaultPolicy) -> Non
     the pickled run.
     """
     try:
-        conn.send(("ok", *_execute(cell, cache_dir, policy)))
+        conn.send(("ok", *_execute(cell, key, cache_dir, policy)))
     except Exception as exc:
         conn.send(("err", *_error_record(exc)))
 
 
 @dataclass
 class ExecutionReport:
-    """What one :func:`run_cells_detailed` call cost.
+    """What one sweep cost, folded from its results by :meth:`of`.
 
-    ``cache_hits`` / ``cache_misses`` count *successful* cells only (a
-    failed cell produced no result to hit or miss); ``resumed`` counts
-    the subset of hits restored via the sweep journal of an earlier,
-    interrupted invocation. ``retries`` counts re-executions beyond each
-    cell's first attempt; ``timeouts`` counts wall-clock expiries (also
-    recorded as failures).
+    ``failures`` counts every failed result, whatever its source; the ok
+    results split by source into ``cache_misses`` (simulated),
+    ``cache_hits`` (cache or journal) and ``replayed``, so the four add up
+    to ``cells``. ``resumed`` is the journal share of the hits.
+    ``retries`` counts attempts beyond each cell's first; ``timeouts``
+    counts the failures that were wall-clock expiries.
     """
 
     cells: int
@@ -387,15 +388,39 @@ class ExecutionReport:
     cache_hits: int = 0
     cache_misses: int = 0
     wall_time_s: float = 0.0
-    #: simulator cycles actually executed (cache hits contribute zero)
+    #: simulator cycles actually executed (restored results contribute zero)
     sim_cycles: int = 0
     cached: bool = False
     retries: int = 0
     failures: int = 0
     timeouts: int = 0
     resumed: int = 0
-    #: cache read/write errors survived (corrupt entries, failed writes)
+    replayed: int = 0
+    #: cache writes and journal appends that failed and were survived
     cache_errors: int = 0
+
+    @classmethod
+    def of(cls, results, jobs: int, cached: bool, wall_time_s=0.0, cache_errors=0):
+        """The report of ``results``; only what no one result holds is passed in."""
+        ok = collections.Counter(r.source for r in results if r.ok)
+        failed = [r.failure for r in results if not r.ok]
+        return cls(
+            cells=len(results),
+            jobs=jobs,
+            cache_hits=ok["cache"] + ok["journal"],
+            cache_misses=ok["simulated"],
+            wall_time_s=wall_time_s,
+            sim_cycles=sum(
+                r.run.end_cycle for r in results if r.ok and r.source == "simulated"
+            ),
+            cached=cached,
+            retries=sum(r.attempts - 1 for r in results),
+            failures=len(failed),
+            timeouts=sum(f.error_type == "CellTimeout" for f in failed),
+            resumed=ok["journal"],
+            replayed=ok["replay"],
+            cache_errors=cache_errors,
+        )
 
     @property
     def cycles_per_sec(self) -> float:
@@ -416,7 +441,7 @@ class ExecutionReport:
         if self.cached:
             out["cache_hits"] = self.cache_hits
             out["cache_misses"] = self.cache_misses
-        for key in ("retries", "timeouts", "resumed", "cache_errors"):
+        for key in ("retries", "timeouts", "resumed", "replayed", "cache_errors"):
             value = getattr(self, key)
             if value:
                 out[key] = value
@@ -442,62 +467,34 @@ class _Pending:
 class _Sweep:
     """Shared state + recording helpers for one run_cells_detailed call."""
 
-    def __init__(
-        self, policy: FaultPolicy, report: ExecutionReport, journal, on_result=None
-    ):
+    def __init__(self, policy: FaultPolicy, journal, on_result=None):
         self.policy = policy
-        self.report = report
         self.journal = journal
         self.on_result = on_result
         self.results: dict[int, CellResult] = {}
+        #: failed cache writes and journal appends (no result holds them)
+        self.cache_errors = 0
 
-    def _store(self, result: CellResult) -> None:
+    def record(self, result: CellResult, journal_key: str | None = None) -> None:
+        """Keep ``result``, hand it to ``on_result``, journal ``journal_key``."""
         self.results[result.index] = result
         if self.on_result is not None:
             self.on_result(result)
+        if self.journal is None or journal_key is None:
+            return
+        try:
+            self.journal.record(journal_key)
+        except OSError:
+            self.cache_errors += 1
 
-    def record_ok(self, entry: _Pending, run: ScenarioRun, hit: bool, cerr: int):
-        self._store(
+    def record_ok(self, entry: _Pending, run: ScenarioRun, cerr: int):
+        self.cache_errors += cerr
+        self.record(
             CellResult(
-                cell=entry.cell,
-                index=entry.index,
-                run=run,
-                attempts=entry.attempts + 1,
-                cache_hit=hit,
-            )
+                cell=entry.cell, index=entry.index, run=run, attempts=entry.attempts + 1
+            ),
+            entry.key,
         )
-        self.report.cache_errors += cerr
-        if hit:
-            self.report.cache_hits += 1
-        else:
-            self.report.cache_misses += 1
-            self.report.sim_cycles += run.end_cycle
-        self.journal_record(entry.key)
-
-    def record_failure(
-        self,
-        entry: _Pending,
-        error_type: str,
-        message: str,
-        traceback_text: str,
-        retryable: bool,
-        wall_time_s: float,
-    ):
-        self._store(
-            CellResult(
-                cell=entry.cell,
-                index=entry.index,
-                failure=CellFailure(
-                    error_type=error_type,
-                    message=message,
-                    traceback=traceback_text,
-                    wall_time_s=wall_time_s,
-                    retryable=retryable,
-                ),
-                attempts=entry.attempts,
-            )
-        )
-        self.report.failures += 1
 
     def retry_delay(
         self, entry: _Pending, now: float, error_type: str, message: str,
@@ -505,26 +502,24 @@ class _Sweep:
     ) -> float | None:
         """Charge the failed attempt and take the one retry decision.
 
-        A retryable error with attempts left counts a retry and returns
-        the backoff delay the caller must honour before re-running the
-        cell; anything else records the failure and returns ``None``.
+        A retryable error with attempts left returns the backoff delay the
+        caller must honour before re-running the cell; anything else records
+        the failure and returns ``None``.
         """
         entry.attempts += 1
         if retryable and entry.attempts < self.policy.max_attempts:
-            self.report.retries += 1
             return backoff_delay(self.policy, entry.cell.seed, entry.attempts)
-        self.record_failure(
-            entry, error_type, message, traceback_text, retryable, now - entry.started_at
+        failure = CellFailure(
+            error_type=error_type,
+            message=message,
+            traceback=traceback_text,
+            wall_time_s=now - entry.started_at,
+            retryable=retryable,
         )
+        self.record(CellResult(
+            cell=entry.cell, index=entry.index, failure=failure, attempts=entry.attempts
+        ))
         return None
-
-    def journal_record(self, key: str | None):
-        if self.journal is None or key is None:
-            return
-        try:
-            self.journal.record(key)
-        except OSError:
-            self.report.cache_errors += 1
 
 
 def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
@@ -532,14 +527,14 @@ def _run_serial(work: list[_Pending], cache_dir, sweep: _Sweep) -> None:
         entry.started_at = time.monotonic()
         while True:
             try:
-                run, hit, cerr = _execute(entry.cell, cache_dir, sweep.policy)
+                run, cerr = _execute(entry.cell, entry.key, cache_dir, sweep.policy)
             except Exception as exc:
                 delay = sweep.retry_delay(entry, time.monotonic(), *_error_record(exc))
                 if delay is None:
                     break
                 time.sleep(delay)
                 continue
-            sweep.record_ok(entry, run, hit, cerr)
+            sweep.record_ok(entry, run, cerr)
             break
 
 
@@ -588,7 +583,8 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
                     entry.started_at = now
                 recv, send = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
-                    target=_worker, args=(send, entry.cell, cache_dir, policy)
+                    target=_worker,
+                    args=(send, entry.cell, entry.key, cache_dir, policy),
                 )
                 try:
                     proc.start()
@@ -632,7 +628,6 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
                         )
                 else:
                     _reap(recv, proc, kill=True)
-                    sweep.report.timeouts += 1
                     outcome = (
                         "err", "CellTimeout",
                         f"wall-clock timeout after {policy.wall_timeout_s}s "
@@ -665,10 +660,10 @@ def run_cells_detailed(
     at most ``jobs`` alive at once — and so does ``jobs=1`` under a
     ``policy.wall_timeout_s``, one at a time, because only a separate
     process can be killed when its deadline expires. ``cache`` is a
-    directory path or :class:`ResultCache`; when given, finished cells
-    are persisted, completed cell keys are journaled per sweep, and a
-    repeated invocation resumes: journaled cells are restored from the
-    cache up front (``report.resumed``) instead of re-simulated.
+    directory path or :class:`ResultCache`; when given, every cached cell
+    is restored here before dispatch (``source="cache"``, or
+    ``"journal"`` when this sweep's journal lists it), simulated cells are
+    persisted, and completed cell keys are journaled per sweep.
     ``use_journal=False`` disables the journal (single-cell convenience
     calls skip it automatically).
 
@@ -679,8 +674,8 @@ def run_cells_detailed(
     same cells, policy and cache, so results — including cache keys and
     obs JSONL bytes — are identical to direct execution.
     ``on_result`` is an optional callable invoked with each
-    :class:`CellResult` as it is recorded (completion order, resumed
-    cells first); it must not raise.
+    :class:`CellResult` as it is recorded (restored cells first, then
+    completion order); it must not raise.
     """
     cells = list(cells)
     if jobs < 1:
@@ -698,60 +693,44 @@ def run_cells_detailed(
             on_result=on_result,
         )
     policy = policy or FaultPolicy()
-    if isinstance(cache, ResultCache):
-        cache_dir = str(cache.root)
-    elif cache is not None:
-        cache_dir = str(cache)
-    else:
-        cache_dir = None
-
-    report = ExecutionReport(
-        cells=len(cells), jobs=jobs, cached=cache_dir is not None
-    )
-    journal = None
-    work: list[_Pending] = []
-    resumed: list[CellResult] = []
+    store = cache
+    if cache is not None and not isinstance(cache, ResultCache):
+        store = ResultCache(cache)
+    cache_dir = None if store is None else str(store.root)
     start = time.perf_counter()
-
-    if cache_dir is None:
-        work = [_Pending(index=i, cell=c, key=None) for i, c in enumerate(cells)]
-    else:
-        keys = [cache_key(c) for c in cells]
-        completed: set[str] = set()
-        if use_journal and len(cells) > 1:
-            journal = SweepJournal(cache_dir, SweepJournal.key_for(keys))
-            try:
-                completed = journal.load()
-            except OSError:
-                completed = set()
-        store = ResultCache(cache_dir)
-        for i, (cell, key) in enumerate(zip(cells, keys)):
-            if key in completed:
-                run, cerr = _cached_run(store, key)
-                report.cache_errors += cerr
-                if run is not None:
-                    report.cache_hits += 1
-                    report.resumed += 1
-                    resumed.append(
-                        CellResult(
-                            cell=cell, index=i, run=run, cache_hit=True, resumed=True
-                        )
-                    )
-                    continue
-                # journaled but not restorable (evicted / deadline-aborted
-                # runs are never cached) — fall through and re-run
+    keys = [None] * len(cells) if cache_dir is None else [cache_key(c) for c in cells]
+    journal, journaled = None, set()
+    if cache_dir is not None and use_journal and len(cells) > 1:
+        journal = SweepJournal(cache_dir, SweepJournal.key_for(keys))
+        try:
+            journaled = journal.load()
+        except OSError:
+            pass
+    sweep = _Sweep(policy, journal, on_result=on_result)
+    work: list[_Pending] = []
+    for i, (cell, key) in enumerate(zip(cells, keys)):
+        # ResultCache.get turns a corrupt or unreadable entry into a miss
+        run = None if key is None else store.get(key)
+        if run is None:
+            # a journaled cell whose entry is gone (evicted, or a
+            # deadline-aborted run, never cached) is simply re-run
             work.append(_Pending(index=i, cell=cell, key=key))
-
-    sweep = _Sweep(policy, report, journal, on_result=on_result)
-    for res in resumed:
-        sweep._store(res)
+        elif key in journaled:
+            sweep.record(CellResult(cell=cell, index=i, run=run, source="journal"))
+        else:
+            sweep.record(CellResult(cell=cell, index=i, run=run, source="cache"), key)
 
     if jobs == 1 and policy.wall_timeout_s is None:
         _run_serial(work, cache_dir, sweep)
     else:
         _run_parallel(work, jobs, cache_dir, sweep)
 
-    report.wall_time_s = time.perf_counter() - start
-    ordered = [sweep.results[i] for i in range(len(cells))]
-    return ordered, report
+    results = [sweep.results[i] for i in range(len(cells))]
+    return results, ExecutionReport.of(
+        results,
+        jobs=jobs,
+        cached=cache_dir is not None,
+        wall_time_s=time.perf_counter() - start,
+        cache_errors=sweep.cache_errors,
+    )
 

@@ -160,8 +160,9 @@ def run_scenario(
     """Simulate ``scenario`` under ``scheme`` and summarize.
 
     ``scenario`` is a :class:`~repro.experiments.scenarios.Scenario`;
-    ``config`` overrides its network config (used by the VC-split
-    ablation); ``policy_overrides`` merge into the scheme's policy kwargs
+    ``config`` overrides its network config (no figure passes one: the
+    VC-split ablation builds its config into the scenario, as every
+    figure does); ``policy_overrides`` merge into the scheme's policy kwargs
     (used by the hysteresis ablation). This always simulates, in this
     process: the cell engine calls it, never the reverse, so a cached,
     journaled or multi-process run is reached one way — as a ``Cell``.

@@ -5,10 +5,9 @@ package turns the same execution engine into a long-lived local service:
 
 * :mod:`repro.service.daemon` — a daemon on the stdlib HTTP server
   (``python -m repro.service.daemon``) that owns the worker processes and
-  exposes a localhost HTTP+JSONL API for submitting sweep jobs,
-* :mod:`repro.service.scheduler` — priority-class admission and dispatch
-  (``high``/``normal``/``low``, FIFO within a class, bounded queue with
-  429-style backpressure),
+  exposes a localhost HTTP+JSONL API for submitting sweep jobs; its job
+  table is the queue (``high``/``normal``/``low``, FIFO within a class,
+  bounded with 429-style backpressure),
 * :mod:`repro.service.jobstore` — a durable append-only job journal and
   per-job result streams (same torn-write-tolerant framing as
   :class:`~repro.experiments.cache.SweepJournal`), crash-recoverable on

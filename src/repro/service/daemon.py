@@ -26,18 +26,21 @@ obs JSONL).
 
 Threads: the stdlib :class:`~http.server.ThreadingHTTPServer` answers
 each connection on its own thread, beside the dispatcher. One lock,
-``_lock``, guards every read and write of daemon state — jobs, scheduler,
+``_lock``, guards every read and write of daemon state — the job table,
 subscribers and store appends; only the engine call and socket writes
-run outside it. All threads are daemon threads, so SIGINT returns at
-once: a running job stays ``running`` in the journal and resumes on
-restart, exactly as after SIGKILL.
+run outside it. The job table is the queue: :func:`dispatch_order` ranks
+the ``queued`` records, and the dispatcher marks its pick ``running`` in
+the same critical section. All threads are daemon threads, so SIGINT
+returns at once: a running job stays ``running`` in the journal and
+resumes on restart, exactly as after SIGKILL.
 
 Durability: every submit/state transition is journaled and every
 completed cell appended to the job's result stream *before* clients see
 it (:mod:`repro.service.jobstore`). On restart the daemon replays the
-journal, re-enqueues every non-terminal job in original submission
+journal, re-queues every non-terminal job in original submission
 order, and re-runs only cells without a durable result record — a killed
 daemon never duplicates completed work and never loses an accepted job.
+The replayed records enter the job's report as ``replayed``.
 
 HTTP is :mod:`http.server`'s HTTP/1.0: one request per connection, and
 streaming responses are unframed JSONL written per record. The daemon
@@ -59,9 +62,10 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro._version import version_blurb
-from repro.experiments.parallel import ExecutionReport, run_cells_detailed
+from repro.experiments.parallel import CellResult, ExecutionReport, run_cells_detailed
 from repro.service.jobstore import JobStore
 from repro.service.protocol import (
+    PRIORITIES,
     PROTOCOL_VERSION,
     JobRecord,
     JobSpec,
@@ -71,11 +75,13 @@ from repro.service.protocol import (
     encode_value,
     stamp,
 )
-from repro.service.scheduler import PriorityScheduler, QueueFull
 
-__all__ = ["SweepDaemon", "main"]
+__all__ = ["SweepDaemon", "dispatch_order", "main"]
 
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: the Retry-After hint of a 429 (seconds)
+_RETRY_AFTER_S = 2.0
 
 
 class _HttpError(Exception):
@@ -87,6 +93,16 @@ class _HttpError(Exception):
 
 def _jsonl(record: dict) -> bytes:
     return (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+
+
+def dispatch_order(jobs) -> list[JobRecord]:
+    """The queued ``jobs`` by priority class, then submission order.
+
+    ``jobs`` iterates in submission order, as the daemon's table does, and
+    the sort is stable.
+    """
+    queued = [job for job in jobs if job.state == "queued"]
+    return sorted(queued, key=lambda job: PRIORITIES.index(job.priority))
 
 
 class SweepDaemon:
@@ -104,7 +120,13 @@ class SweepDaemon:
         self.host = host
         self.port = port
         self.paused = paused
-        self.scheduler = PriorityScheduler(max_queued=max_queued)
+        if max_queued < 1:
+            raise ValueError(f"max_queued must be >= 1, got {max_queued}")
+        #: admission bound on queued jobs; recovery bypasses it
+        self.max_queued = max_queued
+        #: jobs this process has dispatched (each one's start_seq)
+        self.dispatched = 0
+        #: every job by id, in submission order: the table is the queue
         self.jobs: dict[str, JobRecord] = {}
         #: live result feeds per job, fed by publish() until the job_end
         self._subscribers: dict[str, list[queue.SimpleQueue]] = {}
@@ -118,20 +140,20 @@ class SweepDaemon:
     # -- lifecycle ---------------------------------------------------------------
 
     def recover(self) -> int:
-        """Replay the journal; re-enqueue non-terminal jobs. Returns count."""
+        """Replay the journal; re-queue non-terminal jobs. Returns count.
+
+        Recovered jobs bypass the admission bound: they were accepted
+        before the restart, and the bound gates new work only.
+        """
         with self._lock:
-            self.jobs = self.store.recover()
+            self.jobs = self.store.recover()  # journal order == submission order
             self._next_number = self.store.next_job_number()
-            requeued = 0
-            for job in self.jobs.values():  # journal order == submission order
-                if job.terminal:
-                    continue
+            live = [job for job in self.jobs.values() if not job.terminal]
+            for job in live:
                 if job.state != "queued":
                     job.state = "queued"
                     self.store.append_state(job.id, "queued", recovered=True)
-                self.scheduler.requeue(job)  # bypasses the admission bound
-                requeued += 1
-            return requeued
+            return len(live)
 
     def serve(self) -> None:
         """Bind, advertise the endpoint, and serve until interrupted."""
@@ -152,25 +174,34 @@ class SweepDaemon:
         """Run queued jobs one at a time; sleep until a submit or resume."""
         while True:
             with self._lock:
-                while self.paused or (job_id := self.scheduler.next_job()) is None:
+                while self.paused or (job := self._start_next()) is None:
                     self._wake.wait()
-                job = self.jobs[job_id]
             self._run_job(job)
+
+    def _start_next(self) -> JobRecord | None:
+        """Mark the first job of :func:`dispatch_order` running (under the lock)."""
+        order = dispatch_order(self.jobs.values())
+        if not order:
+            return None
+        job = order[0]
+        self.dispatched += 1
+        job.state = "running"
+        job.started_at = time.time()
+        job.start_seq = self.dispatched
+        self.store.append_state(
+            job.id, "running", started_at=job.started_at, start_seq=job.start_seq
+        )
+        return job
 
     def _run_job(self, job: JobRecord) -> None:
         spec = job.spec
         with self._lock:
-            job.state = "running"
-            job.started_at = time.time()
-            job.start_seq = self.scheduler.dispatched
-            self.store.append_state(
-                job.id, "running", started_at=job.started_at, start_seq=job.start_seq
-            )
-            done_indices = self.store.completed_indices(job.id)
-            seq = len(self.store.result_records(job.id))
-        remaining = [c for i, c in enumerate(spec.cells) if i not in done_indices]
+            # cells with a durable record from before a restart are not re-run
+            done = self.store.cell_records(job.id)
+        seq = len(done)
+        remaining = [c for i, c in enumerate(spec.cells) if i not in done]
         # engine indices are remainder-relative; map back to spec positions
-        spec_index = [i for i in range(len(spec.cells)) if i not in done_indices]
+        spec_index = [i for i in range(len(spec.cells)) if i not in done]
 
         def publish(result) -> None:
             # Called on this thread by the engine, once per finished cell.
@@ -184,28 +215,33 @@ class SweepDaemon:
                 self._fanout(job.id, rec)
 
         try:
-            if remaining:
-                _results, report = run_cells_detailed(
-                    remaining,
-                    jobs=spec.jobs,
-                    cache=spec.cache,
-                    policy=spec.policy,
-                    use_journal=spec.use_journal,
-                    on_result=publish,
+            replayed = [
+                dataclasses.replace(
+                    decode_as(rec["result"], CellResult), source="replay"
                 )
-            else:
-                report = ExecutionReport(cells=0, jobs=spec.jobs)
-            # Fold pre-crash completions into the report the client sees.
-            if done_indices:
-                report.cells = len(spec.cells)
-                report.resumed += len(done_indices)
+                for rec in done.values()
+            ]
+            results, engine = run_cells_detailed(
+                remaining,
+                jobs=spec.jobs,
+                cache=spec.cache,
+                policy=spec.policy,
+                use_journal=spec.use_journal,
+                on_result=publish,
+            )
+            report = ExecutionReport.of(
+                [*replayed, *results],
+                jobs=spec.jobs,
+                cached=spec.cache is not None,
+                wall_time_s=engine.wall_time_s,
+                cache_errors=engine.cache_errors,
+            )
             state, error = "done", None
         except Exception as exc:  # engine-level failure, not a cell failure
             report = None
             state, error = "failed", f"{type(exc).__name__}: {exc}"
         with self._lock:
             self._end(job, state, report, error)
-            self.scheduler.finish(job.id)
 
     def _end(self, job: JobRecord, state: str, report, error=None) -> None:
         """Make ``job`` terminal: its stream's job_end first, then the journal.
@@ -239,11 +275,10 @@ class SweepDaemon:
     # -- routing -----------------------------------------------------------------
 
     def route(self, method: str, path: str, body: bytes):
-        """Answer one request: ``(status, JSON payload or record iterator)``.
+        """Answer one request: ``(status, JSON payload or record stream)``.
 
-        Runs under the lock; a result stream's iterator is the durable
-        records plus a live feed subscribed in the same critical section,
-        so no record is missed or sent twice.
+        Runs under the lock, apart from a result stream, which takes it
+        itself when first read (:meth:`_results`).
         """
         parts = [p for p in path.split("/") if p]
         if parts[:1] != ["v1"]:
@@ -258,8 +293,7 @@ class SweepDaemon:
                 return 200, {"jobs": [j.status_wire() for j in self.jobs.values()]}
             if len(tail) == 2 and tail[0] == "jobs" and method == "GET":
                 job = self._job_or_404(tail[1])
-                position = self.scheduler.position(job.id)
-                return 200, {**job.status_wire(), "position": position}
+                return 200, {**job.status_wire(), "position": self._position(job)}
             if len(tail) == 3 and tail[0] == "jobs" and tail[2] == "results":
                 if method != "GET":
                     raise _HttpError(405, "results endpoint is GET-only")
@@ -283,13 +317,25 @@ class SweepDaemon:
             raise _HttpError(404, f"unknown job {job_id!r}")
         return job
 
+    def _position(self, job: JobRecord) -> int | None:
+        """Global dispatch distance of a queued job (0 = next), else None."""
+        ids = [queued.id for queued in dispatch_order(self.jobs.values())]
+        return ids.index(job.id) if job.id in ids else None
+
     def _health(self) -> dict:
+        queued = dispatch_order(self.jobs.values())
         return {
             "status": "ok",
             "paused": self.paused,
             "uptime_s": round(time.time() - self._started, 3),
             "jobs": len(self.jobs),
-            **self.scheduler.snapshot(),
+            "queued": len(queued),
+            "running": sum(job.state == "running" for job in self.jobs.values()),
+            "max_queued": self.max_queued,
+            "by_priority": {
+                p: sum(job.priority == p for job in queued) for p in PRIORITIES
+            },
+            "dispatched": self.dispatched,
             **stamp(),
             "protocol": PROTOCOL_VERSION,
         }
@@ -299,15 +345,15 @@ class SweepDaemon:
             spec = decode_as(json.loads(body.decode("utf-8")), JobSpec)
         except (UnicodeDecodeError, json.JSONDecodeError, ProtocolError) as exc:
             raise _HttpError(400, f"bad job spec: {exc}") from None
-        job = JobRecord.new(f"j{self._next_number:06d}", spec)
-        try:
-            position = self.scheduler.submit(job)
-        except QueueFull as exc:
+        queued = sum(job.state == "queued" for job in self.jobs.values())
+        if queued >= self.max_queued:
             raise _HttpError(
                 429,
-                str(exc),
-                headers={"Retry-After": f"{exc.retry_after_s:g}"},
-            ) from None
+                f"queue full ({queued}/{self.max_queued} jobs waiting); "
+                f"retry in {_RETRY_AFTER_S:g}s",
+                headers={"Retry-After": f"{_RETRY_AFTER_S:g}"},
+            )
+        job = JobRecord.new(f"j{self._next_number:06d}", spec)
         self._next_number += 1
         self.jobs[job.id] = job
         self.store.append_submit(job)
@@ -317,25 +363,42 @@ class SweepDaemon:
             "state": job.state,
             "priority": job.priority,
             "cells": len(spec.cells),
-            "position": position,
+            "position": self._position(job),
         }
 
     def _cancel(self, job: JobRecord) -> dict:
-        if job.terminal:
-            raise _HttpError(409, f"job {job.id} already {job.state}")
-        if not self.scheduler.cancel(job.id):
-            raise _HttpError(409, f"job {job.id} is running; cannot cancel")
+        if job.state != "queued":
+            raise _HttpError(
+                409, f"job {job.id} is {job.state}; only a queued job cancels"
+            )
         self._end(job, "cancelled", None)
         return job.status_wire()
 
     def _results(self, job: JobRecord):
-        records = self.store.result_records(job.id)
-        if job.terminal:
-            return iter(records)
+        """The job's stream: its durable records, then a live feed to job_end.
+
+        A generator, so nothing happens until the first read: then the
+        snapshot and the subscription share one critical section, so no
+        record is missed or sent twice. Closing the stream (the handler
+        does when it stops writing) unsubscribes its feed.
+        """
         feed = queue.SimpleQueue()
-        self._subscribers.setdefault(job.id, []).append(feed)
-        # the feed never yields the sentinel: the reader stops at job_end
-        return itertools.chain(records, iter(feed.get, None))
+        with self._lock:
+            records = self.store.result_records(job.id)
+            live = not job.terminal
+            if live:
+                self._subscribers.setdefault(job.id, []).append(feed)
+        try:
+            # the feed never yields the sentinel: the stream ends at job_end
+            for rec in itertools.chain(records, iter(feed.get, None) if live else ()):
+                yield rec
+                if rec.get("kind") == "job_end":
+                    return
+        finally:
+            with self._lock:
+                feeds = self._subscribers.get(job.id, [])
+                if feed in feeds:
+                    feeds.remove(feed)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -349,7 +412,10 @@ class _Handler(BaseHTTPRequestHandler):
             if isinstance(payload, dict):
                 self._send_json(status, payload)
             else:
-                self._send_stream(payload)
+                try:
+                    self._send_stream(payload)
+                finally:
+                    payload.close()  # a hung-up client's feed goes with it
         except _HttpError as exc:
             self._send_json(exc.status, {"error": str(exc)}, exc.headers)
         except ConnectionError:
@@ -383,8 +449,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         for rec in records:
             self.wfile.write(_jsonl(rec))
-            if rec.get("kind") == "job_end":
-                break
 
     def send_error(self, code, message=None, explain=None) -> None:
         # the base class's own refusals (bad request line, 501) in JSON too

@@ -118,7 +118,7 @@ class JobStore:
         # completed counters come from the durable result streams, not the
         # journal, so they can never claim more than what is replayable
         for job in jobs.values():
-            job.completed = len(self.completed_indices(job.id))
+            job.completed = len(self.cell_records(job.id))
         return jobs
 
     def next_job_number(self) -> int:
@@ -149,10 +149,10 @@ class JobStore:
         """All durable records of a job's stream, in append order."""
         return [r for r in read_records(self.result_path(job_id)) if isinstance(r, dict)]
 
-    def completed_indices(self, job_id: str) -> set[int]:
-        """Cell indices with a durable result record (never to re-run)."""
+    def cell_records(self, job_id: str) -> dict[int, dict]:
+        """Durable ``cell`` records by cell index (never to re-run)."""
         return {
-            r["index"]
+            r["index"]: r
             for r in self.result_records(job_id)
             if r.get("kind") == "cell" and isinstance(r.get("index"), int)
         }

@@ -141,7 +141,6 @@ class JobRecord:
     id: str
     spec: JobSpec
     state: str = "queued"
-    priority: str = "normal"
     submitted_at: float = 0.0
     started_at: float | None = None
     finished_at: float | None = None
@@ -163,10 +162,13 @@ class JobRecord:
         return cls(
             id=job_id,
             spec=spec,
-            priority=spec.priority,
             submitted_at=time.time(),
             meta={**stamp(), "protocol": PROTOCOL_VERSION},
         )
+
+    @property
+    def priority(self) -> str:
+        return self.spec.priority
 
     @property
     def terminal(self) -> bool:

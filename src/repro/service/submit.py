@@ -45,8 +45,7 @@ def _watch(client: ServiceClient, job_id: str) -> int:
         if kind == "cell":
             res = decode_as(rec.get("result"), CellResult)
             label = "ok" if res.ok else "FAILED"
-            extra = " (cache hit)" if res.cache_hit else ""
-            print(f"cell {rec.get('index')}: {label}{extra}", flush=True)
+            print(f"cell {rec.get('index')}: {label} ({res.source})", flush=True)
         elif kind == "job_end":
             state = rec.get("state", "unknown")
             print(f"job {job_id}: {state}", flush=True)

@@ -96,8 +96,8 @@ class TestAcceptanceSweep:
         results2, report2 = run_cells_detailed(
             acceptance_cells(), jobs=4, cache=tmp_path, policy=POLICY
         )
-        assert report2.resumed == 21
-        assert report2.cache_hits == 21
+        assert report2.resumed == report2.cache_hits == 21
+        assert report2.cache_hits + report2.failures == report2.cells
         assert report2.sim_cycles == 0  # zero cycles re-simulated
         assert report2.failures == 3  # the poisoned cells fail the same way
         assert {i: f.error_type for i, f in
@@ -108,7 +108,7 @@ class TestAcceptanceSweep:
         }
         for before, after in zip(results, results2):
             if before.ok:
-                assert after.resumed
+                assert after.source == "journal"
                 assert (after.run.determinism_signature()
                         == before.run.determinism_signature())
 

@@ -11,6 +11,8 @@ Two guarantees hold the whole layer together:
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments.chaos import chaos_cell
@@ -68,9 +70,24 @@ class TestCellEngine:
         cell = Cell.for_scenario(SCHEMES["RA_RAIR"], two_app_msp(0.5), Effort.SMOKE, 3)
         (cold,), _ = run_cells_detailed([cell], cache=tmp_path)
         (warm,), _ = run_cells_detailed([cell], cache=tmp_path)
-        assert not cold.cache_hit
-        assert warm.cache_hit
+        assert (cold.source, warm.source) == ("simulated", "cache")
         assert warm.run.determinism_signature() == cold.run.determinism_signature()
+
+    def test_warm_sweep_starts_no_process(self, tmp_path, monkeypatch):
+        scheme = SCHEMES["RO_RR"]
+        cells = [chaos_cell(scheme, Effort.SMOKE, s, cell_id=s) for s in (1, 2)]
+        run_cells_detailed(cells, cache=tmp_path, use_journal=False)
+
+        def refuse(proc):
+            raise AssertionError("a warm sweep started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        warm, _ = run_cells_detailed(cells, jobs=4, cache=tmp_path, use_journal=False)
+        assert [r.source for r in warm] == ["cache", "cache"]
+        run_cells_detailed(cells, jobs=4, cache=tmp_path)  # journals the hits
+        again, report = run_cells_detailed(cells, jobs=4, cache=tmp_path)
+        assert [r.source for r in again] == ["journal", "journal"]
+        assert report.resumed == report.cache_hits == report.cells == 2
 
 
 @pytest.mark.chaos

@@ -40,6 +40,7 @@ import repro
 from repro.experiments.chaos import chaos_cell
 from repro.experiments.parallel import (
     Cell,
+    CellResult,
     ExecutionReport,
     FaultPolicy,
     run_cells_detailed,
@@ -51,11 +52,15 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.daemon import SweepDaemon
 from repro.service.jobstore import JobStore
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
     TERMINAL_STATES,
+    JobRecord,
     JobSpec,
+    cell_result_to_wire,
     decode_as,
     encode_value,
 )
+from repro.util.jsonl import append_record
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parents[1])
 
@@ -294,7 +299,7 @@ class TestJobEnd:
         daemon = SweepDaemon(KilledAtTerminalState(tmp_path))
         body = json.dumps(encode_value(JobSpec(cells=[ok_cell()]))).encode()
         _, submitted = daemon.route("POST", "/v1/jobs", body)
-        job = daemon.jobs[daemon.scheduler.next_job()]
+        job = daemon._start_next()
         with pytest.raises(OSError, match="killed"):
             daemon._run_job(job)
 
@@ -306,6 +311,34 @@ class TestJobEnd:
         ]
         assert [e["state"] for e in ends] == ["done"]
         assert decode_as(ends[0]["report"], ExecutionReport).cells == 1
+
+
+class TestStoreCompatibility:
+    def test_a_store_from_before_result_sources_runs_and_replays(self, tmp_path):
+        # Until results carried one source, the journal held a priority
+        # field per job and each cell record cache_hit/resumed flags.
+        store = JobStore(tmp_path)
+        (done,), _ = run_cells_detailed([ok_cell()])
+        for job_id in ("j000001", "j000002"):
+            job = encode_value(JobRecord.new(job_id, JobSpec(cells=[ok_cell()])))
+            job["fields"]["priority"] = "normal"
+            append_record(store.journal_path, {
+                "event": "submit", "v": PROTOCOL_VERSION, "id": job_id, "job": job
+            })
+        store.append_state("j000001", "done")
+        rec = cell_result_to_wire(done, 0)
+        del rec["result"]["fields"]["source"]
+        rec["result"]["fields"].update(cache_hit=True, resumed=False)
+        store.append_result("j000001", rec)
+        store.append_result("j000001", {"kind": "job_end", "state": "done"})
+
+        daemon = SweepDaemon(store)
+        assert daemon.recover() == 1
+        daemon._run_job(daemon._start_next())
+        assert daemon.jobs["j000002"].state == "done"
+        _, stream = daemon.route("GET", "/v1/jobs/j000001/results", b"")
+        old = decode_as(next(stream)["result"], CellResult)
+        assert old.source == "simulated" and old.run == done.run
 
 
 class TestOneLock:
@@ -322,7 +355,7 @@ class TestOneLock:
         body = json.dumps(encode_value(spec)).encode()
         _, submitted = daemon.route("POST", "/v1/jobs", body)
         results_path = f"/v1/jobs/{submitted['id']}/results"
-        job = daemon.jobs[daemon.scheduler.next_job()]
+        job = daemon._start_next()
         streams = []
 
         def read(delay_s: float) -> None:
@@ -351,6 +384,19 @@ class TestOneLock:
             sys.setswitchinterval(interval)
         assert len(streams) == 16
         assert all(sorted(s) == list(range(32)) for s in streams), streams
+
+
+    def test_a_closed_stream_unsubscribes(self, tmp_path):
+        daemon = SweepDaemon(JobStore(tmp_path))
+        body = json.dumps(encode_value(JobSpec(cells=[ok_cell()]))).encode()
+        job_id = daemon.route("POST", "/v1/jobs", body)[1]["id"]
+        daemon._start_next()
+        daemon.store.append_result(job_id, {"kind": "cell", "seq": 0, "index": 0})
+        _, stream = daemon.route("GET", f"/v1/jobs/{job_id}/results", b"")
+        assert next(stream)["index"] == 0
+        assert len(daemon._subscribers[job_id]) == 1
+        stream.close()  # what the handler does once the client hangs up
+        assert daemon._subscribers[job_id] == []
 
 
 class TestSigint:
@@ -434,7 +480,9 @@ class TestCrashRecovery:
             assert sorted(indices) == [0, 1]
             assert len(indices) == len(set(indices))
             assert records[-1]["kind"] == "job_end"
-            assert records[-1]["report"]["fields"]["resumed"] >= 1
+            report = decode_as(records[-1]["report"], ExecutionReport)
+            assert (report.replayed, report.resumed, report.cache_misses) == (1, 0, 1)
+            assert report.cells == 2 == report.replayed + report.cache_misses
 
     def test_queued_jobs_survive_restart(self, tmp_path):
         store = tmp_path / "store"

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.core.dpa import DpaConfig
 from repro.experiments.cache import ResultCache, decode_as, decode_value, encode_value
-from repro.experiments.parallel import (Cell, CellFailure, CellResult, ExecutionReport,
-                                       FaultPolicy)
+from repro.experiments.parallel import (SOURCES, Cell, CellFailure, CellResult,
+                                       ExecutionReport, FaultPolicy)
 from repro.experiments.runner import SCHEMES, Effort, ScenarioRun
 from repro.experiments.scenarios import SCENARIO_BUILDERS, ScenarioSpec
 from repro.noc.guard import GUARD_MODES, GuardConfig
@@ -48,8 +48,9 @@ cells = st.builds(Cell, st.sampled_from(list(SCHEMES.values())), specs,
                       DpaConfig, mode=st.sampled_from(["native", "foreign"])).map(
                       lambda d: {"dpa": d}))
 failures = scalar_fields(CellFailure)
-results = scalar_fields(CellResult, cell=cells, run=runs) | scalar_fields(
-    CellResult, cell=cells, failure=failures)
+sources = st.sampled_from(SOURCES)
+results = scalar_fields(CellResult, cell=cells, run=runs, source=sources) | (
+    scalar_fields(CellResult, cell=cells, failure=failures, source=sources))
 policies = st.builds(
     FaultPolicy, st.integers(1, 5), cycle_budget=st.none() | INTS,
     obs=st.none() | st.builds(ObsConfig, st.none() | TEXT, st.integers(1, 99)),
@@ -122,6 +123,8 @@ def test_missing_fields_default_and_unknown_fields_drop(m, name):
     {"__repro__": "tuple"},
     {"__repro__": "dataclass", "type": "repro.noc.stats:RunMetrics", "fields": [1]},
     {"__repro__": "dataclass", "type": "repro_lookalike:X", "fields": {}},
+    {"__repro__": "dataclass", "type": "repro.experiments.parallel:FaultPolicy",
+     "fields": {"backoff_max_s": -1.0}},
 ])
 def test_malformed_payloads_raise_only_protocol_error(payload):
     with pytest.raises(ProtocolError):

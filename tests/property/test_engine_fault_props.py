@@ -61,6 +61,9 @@ def test_every_attempt_is_charged_to_its_own_cell(modes, jobs, max_attempts):
             )
         assert report.failures == len(failures)
         assert report.retries == sum(r.attempts - 1 for r in results)
+        assert report.cache_hits + report.cache_misses + report.replayed + (
+            report.failures) == report.cells
+        assert report.resumed <= report.cache_hits
 
         survivors = [r for r in results if r.ok]
         serial, serial_report = run_cells_detailed(

@@ -4,11 +4,14 @@ failure records, report accounting, and the serial retry loop."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.chaos import chaos_cell
 from repro.experiments.parallel import (
     CellFailure,
+    CellResult,
     ExecutionReport,
     FaultPolicy,
     backoff_delay,
@@ -27,6 +30,9 @@ SCHEME = SCHEMES["RO_RR"]
 
 #: near-zero backoff so retry tests don't sleep for real
 FAST = FaultPolicy(max_attempts=3, backoff_base_s=0.001)
+
+#: all the report fold reads of a run
+RUN = SimpleNamespace(end_cycle=700)
 
 
 class TestClassification:
@@ -95,6 +101,11 @@ class TestFaultPolicyValidation:
         with pytest.raises(ConfigError, match="wall_timeout_s"):
             FaultPolicy(wall_timeout_s=0.0)
 
+    @pytest.mark.parametrize("field", ["backoff_base_s", "backoff_max_s"])
+    def test_negative_backoff_rejected(self, field):
+        with pytest.raises(ConfigError, match=field):
+            FaultPolicy(**{field: -0.5})
+
     def test_defaults_are_valid(self):
         policy = FaultPolicy()
         assert policy.max_attempts == 3
@@ -136,6 +147,17 @@ class TestExecutionReport:
         assert m["retries"] == 5 and m["failures"] == 1
         assert m["timeouts"] == 1 and m["resumed"] == 1
         assert m["cache_errors"] == 2
+
+    def test_fold_splits_ok_results_by_source(self):
+        ok = [CellResult(cell=None, index=i, run=RUN, source=s)
+              for i, s in enumerate(["simulated", "cache", "journal", "replay"])]
+        failed = CellResult(cell=None, index=4, attempts=2, failure=CellFailure(
+            "CellTimeout", "", "", 1.0, False), source="replay")
+        report = ExecutionReport.of([*ok, failed], jobs=2, cached=True, cache_errors=3)
+        assert (report.cells, report.cache_misses, report.cache_hits, report.resumed,
+                report.replayed, report.failures) == (5, 1, 2, 1, 1, 1)
+        assert (report.sim_cycles, report.retries, report.timeouts,
+                report.cache_errors) == (RUN.end_cycle, 1, 1, 3)
 
     def test_cycles_per_sec_guards_zero_wall_time(self):
         assert ExecutionReport(cells=1, jobs=1, sim_cycles=100).cycles_per_sec == 0.0

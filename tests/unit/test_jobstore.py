@@ -115,7 +115,7 @@ class TestResultStreams:
         store.append_result("j1", {"kind": "cell", "seq": 0, "index": 2})
         store.append_result("j1", {"kind": "cell", "seq": 1, "index": 0})
         store.append_result("j1", {"kind": "job_end", "state": "done"})
-        assert store.completed_indices("j1") == {0, 2}
+        assert set(store.cell_records("j1")) == {0, 2}
 
     def test_recover_counts_completed_from_streams(self, tmp_path):
         store = JobStore(tmp_path / "store")

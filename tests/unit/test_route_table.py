@@ -76,3 +76,28 @@ def test_reattach_rebuilds_table():
     Network(NocConfig(width=8, height=8), routing, ArbitrationPolicy())
     assert routing._route_table is not table_a
     assert len(routing._route_table) == 64 * 64
+
+
+@pytest.mark.parametrize("topology, width, height", [
+    ("mesh", 8, 8), ("torus", 4, 4), ("ring", 8, 1),
+])
+def test_xy_and_duato_ask_the_topology(topology, width, height):
+    # The topology's queries themselves are held to BFS by
+    # tests/property/test_topology_props.py; this pins what the two
+    # routing algorithms make of them.
+    cfg = NocConfig.for_topology(topology, width=width, height=height)
+    xy, duato = (
+        Network(cfg, make_routing(name), ArbitrationPolicy()).routing
+        for name in ("xy", "duato")
+    )
+    topo = xy.network.topology
+    for node in range(topo.num_nodes):
+        for dst in range(topo.num_nodes):
+            pkt = Packet(src=node, dst=dst, length=1, inject_cycle=0)
+            order = topo.dimension_order_port(node, dst)
+            assert xy.admissible_ports(node, pkt) == (order,)
+            assert duato.admissible_ports(node, pkt) == topo.minimal_ports(node, dst)
+            assert xy.escape_port(node, pkt) == duato.escape_port(node, pkt) == order
+            for routing in (xy, duato):
+                ports = routing.admissible_ports(node, pkt)
+                assert sorted(routing.rank_ports(node, pkt, ports)) == sorted(ports)

@@ -92,7 +92,7 @@ def _job_results(root):
     return (
         store.result_path("j1"),
         lambda i: store.append_result("j1", {"kind": "cell", "seq": i, "index": i}),
-        lambda: store.completed_indices("j1"),
+        lambda: set(store.cell_records("j1")),
     )
 
 
