@@ -237,8 +237,10 @@ class _GuardFaultSource:
             if not router.busy_vcs:
                 continue
             for invc in router.vcs:
-                if invc.arrivals:
-                    invc.arrivals.pop()  # counters left stale on purpose
+                if invc.flits_recv > invc.flits_sent:
+                    # A buffered flit vanishes; occupancy and
+                    # buffered_total are left stale on purpose.
+                    invc.flits_recv -= 1
                     self.done = True
                     return
         # no buffered flit yet: retry next tick

@@ -2,10 +2,14 @@
 
 An :class:`InputVC` is the unit of buffering and arbitration in the router.
 Because VCs are *atomic* (Table 1 of the paper: one packet occupies a VC at
-a time), a VC's buffered flits all belong to one packet and are represented
-by a short list of their arrival cycles (at most ``vc_depth`` entries; an
-empty deque is ten times the size, times every VC on the chip) rather than
-per-flit objects — the hot loop never allocates.
+a time), a VC's buffered flits all belong to one packet, so the buffer is
+its framing counters: ``flits_recv - flits_sent`` flits are buffered, and
+``last_arrival`` is the cycle the newest of them was written. At most one
+flit enters a VC per cycle (one per link, one per injection link), so the
+oldest buffered flit arrived in an earlier cycle unless the buffer holds
+exactly one flit and ``last_arrival`` is this cycle — the one pipeline fact
+switch allocation needs. The hot loop neither allocates nor keeps per-flit
+records.
 
 State machine::
 
@@ -24,7 +28,10 @@ events themselves. The per-packet transitions are methods here
 (:meth:`head_arrive`, :meth:`grant_vc`, :meth:`release`); the two per-flit
 ones — a body flit arriving, a flit departing — are applied in place by
 their single callers, ``Network.deliver_events`` and ``Network.send_flit``,
-next to the mask updates they imply.
+next to the mask updates they imply. ``down`` / ``credit_row`` are the link
+handles ``Router._grant`` binds once per packet-hop: the downstream
+``InputVC`` this VC's flits go to (``None`` when ejecting on LOCAL) and the
+router's credit counters for the granted output port.
 
 :meth:`wants_va` / :meth:`wants_sa` remain as the brute-force eligibility
 oracle that the wake masks are cross-checked against in tests.
@@ -53,9 +60,9 @@ class InputVC:
         "vc_class",
         "is_escape",
         "pkt",
-        "arrivals",
         "flits_recv",
         "flits_sent",
+        "last_arrival",
         "state",
         "out_port",
         "out_vc",
@@ -69,6 +76,8 @@ class InputVC:
         "router",
         "body_item",
         "credit_item",
+        "down",
+        "credit_row",
     )
 
     def __init__(
@@ -93,13 +102,17 @@ class InputVC:
         self.router = router
         self.body_item = (self, None)
         self.credit_item = None
+        # Link handles bound by Router._grant for each packet-hop; only
+        # meaningful while ACTIVE.
+        self.down = None
+        self.credit_row = None
         self.vnet = vnet
         self.vc_class = vc_class
         self.is_escape = is_escape
         self.pkt = None
-        self.arrivals: list[int] = []
         self.flits_recv = 0
         self.flits_sent = 0
+        self.last_arrival = -1
         self.state = VC_IDLE
         self.out_port = -1
         self.out_vc = -1
@@ -128,9 +141,9 @@ class InputVC:
         if pkt.vnet != self.vnet:
             raise SimulationError(f"{pkt!r} delivered to vnet-{self.vnet} VC")
         self.pkt = pkt
-        self.arrivals.append(cycle)
         self.flits_recv = 1
         self.flits_sent = 0
+        self.last_arrival = cycle
         self.state = VC_VA
         self.route_ports = None
         self.va_ready = cycle + 1
@@ -139,7 +152,7 @@ class InputVC:
     # -- queries --------------------------------------------------------------
     def occupancy(self) -> int:
         """Number of flits currently buffered."""
-        return len(self.arrivals)
+        return self.flits_recv - self.flits_sent
 
     def wants_va(self, cycle: int) -> bool:
         """True when this VC should compete in VC allocation this cycle."""
@@ -150,14 +163,15 @@ class InputVC:
 
         Credit availability is checked by the router (it owns the credit
         counters); this only checks VC-local pipeline conditions: a flit is
-        buffered, it was buffered in an earlier cycle (buffer-write and
-        switch traversal cannot share a cycle), and the post-VA setup delay
-        has elapsed.
+        buffered, the oldest one was buffered in an earlier cycle
+        (buffer-write and switch traversal cannot share a cycle), and the
+        post-VA setup delay has elapsed.
         """
+        buffered = self.flits_recv - self.flits_sent
         return (
             self.state == VC_ACTIVE
-            and bool(self.arrivals)
-            and self.arrivals[0] < cycle
+            and buffered > 0
+            and not (buffered == 1 and self.last_arrival == cycle)
             and cycle >= self.sa_ready
         )
 
@@ -173,7 +187,7 @@ class InputVC:
 
     def release(self) -> None:
         """The tail flit departed: the VC is free for the next packet."""
-        if self.arrivals:
+        if self.flits_recv != self.flits_sent:
             raise SimulationError("VC released while flits still buffered")
         self.pkt = None
         self.state = VC_IDLE
@@ -187,5 +201,5 @@ class InputVC:
         st = ("IDLE", "VA", "ACTIVE")[self.state]
         return (
             f"InputVC(n{self.node} p{self.port} v{self.vc} {st} "
-            f"buf={len(self.arrivals)} pkt={self.pkt and self.pkt.pid})"
+            f"buf={self.occupancy()} pkt={self.pkt and self.pkt.pid})"
         )

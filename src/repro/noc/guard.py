@@ -9,9 +9,9 @@ verification layer with three parts:
 ``check_period`` cycles and once more at the end of a clean measurement):
 
 * *flit conservation* — ``Network.occupancy`` / ``buffered_total`` match a
-  recount of every VC's buffered flits, and per-VC wormhole framing is
-  legal (``flits_sent <= flits_recv <= length``, buffered =
-  received − sent, ACTIVE VCs hold an output VC);
+  recount of every VC's buffered flits (received − sent), and per-VC
+  wormhole framing is legal (``flits_sent <= flits_recv <= length``,
+  ACTIVE VCs hold an output VC);
 * *credit conservation* — for every link VC, upstream credits + flits
   buffered downstream + flits in flight + credits in flight equals the
   buffer depth, exactly;
@@ -248,7 +248,7 @@ class RuntimeGuard:
             count = 0
             for invc in router.vcs:
                 pkt = invc.pkt
-                buffered = len(invc.arrivals)
+                buffered = invc.occupancy()
                 count += buffered
                 where = f"VC (node {node} port {invc.port} vc {invc.vc})"
                 if pkt is None:
@@ -276,13 +276,6 @@ class RuntimeGuard:
                         f"{where} framing illegal for packet #{pkt.pid}: "
                         f"sent={invc.flits_sent} recv={invc.flits_recv} "
                         f"length={pkt.length}",
-                    )
-                if buffered != invc.flits_recv - invc.flits_sent:
-                    self._violate(
-                        cycle, net, "flit_conservation",
-                        f"{where} buffers {buffered} flit(s) but framing "
-                        f"counters imply {invc.flits_recv - invc.flits_sent} "
-                        f"(packet #{pkt.pid})",
                     )
                 if invc.state == VC_ACTIVE and invc.out_port < 0:
                     self._violate(
@@ -324,9 +317,10 @@ class RuntimeGuard:
                 down_vcs = routers[down].in_vcs[down_port]
                 credits = router.out_credits[port]
                 for vc in range(router.total_vcs):
+                    buffered = down_vcs[vc].occupancy()
                     have = (
                         credits[vc]
-                        + len(down_vcs[vc].arrivals)
+                        + buffered
                         + inflight_flits[(down, down_port, vc)]
                         + inflight_credits[(node, port, vc)]
                     )
@@ -335,7 +329,7 @@ class RuntimeGuard:
                             cycle, net, "credit_conservation",
                             f"link VC (node {node} port {port} vc {vc}): "
                             f"credits {credits[vc]} + buffered "
-                            f"{len(down_vcs[vc].arrivals)} + in-flight flits "
+                            f"{buffered} + in-flight flits "
                             f"{inflight_flits[(down, down_port, vc)]} + "
                             f"in-flight credits "
                             f"{inflight_credits[(node, port, vc)]} = {have}, "
@@ -514,7 +508,7 @@ class RuntimeGuard:
                 deps: list = []
                 if invc.state == VC_ACTIVE:
                     out_port = invc.out_port
-                    if not invc.arrivals:
+                    if not invc.occupancy():
                         if invc.port != LOCAL:
                             up = neighbor[node][invc.port]
                             owner = routers[up].out_owner[opposite[invc.port]][invc.vc]
@@ -563,7 +557,7 @@ class RuntimeGuard:
             "pid": pkt.pid if pkt is not None else -1,
             "dst": pkt.dst if pkt is not None else -1,
             "state": _STATE_NAMES[invc.state],
-            "buffered": len(invc.arrivals),
+            "buffered": invc.occupancy(),
             "out_port": invc.out_port,
             "out_vc": invc.out_vc,
             "is_escape": bool(invc.is_escape),

@@ -366,19 +366,18 @@ class Network:
                         f"body flit arrived at empty VC "
                         f"(node {invc.node} port {invc.port} vc {invc.vc})"
                     )
-                if invc.flits_recv >= resident.length:
+                recv = invc.flits_recv
+                if recv >= resident.length:
                     raise SimulationError(f"too many flits arrived for {resident!r}")
-                buffered = invc.arrivals
-                if not buffered and invc.state == VC_ACTIVE:
+                if recv == invc.flits_sent and invc.state == VC_ACTIVE:
                     # Refill of a drained ACTIVE VC: sendable next cycle, if
                     # it holds a credit (else the credit's return arms it).
-                    op = invc.out_port
-                    router = invc.router
-                    if op == LOCAL or router.out_credits[op][invc.out_vc] > 0:
+                    if invc.down is None or invc.credit_row[invc.out_vc] > 0:
+                        router = invc.router
                         router.sa_pending |= invc.bit
                         router.sa_hold |= invc.bit
-                buffered.append(cycle)
-                invc.flits_recv += 1
+                invc.flits_recv = recv + 1
+                invc.last_arrival = cycle
                 occupancy[invc.node] += 1
                 self.buffered_total += 1
         credits = self._credits.pop(cycle, None)
@@ -394,19 +393,21 @@ class Network:
                     )
                 # Only two counter values change anyone's schedulability:
                 # the first credit ends the owner's starvation (sendable
-                # now if it has a flit buffered — next cycle if that flit
-                # arrived in this one), and the last one makes an unowned
-                # VC VA-allocatable again.
+                # now if it has a flit buffered — next cycle if that flit,
+                # its only one, arrived in this one), and the last one
+                # makes an unowned VC VA-allocatable again.
                 if c == 1 or c == depth:
                     owner = router.out_owner[port][vc]
                     if owner is None:
                         if c == depth:
                             router.out_free[port] |= 1 << vc
-                            router.wake_parked()
-                    elif c == 1 and owner.arrivals:
-                        router.sa_pending |= owner.bit
-                        if owner.arrivals[0] >= cycle:
-                            router.sa_hold |= owner.bit
+                            router.wake_parked(port)
+                    elif c == 1:
+                        buffered = owner.flits_recv - owner.flits_sent
+                        if buffered:
+                            router.sa_pending |= owner.bit
+                            if buffered == 1 and owner.last_arrival == cycle:
+                                router.sa_hold |= owner.bit
                 if tr is not None:
                     tr.credit_return(cycle, router.node, port, vc)
 
@@ -437,18 +438,20 @@ class Network:
     def send_flit(self, router: Router, invc, cycle: int) -> None:
         """One flit of ``invc`` traverses the switch and leaves ``router``."""
         pkt = invc.pkt
-        arrivals = invc.arrivals
-        if not arrivals:
-            raise SimulationError("send_flit on empty buffer")
-        arrivals.pop(0)
-        out_port = invc.out_port
-        out_vc = invc.out_vc
         sent = invc.flits_sent + 1
+        left_buffered = invc.flits_recv - sent
+        if left_buffered < 0:
+            raise SimulationError("send_flit on empty buffer")
         invc.flits_sent = sent
+        # The link handles _grant bound for this packet-hop; down is None
+        # on the ejection port.
+        down = invc.down
+        out_vc = invc.out_vc
+        out_port = invc.out_port
         is_tail = sent == pkt.length
         # The VC stays sendable while it is not released, has another
         # flit buffered and (below) a credit left to send it on.
-        sendable = not is_tail and bool(arrivals)
+        sendable = not is_tail and left_buffered > 0
         node = router.node
         self.occupancy[node] -= 1
         self.buffered_total -= 1
@@ -471,15 +474,15 @@ class Network:
             native = invc.is_native
             invc.release()
             router.out_owner[out_port][out_vc] = None
-            if out_port == LOCAL:
+            if down is None:
                 # An ejection-port VC frees with its credits intact, so a
                 # VA option is born right now: mark it free and re-arm the
-                # parked VCs. A link-port VC frees with at least one credit
-                # outstanding (the tail flit just consumed one), so its
-                # option is born only when the final credit returns —
+                # VCs parked on it. A link-port VC frees with at least one
+                # credit outstanding (the tail flit just consumed one), so
+                # its option is born only when the final credit returns —
                 # deliver_events handles that one.
                 router.out_free[LOCAL] |= 1 << out_vc
-                router.wake_parked()
+                router.wake_parked(LOCAL)
             router.busy_vcs -= 1
             if router.busy_vcs == 0:
                 self._active.discard(node)
@@ -493,7 +496,7 @@ class Network:
                 router.ovc_f -= 1
             router.ovc_dirty = True
 
-        if out_port == LOCAL:
+        if down is None:
             if is_tail:
                 eject_cycle = cycle + 1  # link traversal into the NI
                 self.stats.record_ejection(pkt, eject_cycle)
@@ -509,7 +512,7 @@ class Network:
                 # the pool for the next alloc_packet to re-initialise.
                 self.packet_pool.release(pkt)
         else:
-            credits = router.out_credits[out_port]
+            credits = invc.credit_row
             left = credits[out_vc] - 1
             credits[out_vc] = left
             if left <= 0:
@@ -518,7 +521,6 @@ class Network:
                         f"negative credits at node {node} port {out_port} vc {out_vc}"
                     )
                 sendable = False
-            down = router.out_links[out_port][out_vc]
             if sent == 1:
                 pkt.hops += 1
                 item = (down, pkt)

@@ -17,13 +17,13 @@ modelled as explicit per-cycle arbitrations through the installed
 Scheduling is event-driven rather than polled: instead of scanning every
 input VC every cycle, the router keeps explicit wake masks —
 
-``va_pending`` / ``va_parked``
-    Every VC in VA state is in exactly one of the two. ``do_va`` walks
-    ``va_pending`` in ascending (port, vc) key order; a VC whose option
-    set is empty (every admissible downstream VC owned or not fully
-    drained) is *parked* and re-armed only when this router's resources
-    change (a credit returns or an output VC's owner releases) — see
-    :meth:`wake_parked`.
+``va_pending`` / ``va_parked`` / ``parked_on``
+    Every VC in VA state is in exactly one of the first two. ``do_va``
+    walks ``va_pending`` in ascending (port, vc) key order; a VC whose
+    option set is empty (every admissible downstream VC owned or not fully
+    drained) is *parked*, and its bit is registered in ``parked_on[p]``
+    for each of its route ports ``p``. It is re-armed only when one of
+    those ports gains an allocatable VC — see :meth:`wake_parked`.
 ``sa_pending`` / ``sa_hold``
     ``sa_pending`` is *exactly* the ACTIVE VCs with a flit buffered and a
     credit to send it on; ``sa_hold`` is the subset that only becomes
@@ -37,12 +37,16 @@ input VC every cycle, the router keeps explicit wake masks —
     index: unowned and (on a link port) fully drained. VA_in requests
     from ``out_free[port] & admissible mask`` instead of listing options;
     the grant, an ejection tail and the last credit back to an unowned VC
-    are the only events that change it.
+    are the only events that change it, and the last two — the only ones
+    that add a bit — wake the VCs parked on that port.
 
 The wake masks are integers over the flat VC key ``port * total_vcs + vc``:
-arming and retiring are single OR/AND-NOT operations, re-arming all parked
-VCs is one OR, and the lowest bit first is the (port, vc) lexicographic
-order of a full scan. Arbitration runs on the same masks: the policy
+arming and retiring are single OR/AND-NOT operations, re-arming the VCs
+parked on a port is one AND and one OR, and the lowest bit first is the (port, vc) lexicographic
+order of a full scan. The VA grant also binds the VC's link handles
+(``InputVC.down`` / ``credit_row``), so each flit of the packet-hop is
+sent without looking up the downstream VC or the credit row again.
+Arbitration runs on the same masks: the policy
 reduces a contested candidate mask to its top priority class and
 :func:`~repro.arbitration.base.rotating_bit` rotates from the pointer. The
 invariants are cross-checked against the brute-force ``wants_va`` /
@@ -110,6 +114,7 @@ class Router:
         "busy_vcs",
         "va_pending",
         "va_parked",
+        "parked_on",
         "sa_pending",
         "sa_hold",
         "vcs_local",
@@ -179,9 +184,10 @@ class Router:
         self.out_owner = [[None] * self.total_vcs for _ in range(num_ports)]
         self.out_credits = [[config.vc_depth] * self.total_vcs for _ in range(num_ports)]
         self.out_free = [(1 << self.total_vcs) - 1] * num_ports
-        # Per output port, the downstream input port's InputVC row (None
-        # without a link); wired by the Network once every router exists.
-        self.out_links = [None] * num_ports
+        # Per output port, the downstream input port's InputVC row (all
+        # None without a link: the ejection port, a fabric edge); wired by
+        # the Network once every router exists.
+        self.out_links = [(None,) * self.total_vcs] * num_ports
         self.va_ptr = [0] * (num_ports * self.total_vcs)
         self.sa_in_ptr = [0] * num_ports
         self.sa_out_ptr = [0] * num_ports
@@ -190,6 +196,9 @@ class Router:
         # Wake masks (see module docstring).
         self.va_pending = 0
         self.va_parked = 0
+        # Per output port, the VCs that parked with it among their route
+        # ports (a superset: woken VCs are dropped lazily).
+        self.parked_on = [0] * num_ports
         self.sa_pending = 0
         self.sa_hold = 0
         # DPA state (paper Section IV.C); policies may ignore it.
@@ -200,18 +209,29 @@ class Router:
         self.ovc_dirty = False
 
     # -- wake-mask maintenance ------------------------------------------------------
-    def wake_parked(self) -> None:
-        """Re-arm every VA-parked VC after a resource-freeing event.
+    def wake_parked(self, port: int) -> None:
+        """Re-arm the VA-parked VCs that could request an output VC of ``port``.
 
-        Called when an output VC's owner releases or a credit returns —
-        the only two events that can turn an empty VA option set
-        non-empty. Waking is conservative (the walk re-checks options),
-        so over-waking costs a rescan, never correctness.
+        Called when ``out_free[port]`` gains a bit — the last credit back
+        to an unowned link VC, or an ejection tail — the only two events
+        that can turn an empty VA option set non-empty, and then only for
+        VCs routed through ``port``. Every bit of ``parked_on[port]`` is
+        now either woken or no longer parked, so the row is cleared.
+        Waking is conservative (the walk re-checks options), so a stale
+        bit costs a rescan, never correctness.
         """
-        parked = self.va_parked
-        if parked:
-            self.va_pending |= parked
-            self.va_parked = 0
+        woken = self.parked_on[port] & self.va_parked
+        self.parked_on[port] = 0
+        if woken:
+            self.va_pending |= woken
+            self.va_parked ^= woken
+
+    def _park(self, invc: InputVC) -> None:
+        """Register a VC whose VA request found nothing in ``parked_on`` of each route port."""
+        bit = invc.bit
+        parked_on = self.parked_on
+        for p in invc.route_ports:
+            parked_on[p] |= bit
 
     # -- VC allocation ------------------------------------------------------------
     def set_out_credits(self, port: int, vc: int, n: int) -> None:
@@ -324,6 +344,7 @@ class Router:
             if req < 0:
                 self.va_pending = 0
                 self.va_parked |= mask
+                self._park(invc)
             else:
                 self._grant(invc, req, cycle)
             return
@@ -351,6 +372,7 @@ class Router:
                 req = self.va_request(invc)
                 if req < 0:
                     parks |= low
+                    self._park(invc)
                 else:
                     requests[req] = requests.get(req, 0) | invc.bit
             if parks:
@@ -376,6 +398,9 @@ class Router:
         self.out_owner[p][vc] = invc
         self.out_free[p] &= ~(1 << vc)
         invc.grant_vc(p, vc, cycle)
+        # Link handles for every flit of this packet-hop (send_flit).
+        invc.down = self.out_links[p][vc]
+        invc.credit_row = self.out_credits[p]
         # A head flit is buffered and a freshly allocated VC has all its
         # credits, so the VC is sendable — from next cycle (sa_ready).
         bit = invc.bit

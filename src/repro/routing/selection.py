@@ -41,11 +41,11 @@ def credit_rank(network, node: int, pkt, ports: tuple[int, ...]) -> list[float]:
     negative credit count (lower score preferred).
     """
     router = network.routers[node]
-    vcs = network.config.vnet_vcs(pkt.vnet)
-    scores = []
-    for port in ports:
-        scores.append(-float(sum(router.out_credits[port][vcs.start:vcs.stop])))
-    return scores
+    # The vnet's VCs are contiguous; the router's per-vnet table has them.
+    vcs = router.vcs_local[pkt.vnet][1]
+    start, stop = vcs[0], vcs[-1] + 1
+    out_credits = router.out_credits
+    return [-float(sum(out_credits[port][start:stop])) for port in ports]
 
 
 def dbar_rank(network, node: int, pkt, ports: tuple[int, ...]) -> list[float]:

@@ -30,6 +30,9 @@ Invariants checked between cycles (``cycle`` = the next cycle to run):
    unowned and (off the ejection port) hold all their credits, recounted
    from ``out_owner`` / ``out_credits``: sampled at every ``do_va`` entry,
    where the router requests from it, and between cycles.
+   No missed wake — every parked VC's bit is in ``parked_on[p]`` for each
+   of its route ports ``p``, so whichever of them frees a VC re-arms it:
+   sampled at the same points.
 7. Scheduled events — ``scheduled_arrivals()`` / ``scheduled_credits()``
    report what a shadow log of the sends, kept in ``(node, port, vc)``
    terms from the topology tables, says is in flight.
@@ -80,8 +83,10 @@ def _check_router_invariants(net, cycle):
             assert router.vcs[key].state == VC_ACTIVE, (
                 f"node {router.node} key {key}: retired VC still armed for SA"
             )
-        # 6. the free-output-VC masks are exactly the allocatable VCs
+        # 6. the free-output-VC masks are exactly the allocatable VCs, and
+        # a parked VC is registered on every port that could free one
         _check_out_free(router, cycle)
+        _check_parked_on(router, cycle)
     # 5. the active set is exactly the busy routers
     busy = [r.node for r in net.routers if r.busy_vcs]
     assert net.active_nodes() == busy
@@ -117,6 +122,15 @@ def _check_out_free(router, cycle):
         )
 
 
+def _check_parked_on(router, cycle):
+    for key in router.parked_va_keys():
+        for port in router.vcs[key].route_ports:
+            assert router.parked_on[port] >> key & 1, (
+                f"node {router.node} key {key} cycle {cycle}: parked, but not "
+                f"registered on its route port {port}"
+            )
+
+
 @pytest.fixture(autouse=True)
 def masks_checked_at_entry(monkeypatch):
     """Invariants 3 and 6 where they matter: on entry to ``do_sa`` / ``do_va``."""
@@ -128,6 +142,7 @@ def masks_checked_at_entry(monkeypatch):
 
     def checked_va(router, cycle):
         _check_out_free(router, cycle)
+        _check_parked_on(router, cycle)
         do_va(router, cycle)
 
     monkeypatch.setattr(Router, "do_sa", checked_sa)
