@@ -147,7 +147,6 @@ def chaos_scenario(
         config=config,
         region_map=None,
         traffic_factory=factory,
-        description=f"fault-injection scenario (mode={mode})",
         meta={"mode": mode, "cell_id": cell_id},
         spec=ScenarioSpec(
             "repro.experiments.chaos:chaos_scenario",
@@ -252,11 +251,7 @@ class _GuardFaultSource:
                 continue
             for invc in router.vcs:
                 if invc.pkt is not None and invc.route_ports is not None:
-                    entry = net._route_entry
-                    if entry is not None:
-                        expected = entry(router.node, invc.pkt.dst)[2]
-                    else:
-                        expected = net.routing.escape_vc_class(router.node, invc.pkt)
+                    expected = net.routing.route(router.node, invc.pkt)[2]
                     invc.escape_class = (expected + 1) % ncls
 
     def _wedge(self, net, cycle: int) -> None:
@@ -343,7 +338,6 @@ def guard_chaos_scenario(
         config=config,
         region_map=None,
         traffic_factory=factory,
-        description=f"guard fault-injection scenario (fault={fault})",
         meta={"fault": fault, "cell_id": cell_id},
         spec=ScenarioSpec(
             "repro.experiments.chaos:guard_chaos_scenario",

@@ -36,10 +36,9 @@ Resilience mechanisms, all governed by a :class:`FaultPolicy`:
   errors (``ConfigError``, ``SimulationError``, assertion-like bugs) are
   classified non-retryable and fail immediately
   (:func:`classify_exception`).
-* **Deadlines** — ``cycle_budget`` threads a cooperative cycle budget
-  into :meth:`~repro.noc.sim.Simulator.run_measurement` (a livelocked
-  simulation aborts with ``abort="deadline"`` or a ``DeadlineError``),
-  and ``wall_timeout_s`` is enforced by the *parent* for wedged workers:
+* **Deadlines** — a simulation bounds itself (fixed warmup and measure
+  windows, a drain limit, and stall watchdogs in every phase), and
+  ``wall_timeout_s`` is enforced by the *parent* for wedged workers:
   an attempt whose process outlives it is killed — that process only —
   and recorded as a ``CellTimeout`` failure. A wall timeout puts cells
   in worker processes at any job count.
@@ -147,16 +146,16 @@ class FaultPolicy:
     * ``wall_timeout_s`` — the parent kills an attempt that outlives it;
       never retried, since on a deterministic simulation it almost always
       recurs;
-    * ``cycle_budget`` — a cooperative cap on simulated cycles; a run it
-      aborts (``abort="deadline"``) is never cached, so a truncated run is
-      never served to a caller with a larger (or no) budget;
     * ``obs`` — an optional :class:`repro.obs.ObsConfig`: a simulated cell
       writes its JSONL stream, a cache hit restores whatever summary the
       original run stored (possibly none) and writes nothing;
     * ``guard`` — an optional :class:`repro.noc.guard.GuardConfig`: a
       tripped guard fails the cell under its classified label
-      (``Deadlock``, ``Livelock``, ...), so tables print
-      ``FAILED(Deadlock)``.
+      (``Deadlock``, ``CreditConservation``, ...), so tables print
+      ``FAILED(Deadlock)``. Only a stall during the drain phase is the
+      run's ``abort`` instead (see
+      :class:`~repro.noc.sim.MeasurementResult`); a failed cell is never
+      cached.
 
     ``obs`` and ``guard`` are typed ``object`` so that importing the engine
     does not import :mod:`repro.obs`.
@@ -166,7 +165,6 @@ class FaultPolicy:
     backoff_base_s: float = 0.05
     backoff_max_s: float = 2.0
     wall_timeout_s: float | None = None
-    cycle_budget: int | None = None
     obs: object | None = None
     guard: object | None = None
 
@@ -240,7 +238,7 @@ class CellResult:
 #: Checked before _RETRYABLE, so a type deriving from both (a domain error
 #: that is also an OSError, or io.UnsupportedOperation) is not retried.
 _NON_RETRYABLE = (
-    ReproError,  # ConfigError, SimulationError, TrafficError, DeadlineError, ...
+    ReproError,  # ConfigError, SimulationError, TrafficError, ...
     ValueError,
     TypeError,
     KeyError,
@@ -315,7 +313,6 @@ def compute_cell(cell: Cell, policy: FaultPolicy | None = None) -> ScenarioRun:
         seed=cell.seed,
         config=cell.config,
         policy_overrides=cell.policy_overrides,
-        cycle_budget=policy.cycle_budget,
         obs=obs,
         guard=guard,
     )
@@ -328,11 +325,10 @@ def _execute(
 
     Returns ``(run, cache_errors)``. The cache is only written here — the
     parent has already restored every cached cell — and a failed write is
-    a counted error, never a failed cell. A deadline-aborted run is not
-    cached (see :class:`FaultPolicy`).
+    a counted error, never a failed cell.
     """
     run = compute_cell(cell, policy)
-    if key is None or run.abort == "deadline":
+    if key is None:
         return run, 0
     try:
         ResultCache(cache_dir).put(key, run)
@@ -712,8 +708,8 @@ def run_cells_detailed(
         # ResultCache.get turns a corrupt or unreadable entry into a miss
         run = None if key is None else store.get(key)
         if run is None:
-            # a journaled cell whose entry is gone (evicted, or a
-            # deadline-aborted run, never cached) is simply re-run
+            # a journaled cell whose entry is gone (evicted, or its
+            # cache write failed) is simply re-run
             work.append(_Pending(index=i, cell=cell, key=key))
         elif key in journaled:
             sweep.record(CellResult(cell=cell, index=i, run=run, source="journal"))

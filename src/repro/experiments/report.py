@@ -60,7 +60,7 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """Install the flag block shared by every figure CLI and ``run_all``.
 
     One definition for ``--effort/--seed/--seeds/--jobs/--cache/--max-attempts/
-    --timeout/--cycle-budget/--obs/--obs-sample-period/--topology/--guard/
+    --timeout/--obs/--obs-sample-period/--topology/--guard/
     --service/--priority/--version`` — the nine figure CLIs (through
     :func:`repro.experiments.cellplan.figure_main`) and ``run_all`` are
     the only parsers, so a new execution-policy flag lands on both by
@@ -112,14 +112,6 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="wall-clock budget per cell, enforced by killing the wedged "
         "worker (cells run in worker processes at any job count)",
-    )
-    parser.add_argument(
-        "--cycle-budget",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="cooperative simulated-cycle budget per cell (works at any "
-        "job count; a budget-hit drain reports abort=deadline)",
     )
     parser.add_argument(
         "--obs",
@@ -185,7 +177,7 @@ def common_from_args(args: argparse.Namespace) -> dict:
     ``topology``, the ``seeds`` axis (``None`` without ``--seeds``) and the
     engine's own keywords (``jobs``, ``cache``, ``policy``, ``service``),
     assembled in this one place so no CLI can drift. The one
-    :class:`~repro.experiments.parallel.FaultPolicy` carries all five
+    :class:`~repro.experiments.parallel.FaultPolicy` carries all four
     per-attempt settings. Its ``obs``/``guard`` and ``service`` are
     ``None`` unless asked for (the overhead-free defaults), and their
     packages are imported only then. Guard blackboxes land next to the obs
@@ -211,7 +203,6 @@ def common_from_args(args: argparse.Namespace) -> dict:
         "policy": FaultPolicy(
             max_attempts=args.max_attempts,
             wall_timeout_s=args.timeout,
-            cycle_budget=args.cycle_budget,
             obs=obs,
             guard=guard,
         ),

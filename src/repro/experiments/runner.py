@@ -106,8 +106,8 @@ class ScenarioRun:
     per_app_apl: dict[int, float]
     end_cycle: int
     packets_measured: int
-    #: None (clean) | "watchdog" | "drain_limit" | a guard reason token
-    #: such as "deadlock" (see MeasurementResult)
+    #: None (clean) | "watchdog" | "drain_limit" | "deadlock" |
+    #: "livelock" | "starvation" (see MeasurementResult)
     abort: str | None = None
     #: wall-clock counters; excluded from comparisons — two runs of the
     #: same cell are *simulation*-identical, never timing-identical
@@ -153,7 +153,6 @@ def run_scenario(
     seed: int = 42,
     config: NocConfig | None = None,
     policy_overrides: dict | None = None,
-    cycle_budget: int | None = None,
     obs=None,
     guard=None,
 ) -> ScenarioRun:
@@ -166,11 +165,8 @@ def run_scenario(
     (used by the hysteresis ablation). This always simulates, in this
     process: the cell engine calls it, never the reverse, so a cached,
     journaled or multi-process run is reached one way — as a ``Cell``.
-    ``cycle_budget`` caps the total simulated cycles (see
-    :meth:`~repro.noc.sim.Simulator.run_measurement`); it is an execution
-    policy, not part of the cell identity, so it never enters cache keys.
-    ``obs`` is an optional :class:`repro.obs.ObsConfig` — also execution
-    policy — that installs a metrics collector on the run; the resulting
+    ``obs`` is an optional :class:`repro.obs.ObsConfig` — execution
+    policy, not part of the cell identity — that installs a metrics collector on the run; the resulting
     :class:`repro.obs.ObsSummary` lands on :attr:`ScenarioRun.obs`.
     ``guard`` is an optional :class:`repro.noc.guard.GuardConfig` —
     execution policy as well, since a guarded run is bit-identical to an
@@ -204,9 +200,7 @@ def run_scenario(
         ).install(sim)
     for source in scenario.traffic_factory(seed):
         sim.add_traffic(source)
-    res = sim.run_measurement(
-        warmup=effort.warmup, measure=effort.measure, cycle_budget=cycle_budget
-    )
+    res = sim.run_measurement(warmup=effort.warmup, measure=effort.measure)
     stats = net.stats
     return ScenarioRun(
         scheme=scheme.key,

@@ -103,7 +103,6 @@ class Scenario:
     config: NocConfig
     region_map: RegionMap | None
     traffic_factory: Callable[[int], list]
-    description: str = ""
     meta: dict = field(default_factory=dict)
     #: recipe to rebuild this scenario in another process (None for
     #: hand-assembled scenarios, which then cannot be parallelized/cached)
@@ -148,10 +147,6 @@ def two_app_msp(p_inter: float, config: NocConfig | None = None) -> Scenario:
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        description=(
-            f"Fig.8: App0 {low:.3f} flits/node/cycle with {p_inter:.0%} "
-            f"inter-region, App1 {high:.3f} intra-region"
-        ),
         meta={"p_inter": p_inter, "low_rate": low, "high_rate": high},
         spec=ScenarioSpec("two_app_msp", {"p_inter": p_inter, "config": config}),
     )
@@ -217,7 +212,6 @@ def four_app_dpa(variant: str, config: NocConfig | None = None) -> Scenario:
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        description=f"Fig.11({variant}): 4 quadrant apps, DPA validation",
         meta={"variant": variant, "low_rate": low, "high_rate": high},
         spec=ScenarioSpec("four_app_dpa", {"variant": variant, "config": config}),
     )
@@ -291,10 +285,6 @@ def six_app(
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        description=(
-            f"Fig.13: 6 apps (3x2 grid), loads {loads}, global pattern "
-            f"{global_pattern.upper()}"
-        ),
         meta={"global_pattern": global_pattern, "loads": loads},
         spec=ScenarioSpec(
             "six_app",
@@ -361,10 +351,6 @@ def parsec_quadrants(
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        description=(
-            "Fig.16: blackscholes/swaptions/fluidanimate/raytrace in "
-            f"quadrants{' + adversarial flood' if adversarial else ''}"
-        ),
         meta={
             "adversarial": adversarial,
             "adversarial_rate": adversarial_rate,

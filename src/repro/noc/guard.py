@@ -46,9 +46,13 @@ violation it dumps the last K kernel events, a per-router VC/credit/DPA
 snapshot, and the classified violation as schema-versioned JSONL
 (``guard_header`` / ``guard_event`` / ``router_snapshot`` /
 ``guard_violation`` records — see :mod:`repro.obs.schema`) and raises a
-:class:`~repro.util.errors.GuardError` whose ``reason`` flows into
-``MeasurementResult.abort`` and whose ``failure_label`` renders as
-``FAILED(Deadlock)`` in sweep tables.
+:class:`~repro.util.errors.GuardError`. Its ``failure_label`` renders as
+``FAILED(Deadlock)`` in sweep tables. A stall classification
+(``deadlock`` / ``livelock`` / ``starvation``) during the drain phase is
+the one exception: the simulator reports it as
+``MeasurementResult.abort`` instead, because the stragglers are stuck
+but the measured window is whole. A conservation violation fails the
+run in every phase.
 
 Modes: ``off`` installs nothing (the hot path keeps its single
 ``is not None`` pointer comparisons and stays allocation-free and
@@ -78,7 +82,7 @@ GUARD_MODES = ("off", "sample", "strict")
 _DEFAULT_PERIOD = {"sample": 4096, "strict": 256}
 _DEFAULT_DEPTH = {"sample": 256, "strict": 1024}
 
-#: abort reason -> FAILED(<label>) rendering
+#: reason -> FAILED(<label>) rendering
 _LABELS = {
     "deadlock": "Deadlock",
     "livelock": "Livelock",
@@ -98,9 +102,9 @@ class GuardConfig:
     """Runtime-guard settings, carried by the engine's ``FaultPolicy``.
 
     Frozen and picklable so it crosses process boundaries with a cell.
-    Like ``ObsConfig`` and ``cycle_budget`` it is *execution* policy: it
-    never enters result-cache keys, because the guard is read-only and a
-    guarded simulation is bit-identical to an unguarded one.
+    Like ``ObsConfig`` it is *execution* policy: it never enters
+    result-cache keys, because the guard is read-only and a guarded
+    simulation is bit-identical to an unguarded one.
 
     ``dir=None`` keeps the blackbox in memory (on the raised
     :class:`~repro.util.errors.GuardError` / the guard object); a
@@ -381,8 +385,7 @@ class RuntimeGuard:
         if ncls < 2:
             return  # single escape class: nothing to get wrong
         cfg = net.config
-        entry = net._route_entry
-        routing = net.routing
+        route = net.routing.route
         for router in net.routers:
             if not router.busy_vcs:
                 continue
@@ -391,10 +394,7 @@ class RuntimeGuard:
                 pkt = invc.pkt
                 if pkt is None or invc.route_ports is None:
                     continue  # RC not run yet: nothing cached to corrupt
-                if entry is not None:
-                    expected = entry(node, pkt.dst)[2]
-                else:
-                    expected = routing.escape_vc_class(node, pkt)
+                expected = route(node, pkt)[2]
                 where = f"VC (node {node} port {invc.port} vc {invc.vc})"
                 if invc.escape_class != expected:
                     self._violate(

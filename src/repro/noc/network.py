@@ -193,14 +193,6 @@ class Network:
             getattr(type(policy), "end_router_cycle", None)
             is not ArbitrationPolicy.end_router_cycle
         )
-        # RC-as-lookup: bound method of the routing algorithm's route table
-        # when one was built at attach (see RoutingAlgorithm.attach); the
-        # router's RC stage falls back to the per-packet queries when None.
-        self._route_entry = (
-            routing.route_entry
-            if getattr(routing, "_route_table", None) is not None
-            else None
-        )
 
     def set_measure_window(self, window: tuple[int, int]) -> None:
         """Install the injection-cycle window whose packets must drain."""

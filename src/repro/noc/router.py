@@ -261,23 +261,10 @@ class Router:
         return self.vcs_adaptive[vnet]
 
     def _route(self, invc: InputVC) -> tuple[int, ...]:
-        """RC stage, once per head: cache the packet's ports and escape hop on the VC.
-
-        A table lookup when the routing algorithm built a (node, dst)
-        route table at attach, the dynamic queries otherwise (huge
-        fabrics, destination-impure algorithms).
-        """
-        network = self.network
-        node = self.node
-        pkt = invc.pkt
-        entry = network._route_entry
-        if entry is not None:
-            ports, invc.escape_port, invc.escape_class = entry(node, pkt.dst)
-        else:
-            routing = network.routing
-            ports = routing.admissible_ports(node, pkt)
-            invc.escape_port = routing.escape_port(node, pkt)
-            invc.escape_class = routing.escape_vc_class(node, pkt)
+        """RC stage, once per head: cache the packet's ports and escape hop on the VC."""
+        ports, invc.escape_port, invc.escape_class = self.network.routing.route(
+            self.node, invc.pkt
+        )
         invc.route_ports = ports
         return ports
 

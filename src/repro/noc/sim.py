@@ -30,29 +30,30 @@ from dataclasses import dataclass, field
 from repro.arbitration.base import ArbitrationPolicy
 from repro.noc.network import Network
 from repro.noc.stats import RunMetrics
-from repro.util.errors import ConfigError, DeadlineError, GuardError, SimulationError
+from repro.util.errors import GuardError
 
 __all__ = ["Simulator", "MeasurementResult"]
+
+#: the :class:`GuardError` reasons that mean "the drain's stragglers are
+#: stuck": the unguarded watchdog and the guard's stall classifications
+_STALL_REASONS = ("watchdog", "deadlock", "livelock", "starvation")
 
 
 @dataclass
 class MeasurementResult:
     """Outcome of one warmup/measure/drain run.
 
-    ``abort`` distinguishes *why* a run failed to drain: ``"watchdog"``
-    means the stall watchdog fired during the drain phase with no runtime
-    guard installed (no flit moved for :attr:`Simulator.WATCHDOG_CYCLES`
-    cycles — the leftover packets are stuck, not merely slow),
-    ``"drain_limit"`` means the drain budget ran out while flits were
-    still moving, ``"deadline"`` means the caller's cooperative cycle
-    budget (:attr:`Simulator.deadline_cycle`) expired mid-drain, and
-    ``None`` means a clean run. When a
-    :class:`~repro.noc.guard.RuntimeGuard` is installed, a drain-phase
-    trip instead carries the guard's classified reason — ``"deadlock"``,
-    ``"livelock"``, ``"starvation"``, or one of the conservation tokens
-    (``"credit_conservation"`` / ``"flit_conservation"`` /
-    ``"packet_conservation"`` / ``"pool_safety"`` / ``"dateline"``).
-    ``undrained_packets`` alone cannot tell these apart.
+    ``abort`` says why a run failed to drain, and is ``None`` for a clean
+    run. A drain-phase abort means one of two things. Either the
+    stragglers are stuck: ``"watchdog"`` (no runtime guard installed; no
+    flit moved for :attr:`Simulator.WATCHDOG_CYCLES` cycles, or nothing
+    ejected for :attr:`Simulator.EJECT_WATCHDOG_CYCLES`), or, with a
+    :class:`~repro.noc.guard.RuntimeGuard` installed, its classification
+    ``"deadlock"`` / ``"livelock"`` / ``"starvation"``. Or
+    ``"drain_limit"``: the drain budget ran out while flits were still
+    moving. Any other error — a kernel invariant, a conservation
+    violation — fails the run in every phase. ``undrained_packets`` alone
+    cannot tell these apart.
     """
 
     warmup: int
@@ -62,8 +63,8 @@ class MeasurementResult:
     drained: bool
     #: packets injected in the window that never ejected before drain_limit
     undrained_packets: int
-    #: None (clean) | "watchdog" | "drain_limit" | "deadline" | a guard
-    #: reason token (see class docstring)
+    #: None (clean) | "watchdog" | "drain_limit" | "deadlock" |
+    #: "livelock" | "starvation" (see class docstring)
     abort: str | None = None
     #: wall-clock / cycle counters for this run
     metrics: RunMetrics = field(default_factory=RunMetrics)
@@ -120,11 +121,6 @@ class Simulator:
         #: :class:`repro.obs.collector.MetricsCollector`, whose ``install``
         #: sets this). ``None`` costs one pointer comparison per cycle.
         self.obs = None
-        #: absolute cycle past which :meth:`run` raises
-        #: :class:`~repro.util.errors.DeadlineError` (cooperative cycle
-        #: budget; ``None`` disables the check). Set per-measurement by
-        #: ``run_measurement(cycle_budget=...)``.
-        self.deadline_cycle: int | None = None
 
     def add_traffic(self, source) -> None:
         """Register a traffic source (object with ``tick(cycle, network)``)."""
@@ -152,22 +148,8 @@ class Simulator:
         self.cycle = cycle + 1
 
     def run(self, cycles: int) -> None:
-        """Run ``cycles`` additional cycles.
-
-        Honours :attr:`deadline_cycle`: if the budget would expire inside
-        this call, the simulator advances exactly to the deadline and then
-        raises :class:`DeadlineError`. The check is a single comparison up
-        front, so the budget-free hot path is unchanged.
-        """
-        deadline = self.deadline_cycle
-        end = self.cycle + cycles
-        if deadline is not None and end > deadline:
-            self._run_to(deadline)
-            raise DeadlineError(
-                f"cycle budget exhausted at cycle {self.cycle} "
-                f"(deadline {deadline}, {cycles} more cycles requested)"
-            )
-        self._run_to(end)
+        """Run ``cycles`` additional cycles."""
+        self._run_to(self.cycle + cycles)
 
     def _ff_eligible(self) -> bool:
         """Whether fast-forward may engage with the installed sources/policy.
@@ -269,8 +251,8 @@ class Simulator:
         are buffered). The ejection mark catches livelocks the movement
         mark is blind to: flits keep moving but no packet ever reaches its
         destination. Either trip goes to :meth:`_stall`, which hands the
-        forensics to an installed runtime guard or raises the plain
-        :class:`SimulationError` otherwise.
+        forensics to an installed runtime guard or raises an unclassified
+        :class:`GuardError` (``reason="watchdog"``) otherwise.
         """
         net = self.network
         ejected = net.packets_ejected
@@ -299,78 +281,57 @@ class Simulator:
             guard.on_stall(cycle, net, trip)  # classifies; raises GuardError
             return  # pragma: no cover - on_stall never returns
         if trip == "ejection":
-            raise SimulationError(
+            raise GuardError(
                 f"no packet ejected for {self.EJECT_WATCHDOG_CYCLES} cycles "
                 f"at cycle {cycle} while flits kept moving — livelock with "
-                f"{net.packets_in_flight} packet(s) in flight"
+                f"{net.packets_in_flight} packet(s) in flight",
+                reason="watchdog",
             )
         stuck = [(r.node, r.busy_vcs) for r in net.busy_routers()][:10]
-        raise SimulationError(
+        raise GuardError(
             f"no flit moved for {self.WATCHDOG_CYCLES} cycles at cycle "
             f"{cycle} with {net.total_buffered_flits()} flits buffered; "
-            f"busy routers (node, busy_vcs): {stuck}"
+            f"busy routers (node, busy_vcs): {stuck}",
+            reason="watchdog",
         )
 
     # -- measurement protocol ----------------------------------------------------------
     def run_measurement(
-        self,
-        warmup: int,
-        measure: int,
-        drain_limit: int | None = None,
-        cycle_budget: int | None = None,
+        self, warmup: int, measure: int, drain_limit: int | None = None
     ) -> MeasurementResult:
         """Warm up, measure, and drain (paper Section V.A protocol).
 
-        A watchdog trip during warmup or measurement still raises (the run
-        produced no usable window); one during the *drain* phase is caught
-        and reported as ``abort="watchdog"`` — the measured packets that
-        did eject remain valid, only the stragglers are stuck.
-
-        ``cycle_budget`` is a cooperative deadline over the *whole*
-        measurement (warmup + measure + drain), set by the fault-tolerant
-        experiment engine so a livelocked cell cannot run unbounded: if it
-        expires during warmup/measure a :class:`DeadlineError` propagates
-        (no usable window), if it expires during the drain the run is
-        returned with ``abort="deadline"``.
+        Any error during warmup or measurement raises (the run produced no
+        usable window). During the *drain* phase, a stall — the watchdog,
+        or a guard's ``deadlock`` / ``livelock`` / ``starvation`` — is
+        caught and reported as ``abort=<reason>``: the measured packets
+        that did eject remain valid, only the stragglers are stuck. Every
+        other error raises in the drain phase too.
         """
         if drain_limit is None:
             drain_limit = 10 * (warmup + measure) + 20_000
-        if cycle_budget is not None:
-            if cycle_budget <= 0:
-                raise ConfigError(f"cycle_budget must be > 0, got {cycle_budget}")
-            self.deadline_cycle = self.cycle + cycle_budget
         net = self.network
         window = (self.cycle + warmup, self.cycle + warmup + measure)
         net.set_measure_window(window)
         abort = None
+        t0 = time.perf_counter()
+        self.run(warmup)
+        t1 = time.perf_counter()
+        self.run(measure)
+        t2 = time.perf_counter()
+        drain_start = self.cycle
+        drain_deadline = self.cycle + drain_limit
         try:
-            t0 = time.perf_counter()
-            self.run(warmup)
-            t1 = time.perf_counter()
-            self.run(measure)
-            t2 = time.perf_counter()
-            drain_start = self.cycle
-            drain_deadline = self.cycle + drain_limit
-            budget = self.deadline_cycle
-            try:
-                while (
-                    self.cycle < drain_deadline
-                    and net.window_ejected < net.window_injected
-                ):
-                    if budget is not None and self.cycle >= budget:
-                        abort = "deadline"
-                        break
-                    self.step()
-            except GuardError as exc:
-                # The guard already classified the stall/violation and
-                # dumped its blackbox; surface the precise reason.
-                abort = exc.reason
-            except SimulationError:
-                abort = "watchdog"
-            t3 = time.perf_counter()
-        finally:
-            if cycle_budget is not None:
-                self.deadline_cycle = None
+            while (
+                self.cycle < drain_deadline
+                and net.window_ejected < net.window_injected
+            ):
+                self.step()
+        except GuardError as exc:
+            if exc.reason not in _STALL_REASONS:
+                raise
+            abort = exc.reason
+        t3 = time.perf_counter()
         undrained = net.window_injected - net.window_ejected
         if abort is None and undrained > 0:
             abort = "drain_limit"

@@ -43,9 +43,8 @@ class ObsConfig:
     """Observability settings, carried by the engine's ``FaultPolicy``.
 
     Frozen and picklable so it crosses process boundaries with the cell.
-    It is *execution* policy, like ``cycle_budget``: it never enters
-    result-cache keys (the simulation is bit-identical with or without a
-    collector installed).
+    It is *execution* policy: it never enters result-cache keys (the
+    simulation is bit-identical with or without a collector installed).
 
     ``dir=None`` keeps everything in memory — the run still gets an
     :class:`ObsSummary` but no JSONL file. ``name`` is the output file

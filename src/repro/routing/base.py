@@ -25,11 +25,12 @@ port*, and the *escape VC class* are pure functions of ``(node, dst)`` —
 only the selection (``rank_ports``) reads dynamic state.
 :meth:`RoutingAlgorithm.attach` therefore precomputes a flat
 ``num_nodes**2`` table of ``(admissible_ports, escape_port, escape_class)``
-entries once per network, and the router's RC stage becomes a single list
-index (see ``Router._route``). An algorithm whose admissibility depends
-on more than the destination (e.g. per-vnet or source-dependent relations)
-must set ``route_table_enabled = False`` to keep the dynamic per-packet
-path; the table build probes ``admissible_ports`` with a lightweight
+entries once per network, and :meth:`RoutingAlgorithm.route` — the
+router's RC stage, the guard's dateline check — becomes a single list
+index. An algorithm whose admissibility depends on more than the
+destination (e.g. per-vnet or source-dependent relations) must set
+``route_table_enabled = False`` to keep the dynamic per-packet path;
+the table build probes ``admissible_ports`` with a lightweight
 stand-in packet that only carries ``src``/``dst``/``vnet``/``app_id``, so
 exotic field reads fail loudly at attach time rather than silently
 mis-tabulating.
@@ -100,13 +101,20 @@ class RoutingAlgorithm:
                     table.append(shared.setdefault(entry, entry))
             self._route_table = table
 
-    def route_entry(self, node: int, dst: int) -> tuple[tuple[int, ...], int, int]:
-        """Precomputed ``(admissible_ports, escape_port, escape_class)``.
+    def route(self, node: int, pkt) -> tuple[tuple[int, ...], int, int]:
+        """``(admissible_ports, escape_port, escape_class)`` of ``pkt`` at ``node``.
 
-        Only valid when a table was built (``attach`` on a tableable
-        algorithm); the network caches whether it may call this.
+        A table lookup when one was built at attach, the three per-packet
+        queries otherwise (huge fabrics, destination-impure algorithms).
         """
-        return self._route_table[node * self._num_nodes + dst]
+        table = self._route_table
+        if table is not None:
+            return table[node * self._num_nodes + pkt.dst]
+        return (
+            self.admissible_ports(node, pkt),
+            self.escape_port(node, pkt),
+            self.escape_vc_class(node, pkt),
+        )
 
     # -- queries ---------------------------------------------------------
     def admissible_ports(self, node: int, pkt) -> tuple[int, ...]:

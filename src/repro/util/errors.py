@@ -29,20 +29,24 @@ class SimulationError(ReproError, RuntimeError):
 
 
 class GuardError(SimulationError):
-    """The runtime invariant guard detected and classified a violation.
+    """A stall or invariant violation, with its reason.
 
-    Raised by :class:`repro.noc.guard.RuntimeGuard` in place of the plain
-    watchdog :class:`SimulationError`. Subclassing ``SimulationError``
-    keeps the failure non-retryable in the fault-tolerant experiment
-    engine — a guard trip is deterministic for a given cell.
+    Raised by the simulator's watchdog (``reason="watchdog"``) when no
+    guard is installed, and by :class:`repro.noc.guard.RuntimeGuard`,
+    which classifies stalls and checks conservation invariants.
+    Subclassing ``SimulationError`` keeps the failure non-retryable in the
+    fault-tolerant experiment engine — a trip is deterministic for a
+    given cell.
 
     Attributes
     ----------
     reason:
-        Machine token for :attr:`MeasurementResult.abort` — one of
-        ``deadlock`` / ``livelock`` / ``starvation`` /
-        ``credit_conservation`` / ``flit_conservation`` /
-        ``packet_conservation`` / ``pool_safety`` / ``dateline``.
+        ``watchdog`` / ``deadlock`` / ``livelock`` / ``starvation`` (a
+        stall: in the drain phase it becomes
+        :attr:`MeasurementResult.abort`), or ``credit_conservation`` /
+        ``flit_conservation`` / ``packet_conservation`` /
+        ``pool_safety`` / ``dateline`` (a violation: it always fails the
+        run).
     failure_label:
         CamelCase form the experiment layer renders as
         ``FAILED(<label>)`` (e.g. ``Deadlock``).
@@ -63,17 +67,6 @@ class GuardError(SimulationError):
         self.reason = reason
         self.failure_label = label or reason.title().replace("_", "")
         self.blackbox_path = blackbox_path
-
-
-class DeadlineError(ReproError, RuntimeError):
-    """A cooperative cycle budget expired before the run could finish.
-
-    Raised by :meth:`repro.noc.sim.Simulator.run` when
-    ``Simulator.deadline_cycle`` is reached during the warmup or
-    measurement phases (the run then has no usable window). A budget that
-    expires during the *drain* phase is reported as ``abort="deadline"``
-    instead, since the measured packets that ejected remain valid.
-    """
 
 
 class TrafficError(ReproError, ValueError):

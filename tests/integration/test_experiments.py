@@ -11,7 +11,6 @@ from repro.experiments import (
     saturation_load,
 )
 from repro.experiments import (
-    FaultPolicy,
     fig09_msp,
     fig10_routing,
     fig12_dpa,
@@ -27,7 +26,8 @@ from repro.experiments.scenarios import (
     six_app,
     two_app_msp,
 )
-from repro.util.errors import ConfigError
+from repro.experiments import parallel
+from repro.util.errors import ConfigError, SimulationError
 
 
 class TestSaturationTable:
@@ -128,12 +128,21 @@ class TestRunScenario:
 
 class TestFigureModules:
     """The axis arguments the golden cases leave at their defaults (they pin
-    everything else with full-table equality). A one-cycle budget fails every
-    cell at once; a failed row keeps its label columns."""
+    everything else with full-table equality). A patched ``compute_cell``
+    fails every cell at once; a failed row keeps its label columns."""
+
+    @pytest.fixture(autouse=True)
+    def _fail_every_cell(self, monkeypatch):
+        def boom(cell, policy=None):
+            raise SimulationError("every cell fails")
+
+        monkeypatch.setattr(parallel, "compute_cell", boom)
 
     @staticmethod
     def _run(module, **axes):
-        return module.run(effort=Effort.SMOKE, policy=FaultPolicy(cycle_budget=1), **axes)
+        result = module.run(effort=Effort.SMOKE, **axes)
+        assert "FAILED(SimulationError)" in result.format_table()
+        return result
 
     def _schemes_of(self, module, schemes, **axes):
         return [row["scheme"] for row in self._run(module, schemes=schemes, **axes).rows]

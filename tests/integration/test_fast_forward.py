@@ -35,7 +35,6 @@ from repro.routing import make_routing
 from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 from repro.traffic.trace import TraceTrafficSource, capture_trace
-from repro.util.errors import DeadlineError
 
 SEEDS = (11, 12, 13)
 
@@ -191,18 +190,6 @@ class TestPolicyBoundaryReplay:
         assert state[True][:4] == state[False][:4]
         assert state[True][4] is True  # the gap was actually skipped
         assert state[False][4] is False
-
-
-class TestDeadlineInteraction:
-    def test_deadline_error_at_same_cycle(self):
-        cycles = {}
-        for ff in (True, False):
-            sim, _, _ = _trickle_sim(ff)
-            sim.deadline_cycle = 137
-            with pytest.raises(DeadlineError):
-                sim.run(10_000)
-            cycles[ff] = sim.cycle
-        assert cycles[True] == cycles[False] == 137
 
 
 def _cells():

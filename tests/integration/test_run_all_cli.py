@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from repro.experiments import run_all, table1
+from repro.experiments import parallel, run_all, table1
 from repro.experiments.report import EXIT_CELL_FAILURE
+from repro.util.errors import SimulationError
 
 
 class TestRunAllCli:
@@ -68,31 +69,39 @@ class TestFigureCli:
 
 class TestGracefulDegradation:
     """Every figure CLI must render the partial table and exit with 3 when
-    cells fail. ``--cycle-budget 1`` makes *every* cell fail immediately
-    (the budget expires on the first warmup cycle), which exercises the
-    full failure-rendering path of each CLI in milliseconds per cell.
+    cells fail. Patching ``compute_cell`` to raise makes *every* cell fail
+    in-process, which exercises the full failure-rendering path of each CLI
+    in milliseconds per cell.
     """
 
     FIGURES = sorted(set(run_all.EXPERIMENTS) - {"table1"})
 
+    @pytest.fixture
+    def failing_cells(self, monkeypatch):
+        def boom(cell, policy=None):
+            raise SimulationError("every cell fails")
+
+        monkeypatch.setattr(parallel, "compute_cell", boom)
+
     @pytest.mark.parametrize("name", FIGURES)
-    def test_figure_cli_renders_failures_and_exits_3(self, name, capsys):
+    def test_figure_cli_renders_failures_and_exits_3(
+        self, name, capsys, failing_cells
+    ):
         module = run_all.EXPERIMENTS[name]
-        code = module.main(["--effort", "smoke", "--cycle-budget", "1"])
+        code = module.main(["--effort", "smoke"])
         out = capsys.readouterr().out
         assert code == EXIT_CELL_FAILURE
-        assert "FAILED(DeadlineError)" in out  # hole rendered, not hidden
+        assert "FAILED(SimulationError)" in out  # hole rendered, not hidden
         assert "WARNING" in out
         assert "cell(s) failed" in out
 
-    def test_run_all_aggregates_cell_failures(self, tmp_path, capsys):
+    def test_run_all_aggregates_cell_failures(self, tmp_path, capsys, failing_cells):
         code = run_all.main([
-            "--only", "fig09_msp", "--effort", "smoke",
-            "--cycle-budget", "1", "--out", str(tmp_path),
+            "--only", "fig09_msp", "--effort", "smoke", "--out", str(tmp_path),
         ])
         out = capsys.readouterr().out
         assert code == EXIT_CELL_FAILURE
-        assert "FAILED(DeadlineError)" in out
+        assert "FAILED(SimulationError)" in out
         summary = (tmp_path / "summary.txt").read_text()
         assert "FAILED cell(s)" in summary
         assert "failures=" in summary

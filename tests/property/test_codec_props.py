@@ -52,7 +52,7 @@ sources = st.sampled_from(SOURCES)
 results = scalar_fields(CellResult, cell=cells, run=runs, source=sources) | (
     scalar_fields(CellResult, cell=cells, failure=failures, source=sources))
 policies = st.builds(
-    FaultPolicy, st.integers(1, 5), cycle_budget=st.none() | INTS,
+    FaultPolicy, st.integers(1, 5),
     obs=st.none() | st.builds(ObsConfig, st.none() | TEXT, st.integers(1, 99)),
     guard=st.none() | st.builds(GuardConfig, st.sampled_from(GUARD_MODES), st.none() | TEXT,
                                 check_period=st.none() | st.integers(1, 99)))
@@ -62,8 +62,9 @@ job_specs = st.builds(JobSpec, st.lists(cells, min_size=1, max_size=3),
 records = scalar_fields(JobRecord, spec=job_specs, state=st.sampled_from(JOB_STATES),
                         start_seq=st.none() | INTS, meta=st.dictionaries(TEXT, TEXT))
 tuple_keyed = st.dictionaries(st.tuples(INTS, TEXT, st.sampled_from(["VA", "SA"])), INTS)
-# A JobSpec byte for byte as journaled while FaultPolicy still had a sixth field
-# and JobSpec its own obs/guard, since deleted: the codec drops unknown fields.
+# A JobSpec byte for byte as journaled while FaultPolicy still had two more
+# fields and JobSpec its own obs/guard, since deleted: the codec drops unknown
+# fields.
 OLD_JOB = json.loads(
     '{"__repro__":"dataclass","type":"repro.service.protocol:JobSpec","fields":{"cells":[{'
     '"__repro__":"dataclass","type":"repro.experiments.parallel:Cell","fields":{"scheme":{'

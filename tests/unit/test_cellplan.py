@@ -40,9 +40,9 @@ def _project(run, ref):
     "own, ref, label",
     [
         (None, None, None),
-        ("DeadlineError", None, "FAILED(DeadlineError)"),
+        ("SimulationError", None, "FAILED(SimulationError)"),
         (None, "Deadlock", "FAILED(baseline Deadlock)"),
-        ("DeadlineError", "Deadlock", "FAILED(DeadlineError)"),  # own wins
+        ("SimulationError", "Deadlock", "FAILED(SimulationError)"),  # own wins
     ],
 )
 def test_render_row_failure_rule(own, ref, label):
@@ -183,14 +183,14 @@ def test_figure_main_takes_the_flag_block(tmp_path):
 
     assert cellplan.figure_main(run, "doc", [
         "--effort", "smoke", "--seed", "3", "--seeds", "2", "--topology", "torus",
-        "--guard", "sample", "--obs", str(tmp_path), "--cycle-budget", "9",
+        "--guard", "sample", "--obs", str(tmp_path), "--max-attempts", "9",
         "--service", "http://127.0.0.1:1", "--priority", "high",
     ]) == 0
     assert (seen["effort"], seen["seed"], seen["seeds"], seen["topology"]) == (
         Effort.SMOKE, 3, [3, 4], "torus",
     )
     policy = seen["policy"]
-    assert (policy.guard.mode, policy.cycle_budget) == ("sample", 9)
+    assert (policy.guard.mode, policy.max_attempts) == ("sample", 9)
     assert policy.guard.dir == policy.obs.dir == str(tmp_path)  # blackboxes beside obs
     assert (seen["service"].url, seen["service"].priority) == ("http://127.0.0.1:1", "high")
 

@@ -21,7 +21,7 @@ from repro.experiments.parallel import (
 from repro.experiments.runner import SCHEMES, Effort
 from repro.util.errors import (
     ConfigError,
-    DeadlineError,
+    GuardError,
     SimulationError,
     TrafficError,
 )
@@ -40,7 +40,7 @@ class TestClassification:
         ConfigError("x"),
         SimulationError("x"),
         TrafficError("x"),
-        DeadlineError("x"),
+        GuardError("x", reason="watchdog"),
         ValueError("x"),
         TypeError("x"),
         KeyError("x"),
@@ -205,30 +205,3 @@ class TestSerialRetryLoop:
         results, report = run_cells_detailed(cells, jobs=1, policy=FAST)
         assert [r.ok for r in results] == [True, False, True]
         assert report.failures == 1
-
-    def test_cycle_budget_expiry_is_a_deadline_failure(self):
-        cell = chaos_cell(SCHEME, Effort.SMOKE, seed=1, mode="ok")
-        policy = FaultPolicy(max_attempts=3, cycle_budget=1)
-        results, report = run_cells_detailed([cell], jobs=1, policy=policy)
-        failure = results[0].failure
-        assert failure is not None
-        assert failure.error_type == "DeadlineError"
-        assert failure.retryable is False  # rerunning cannot beat the budget
-        assert results[0].attempts == 1
-        assert report.retries == 0
-
-    def test_deadline_aborted_run_is_never_cached(self, tmp_path):
-        # A generous budget lets warmup+measure finish but cuts the drain
-        # short; the truncated run must not poison the cache for budget-free
-        # callers.
-        cell = chaos_cell(SCHEME, Effort.SMOKE, seed=1, mode="ok", rate=0.3)
-        smoke_window = Effort.SMOKE.warmup + Effort.SMOKE.measure
-        budget = FaultPolicy(cycle_budget=smoke_window + 1)
-        budgeted, _ = run_cells_detailed(
-            [cell], jobs=1, cache=tmp_path, policy=budget
-        )
-        assert budgeted[0].ok
-        assert budgeted[0].run.abort == "deadline"
-        free, report = run_cells_detailed([cell], jobs=1, cache=tmp_path)
-        assert report.cache_misses == 1  # not served the truncated run
-        assert free[0].run.abort != "deadline"

@@ -83,12 +83,13 @@ class TestJournalReplay:
         assert fresh.undecodable == ["j000002"]
 
     def test_submit_from_another_protocol_version_is_not_replayed(self, tmp_path):
-        """A queued job journaled under protocol 2 would decode — the codec
-        drops the fields it no longer knows — and re-run without them."""
+        """A queued job journaled under protocol 3 would decode — the codec
+        drops the fields it no longer knows, such as the policy's cycle
+        budget — and re-run without them."""
         store = JobStore(tmp_path / "store")
         job = encode_value(make_job("j000007"))
         append_record(
-            store.journal_path, {"event": "submit", "v": 2, "id": "j000007", "job": job}
+            store.journal_path, {"event": "submit", "v": 3, "id": "j000007", "job": job}
         )
         assert store.recover() == {}
         assert store.undecodable == ["j000007"]

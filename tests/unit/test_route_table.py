@@ -1,4 +1,7 @@
-"""Attach-time route tables must equal the dynamic per-packet queries."""
+"""Attach-time route tables must equal the dynamic per-packet queries.
+
+Every caller reads routes through ``RoutingAlgorithm.route``, which uses
+the table when one was built and the queries otherwise."""
 
 from __future__ import annotations
 
@@ -28,45 +31,59 @@ def test_table_matches_dynamic_queries_for_every_pair(name):
     for node in range(n):
         for dst in range(n):
             pkt = Packet(src=node, dst=dst, length=1, inject_cycle=0)
-            entry = routing.route_entry(node, dst)
-            assert entry == (
-                routing.admissible_ports(node, pkt),
-                routing.escape_port(node, pkt),
-                routing.escape_vc_class(node, pkt),
-            ), f"{name}: table mismatch at node={node} dst={dst}"
+            assert routing.route(node, pkt) == _dynamic(routing, node, pkt), (
+                f"{name}: table mismatch at node={node} dst={dst}"
+            )
+
+
+def _dynamic(routing, node, pkt):
+    return (
+        routing.admissible_ports(node, pkt),
+        routing.escape_port(node, pkt),
+        routing.escape_vc_class(node, pkt),
+    )
+
+
+def _assert_dynamic_path(net):
+    routing = net.routing
+    assert routing._route_table is None
+    n = net.topology.num_nodes
+    for node in range(n):
+        for dst in range(n):
+            pkt = Packet(src=(node + 3) % n, dst=dst, length=1, inject_cycle=0)
+            assert routing.route(node, pkt) == _dynamic(routing, node, pkt)
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
 def test_network_caches_table_entry(name):
+    # The router's RC stage caches the table's own entry on the VC.
     net = _network(name)
-    assert net._route_entry is not None
-    assert net._route_entry(0, 5) == net.routing.route_entry(0, 5)
+    router = net.routers[0]
+    invc = router.vcs[0]
+    invc.pkt = Packet(src=0, dst=5, length=1, inject_cycle=0)
+    entry = net.routing._route_table[5]
+    assert router._route(invc) is entry[0]
+    assert (invc.route_ports, invc.escape_port, invc.escape_class) == entry
 
 
 def test_opt_out_keeps_dynamic_path():
     routing = make_routing("xy")
     routing.route_table_enabled = False
     cfg = NocConfig(width=4, height=4)
-    net = Network(cfg, routing, ArbitrationPolicy())
-    assert routing._route_table is None
-    assert net._route_entry is None
+    _assert_dynamic_path(Network(cfg, routing, ArbitrationPolicy()))
 
 
 def test_odd_even_opts_out():
     # Chiu's relation reads pkt.src (source-column turn exemption): a
     # (node, dst) table cannot represent it and must not be built.
-    net = _network("odd_even")
-    assert net.routing._route_table is None
-    assert net._route_entry is None
+    _assert_dynamic_path(_network("odd_even"))
 
 
 def test_oversized_mesh_skips_table():
     routing = make_routing("xy")
     routing.TABLE_MAX_NODES = 8  # 4x4 = 16 nodes > 8
     cfg = NocConfig(width=4, height=4)
-    net = Network(cfg, routing, ArbitrationPolicy())
-    assert routing._route_table is None
-    assert net._route_entry is None
+    _assert_dynamic_path(Network(cfg, routing, ArbitrationPolicy()))
 
 
 def test_reattach_rebuilds_table():

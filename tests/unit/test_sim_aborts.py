@@ -2,9 +2,11 @@
 
 ``MeasurementResult.undrained_packets`` alone cannot distinguish "the
 drain budget ran out while flits were still crawling forward" from "the
-network deadlocked mid-drain"; ``MeasurementResult.abort`` must. These
+network deadlocked mid-drain"; ``MeasurementResult.abort`` must. Most
 tests drive the simulator against a minimal fake network so each path is
-hit deterministically and cheaply.
+hit deterministically and cheaply. :class:`TestDrainRule` pins the other
+half on a real network: a drain-phase error that is not a stall (a
+kernel invariant, a conservation violation) fails the run.
 """
 
 from __future__ import annotations
@@ -12,8 +14,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import build_simulation
+from repro.core.regions import RegionMap
+from repro.experiments.cache import ResultCache, cache_key
+from repro.experiments.chaos import _GuardFaultSource, guard_chaos_cell
+from repro.experiments.parallel import FaultPolicy, run_cells_detailed
+from repro.experiments.runner import SCHEMES, Effort
+from repro.noc.config import NocConfig
+from repro.noc.guard import GuardConfig, RuntimeGuard
 from repro.noc.sim import Simulator
-from repro.util.errors import ConfigError, DeadlineError, SimulationError
+from repro.noc.topology import LOCAL, MeshTopology
+from repro.traffic.patterns import UniformPattern
+from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
+from repro.util.errors import GuardError, SimulationError
 
 
 class _FakePolicy:
@@ -108,8 +121,10 @@ class TestAbortReporting:
         # path must keep raising rather than return a result.
         sim = Simulator(FakeNet(injected=8, ejected=3, move_until=0))
         sim.WATCHDOG_CYCLES = 10
-        with pytest.raises(SimulationError):
+        with pytest.raises(GuardError) as info:
             sim.run_measurement(warmup=50, measure=50, drain_limit=100)
+        assert info.value.reason == "watchdog"
+        assert info.value.failure_label == "Watchdog"
 
     def test_livelock_watchdog_abort_during_drain(self):
         # The movement watchdog's blind spot: flits keep moving forever
@@ -128,48 +143,74 @@ class TestAbortReporting:
             sim.run_measurement(warmup=500, measure=500, drain_limit=100)
 
 
-class TestCycleDeadline:
-    """Cooperative cycle budget (FaultPolicy.cycle_budget plumbing)."""
+class _BodyIntoEmptyVc:
+    """Traffic source that schedules a body flit into an empty VC at ``at``."""
 
-    def test_run_stops_exactly_at_the_deadline(self):
-        sim = Simulator(FakeNet())
-        sim.deadline_cycle = 3
-        with pytest.raises(DeadlineError, match="cycle budget"):
-            sim.run(10)
-        assert sim.cycle == 3  # advanced to the deadline, not past it
+    def __init__(self, at: int):
+        self.at = at
 
-    def test_run_without_deadline_is_unbounded(self):
-        sim = Simulator(FakeNet())
-        sim.run(10)
-        assert sim.cycle == 10
+    def tick(self, cycle, net):
+        if cycle != self.at:
+            return
+        for router in net.routers:
+            for invc in router.vcs:
+                if invc.pkt is None and invc.port != LOCAL:
+                    net.schedule_arrival(cycle + 1, router.node, invc.port, invc.vc, None)
+                    return
 
-    def test_budget_expiry_during_measurement_raises(self):
-        # warmup+measure = 10 > budget 6: no usable window, must raise.
-        sim = Simulator(FakeNet(injected=8, ejected=3, eject_at=15))
-        with pytest.raises(DeadlineError):
-            sim.run_measurement(warmup=5, measure=5, cycle_budget=6)
-        assert sim.deadline_cycle is None  # cleared even on the raise path
 
-    def test_budget_expiry_during_drain_is_reported(self):
-        # The window completed; only the drain is cut short — report it.
-        sim = Simulator(FakeNet(injected=8, ejected=3))
-        res = sim.run_measurement(
-            warmup=5, measure=5, drain_limit=1000, cycle_budget=50
+def _busy_run(sabotage, guard: GuardConfig | None = None):
+    """4x4 RAIR/XY under 0.6 uniform load, sabotaged at cycle 1000.
+
+    Warmup 200 + measure 800: the fault lands on the first drain cycle,
+    while the window's packets are still in flight.
+    """
+    cfg = NocConfig(width=4, height=4)
+    sim, net = build_simulation(
+        cfg, region_map=RegionMap.quadrants(MeshTopology(4, 4)),
+        scheme="rair", routing="xy",
+    )
+    if guard is not None:
+        RuntimeGuard(guard).install(sim)
+    sim.add_traffic(SyntheticTrafficSource(
+        nodes=range(cfg.num_nodes),
+        rate=0.6,
+        pattern=UniformPattern(net.topology),
+        app_id=0,
+        seed=1,
+        lengths=FixedLength(2),
+    ))
+    sim.add_traffic(sabotage)
+    return sim.run_measurement(warmup=200, measure=800)
+
+
+class TestDrainRule:
+    """A drain-phase abort means stuck stragglers or the drain limit."""
+
+    def test_kernel_error_in_drain_raises(self):
+        # Not a stall: the watchdog never fired, so it is no "watchdog" abort.
+        with pytest.raises(SimulationError, match="body flit arrived at empty VC") as info:
+            _busy_run(_BodyIntoEmptyVc(at=1000))
+        assert not isinstance(info.value, GuardError)
+
+    def test_conservation_trip_in_drain_raises(self):
+        guard = GuardConfig(mode="strict", check_period=8)
+        with pytest.raises(GuardError) as info:
+            _busy_run(_GuardFaultSource("credit_leak", at_cycle=1000), guard)
+        assert info.value.reason == "credit_conservation"
+
+    def test_drain_phase_violation_fails_the_cell_uncached(self, tmp_path):
+        smoke_window = Effort.SMOKE.warmup + Effort.SMOKE.measure
+        cell = guard_chaos_cell(
+            SCHEMES["RO_RR"], Effort.SMOKE, seed=7, fault="credit_leak",
+            rate=0.3, at_cycle=smoke_window,
         )
-        assert res.abort == "deadline"
-        assert not res.drained
-        assert res.undrained_packets == 5
-        assert res.end_cycle == 50  # stopped at the budget, not drain_limit
-        assert sim.deadline_cycle is None
-
-    def test_clean_run_within_budget_has_no_abort(self):
-        sim = Simulator(FakeNet(injected=8, ejected=3, eject_at=15))
-        res = sim.run_measurement(warmup=5, measure=5, cycle_budget=10_000)
-        assert res.drained
-        assert res.abort is None
-        assert sim.deadline_cycle is None
-
-    def test_nonpositive_budget_rejected(self):
-        sim = Simulator(FakeNet())
-        with pytest.raises(ConfigError, match="cycle_budget"):
-            sim.run_measurement(warmup=5, measure=5, cycle_budget=0)
+        policy = FaultPolicy(guard=GuardConfig(mode="strict", check_period=1))
+        results, report = run_cells_detailed(
+            [cell], jobs=1, cache=tmp_path, policy=policy
+        )
+        (res,) = results
+        assert not res.ok
+        assert res.failure.error_type == "CreditConservation"
+        assert report.failures == 1
+        assert ResultCache(tmp_path).get(cache_key(cell)) is None
