@@ -64,9 +64,6 @@ class Packet:
         (set by the traffic layer; informational/statistics only — routers
         classify traffic as native/foreign locally, per the paper).
     is_adversarial: marks Fig.-17 flood traffic for statistics.
-    reply_length: if > 0, the destination's service model emits a reply of
-        this many flits after its service latency (PARSEC-like traffic).
-    reply_latency: service latency before the reply is injected.
     hops: router-to-router hops actually traversed (maintained by the
         network as the head flit moves; equals the Manhattan distance for
         the minimal routings in this package).
@@ -82,8 +79,6 @@ class Packet:
         "inject_cycle",
         "is_global",
         "is_adversarial",
-        "reply_length",
-        "reply_latency",
         "hops",
         "in_pool",
     )
@@ -98,12 +93,9 @@ class Packet:
         vnet: int = 0,
         is_global: bool = False,
         is_adversarial: bool = False,
-        reply_length: int = 0,
-        reply_latency: int = 0,
     ):
         self.init(
-            src, dst, length, inject_cycle, app_id, vnet,
-            is_global, is_adversarial, reply_length, reply_latency,
+            src, dst, length, inject_cycle, app_id, vnet, is_global, is_adversarial
         )
 
     def init(
@@ -116,8 +108,6 @@ class Packet:
         vnet: int = 0,
         is_global: bool = False,
         is_adversarial: bool = False,
-        reply_length: int = 0,
-        reply_latency: int = 0,
     ) -> "Packet":
         """(Re)initialise every field in place.
 
@@ -135,8 +125,6 @@ class Packet:
         self.inject_cycle = inject_cycle
         self.is_global = is_global
         self.is_adversarial = is_adversarial
-        self.reply_length = reply_length
-        self.reply_latency = reply_latency
         self.hops = 0
         self.in_pool = False
         return self
@@ -187,21 +175,17 @@ class PacketPool:
         vnet: int = 0,
         is_global: bool = False,
         is_adversarial: bool = False,
-        reply_length: int = 0,
-        reply_latency: int = 0,
     ) -> Packet:
         """A packet with the given fields — recycled if the pool has one."""
         free = self._free
         if free:
             self.hits += 1
             return free.pop().init(
-                src, dst, length, inject_cycle, app_id, vnet,
-                is_global, is_adversarial, reply_length, reply_latency,
+                src, dst, length, inject_cycle, app_id, vnet, is_global, is_adversarial
             )
         self.allocs += 1
         return Packet(
-            src, dst, length, inject_cycle, app_id, vnet,
-            is_global, is_adversarial, reply_length, reply_latency,
+            src, dst, length, inject_cycle, app_id, vnet, is_global, is_adversarial
         )
 
     def release(self, pkt: Packet) -> None:

@@ -31,16 +31,19 @@ subscribers and store appends; only the engine call and socket writes
 run outside it. The job table is the queue: :func:`dispatch_order` ranks
 the ``queued`` records, and the dispatcher marks its pick ``running`` in
 the same critical section. All threads are daemon threads, so SIGINT
-returns at once: a running job stays ``running`` in the journal and
-resumes on restart, exactly as after SIGKILL.
+returns at once: a running job has no ``job_end`` yet and resumes on
+restart, exactly as after SIGKILL.
 
-Durability: every submit/state transition is journaled and every
-completed cell appended to the job's result stream *before* clients see
-it (:mod:`repro.service.jobstore`). On restart the daemon replays the
-journal, re-queues every non-terminal job in original submission
-order, and re-runs only cells without a durable result record — a killed
-daemon never duplicates completed work and never loses an accepted job.
-The replayed records enter the job's report as ``replayed``.
+Durability: a job is its journaled submit plus its result stream
+(:mod:`repro.service.jobstore`), each written *before* anyone sees it —
+the submit before the job enters the table (a failed append answers 500
+and runs nothing), every completed cell and the one ``job_end`` before
+subscribers get them. ``running`` is never written down. On restart the
+daemon queues every job whose stream has no ``job_end``, in original
+submission order, and re-runs only cells without a durable result
+record — a killed daemon never duplicates completed work and never
+loses an accepted job. The replayed records enter the job's report as
+``replayed``.
 
 HTTP is :mod:`http.server`'s HTTP/1.0: one request per connection, and
 streaming responses are unframed JSONL written per record. The daemon
@@ -140,7 +143,7 @@ class SweepDaemon:
     # -- lifecycle ---------------------------------------------------------------
 
     def recover(self) -> int:
-        """Replay the journal; re-queue non-terminal jobs. Returns count.
+        """Replay the store; every job without a job_end is queued. Returns count.
 
         Recovered jobs bypass the admission bound: they were accepted
         before the restart, and the bound gates new work only.
@@ -148,12 +151,7 @@ class SweepDaemon:
         with self._lock:
             self.jobs = self.store.recover()  # journal order == submission order
             self._next_number = self.store.next_job_number()
-            live = [job for job in self.jobs.values() if not job.terminal]
-            for job in live:
-                if job.state != "queued":
-                    job.state = "queued"
-                    self.store.append_state(job.id, "queued", recovered=True)
-            return len(live)
+            return sum(not job.terminal for job in self.jobs.values())
 
     def serve(self) -> None:
         """Bind, advertise the endpoint, and serve until interrupted."""
@@ -188,9 +186,6 @@ class SweepDaemon:
         job.state = "running"
         job.started_at = time.time()
         job.start_seq = self.dispatched
-        self.store.append_state(
-            job.id, "running", started_at=job.started_at, start_seq=job.start_seq
-        )
         return job
 
     def _run_job(self, job: JobRecord) -> None:
@@ -244,11 +239,10 @@ class SweepDaemon:
             self._end(job, state, report, error)
 
     def _end(self, job: JobRecord, state: str, report, error=None) -> None:
-        """Make ``job`` terminal: its stream's job_end first, then the journal.
+        """Make ``job`` terminal: one durable job_end, then its subscribers.
 
-        A kill between the two writes leaves a job the journal still calls
-        live, whose stream already ends; recovery re-runs it, finds no cell
-        left, and a late client stops at the original job_end.
+        The record's ``job`` status is what recovery reads back, so the
+        job is terminal exactly when this append is durable.
         """
         job.state = state
         job.error = error
@@ -262,9 +256,6 @@ class SweepDaemon:
             "job": job.status_wire(),
         }
         self.store.append_result(job.id, end)
-        self.store.append_state(
-            job.id, state, finished_at=job.finished_at, error=job.error
-        )
         self._fanout(job.id, end)
         self._subscribers.pop(job.id, None)
 
@@ -354,9 +345,9 @@ class SweepDaemon:
                 headers={"Retry-After": f"{_RETRY_AFTER_S:g}"},
             )
         job = JobRecord.new(f"j{self._next_number:06d}", spec)
-        self._next_number += 1
+        self._next_number += 1  # spent even if the append fails
+        self.store.append_submit(job)  # durable before the table holds it
         self.jobs[job.id] = job
-        self.store.append_submit(job)
         self._wake.notify()
         return {
             "id": job.id,

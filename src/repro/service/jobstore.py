@@ -1,38 +1,41 @@
-"""Durable job store: append-only journal + per-job result streams.
+"""Durable job store: a submit journal + per-job result streams.
 
 Layout under the store root::
 
-    jobs.jsonl            append-only job journal (submit/state events)
+    jobs.jsonl            append-only job journal (one submit event per job)
     results/<job>.jsonl   per-job result stream (cell records + job_end)
     endpoint              the daemon's bound URL (written on startup)
 
-Both JSONL files are written and read through :mod:`repro.util.jsonl` —
-every append is newline-framed (leading *and* trailing ``\\n``) and
-fsynced, so a torn write damages at most the line it interrupted, and
-that line fails to parse and is skipped on replay. A
+Each fact about a job is written once. The journal says a job was
+accepted; its result stream says which cells finished and how the job
+ended. Both JSONL files are written and read through
+:mod:`repro.util.jsonl` — every append is newline-framed (leading *and*
+trailing ``\\n``) and fsynced, so a torn write damages at most the line it
+interrupted, and that line fails to parse and is skipped on replay. A
 daemon killed at any instant therefore recovers to a consistent state:
-the journal replays to the last durable job event, and a result stream
-replays to the last durable cell record (an interrupted cell is simply
-re-run — completed cells are never duplicated because recovery reads the
-stream before scheduling the remainder).
+every acknowledged submit replays, and a result stream replays to its
+last durable record (an interrupted cell is simply re-run — completed
+cells are never duplicated because recovery reads the stream before
+scheduling the remainder).
 
-The journal records two event kinds::
+The journal holds one event kind::
 
-    {"event": "submit", "v": 3, "id": ..., "job": <encoded JobRecord>}
-    {"event": "state",  "v": 3, "id": ..., "state": ..., ...extras}
+    {"event": "submit", "v": 5, "id": ..., "job": <encoded JobRecord>}
 
-The submit event's ``job`` is the codec payload of the whole record, spec
-included (:func:`repro.experiments.cache.encode_value`); ``id`` sits at
-top level in both kinds, so numbering reads it without decoding. A submit
-event written under another protocol version is never decoded: the
-codec's drop rule would replay it with whatever fields survive, so it is
-listed as undecodable instead.
+``job`` is the codec payload of the whole record, spec included
+(:func:`repro.experiments.cache.encode_value`); ``id`` sits at top level,
+so numbering reads it without decoding. A submit event written under
+another protocol version is never decoded: the codec's drop rule would
+replay it with whatever fields survive, so it is listed as undecodable
+instead.
 
-Replay folds state events over submit events; jobs whose folded state is
-non-terminal (``queued``/``running``) are the daemon's recovery set.
-Result streams hold the same ``cell`` records the streaming API serves
-(:func:`~repro.service.protocol.cell_result_to_wire`), so a late client
-can replay a finished job's stream purely from disk.
+Replay reads each job's stream once. A job whose stream holds a
+``job_end`` whose ``job`` status is terminal takes its state, times,
+``start_seq`` and error from that status; every other job is ``queued``
+— the daemon's recovery set (``running`` lives in the daemon's memory
+only). Result streams hold the same ``cell`` records the streaming API
+serves (:func:`~repro.service.protocol.cell_result_to_wire`), so a late
+client can replay a finished job's stream purely from disk.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import pathlib
 
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    TERMINAL_STATES,
     JobRecord,
     ProtocolError,
     decode_as,
@@ -50,6 +54,14 @@ from repro.service.protocol import (
 from repro.util.jsonl import append_record, read_records, write_text_atomic
 
 __all__ = ["JobStore"]
+
+
+def _cells_by_index(records: list[dict]) -> dict[int, dict]:
+    return {
+        r["index"]: r
+        for r in records
+        if r.get("kind") == "cell" and isinstance(r.get("index"), int)
+    }
 
 
 class JobStore:
@@ -75,13 +87,8 @@ class JobStore:
             },
         )
 
-    def append_state(self, job_id: str, state: str, **extra) -> None:
-        rec = {"event": "state", "v": PROTOCOL_VERSION, "id": job_id, "state": state}
-        rec.update(extra)
-        append_record(self.journal_path, rec)
-
     def recover(self) -> dict[str, JobRecord]:
-        """Replay the journal into the last-known record per job, by id.
+        """Replay the journal and each job's stream into records, by id.
 
         Submit events written under another :data:`PROTOCOL_VERSION`, or
         whose records no longer decode (e.g. a cell type from a removed
@@ -92,39 +99,36 @@ class JobStore:
         jobs: dict[str, JobRecord] = {}
         self.undecodable: list[str] = []
         for rec in read_records(self.journal_path):
-            if not isinstance(rec, dict):
+            if not isinstance(rec, dict) or rec.get("event") != "submit":
                 continue
-            event = rec.get("event")
-            if event == "submit":
-                try:
-                    if rec.get("v") != PROTOCOL_VERSION:
-                        raise ProtocolError(f"protocol version {rec.get('v')!r}")
-                    job = decode_as(rec.get("job"), JobRecord)
-                except ProtocolError:
-                    if isinstance(rec.get("id"), str):
-                        self.undecodable.append(rec["id"])
-                    continue
-                jobs[job.id] = job
-            elif event == "state":
-                job = jobs.get(rec.get("id"))
-                if job is None:
-                    continue
-                state = rec.get("state")
-                if isinstance(state, str):
-                    job.state = state
-                for attr in ("started_at", "finished_at", "start_seq", "error"):
-                    if attr in rec:
-                        setattr(job, attr, rec[attr])
-        # completed counters come from the durable result streams, not the
-        # journal, so they can never claim more than what is replayable
+            try:
+                if rec.get("v") != PROTOCOL_VERSION:
+                    raise ProtocolError(f"protocol version {rec.get('v')!r}")
+                job = decode_as(rec.get("job"), JobRecord)
+            except ProtocolError:
+                if isinstance(rec.get("id"), str):
+                    self.undecodable.append(rec["id"])
+                continue
+            jobs[job.id] = job
+        # progress and ending come from the durable result stream, so a job
+        # never claims more than what is replayable
         for job in jobs.values():
-            job.completed = len(self.cell_records(job.id))
+            records = self.result_records(job.id)
+            job.completed = len(_cells_by_index(records))
+            status = next(
+                (r.get("job") for r in records if r.get("kind") == "job_end"), None
+            )
+            if isinstance(status, dict) and status.get("state") in TERMINAL_STATES:
+                for attr in (
+                    "state", "started_at", "finished_at", "start_seq", "error"
+                ):
+                    setattr(job, attr, status.get(attr))
         return jobs
 
     def next_job_number(self) -> int:
         """1 + the highest job number ever journaled (ids are ``j<N>``).
 
-        Every event's top-level ``id`` counts, decodable or not, so a new
+        Every submit's top-level ``id`` counts, decodable or not, so a new
         job never reuses the id (and result stream) of an old one.
         """
         highest = 0
@@ -151,11 +155,7 @@ class JobStore:
 
     def cell_records(self, job_id: str) -> dict[int, dict]:
         """Durable ``cell`` records by cell index (never to re-run)."""
-        return {
-            r["index"]: r
-            for r in self.result_records(job_id)
-            if r.get("kind") == "cell" and isinstance(r.get("index"), int)
-        }
+        return _cells_by_index(self.result_records(job_id))
 
     # -- endpoint advertisement ---------------------------------------------------
 

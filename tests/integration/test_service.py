@@ -15,8 +15,10 @@ mirror the subsystem's contract:
   jobs resume, completed cells are never re-run or duplicated;
 * a killed *worker* (chaos ``kill_once``) is healed by the engine and
   the daemon stays up;
-* a job's stream gets its ``job_end`` before the journal calls it
-  terminal, so a kill between the two writes still ends the stream;
+* a job ends at its one ``job_end``: recovery reads the terminal status
+  back from it and never re-runs the job;
+* a submit the journal refused never enters the job table, so it never
+  runs;
 * a stream opened while its job publishes sees each cell exactly once;
 * SIGINT exits 0 at once, mid-job too, and the job resumes on restart.
 """
@@ -287,30 +289,53 @@ class TestSchedulingAndBackpressure:
 
 
 class TestJobEnd:
-    def test_stream_ends_before_the_journal_does(self, tmp_path):
-        # A store whose terminal state write fails stands in for a kill
-        # between the two end-of-job writes.
-        class KilledAtTerminalState(JobStore):
-            def append_state(self, job_id, state, **extra):
-                if state in TERMINAL_STATES:
-                    raise OSError("killed")
-                super().append_state(job_id, state, **extra)
+    def test_a_job_is_terminal_at_its_job_end(self, tmp_path):
+        # Nothing is journaled after the submit: the stream alone says
+        # which cells finished and how the job ended.
+        store = JobStore(tmp_path)
+        job = JobRecord.new("j000001", JobSpec(cells=[ok_cell()]))
+        store.append_submit(job)
+        (done,), report = run_cells_detailed([ok_cell()])
+        store.append_result(job.id, cell_result_to_wire(done, 0))
+        job.state, job.completed, job.start_seq = "done", 1, 3
+        job.started_at, job.finished_at = job.submitted_at + 1, job.submitted_at + 2
+        store.append_result(job.id, {
+            "kind": "job_end",
+            "id": job.id,
+            "state": job.state,
+            "error": None,
+            "report": encode_value(report),
+            "job": job.status_wire(),
+        })
 
-        daemon = SweepDaemon(KilledAtTerminalState(tmp_path))
+        daemon = SweepDaemon(JobStore(tmp_path))
+        assert daemon.recover() == 0
+        assert daemon.jobs[job.id].status_wire() == job.status_wire()
+        assert daemon._start_next() is None  # recovery does not re-run it
+
+
+class TestSubmitJournal:
+    def test_a_submit_the_journal_refused_never_runs(self, tmp_path):
+        class FullDisk(JobStore):
+            full = True
+
+            def append_submit(self, record):
+                if self.full:
+                    raise OSError("no space left on device")
+                super().append_submit(record)
+
+        daemon = SweepDaemon(FullDisk(tmp_path))
         body = json.dumps(encode_value(JobSpec(cells=[ok_cell()]))).encode()
-        _, submitted = daemon.route("POST", "/v1/jobs", body)
-        job = daemon._start_next()
-        with pytest.raises(OSError, match="killed"):
-            daemon._run_job(job)
+        with pytest.raises(OSError):  # the handler answers 500
+            daemon.route("POST", "/v1/jobs", body)
+        assert daemon.jobs == {}
+        assert daemon._start_next() is None
+        assert not (tmp_path / "results").exists()
 
-        fresh = SweepDaemon(JobStore(tmp_path))
-        assert fresh.recover() == 1
-        assert fresh.jobs[submitted["id"]].state == "queued"
-        ends = [
-            r for r in fresh.store.result_records(job.id) if r["kind"] == "job_end"
-        ]
-        assert [e["state"] for e in ends] == ["done"]
-        assert decode_as(ends[0]["report"], ExecutionReport).cells == 1
+        daemon.store.full = False
+        _, accepted = daemon.route("POST", "/v1/jobs", body)
+        assert accepted["id"] == "j000002"  # the refused id is never reused
+        assert list(daemon.jobs) == ["j000002"]
 
 
 class TestStoreCompatibility:
@@ -325,12 +350,13 @@ class TestStoreCompatibility:
             append_record(store.journal_path, {
                 "event": "submit", "v": PROTOCOL_VERSION, "id": job_id, "job": job
             })
-        store.append_state("j000001", "done")
         rec = cell_result_to_wire(done, 0)
         del rec["result"]["fields"]["source"]
         rec["result"]["fields"].update(cache_hit=True, resumed=False)
         store.append_result("j000001", rec)
-        store.append_result("j000001", {"kind": "job_end", "state": "done"})
+        store.append_result(
+            "j000001", {"kind": "job_end", "state": "done", "job": {"state": "done"}}
+        )
 
         daemon = SweepDaemon(store)
         assert daemon.recover() == 1

@@ -20,7 +20,7 @@ class TestPacket:
         assert p.vnet == 0
         assert not p.is_global
         assert not p.is_adversarial
-        assert p.reply_length == 0
+        assert p.hops == 0 and not p.in_pool
 
     def test_fields_round_trip(self):
         p = Packet(
@@ -32,13 +32,10 @@ class TestPacket:
             vnet=1,
             is_global=True,
             is_adversarial=True,
-            reply_length=5,
-            reply_latency=128,
         )
         assert (p.src, p.dst, p.length, p.inject_cycle) == (1, 2, 5, 7)
         assert (p.app_id, p.vnet) == (3, 1)
         assert p.is_global and p.is_adversarial
-        assert (p.reply_length, p.reply_latency) == (5, 128)
 
     def test_slots_prevent_stray_attributes(self):
         p = Packet(src=0, dst=1, length=1, inject_cycle=0)

@@ -43,29 +43,13 @@ class TestJournalReplay:
         assert out.state == "queued"
         assert out.priority == "high"
 
-    def test_state_events_fold_over_submit(self, tmp_path):
-        store = JobStore(tmp_path / "store")
-        store.append_submit(make_job("j000001"))
-        store.append_state("j000001", "running", started_at=1.0, start_seq=1)
-        store.append_state("j000001", "done", finished_at=2.0)
-        job = store.recover()["j000001"]
-        assert job.state == "done"
-        assert job.started_at == 1.0
-        assert job.finished_at == 2.0
-        assert job.start_seq == 1
-        assert job.terminal
-
-    def test_state_for_unknown_job_ignored(self, tmp_path):
-        store = JobStore(tmp_path / "store")
-        store.append_state("jghost", "done")
-        assert store.recover() == {}
-
     def test_torn_tail_does_not_break_replay(self, tmp_path):
         store = JobStore(tmp_path / "store")
         store.append_submit(make_job("j000001"))
         with open(store.journal_path, "a", encoding="utf-8") as fh:
-            fh.write('\n{"event": "state", "id": "j000001", "sta')  # torn
+            fh.write('\n{"event": "submit", "v": 5, "id": "j000002", "jo')  # torn
         jobs = JobStore(tmp_path / "store").recover()
+        assert set(jobs) == {"j000001"}
         assert jobs["j000001"].state == "queued"
 
     def test_undecodable_submit_collected_not_fatal(self, tmp_path):
@@ -121,11 +105,10 @@ class TestResultStreams:
     def test_recover_counts_completed_from_streams(self, tmp_path):
         store = JobStore(tmp_path / "store")
         store.append_submit(make_job("j000001", n_cells=3))
-        store.append_state("j000001", "running")
         store.append_result("j000001", {"kind": "cell", "seq": 0, "index": 1})
         job = JobStore(tmp_path / "store").recover()["j000001"]
         assert job.completed == 1
-        assert job.state == "running"  # the daemon's recovery set
+        assert job.state == "queued"  # no job_end: the daemon's recovery set
 
 
 class TestEndpointFile:

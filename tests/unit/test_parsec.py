@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.regions import RegionMap
-from repro.noc.flit import MessageClass, PacketPool
+from repro.noc.flit import LONG_PACKET_FLITS, MessageClass, PacketPool
 from repro.noc.topology import MeshTopology
 from repro.traffic.parsec import (
     L2_SERVICE_LATENCY,
@@ -78,7 +78,14 @@ class TestWorkload:
         requests = [p for p in net.packets if p.vnet == int(MessageClass.REQUEST)]
         assert requests
         assert all(p.length == 1 for p in requests)
-        assert all(p.reply_length == 5 for p in requests)
+        assert set(wl._service_latency) == {p.pid for p in requests}
+        for req in requests:  # every request ejects: each gets one reply
+            net.eject_callbacks[0](req, 300)
+        wl.tick(300 + MC_SERVICE_LATENCY, net)
+        replies = [p for p in net.packets if p.vnet == int(MessageClass.REPLY)]
+        assert len(replies) == len(requests)
+        assert all(p.length == LONG_PACKET_FLITS for p in replies)
+        assert wl._service_latency == {}
 
     def test_reply_generated_after_service_latency(self, quads):
         wl = ParsecWorkload(quads, profiles4(), seed=1)
@@ -115,8 +122,9 @@ class TestWorkload:
         mc_reqs = [p for p in net.packets if p.vnet == 0 and p.dst in wl.mc_nodes]
         other = [p for p in net.packets if p.vnet == 0 and p.dst not in wl.mc_nodes]
         assert mc_reqs and other
-        assert all(p.reply_latency == MC_SERVICE_LATENCY for p in mc_reqs)
-        assert all(p.reply_latency == L2_SERVICE_LATENCY for p in other)
+        latency = wl._service_latency
+        assert all(latency[p.pid] == MC_SERVICE_LATENCY for p in mc_reqs)
+        assert all(latency[p.pid] == L2_SERVICE_LATENCY for p in other)
 
     def test_locality_dominates(self, quads):
         wl = ParsecWorkload(quads, profiles4(), seed=5)
@@ -195,8 +203,14 @@ class TestVectorStep:
             scalar_step(ref, active, ref_on, cycle, ref_net)
             if cycle % 100 == 0:
                 assert vec._on.tolist() == [ref_on[n] for n in active]
-        row = lambda p: (p.inject_cycle, p.src, p.dst, p.app_id, p.reply_latency)  # noqa: E731
-        assert [row(p) for p in vec_net.packets] == [row(p) for p in ref_net.packets]
+        def rows(wl, net):
+            latency = wl._service_latency
+            return [
+                (p.inject_cycle, p.src, p.dst, p.app_id, latency[p.pid])
+                for p in net.packets
+            ]
+
+        assert rows(vec, vec_net) == rows(ref, ref_net)
         assert len(vec_net.packets) > 1000
         assert {p.app_id for p in vec_net.packets} == {0, 1, 2, 3, 4}
         assert any(ref_on) and not any(ref_on[n] for n in rm.nodes_of(4))
