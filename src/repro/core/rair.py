@@ -139,19 +139,3 @@ class RairPolicy(ArbitrationPolicy):
                 tr = self.network.trace if self.network is not None else None
                 if tr is not None:
                     tr.dpa_flip(cycle, router.node, new, router.ovc_n, router.ovc_f)
-
-    # -- convenience constructors ------------------------------------------------
-    @classmethod
-    def va_only(cls) -> "RairPolicy":
-        """RAIR_VA: MSP at the VA stage only (Fig. 9 ablation)."""
-        return cls(stages=Stage.VA)
-
-    @classmethod
-    def native_high(cls) -> "RairPolicy":
-        """RAIR_NativeH: static native-first priority (Fig. 12 ablation)."""
-        return cls(dpa=DpaConfig(mode="native"))
-
-    @classmethod
-    def foreign_high(cls) -> "RairPolicy":
-        """RAIR_ForeignH: static foreign-first priority (Fig. 12 ablation)."""
-        return cls(dpa=DpaConfig(mode="foreign"))

@@ -66,8 +66,8 @@ from repro.experiments.cache import cache_key
 from repro.experiments.parallel import Cell, CellResult, run_cells_detailed
 from repro.experiments.report import (
     add_common_args,
-    common_from_args,
     finish,
+    parse_common,
     parse_effort,
 )
 from repro.experiments.runner import Effort, FigureResult
@@ -269,7 +269,5 @@ def figure_main(run, description: str, argv=None) -> int:
     """The CLI behind every ``python -m repro.experiments.<figure>``: run the
     figure as the common flags describe, print it, return the exit code."""
     parser = add_common_args(argparse.ArgumentParser(description=description))
-    args = parser.parse_args(argv)
-    return finish(
-        run(effort=parse_effort(args.effort), seed=args.seed, **common_from_args(args))
-    )
+    args, common = parse_common(parser, argv)
+    return finish(run(effort=parse_effort(args.effort), seed=args.seed, **common))

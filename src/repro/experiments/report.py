@@ -16,12 +16,13 @@ import argparse
 from repro.experiments.parallel import FaultPolicy
 from repro.experiments.runner import Effort
 from repro.noc.topology import TOPOLOGY_KINDS
+from repro.util.errors import ConfigError
 
 __all__ = [
     "EXIT_CELL_FAILURE",
     "pct",
     "add_common_args",
-    "common_from_args",
+    "parse_common",
     "parse_effort",
     "config_for_topology",
     "finish",
@@ -48,12 +49,17 @@ def parse_effort(name: str) -> Effort:
         ) from None
 
 
-def seed_count(text: str) -> int:
-    """``--seeds N``: a positive replication count (argparse ``type=``)."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError("need at least one seed")
-    return count
+def at_least_one(noun: str):
+    """The argparse ``type=`` of a count of at least one ``noun`` (``--seeds N``,
+    ``--jobs N``)."""
+
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"need at least one {noun}, got {value}")
+        return value
+
+    return integer
 
 
 def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -64,20 +70,21 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     --service/--priority/--version`` — the nine figure CLIs (through
     :func:`repro.experiments.cellplan.figure_main`) and ``run_all`` are
     the only parsers, so a new execution-policy flag lands on both by
-    being added here once. Consume the parsed namespace with
-    :func:`common_from_args`.
+    being added here once. Parse with :func:`parse_common`.
     """
     from repro._version import version_blurb
 
     parser.add_argument(
         "--effort",
         default="medium",
+        type=str.lower,
+        choices=[e.name.lower() for e in Effort],
         help="window scale: smoke, fast, medium (default), full (paper-size)",
     )
     parser.add_argument("--seed", type=int, default=42, help="master RNG seed")
     parser.add_argument(
         "--seeds",
-        type=seed_count,
+        type=at_least_one("seed"),
         default=None,
         metavar="N",
         help="replicate every cell over the N seeds seed, seed+1, ...: value "
@@ -87,7 +94,7 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=at_least_one("job"),
         default=1,
         help="worker processes for independent cells (default 1 = serial; "
         "results are bit-identical either way)",
@@ -171,8 +178,11 @@ def add_common_args(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
     return parser
 
 
-def common_from_args(args: argparse.Namespace) -> dict:
-    """The shared run() keyword arguments the :func:`add_common_args` flags describe.
+def parse_common(
+    parser: argparse.ArgumentParser, argv=None
+) -> tuple[argparse.Namespace, dict]:
+    """Parse ``argv``; return it with the shared run() keyword arguments the
+    :func:`add_common_args` flags describe.
 
     ``topology``, the ``seeds`` axis (``None`` without ``--seeds``) and the
     engine's own keywords (``jobs``, ``cache``, ``policy``, ``service``),
@@ -182,30 +192,37 @@ def common_from_args(args: argparse.Namespace) -> dict:
     ``None`` unless asked for (the overhead-free defaults), and their
     packages are imported only then. Guard blackboxes land next to the obs
     streams when ``--obs`` was given, otherwise they stay in memory on the
-    raised error.
+    raised error. A value the policy objects refuse (their bounds live
+    there only) is a usage error like any other bad flag: exit 2 with
+    their message, before anything runs.
     """
+    args = parser.parse_args(argv)
     obs = guard = service = None
-    if args.obs is not None:
-        from repro.obs.collector import ObsConfig
+    try:
+        if args.obs is not None:
+            from repro.obs.collector import ObsConfig
 
-        obs = ObsConfig(dir=args.obs, sample_period=args.obs_sample_period)
-    if args.guard != "off":
-        from repro.noc.guard import GuardConfig
+            obs = ObsConfig(dir=args.obs, sample_period=args.obs_sample_period)
+        if args.guard != "off":
+            from repro.noc.guard import GuardConfig
 
-        guard = GuardConfig(mode=args.guard, dir=args.obs)
-    if args.service is not None:
-        from repro.service.client import ServiceSpec
+            guard = GuardConfig(mode=args.guard, dir=args.obs)
+        if args.service is not None:
+            from repro.service.client import ServiceSpec
 
-        service = ServiceSpec(url=args.service, priority=args.priority)
-    return {
-        "jobs": args.jobs,
-        "cache": args.cache,
-        "policy": FaultPolicy(
+            service = ServiceSpec(url=args.service, priority=args.priority)
+        policy = FaultPolicy(
             max_attempts=args.max_attempts,
             wall_timeout_s=args.timeout,
             obs=obs,
             guard=guard,
-        ),
+        )
+    except ConfigError as exc:
+        parser.error(str(exc))
+    return args, {
+        "jobs": args.jobs,
+        "cache": args.cache,
+        "policy": policy,
         "topology": args.topology,
         "service": service,
         "seeds": args.seeds and [args.seed + i for i in range(args.seeds)],

@@ -53,7 +53,7 @@ from repro.experiments.fidelity import CLAIMS, by_figure, evaluate, shown
 from repro.experiments.report import (
     EXIT_CELL_FAILURE,
     add_common_args,
-    common_from_args,
+    parse_common,
     parse_effort,
 )
 from repro.util.jsonl import write_text_atomic
@@ -85,9 +85,8 @@ def main(argv=None) -> int:
         "--only", nargs="*", default=None,
         help=f"subset of experiments to run; known: {sorted(EXPERIMENTS)}",
     )
-    args = parser.parse_args(argv)
+    args, common = parse_common(parser, argv)
     effort = parse_effort(args.effort)
-    common = common_from_args(args)
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -23,7 +23,6 @@ packets only.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -92,18 +91,13 @@ class Simulator:
         self,
         network: Network,
         traffic_sources=(),
-        fast_forward: bool | None = None,
+        fast_forward: bool = True,
     ):
         self.network = network
         self.traffic_sources = list(traffic_sources)
         self.cycle = 0
-        # Idle-cycle fast-forward (see _run_to): None resolves to on unless
-        # the REPRO_DISABLE_FAST_FORWARD environment variable is set — the
-        # escape hatch the bit-identity tests use for their naive arm, and
-        # it propagates into experiment worker processes for free.
-        if fast_forward is None:
-            fast_forward = not os.environ.get("REPRO_DISABLE_FAST_FORWARD")
-        self.fast_forward = bool(fast_forward)
+        # Idle-cycle fast-forward (see _run_to); False is the naive loop.
+        self.fast_forward = fast_forward
         self._last_moved = 0
         self._last_progress_cycle = 0
         self._last_ejected = 0

@@ -337,23 +337,6 @@ class Topology:
             assign.append(row_of[y] * cols + col_of[x])
         return assign
 
-    # -- export -------------------------------------------------------------
-    def to_networkx(self):
-        """Export the fabric as a ``networkx.Graph`` (for analysis/tests).
-
-        ``networkx`` is imported lazily — it is an ``[analysis]`` extra,
-        not a core simulator dependency.
-        """
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_nodes))
-        for node, row in enumerate(self.neighbor):
-            for port in range(1, self.num_ports):
-                if row[port] >= 0:
-                    g.add_edge(node, row[port])
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.width}x{self.height})"
 

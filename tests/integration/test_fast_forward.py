@@ -1,42 +1,31 @@
 """Idle-cycle fast-forward: bit-identity against naive per-cycle ticking.
 
 The fast-forward optimisation must be *invisible* in every observable:
-``MeasurementResult`` fields, per-packet statistics, policy state after
-idle-gap boundary replay, and the observability JSONL byte stream. Each
-test runs the same workload twice — fast-forward on (the default) and
-naive (via the ``REPRO_DISABLE_FAST_FORWARD`` escape hatch or the
-constructor flag) — and asserts equality, plus that the fast path
-actually engaged where the workload has idle gaps (otherwise these tests
-would vacuously compare naive against naive).
+``MeasurementResult`` fields, per-packet statistics, and policy state
+after idle-gap boundary replay. This file is the kernel half of the
+proof: each test runs the same hand-built workload twice, fast-forward
+on (the default) and naive (``Simulator(..., fast_forward=False)``), and
+asserts equality, plus that the fast path actually engaged where the
+workload has idle gaps (otherwise these tests would vacuously compare
+naive against naive). The engine half, every distinct paper scheme's
+cell and obs stream under naive ticking, is
+``tests/integration/test_seed_matrix.py``.
 """
 
 from __future__ import annotations
-
-import pathlib
 
 import pytest
 
 from repro.arbitration.base import ArbitrationPolicy
 from repro.arbitration.stc import StcPolicy
-from repro.experiments.parallel import (
-    Cell,
-    FaultPolicy,
-    cell_obs_name,
-    run_cells_detailed,
-)
-from repro.experiments.runner import SCHEMES, Effort
-from repro.experiments.scenarios import two_app_msp
 from repro.noc.config import NocConfig
 from repro.noc.network import Network
 from repro.noc.sim import Simulator
 from repro.noc.topology import MeshTopology
-from repro.obs import ObsConfig
 from repro.routing import make_routing
 from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 from repro.traffic.trace import TraceTrafficSource, capture_trace
-
-SEEDS = (11, 12, 13)
 
 
 def _trickle_sim(fast_forward, policy=None, routing="xy", rate=0.05, seed=11):
@@ -94,14 +83,6 @@ class TestBitIdentity:
             result = sim.run_measurement(warmup=200, measure=800)
             obs[ff] = _observables(sim, net, source, result)
         assert obs[True] == obs[False]
-
-    def test_env_var_disables_fast_forward(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_FAST_FORWARD", "1")
-        sim, _, _ = _trickle_sim(fast_forward=None)
-        assert sim.fast_forward is False
-        monkeypatch.delenv("REPRO_DISABLE_FAST_FORWARD")
-        sim, _, _ = _trickle_sim(fast_forward=None)
-        assert sim.fast_forward is True
 
     def test_trace_replay_identical(self):
         topo = MeshTopology(8, 8)
@@ -191,63 +172,3 @@ class TestPolicyBoundaryReplay:
         assert state[True][4] is True  # the gap was actually skipped
         assert state[False][4] is False
 
-
-def _cells():
-    return [
-        Cell.for_scenario(SCHEMES["RA_RAIR"], two_app_msp(0.4), Effort.SMOKE, seed=s)
-        for s in SEEDS
-    ]
-
-
-def _policy(tmp_path: pathlib.Path, sub: str) -> FaultPolicy:
-    return FaultPolicy(obs=ObsConfig(dir=str(tmp_path / sub), sample_period=50))
-
-
-def _runs(cells, **engine):
-    """The runs of a sweep that must not fail, and its report."""
-    results, report = run_cells_detailed(cells, **engine)
-    assert all(r.ok for r in results), [r.failure for r in results]
-    return [r.run for r in results], report
-
-
-def test_seed_matrix_ff_vs_naive_identical(tmp_path, monkeypatch):
-    """Serial × jobs=2 × cache-hit under fast-forward all equal naive.
-
-    The naive arm disables fast-forward through the environment variable,
-    which propagates into worker processes — so the parallel path is
-    exercised in both modes, and the obs JSONL files must match byte for
-    byte across all of it.
-    """
-    cells = _cells()
-
-    monkeypatch.delenv("REPRO_DISABLE_FAST_FORWARD", raising=False)
-    runs_ff, _ = _runs(cells, jobs=1, policy=_policy(tmp_path, "ff"))
-    runs_ff_par, _ = _runs(cells, jobs=2, policy=_policy(tmp_path, "ff_par"))
-    cache = str(tmp_path / "cache")
-    _runs(cells, jobs=1, cache=cache)
-    runs_ff_hit, report_hit = _runs(cells, jobs=1, cache=cache)
-    assert report_hit.cache_hits == len(SEEDS)
-
-    monkeypatch.setenv("REPRO_DISABLE_FAST_FORWARD", "1")
-    runs_naive, _ = _runs(cells, jobs=1, policy=_policy(tmp_path, "naive"))
-    runs_naive_par, _ = _runs(cells, jobs=2, policy=_policy(tmp_path, "naive_par"))
-
-    for ff, ff_par, ff_hit, naive, naive_par in zip(
-        runs_ff, runs_ff_par, runs_ff_hit, runs_naive, runs_naive_par
-    ):
-        sig = naive.determinism_signature()
-        assert ff.determinism_signature() == sig
-        assert ff_par.determinism_signature() == sig
-        assert ff_hit.determinism_signature() == sig
-        assert naive_par.determinism_signature() == sig
-        assert ff == naive
-        assert ff.obs == naive.obs
-
-    for name in sorted(p.name for p in (tmp_path / "naive").iterdir()):
-        want = (tmp_path / "naive" / name).read_bytes()
-        assert (tmp_path / "ff" / name).read_bytes() == want
-        assert (tmp_path / "ff_par" / name).read_bytes() == want
-        assert (tmp_path / "naive_par" / name).read_bytes() == want
-    assert {p.name for p in (tmp_path / "ff").iterdir()} == {
-        f"{cell_obs_name(c)}.jsonl" for c in cells
-    }

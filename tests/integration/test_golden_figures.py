@@ -10,6 +10,11 @@ Execution metrics (wall time, cache counters) are stripped before
 comparison — they are the only legitimately run-dependent part of a
 :class:`~repro.experiments.runner.FigureResult`.
 
+``fig09_smoke_jobs2`` renders ``fig09_smoke`` again from two worker
+processes against a cold, then warm, cache and must match the same golden
+file: the figure-level form of the seed matrix's serial == parallel ==
+cache identity.
+
 To regenerate after an *intentional* simulation change::
 
     PYTHONPATH=src python tests/integration/test_golden_figures.py --regen
@@ -45,8 +50,13 @@ GOLDEN_SEED = 42
 
 
 def _smoke(module, **axes):
-    """A SMOKE-effort, fixed-seed run of ``module`` on reduced axes."""
-    return lambda: module.run(effort=Effort.SMOKE, seed=GOLDEN_SEED, **axes)
+    """A SMOKE-effort, fixed-seed run of ``module`` on reduced axes.
+
+    The returned factory forwards engine keywords (``jobs``, ``cache``).
+    """
+    return lambda **engine: module.run(
+        effort=Effort.SMOKE, seed=GOLDEN_SEED, **axes, **engine
+    )
 
 
 CASES = {
@@ -64,6 +74,10 @@ CASES = {
     "table1": table1.run,
 }
 
+#: extra inputs: a case rendered at ``jobs=2`` against a tmp cache, cold then
+#: warm, held to the golden file of the case it renders
+PARALLEL = {"fig09_smoke_jobs2": "fig09_smoke"}
+
 
 def _normalized(result) -> dict:
     """JSON-round-tripped table dict without the execution metrics."""
@@ -72,14 +86,24 @@ def _normalized(result) -> dict:
     return json.loads(json.dumps(d))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_table(name):
-    path = GOLDEN_DIR / f"{name}.json"
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(PARALLEL))
+def test_golden_table(name, tmp_path):
+    golden = PARALLEL.get(name, name)
+    path = GOLDEN_DIR / f"{golden}.json"
     assert path.exists(), (
         f"missing golden file {path}; generate it with "
         f"'PYTHONPATH=src python {__file__} --regen'"
     )
     expected = json.loads(path.read_text())
+    if name in PARALLEL:
+        cold, warm = [CASES[golden](jobs=2, cache=tmp_path) for _ in range(2)]
+        assert _normalized(cold) == expected, "jobs=2 differs from the golden table"
+        assert _normalized(warm) == expected, "the cache differs from the golden table"
+        cells = cold.metrics["cells"]
+        assert (cold.metrics["cache_misses"], cold.metrics["cache_hits"]) == (cells, 0)
+        assert (warm.metrics["cache_hits"], warm.metrics["cache_misses"]) == (cells, 0)
+        assert warm.metrics["sim_cycles"] == 0  # nothing was re-simulated
+        return
     actual = _normalized(CASES[name]())
     assert actual == expected, (
         f"{name} drifted from its golden table; if the change is "

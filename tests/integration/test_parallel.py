@@ -1,12 +1,16 @@
-"""Determinism and caching acceptance tests for the parallel cell engine.
+"""The parallel cell engine: bit-identity, construction, caching, retries.
 
-Two guarantees hold the whole layer together:
+The engine's identity guarantee is proved once, on the seed matrix's
+sweeps (the session fixture ``seed_matrix`` in ``conftest.py``): here,
+``jobs=2`` gives the serial run for every ``SCHEMES`` key; in
+``test_seed_matrix.py``, so do the warm cache and the naive loop. The
+figure-level version (a ``jobs=2`` sweep against a cold then warm cache
+renders the golden table) is ``test_golden_figures.py``'s
+``test_golden_table[fig09_smoke_jobs2]``. This file also covers:
 
-* bit-identity — fanning cells over worker processes must not perturb a
-  single sample (every RNG stream derives from the cell seed, never from
-  worker identity or scheduling order),
-* cache transparency — a warm cache returns the same runs without
-  simulating a single cycle.
+* cell construction and argument checks,
+* cache and journal sources, and a warm sweep starting no process,
+* bit-identity under retries, backoff and dead workers.
 """
 
 from __future__ import annotations
@@ -16,36 +20,26 @@ import multiprocessing
 import pytest
 
 from repro.experiments.chaos import chaos_cell
-from repro.experiments.fig09_msp import run as fig09_run
 from repro.experiments.parallel import Cell, FaultPolicy, run_cells_detailed
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import two_app_msp
 from repro.util.errors import ConfigError
-
-SEEDS = [1, 2]
-
-
-@pytest.fixture(scope="module")
-def signatures_by_jobs():
-    """One cell list, every scheme x two seeds, run at jobs=1 and at jobs=4."""
-    cells = [
-        Cell.for_scenario(SCHEMES[key], two_app_msp(0.5), Effort.SMOKE, seed)
-        for key in sorted(SCHEMES)
-        for seed in SEEDS
-    ]
-    return cells, [
-        [r.run.determinism_signature() for r in run_cells_detailed(cells, jobs=jobs)[0]]
-        for jobs in (1, 4)
-    ]
+from tests.integration.conftest import SAME_AS, SEEDS, assert_same_run
 
 
 @pytest.mark.parametrize("key", sorted(SCHEMES))
-def test_replicate_parallel_matches_serial(key, signatures_by_jobs):
-    """jobs=1 vs jobs=4 runs are bit-identical, per scheme and seed."""
-    cells, (serial, para) = signatures_by_jobs
-    mine = [i for i, cell in enumerate(cells) if cell.scheme.key == key]
-    assert len(mine) == len(SEEDS) and serial[mine[0]] != serial[mine[1]]
-    assert [serial[i] for i in mine] == [para[i] for i in mine]
+def test_replicate_parallel_matches_serial(key, seed_matrix):
+    """Serial and jobs=2 runs are bit-identical, per scheme and seed.
+
+    A key that is the same simulation as an earlier key is checked on
+    that key's cells.
+    """
+    arms, _ = seed_matrix
+    serial, para = arms["serial"][0], arms["jobs2"][0]
+    first, second = (serial[SAME_AS[key], seed] for seed in SEEDS)
+    assert first.determinism_signature() != second.determinism_signature()
+    for seed in SEEDS:
+        assert_same_run(para[SAME_AS[key], seed], serial[SAME_AS[key], seed], "jobs2")
 
 
 class TestCellEngine:
@@ -134,26 +128,3 @@ class TestBitIdentityUnderRetries:
         for p, s in zip(para, serial):
             assert p.run.determinism_signature() == s.run.determinism_signature()
 
-
-class TestMediumAcceptance:
-    """ISSUE acceptance: MEDIUM-effort figure sweep, serial vs jobs=4 vs warm."""
-
-    KW = dict(
-        effort=Effort.MEDIUM,
-        seed=42,
-        p_values=(0.0, 1.0),
-        schemes=("RO_RR", "RAIR_VA+SA"),
-    )
-
-    def test_parallel_bit_identical_and_warm_cache_hits_everything(self, tmp_path):
-        serial = fig09_run(**self.KW)
-        cold = fig09_run(**self.KW, jobs=4, cache=tmp_path)
-        assert cold.rows == serial.rows  # bit-identical floats
-        assert cold.metrics["cache_misses"] == 4
-        assert cold.metrics["cache_hits"] == 0
-
-        warm = fig09_run(**self.KW, jobs=4, cache=tmp_path)
-        assert warm.rows == serial.rows
-        assert warm.metrics["cache_hits"] == 4
-        assert warm.metrics["cache_misses"] == 0
-        assert warm.metrics["sim_cycles"] == 0  # zero simulator cycles

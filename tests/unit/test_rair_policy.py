@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.dpa import DpaConfig
+from repro.core.msp import Stage
 from repro.core.rair import RairPolicy
 from repro.noc.config import VcClass
 
@@ -28,13 +29,13 @@ class TestConstruction:
         assert p.dpa.mode == "dynamic"
 
     def test_va_only_variant(self):
-        p = RairPolicy.va_only()
+        p = RairPolicy(stages=Stage.VA)
         assert p.uses_va_priority and not p.uses_sa_priority
         assert p.name == "rair_va"
 
     def test_static_variants_named(self):
-        assert "nativeH" in RairPolicy.native_high().name
-        assert "foreignH" in RairPolicy.foreign_high().name
+        assert "nativeH" in RairPolicy(dpa=DpaConfig(mode="native")).name
+        assert "foreignH" in RairPolicy(dpa=DpaConfig(mode="foreign")).name
 
     def test_stage_type_checked(self):
         with pytest.raises(TypeError):

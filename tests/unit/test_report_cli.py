@@ -4,6 +4,7 @@ import argparse
 
 import pytest
 
+from repro.experiments import fig09_msp, run_all
 from repro.experiments.report import add_common_args, parse_effort, pct
 from repro.experiments.run_all import EXPERIMENTS
 from repro.experiments.runner import SCHEMES, Effort, FigureResult, Scheme
@@ -32,6 +33,42 @@ class TestEffort:
         args = add_common_args(argparse.ArgumentParser()).parse_args([])
         assert args.effort == "medium"
         assert args.seed == 42
+
+
+class TestBadSharedFlags:
+    """A shared-flag value the run would refuse is an argparse error.
+
+    Exit 2 with the refusing check's message, before anything runs or is
+    written, on a figure CLI and on ``run_all`` alike.
+    """
+
+    BAD = {
+        "jobs": (["--jobs", "0"], "at least one job"),
+        "max-attempts": (["--max-attempts", "0"], "max_attempts must be >= 1"),
+        "timeout": (["--timeout", "0"], "wall_timeout_s must be > 0"),
+        "obs-sample-period": (
+            ["--obs", "o", "--obs-sample-period", "0"], "sample_period must be >= 1"
+        ),
+        "effort": (["--effort", "bogus"], "invalid choice: 'bogus'"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(BAD))
+    @pytest.mark.parametrize("cli", ["fig09_msp", "run_all"])
+    def test_usage_error_before_anything_runs(
+        self, cli, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        bad, message = self.BAD[flag]
+        argv = ["--effort", "smoke", *bad]
+        with pytest.raises(SystemExit) as exit_info:
+            if cli == "run_all":
+                run_all.main([*argv, "--out", "out"])
+            else:
+                fig09_msp.main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no --out, --obs or cache dir
 
 
 class TestSchemes:

@@ -57,12 +57,18 @@ class TestRing:
         assert RingTopology(64).saturation_scale == 0.25
         assert RingTopology(4).saturation_scale == 1.0
 
-    def test_networkx_export_is_cycle(self):
-        nx = pytest.importorskip("networkx")
-        g = RingTopology(8).to_networkx()
-        assert g.number_of_nodes() == 8
-        assert g.number_of_edges() == 8
-        assert nx.is_connected(g)
+    def test_neighbor_table_is_cycle(self):
+        ring = RingTopology(8)
+        links = {
+            frozenset((node, nb))
+            for node, row in enumerate(ring.neighbor)
+            for nb in row
+            if nb >= 0
+        }
+        assert ring.num_nodes == len(ring.neighbor) == 8
+        assert len(links) == 8
+        # Each node links to both ring neighbours, so the links close one cycle.
+        assert links == {frozenset((n, (n + 1) % 8)) for n in range(8)}
 
 
 class TestBandIndex:

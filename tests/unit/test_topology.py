@@ -40,15 +40,24 @@ class TestExports:
         topo = MeshTopology(8, 8)
         assert topo.corner_nodes() == (0, 7, 56, 63)
 
-    def test_networkx_export_is_grid(self):
-        nx = pytest.importorskip("networkx")
+    def test_neighbor_table_is_grid(self):
         topo = MeshTopology(4, 5)
-        g = topo.to_networkx()
-        assert g.number_of_nodes() == 20
-        assert g.number_of_edges() == 4 * 4 + 3 * 5  # vertical + horizontal
-        assert nx.is_connected(g)
+        links = {
+            frozenset((node, nb))
+            for node, row in enumerate(topo.neighbor)
+            for nb in row
+            if nb >= 0
+        }
+        assert topo.num_nodes == len(topo.neighbor) == 20
+        assert len(links) == 4 * 4 + 3 * 5  # vertical + horizontal
+        reached = {0}
+        for _ in range(topo.num_nodes):  # connected: every node within reach
+            reached |= {nb for node in reached for nb in topo.neighbor[node] if nb >= 0}
+        assert reached == set(range(20))
         # Mesh diameter equals Manhattan diameter.
-        assert nx.diameter(g) == (4 - 1) + (5 - 1)
+        assert max(topo.hop_distance(a, b) for a in range(20) for b in range(20)) == (
+            (4 - 1) + (5 - 1)
+        )
 
     def test_port_count(self):
         assert NUM_PORTS == 5
