@@ -10,8 +10,6 @@ everywhere, with no dynamic adaptation — roughly "RAIR without DPA and
 without VC classes" — and shows where it wins and where full RAIR's
 adaptivity matters.
 
-It also demonstrates the visualization helpers on a live network.
-
 Run:  python examples/custom_scheme.py
 """
 
@@ -19,7 +17,6 @@ from repro import RegionMap, build_simulation
 from repro.arbitration.base import ArbitrationPolicy
 from repro.noc import NocConfig
 from repro.noc.topology import MeshTopology
-from repro.noc.visualize import latency_histogram, render_regions
 from repro.traffic import RegionalAppTraffic
 
 
@@ -69,12 +66,13 @@ def run_policy(policy_name_or_obj, regions, seed=9):
 def main() -> None:
     topology = MeshTopology(8, 8)
     regions = RegionMap.halves(topology)
-    print("Region layout (application id per node):")
-    print(render_regions(regions))
+    print("Region layout (application id per node, row 0 at the top):")
+    for y in range(topology.height):
+        row = regions.node_app[y * topology.width:(y + 1) * topology.width]
+        print(" ".join(str(app) for app in row))
     print("\nScenario: App0 low load intra-only; App1 HIGH load with 30% global")
     print("traffic invading App0's region — static global-first should hurt App0.\n")
 
-    rows = []
     for label, policy in [
         ("RO_RR", "ro_rr"),
         ("GlobalFirst (custom)", GlobalFirstPolicy()),
@@ -82,18 +80,13 @@ def main() -> None:
     ]:
         net, result = run_policy(policy, regions)
         apl = net.stats.per_app_apl(window=result.window)
-        rows.append((label, apl))
         print(f"{label:22} App0 APL {apl[0]:7.1f}   App1 APL {apl[1]:7.1f}")
 
     print(
         "\nGlobalFirst accelerates App1's invading packets *into* App0's"
         " region unconditionally; RAIR's DPA notices App0's native traffic"
-        " is the less intensive flow there and protects it.\n"
+        " is the less intensive flow there and protects it."
     )
-
-    net, result = run_policy("rair", regions)
-    print("RAIR latency distribution (all packets in window):")
-    print(latency_histogram(net.stats.latencies(window=result.window)))
 
 
 if __name__ == "__main__":

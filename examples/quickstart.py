@@ -27,7 +27,7 @@ def run_scheme(scheme: str, seed: int = 42) -> dict[int, float]:
     sim, net = build_simulation(
         config,
         region_map=regions,
-        scheme=scheme,  # "ro_rr", "age", "stc", or "rair"
+        scheme=scheme,  # "ro_rr", "stc", or "rair"
         routing="local",  # Duato-adaptive minimal routing with escape VCs
     )
 

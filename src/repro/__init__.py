@@ -6,8 +6,8 @@ The package layers:
 * :mod:`repro.noc` — a from-scratch cycle-accurate VC-router mesh
   simulator (the GARNET substitute),
 * :mod:`repro.routing` — XY, Duato-adaptive and DBAR routing,
-* :mod:`repro.arbitration` — round-robin, age-based and idealized-STC
-  arbitration baselines,
+* :mod:`repro.arbitration` — round-robin and idealized-STC arbitration
+  baselines,
 * :mod:`repro.core` — RAIR itself: VC regionalization, multi-stage
   prioritization and dynamic priority adaptation,
 * :mod:`repro.traffic` — synthetic/regional/PARSEC-like/adversarial
@@ -54,7 +54,7 @@ def build_simulation(
 ) -> tuple[Simulator, Network]:
     """Convenience constructor: (simulator, network) for a named scheme.
 
-    ``scheme`` is an arbitration-policy name (``ro_rr``, ``age``,
+    ``scheme`` is an arbitration-policy name (``ro_rr``,
     ``ro_rank``, ``rair``...), ``routing`` a routing-algorithm name
     (``xy``, ``local``, ``dbar``). Traffic sources are added by the caller
     via ``sim.add_traffic``. ``trace`` is an optional

@@ -2,23 +2,9 @@
 
 * :mod:`repro.analysis.lbdr` — Section III.B's combinatorial argument that
   LBDR's routing restrictions rule out ~86% of application-to-core
-  mappings (every region must contain a memory controller), both in
-  closed form and by Monte-Carlo/exhaustive checking of actual mappings.
-* :mod:`repro.analysis.criticality` — the Fig. 1 latency-overlap model of
-  why global traffic is more performance-critical than regional traffic.
+  mappings (every region must contain a memory controller), in closed form.
 """
 
-from repro.analysis.criticality import OverlapModel, stall_cycles
-from repro.analysis.lbdr import (
-    lbdr_valid_fraction,
-    lbdr_valid_fraction_montecarlo,
-    mapping_is_lbdr_valid,
-)
+from repro.analysis.lbdr import lbdr_valid_fraction
 
-__all__ = [
-    "lbdr_valid_fraction",
-    "lbdr_valid_fraction_montecarlo",
-    "mapping_is_lbdr_valid",
-    "OverlapModel",
-    "stall_cycles",
-]
+__all__ = ["lbdr_valid_fraction"]

@@ -16,31 +16,20 @@ i.e. only ~14% of all application-to-core mappings remain admissible,
 "which greatly restricts the opportunity to find the optimal
 application-to-core mapping".
 
-This module reproduces the number three ways:
-
-* :func:`lbdr_valid_fraction` — the closed form, generalized to ``n``
-  cores, ``m`` MCs and ``k`` equal-size applications (requires
-  ``m == k``: each region takes exactly one MC, the case the paper
-  counts);
-* :func:`mapping_is_lbdr_valid` — the predicate on a concrete mapping;
-* :func:`lbdr_valid_fraction_montecarlo` — empirical rate over random
-  mappings, which must agree with the closed form.
+:func:`lbdr_valid_fraction` is that closed form, generalized to ``n``
+cores, ``m`` MCs and ``k`` equal-size applications (requires ``m == k``:
+each region takes exactly one MC, the case the paper counts). The
+``intext`` experiment reports it against the paper's 14 %; the unit tests
+hold it to a predicate over concrete mappings and a Monte-Carlo count.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
-import numpy as np
-
 from repro.util.errors import ConfigError
-from repro.util.rng import make_rng
 
-__all__ = [
-    "lbdr_valid_fraction",
-    "mapping_is_lbdr_valid",
-    "lbdr_valid_fraction_montecarlo",
-]
+__all__ = ["lbdr_valid_fraction"]
 
 
 def lbdr_valid_fraction(cores: int = 16, mcs: int = 4, apps: int = 4) -> float:
@@ -80,38 +69,3 @@ def lbdr_valid_fraction(cores: int = 16, mcs: int = 4, apps: int = 4) -> float:
         remaining -= size
     return numerator / denominator
 
-
-def mapping_is_lbdr_valid(node_app, mc_nodes) -> bool:
-    """Whether every application owns at least one memory-controller node.
-
-    ``node_app`` maps node -> app id (unassigned nodes: -1); ``mc_nodes``
-    is the set of MC node ids. Under LBDR an application without an MC in
-    its region cannot reach memory (paper Fig. 3(b)).
-    """
-    apps = {a for a in node_app if a >= 0}
-    covered = {node_app[n] for n in mc_nodes if node_app[n] >= 0}
-    return apps <= covered
-
-
-def lbdr_valid_fraction_montecarlo(
-    cores: int = 16,
-    mcs: int = 4,
-    apps: int = 4,
-    trials: int = 20_000,
-    seed: int | None = 0,
-) -> float:
-    """Empirical admissible fraction over uniform random equal-size mappings."""
-    if cores % apps:
-        raise ConfigError(f"{apps} equal applications cannot tile {cores} cores")
-    size = cores // apps
-    rng = make_rng(seed)
-    mc_nodes = tuple(range(mcs))  # which nodes are MCs is immaterial by symmetry
-    hits = 0
-    assignment = np.repeat(np.arange(apps), size)
-    for _ in range(trials):
-        perm = rng.permutation(cores)
-        node_app = np.empty(cores, dtype=np.int64)
-        node_app[perm] = assignment
-        if mapping_is_lbdr_valid(node_app.tolist(), mc_nodes):
-            hits += 1
-    return hits / trials

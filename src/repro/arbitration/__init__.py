@@ -8,21 +8,18 @@ arbitration steps):
 * which input VC each input port forwards to the switch (SA_in),
 * which input port each output port grants the crossbar (SA_out).
 
-Baselines live here (round-robin = RO_RR, age-based/oldest-first, and the
-idealized STC ranking scheme = RO_Rank); the paper's contribution, RAIR,
-is a policy too and lives in :mod:`repro.core.rair`.
+Baselines live here (round-robin = RO_RR and the idealized STC ranking
+scheme = RO_Rank); the paper's contribution, RAIR, is a policy too and
+lives in :mod:`repro.core.rair`.
 """
 
-from repro.arbitration.age_based import AgeBasedPolicy
-from repro.arbitration.base import ArbitrationPolicy, rotating_pick
+from repro.arbitration.base import ArbitrationPolicy
 from repro.arbitration.round_robin import RoundRobinPolicy
 from repro.arbitration.stc import StcPolicy
 
 __all__ = [
     "ArbitrationPolicy",
-    "rotating_pick",
     "RoundRobinPolicy",
-    "AgeBasedPolicy",
     "StcPolicy",
     "make_policy",
 ]
@@ -32,8 +29,6 @@ _REGISTRY = {
     "rr": RoundRobinPolicy,
     "round_robin": RoundRobinPolicy,
     "ro_rr": RoundRobinPolicy,
-    "age": AgeBasedPolicy,
-    "oldest_first": AgeBasedPolicy,
     "stc": StcPolicy,
     "rank": StcPolicy,
     "ro_rank": StcPolicy,
@@ -41,7 +36,7 @@ _REGISTRY = {
 
 
 def make_policy(name: str, **kwargs) -> ArbitrationPolicy:
-    """Construct a policy by name (``rr``/``age``/``stc``/``rair`` and aliases)."""
+    """Construct a policy by name (``rr``/``stc``/``rair`` and aliases)."""
     lname = name.lower()
     if lname == "rair":  # imported here: repro.core.rair imports this package
         from repro.core.rair import RairPolicy

@@ -13,14 +13,13 @@ bitmasks over its flat VC keys: the policy reduces the candidate mask to
 its top priority class (:meth:`ArbitrationPolicy.va_out_top` /
 :meth:`~ArbitrationPolicy.sa_top`) and :func:`rotating_bit` rotates from
 the pointer; VA_in's request choice (:meth:`ArbitrationPolicy.choose_vc`)
-rotates the same way over the free VCs of one output port.
-:func:`rotating_pick` is the same rule over arbitrary objects; the
-property tests hold the mask form to it.
+rotates the same way over the free VCs of one output port. The property
+tests hold the mask form to the same rule written over candidate lists.
 """
 
 from __future__ import annotations
 
-__all__ = ["ArbitrationPolicy", "rotating_bit", "rotating_pick"]
+__all__ = ["ArbitrationPolicy", "rotating_bit"]
 
 
 def rotating_bit(mask: int, ptr: int) -> int:
@@ -32,40 +31,6 @@ def rotating_bit(mask: int, ptr: int) -> int:
     """
     high = mask >> ptr
     return (high & -high) << ptr if high else mask & -mask
-
-
-def rotating_pick(candidates, id_of, ptr: int, modulo: int, priority_of=None):
-    """Pick a winner from ``candidates`` with rotating-priority tie-break.
-
-    Parameters
-    ----------
-    candidates:
-        Non-empty iterable of arbitrary objects.
-    id_of:
-        Maps a candidate to a stable integer slot in ``[0, modulo)``.
-    ptr:
-        Current rotation pointer; the candidate whose slot is closest at or
-        after ``ptr`` (mod ``modulo``) wins among equal priorities.
-    priority_of:
-        Optional key function; *lower is higher priority*. Compared before
-        the rotation distance.
-
-    Returns
-    -------
-    (winner, new_ptr):
-        The winning candidate and the advanced pointer (one past the
-        winner's slot) to store back for next time.
-    """
-    best = None
-    best_key = None
-    best_id = 0
-    for cand in candidates:
-        cid = id_of(cand)
-        rot = (cid - ptr) % modulo
-        key = (priority_of(cand), rot) if priority_of is not None else rot
-        if best_key is None or key < best_key:
-            best, best_key, best_id = cand, key, cid
-    return best, (best_id + 1) % modulo
 
 
 def _top_class(vcs, mask: int, key_of) -> int:

@@ -34,7 +34,9 @@ the run, written atomically (temp file + ``os.replace``) so concurrent
 workers computing the same cell race benignly. Each entry embeds a
 checksum of its payload; a corrupted, truncated or stale-version entry
 fails verification and reads as a miss, so the cell is recomputed rather
-than a bad result returned.
+than a bad result returned. ``CACHE_VERSION`` is part of every key, so an
+entry of an older version is never even looked up; deleting the directory
+is the whole of cache maintenance.
 """
 
 from __future__ import annotations
@@ -349,106 +351,3 @@ class SweepJournal:
     def record(self, key: str) -> None:
         """Append one completion record and flush it to disk."""
         append_record(self.path, {"key": key, "status": "ok"})
-
-
-# -- maintenance CLI (python -m repro.experiments.cache) -------------------------
-
-
-def _iter_entries(root: pathlib.Path):
-    """Yield ``(path, version | None)`` for every result entry on disk.
-
-    ``version`` is None for entries too corrupt to parse — those are
-    candidates for pruning too.
-    """
-    for path in sorted(root.glob("*/*.json")):
-        try:
-            version = json.loads(path.read_text()).get("version")
-        except Exception:
-            version = None
-        yield path, version
-
-
-def _cmd_stats(root: pathlib.Path) -> int:
-    entries = 0
-    total_bytes = 0
-    versions: dict[str, int] = {}
-    for path, version in _iter_entries(root):
-        entries += 1
-        total_bytes += path.stat().st_size
-        versions[str(version)] = versions.get(str(version), 0) + 1
-    journals = sorted((root / "journal").glob("*.jsonl"))
-    journal_bytes = sum(p.stat().st_size for p in journals)
-    print(f"cache root: {root}")
-    print(f"entries: {entries}")
-    print(f"bytes: {total_bytes}")
-    for version in sorted(versions):
-        marker = " (current)" if version == str(CACHE_VERSION) else ""
-        print(f"version {version}: {versions[version]}{marker}")
-    print(f"journals: {len(journals)} ({journal_bytes} bytes)")
-    return 0
-
-
-def _cmd_prune(root: pathlib.Path, max_age_days: float | None, dry_run: bool) -> int:
-    import time
-
-    cutoff = None
-    if max_age_days is not None:
-        cutoff = time.time() - max_age_days * 86400.0
-    dropped = 0
-    kept = 0
-    for path, version in _iter_entries(root):
-        stale = version != CACHE_VERSION
-        expired = cutoff is not None and path.stat().st_mtime < cutoff
-        if stale or expired:
-            dropped += 1
-            why = "stale-version" if stale else "expired"
-            if dry_run:
-                print(f"would drop {path.name} ({why})")
-            else:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        else:
-            kept += 1
-    verb = "would drop" if dry_run else "dropped"
-    print(f"{verb} {dropped} entries, kept {kept}")
-    return 0
-
-
-def main(argv=None) -> int:
-    """Cache maintenance: ``stats`` and ``prune`` subcommands."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.experiments.cache",
-        description="Inspect and prune the on-disk experiment result cache.",
-    )
-    parser.add_argument("--cache", default=".repro-cache", help="cache directory")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("stats", help="entry count, bytes, version histogram")
-    prune = sub.add_parser(
-        "prune", help="drop stale-version entries (and optionally old ones)"
-    )
-    prune.add_argument(
-        "--max-age",
-        type=float,
-        default=None,
-        metavar="DAYS",
-        help="also drop current-version entries older than DAYS days",
-    )
-    prune.add_argument(
-        "--dry-run", action="store_true", help="report only, delete nothing"
-    )
-    args = parser.parse_args(argv)
-    root = pathlib.Path(args.cache)
-    if not root.exists():
-        print(f"cache root {root} does not exist")
-        return 1
-    if args.command == "stats":
-        return _cmd_stats(root)
-    return _cmd_prune(root, args.max_age, args.dry_run)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -71,7 +71,6 @@ SCHEMES: dict[str, Scheme] = {
     "RO_RR": Scheme("RO_RR", "rr", "local"),
     "RO_Rank": Scheme("RO_Rank", "stc", "local"),
     "RA_DBAR": Scheme("RA_DBAR", "rr", "dbar"),
-    "Age": Scheme("Age", "age", "local"),
     # full RAIR
     "RA_RAIR": Scheme("RA_RAIR", "rair", "local"),
     # Fig. 9 MSP ablation

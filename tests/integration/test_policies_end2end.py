@@ -107,8 +107,3 @@ class TestRoutingInteraction:
         dbar, _, _ = two_app_run("rair", routing="dbar")
         # Both must work; DBAR should not catastrophically regress App1.
         assert dbar[1] < local[1] * 1.5
-
-    def test_age_policy_runs_clean(self):
-        apl, res, _ = two_app_run("age")
-        assert res.drained
-        assert apl[0] > 0 and apl[1] > 0

@@ -1,4 +1,8 @@
-"""Property-based tests for arbitration fairness and policy keys."""
+"""Property-based tests for arbitration fairness and policy keys.
+
+:func:`rotating_pick` is the rotating-priority rule written over candidate
+lists; it is the oracle the router's bitmask arbitration is held to below.
+"""
 
 from collections import Counter
 
@@ -6,13 +10,61 @@ from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro import build_simulation
-from repro.arbitration.base import ArbitrationPolicy, rotating_bit, rotating_pick
+from repro.arbitration.base import ArbitrationPolicy, rotating_bit
 from repro.arbitration.stc import StcPolicy
 from repro.core.dpa import DpaConfig
 from repro.core.rair import RairPolicy
 from repro.core.vc_regionalization import preferred_class
 from repro.noc.config import NocConfig, VcClass
 from repro.noc.flit import Packet
+
+
+def rotating_pick(candidates, id_of, ptr: int, modulo: int, priority_of=None):
+    """``(winner, new_ptr)``: the best ``priority_of`` key (lower wins, if
+    given), ties to the slot ``id_of(c)`` closest at or after ``ptr`` mod
+    ``modulo``; ``new_ptr`` is one past the winner's slot."""
+    def key(cand):
+        rot = (id_of(cand) - ptr) % modulo
+        return (priority_of(cand), rot) if priority_of is not None else rot
+
+    best = min(candidates, key=key)
+    return best, (id_of(best) + 1) % modulo
+
+
+class TestRotatingPick:
+    def test_single_candidate(self):
+        winner, ptr = rotating_pick([7], id_of=lambda x: x, ptr=0, modulo=10)
+        assert winner == 7
+        assert ptr == 8
+
+    def test_round_robin_cycles_fairly(self):
+        cands = [0, 1, 2, 3]
+        ptr = 0
+        winners = []
+        for _ in range(8):
+            w, ptr = rotating_pick(cands, lambda x: x, ptr, 4)
+            winners.append(w)
+        assert winners == [0, 1, 2, 3, 0, 1, 2, 3]
+
+    def test_pointer_skips_absent_candidates(self):
+        w, ptr = rotating_pick([2, 3], lambda x: x, ptr=0, modulo=4)
+        assert w == 2
+        w, ptr = rotating_pick([1, 3], lambda x: x, ptr=ptr, modulo=4)
+        assert w == 3  # closest at/after pointer 3
+
+    def test_priority_dominates_rotation(self):
+        # Candidate 3 has better (lower) priority than 0 even though the
+        # pointer favours 0.
+        prio = {0: 5, 3: 1}
+        w, _ = rotating_pick([0, 3], lambda x: x, ptr=0, modulo=4, priority_of=prio.get)
+        assert w == 3
+
+    def test_rotation_breaks_priority_ties(self):
+        prio = {1: 0, 2: 0}
+        w, ptr = rotating_pick([1, 2], lambda x: x, ptr=2, modulo=4, priority_of=prio.get)
+        assert w == 2  # pointer at 2 favours slot 2 among equals
+        w, _ = rotating_pick([1, 2], lambda x: x, ptr=ptr, modulo=4, priority_of=prio.get)
+        assert w == 1
 
 
 class FakeVC:
@@ -101,9 +153,10 @@ def test_dpa_static_modes_ignore_counters(n, f):
 # ``va_out_top``), ``rotating_bit`` rotates from the pointer. These
 # properties hold that composition to ``rotating_pick`` over the same
 # candidates with the policy's ``*_priority`` keys, at all three contested
-# stages, on a real router under every policy.
+# stages, on a real router under every policy (STC's per-app keys take the
+# base class's key-derived ``_top_class`` path).
 
-MASK_SCHEMES = ("rr", "age", "stc", "rair")
+MASK_SCHEMES = ("rr", "stc", "rair")
 _ROUTERS = {}
 
 

@@ -12,13 +12,11 @@ import pytest
 
 from repro.core.dpa import DpaConfig
 from repro.experiments.cache import (
-    CACHE_VERSION,
     ResultCache,
     SweepJournal,
     cache_key,
     canonicalize,
 )
-from repro.experiments.cache import main as cache_cli
 from repro.experiments.parallel import Cell
 from repro.experiments.runner import SCHEMES, Effort, ScenarioRun, Scheme
 from repro.experiments.scenarios import ScenarioSpec
@@ -243,46 +241,3 @@ class TestSweepJournal:
         assert len(cache) == 1  # *.jsonl journals invisible to the entry glob
         assert cache.get(key) is not None
 
-
-class TestMaintenanceCli:
-    def fill(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = cache_key(make_cell())
-        cache.put(key, make_run())
-        stale_key = "e" * 64
-        stale = cache.path_for(stale_key)
-        stale.parent.mkdir(parents=True, exist_ok=True)
-        stale.write_text(json.dumps({"version": 0, "key": stale_key}))
-        SweepJournal(tmp_path, "deadbeef").record(key)
-        return cache, key, stale
-
-    def test_stats_reports_entries_versions_and_journals(self, tmp_path, capsys):
-        self.fill(tmp_path)
-        assert cache_cli(["--cache", str(tmp_path), "stats"]) == 0
-        out = capsys.readouterr().out
-        assert "entries: 2" in out
-        assert f"version {CACHE_VERSION}: 1 (current)" in out
-        assert "version 0: 1" in out
-        assert "journals: 1" in out
-
-    def test_prune_drops_stale_versions_only(self, tmp_path):
-        cache, key, stale = self.fill(tmp_path)
-        assert cache_cli(["--cache", str(tmp_path), "prune"]) == 0
-        assert not stale.exists()
-        assert cache.get(key) is not None  # current entry untouched
-
-    def test_prune_dry_run_deletes_nothing(self, tmp_path, capsys):
-        _, _, stale = self.fill(tmp_path)
-        assert cache_cli(["--cache", str(tmp_path), "prune", "--dry-run"]) == 0
-        assert stale.exists()
-        assert "would drop 1" in capsys.readouterr().out
-
-    def test_prune_max_age_expires_current_entries(self, tmp_path):
-        cache, key, _ = self.fill(tmp_path)
-        old = cache.path_for(key)
-        os.utime(old, (0, 0))  # mtime: the epoch
-        assert cache_cli(["--cache", str(tmp_path), "prune", "--max-age", "30"]) == 0
-        assert not old.exists()
-
-    def test_missing_cache_root_is_an_error(self, tmp_path):
-        assert cache_cli(["--cache", str(tmp_path / "nope"), "stats"]) == 1

@@ -92,3 +92,17 @@ def test_committed_verdicts_and_experiments_md_follow_the_list():
         if any(record["verdict"] == "fails" for record in runs.values())
     }
     assert {claim_id for claim_id in failing if claim_id not in deviations} == set()
+
+
+@pytest.mark.parametrize("verdicts", ["{}", None], ids=["empty", "missing"])
+def test_the_block_is_never_rewritten_from_no_verdicts(verdicts, tmp_path, capsys):
+    document = tmp_path / "doc.md"
+    document.write_text(f"head\n{fidelity.BEGIN}\nold\n{fidelity.END}\ntail\n")
+    before = document.read_bytes()
+    path = tmp_path / "verdicts.json"
+    if verdicts is not None:
+        path.write_text(verdicts)
+    assert fidelity.main([str(path), str(document)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert document.read_bytes() == before

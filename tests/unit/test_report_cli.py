@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.experiments import fig09_msp, run_all
+from repro.experiments import cellplan, fig09_msp, run_all
 from repro.experiments.report import add_common_args, parse_effort, pct
 from repro.experiments.run_all import EXPERIMENTS
 from repro.experiments.runner import SCHEMES, Effort, FigureResult, Scheme
@@ -36,7 +36,7 @@ class TestEffort:
 
 
 class TestBadSharedFlags:
-    """A shared-flag value the run would refuse is an argparse error.
+    """A flag value the run would refuse is an argparse error.
 
     Exit 2 with the refusing check's message, before anything runs or is
     written, on a figure CLI and on ``run_all`` alike.
@@ -70,6 +70,14 @@ class TestBadSharedFlags:
         assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # no --out, --obs or cache dir
 
+    def test_an_unknown_only_name_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_all.main(["--effort", "smoke", "--only", "bogus", "--out", str(tmp_path / "D")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err and "Traceback" not in err
+        assert not (tmp_path / "D").exists()
+
 
 class TestSchemes:
     def test_paper_schemes_present(self):
@@ -94,11 +102,35 @@ class TestSchemes:
         assert SCHEMES["RAIR_NativeH"].policy_kwargs["dpa"].mode == "native"
         assert SCHEMES["RAIR_ForeignH"].policy_kwargs["dpa"].mode == "foreign"
 
+    def test_every_scheme_is_run_by_a_figure(self, monkeypatch):
+        """Each figure makes one engine call; record its cells' schemes there
+        and stop, so nothing is simulated. (The routing ablation adds keys
+        of its own, so the recorded set may be larger.)"""
+
+        class Planned(Exception):
+            pass
+
+        keys = set()
+
+        def record(cells, **_engine):
+            keys.update(cell.scheme.key for cell in cells)
+            raise Planned
+
+        monkeypatch.setattr(cellplan, "run_cells_detailed", record)
+        for name, module in EXPERIMENTS.items():
+            if name == "table1":  # takes no effort and runs no cell
+                continue
+            try:
+                module.run(effort=Effort.SMOKE)
+            except Planned:
+                pass
+        assert set(SCHEMES) - keys == set()
+
 
 class TestRunAllRegistry:
     def test_every_figure_registered(self):
         for name in (
-            "table1", "fig09_msp", "fig10_routing", "fig12_dpa",
+            "table1", "intext", "fig09_msp", "fig10_routing", "fig12_dpa",
             "fig14_sixapp", "fig15_patterns", "fig17_parsec",
             "ablation_hysteresis", "ablation_vcsplit", "ablation_routing",
         ):
