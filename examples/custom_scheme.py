@@ -3,7 +3,7 @@
 
 Every scheme in this package — RO_RR, STC, RAIR — is an
 :class:`~repro.arbitration.base.ArbitrationPolicy`: a small object that
-supplies priority keys for the router's arbitration steps. This example
+names the favoured candidates at the router's arbitration steps. This example
 builds a new one from scratch, **GlobalFirst**: a deliberately simple
 region-aware policy that prioritizes inter-region (global) packets
 everywhere, with no dynamic adaptation — roughly "RAIR without DPA and
@@ -14,7 +14,7 @@ Run:  python examples/custom_scheme.py
 """
 
 from repro import RegionMap, build_simulation
-from repro.arbitration.base import ArbitrationPolicy
+from repro.arbitration.base import ArbitrationPolicy, top_class
 from repro.noc import NocConfig
 from repro.noc.topology import MeshTopology
 from repro.traffic import RegionalAppTraffic
@@ -23,22 +23,24 @@ from repro.traffic import RegionalAppTraffic
 class GlobalFirstPolicy(ArbitrationPolicy):
     """Prioritize packets whose source and destination regions differ.
 
-    Priority keys are *lower wins*. We key on the packet's ``is_global``
-    flag (set by the traffic layer from the region map): global packets
-    first, round-robin inside each class. Unlike RAIR this is static —
-    a region flooded by global traffic keeps serving it first, which is
-    exactly the failure mode DPA exists to avoid (paper Fig. 12(b)).
+    Each stage keeps the contested candidates with the lowest key
+    (``top_class``) and the router rotates among them. We key on the
+    packet's ``is_global`` flag (set by the traffic layer from the region
+    map): global packets first, round-robin inside each class. Unlike
+    RAIR this is static — a region flooded by global traffic keeps
+    serving it first, which is exactly the failure mode DPA exists to
+    avoid (paper Fig. 12(b)).
     """
 
-    name = "global_first"
-    uses_va_priority = True
-    uses_sa_priority = True
-
-    def va_out_priority(self, router, out_vc_class, invc):
+    @staticmethod
+    def _key(invc):
         return 0 if invc.pkt.is_global else 1
 
-    def sa_priority(self, router, invc):
-        return 0 if invc.pkt.is_global else 1
+    def va_out_top(self, router, out_vc, mask):
+        return top_class(router.vcs, mask, self._key)
+
+    def sa_top(self, router, mask):
+        return top_class(router.vcs, mask, self._key)
 
 
 def run_policy(policy_name_or_obj, regions, seed=9):

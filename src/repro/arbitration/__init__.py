@@ -8,27 +8,27 @@ arbitration steps):
 * which input VC each input port forwards to the switch (SA_in),
 * which input port each output port grants the crossbar (SA_out).
 
-Baselines live here (round-robin = RO_RR and the idealized STC ranking
-scheme = RO_Rank); the paper's contribution, RAIR, is a policy too and
-lives in :mod:`repro.core.rair`.
+A policy states its priority at the last three steps as a top-class mask
+per stage, or ``None`` for a round-robin stage (:mod:`repro.arbitration.base`).
+Baselines live here (the base policy, round-robin everywhere, is RO_RR;
+the idealized STC ranking scheme is RO_Rank); the paper's contribution,
+RAIR, is a policy too and lives in :mod:`repro.core.rair`.
 """
 
 from repro.arbitration.base import ArbitrationPolicy
-from repro.arbitration.round_robin import RoundRobinPolicy
 from repro.arbitration.stc import StcPolicy
 
 __all__ = [
     "ArbitrationPolicy",
-    "RoundRobinPolicy",
     "StcPolicy",
     "make_policy",
 ]
 
 
 _REGISTRY = {
-    "rr": RoundRobinPolicy,
-    "round_robin": RoundRobinPolicy,
-    "ro_rr": RoundRobinPolicy,
+    "rr": ArbitrationPolicy,
+    "round_robin": ArbitrationPolicy,
+    "ro_rr": ArbitrationPolicy,
     "stc": StcPolicy,
     "rank": StcPolicy,
     "ro_rank": StcPolicy,

@@ -1,25 +1,27 @@
 """Arbitration-policy interface and the rotating-priority primitives.
 
-Every arbitration step is a rotating-priority pick: candidates are compared
-by an optional priority key first, and ties are broken round-robin by
-rotating a pointer over a stable candidate index. Pure round-robin is the
-degenerate case with no priority key. Rotating tie-breaks inside each
-priority class make all policies here starvation-free *within* a class;
-cross-class starvation freedom is each policy's own responsibility (STC
-uses batching, RAIR's DPA is self-throttling — paper Section IV.D).
+Every arbitration step is a rotating-priority pick: the candidates are
+first reduced to their top priority class, and the class is broken
+round-robin by rotating a pointer over a stable candidate index. Pure
+round-robin is the degenerate case with no priority class. Rotating
+tie-breaks inside each class make all policies here starvation-free
+*within* a class; cross-class starvation freedom is each policy's own
+responsibility (STC uses batching, RAIR's DPA is self-throttling — paper
+Section IV.D).
 
 The router's three contested steps (VA_out, SA_in, SA_out) run the pick on
-bitmasks over its flat VC keys: the policy reduces the candidate mask to
-its top priority class (:meth:`ArbitrationPolicy.va_out_top` /
-:meth:`~ArbitrationPolicy.sa_top`) and :func:`rotating_bit` rotates from
-the pointer; VA_in's request choice (:meth:`ArbitrationPolicy.choose_vc`)
-rotates the same way over the free VCs of one output port. The property
-tests hold the mask form to the same rule written over candidate lists.
+bitmasks over its flat VC keys: a policy states its priority as the top
+class of a candidate mask (:attr:`ArbitrationPolicy.va_out_top` /
+:attr:`~ArbitrationPolicy.sa_top`, ``None`` for a round-robin stage) and
+:func:`rotating_bit` rotates from the pointer; VA_in's request choice
+(:meth:`ArbitrationPolicy.choose_vc`) rotates the same way over the free
+VCs of one output port. The property tests hold the mask form to each
+scheme's published rule written over candidate lists.
 """
 
 from __future__ import annotations
 
-__all__ = ["ArbitrationPolicy", "rotating_bit"]
+__all__ = ["ArbitrationPolicy", "rotating_bit", "top_class"]
 
 
 def rotating_bit(mask: int, ptr: int) -> int:
@@ -33,8 +35,12 @@ def rotating_bit(mask: int, ptr: int) -> int:
     return (high & -high) << ptr if high else mask & -mask
 
 
-def _top_class(vcs, mask: int, key_of) -> int:
-    """Bits of ``mask`` whose VC (``vcs[bit position]``) has the lowest key."""
+def top_class(vcs, mask: int, key_of) -> int:
+    """Bits of ``mask`` whose VC (``vcs[bit position]``) has the lowest key.
+
+    The helper for a policy whose priority is a key per input VC (lower
+    wins), such as STC's ``(batch, rank)``.
+    """
     best = None
     top = 0
     while mask:
@@ -49,19 +55,28 @@ def _top_class(vcs, mask: int, key_of) -> int:
 
 
 class ArbitrationPolicy:
-    """Base policy: pure round-robin everywhere.
+    """Base policy: pure round-robin everywhere (the paper's RO_RR).
 
-    Subclasses override the ``*_priority`` key methods and set the matching
-    ``uses_*_priority`` class flag; the mechanics of each arbitration step
-    (candidate collection, pointer bookkeeping) stay in the router. With a
-    flag unset the router skips that stage's class reduction altogether.
+    A subclass states its priority at each contested stage by defining
+    the stage's top-class method; the mechanics of each arbitration step
+    (candidate collection, pointer bookkeeping) stay in the router.
+
+    * ``va_out_top(router, out_vc, mask)`` — the requesters in ``mask``
+      that VA_out favours for output VC ``out_vc`` (an index into the
+      port's VCs; ``router.vc_class_of[out_vc]`` is its
+      :class:`~repro.noc.config.VcClass`).
+    * ``sa_top(router, mask)`` — the candidates in ``mask`` that both
+      switch-allocation steps favour.
+
+    ``mask`` is a non-empty set of input VCs as bits over the router's
+    flat VC keys (``router.vcs[bit position]``); the answer is the
+    non-empty sub-mask sharing the best priority, among which the router
+    rotates. ``None`` (the default) makes the stage round-robin: the
+    router skips its class reduction altogether.
     """
 
-    name = "base"
-    #: set True in subclasses that implement :meth:`va_out_priority`
-    uses_va_priority = False
-    #: set True in subclasses that implement :meth:`sa_priority`
-    uses_sa_priority = False
+    va_out_top = None
+    sa_top = None
 
     def __init__(self) -> None:
         self.network = None
@@ -84,45 +99,6 @@ class ArbitrationPolicy:
             mask = rotating_bit(mask, router.va_req_ptr[port])
             router.va_req_ptr[port] = mask.bit_length() % router.total_vcs
         return mask.bit_length() - 1
-
-    # -- priority keys (lower = higher priority) -------------------------------
-    def va_out_priority(self, router, out_vc_class, invc):
-        """Priority key for VA output arbitration of one output VC.
-
-        ``out_vc_class`` is the :class:`~repro.noc.config.VcClass` tag of
-        the output VC being allocated — RAIR's VC regionalization applies
-        different rules per class. Only consulted when
-        ``uses_va_priority`` is True.
-        """
-        return 0
-
-    def sa_priority(self, router, invc):
-        """Priority key for both switch-allocation steps.
-
-        Only consulted when ``uses_sa_priority`` is True.
-        """
-        return 0
-
-    # -- priority classes over candidate masks ----------------------------------
-    def va_out_top(self, router, out_vc: int, mask: int) -> int:
-        """The requesters in ``mask`` that share the best VA_out key for ``out_vc``.
-
-        ``mask`` is a non-empty set of input VCs as bits over the router's
-        flat VC keys; the router rotates among the bits returned. Only
-        consulted when ``uses_va_priority`` is True. The default derives
-        the class from :meth:`va_out_priority`; override it when the
-        classes are already sets the router keeps (RAIR's native mask).
-        """
-        cls = router.vc_class_of[out_vc]
-        return _top_class(router.vcs, mask, lambda v: self.va_out_priority(router, cls, v))
-
-    def sa_top(self, router, mask: int) -> int:
-        """The candidates in ``mask`` that share the best SA key (both SA steps).
-
-        Same contract as :meth:`va_out_top`; only consulted when
-        ``uses_sa_priority`` is True.
-        """
-        return _top_class(router.vcs, mask, lambda v: self.sa_priority(router, v))
 
     # -- per-cycle hooks -------------------------------------------------------
     def end_router_cycle(self, router, cycle: int) -> None:

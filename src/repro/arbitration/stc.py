@@ -22,7 +22,7 @@ traffic (Section III.A).
 
 from __future__ import annotations
 
-from repro.arbitration.base import ArbitrationPolicy
+from repro.arbitration.base import ArbitrationPolicy, top_class
 from repro.util.validate import check_positive
 
 __all__ = ["StcPolicy"]
@@ -39,10 +39,6 @@ class StcPolicy(ArbitrationPolicy):
     batch_period:
         Cycles per batch; a packet's batch is ``inject_cycle // batch_period``.
     """
-
-    name = "ro_rank"
-    uses_va_priority = True
-    uses_sa_priority = True
 
     def __init__(self, rank_interval: int = 2000, batch_period: int = 400):
         super().__init__()
@@ -61,17 +57,17 @@ class StcPolicy(ArbitrationPolicy):
         self.ranks = {}
         self._last_counts = {}
 
-    # -- priority keys ----------------------------------------------------------
+    # -- priority: the oldest batch, then the best rank, at every stage ---------
     def _key(self, invc):
         pkt = invc.pkt
         batch = pkt.inject_cycle // self.batch_period
         return (batch, self.ranks.get(pkt.app_id, self._default_rank))
 
-    def va_out_priority(self, router, out_vc_class, invc):
-        return self._key(invc)
+    def va_out_top(self, router, out_vc: int, mask: int) -> int:
+        return top_class(router.vcs, mask, self._key)
 
-    def sa_priority(self, router, invc):
-        return self._key(invc)
+    def sa_top(self, router, mask: int) -> int:
+        return top_class(router.vcs, mask, self._key)
 
     # -- ranking ------------------------------------------------------------------
     def end_network_cycle(self, network, cycle: int) -> None:

@@ -20,11 +20,7 @@ from repro.core.dpa import DpaConfig, hysteresis_update
 from repro.core.msp import Stage
 from repro.core.rair import RairPolicy
 from repro.core.regions import RegionMap
-from repro.core.vc_regionalization import (
-    regional_vc_priority,
-    global_vc_priority,
-    vc_class_counts,
-)
+from repro.core.vc_regionalization import vc_class_counts
 
 __all__ = [
     "RairPolicy",
@@ -32,7 +28,5 @@ __all__ = [
     "DpaConfig",
     "hysteresis_update",
     "Stage",
-    "global_vc_priority",
-    "regional_vc_priority",
     "vc_class_counts",
 ]

@@ -31,11 +31,7 @@ from __future__ import annotations
 from repro.arbitration.base import ArbitrationPolicy
 from repro.core.dpa import DpaConfig, hysteresis_update
 from repro.core.msp import Stage
-from repro.core.vc_regionalization import (
-    global_vc_priority,
-    preferred_class,
-    regional_vc_priority,
-)
+from repro.core.vc_regionalization import preferred_class
 from repro.noc.config import VcClass
 
 __all__ = ["RairPolicy"]
@@ -54,28 +50,17 @@ class RairPolicy(ArbitrationPolicy):
         ``DpaConfig(mode="foreign")`` give the static-priority variants.
     """
 
-    name = "ra_rair"
-    uses_va_priority = True
-
     def __init__(self, stages: Stage = Stage.ALL, dpa: DpaConfig | None = None):
         super().__init__()
         if not isinstance(stages, Stage):
             raise TypeError(f"stages must be a Stage flag, got {stages!r}")
-        self.stages = stages
         self.dpa = dpa or DpaConfig()
         self._dpa_dynamic = self.dpa.mode == "dynamic"
-        self.uses_va_priority = bool(stages & Stage.VA)
-        self.uses_sa_priority = bool(stages & Stage.SA)
-        if self.uses_va_priority and self.uses_sa_priority:
-            self.name = "ra_rair"
-        elif self.uses_va_priority:
-            self.name = "rair_va"
-        else:
-            self.name = "rair_none"
-        if self.dpa.mode == "native":
-            self.name += "_nativeH"
-        elif self.dpa.mode == "foreign":
-            self.name += "_foreignH"
+        # A stage MSP leaves out is round-robin (Stage.VA is RAIR_VA).
+        if not stages & Stage.VA:
+            self.va_out_top = None
+        if not stages & Stage.SA:
+            self.sa_top = None
 
     def attach(self, network) -> None:
         super().attach(network)
@@ -91,33 +76,24 @@ class RairPolicy(ArbitrationPolicy):
         mask = mask & router.class_mask[preferred_class(invc.is_native)] or mask
         return super().choose_vc(router, invc, port, mask)
 
-    # -- priority keys ------------------------------------------------------------
-    def va_out_priority(self, router, out_vc_class, invc):
-        if out_vc_class is VcClass.GLOBAL:
-            return global_vc_priority(invc.is_native)
-        if out_vc_class is VcClass.ESCAPE:
+    # -- priority classes as masks ------------------------------------------------
+    # Native and foreign are sets the router already keeps (``native_mask``),
+    # so each stage's top class is one AND; an empty favoured class leaves
+    # every candidate tied in the other.
+    def va_out_top(self, router, out_vc: int, mask: int) -> int:
+        """Global VCs favour foreign requesters, regional VCs the DPA side."""
+        cls = router.vc_class_of[out_vc]
+        if cls is VcClass.ESCAPE:
             # Escape VCs sit outside the regional/global classification
             # (Section IV.D); their allocation stays priority-neutral so
             # the deadlock-free fallback lane is equally reachable.
-            return 0
-        return regional_vc_priority(invc.is_native, router.native_high)
-
-    def sa_priority(self, router, invc):
-        return regional_vc_priority(invc.is_native, router.native_high)
-
-    # -- priority classes as masks ------------------------------------------------
-    # The two classes are sets the router already keeps (``native_mask``),
-    # so the top class of the keys above is one AND; an empty favoured
-    # class leaves every candidate tied in the other.
-    def va_out_top(self, router, out_vc: int, mask: int) -> int:
-        cls = router.vc_class_of[out_vc]
-        if cls is VcClass.ESCAPE:
             return mask
         if cls is VcClass.REGIONAL and router.native_high:
             return mask & router.native_mask or mask
         return mask & ~router.native_mask or mask
 
     def sa_top(self, router, mask: int) -> int:
+        """Both SA steps favour the side DPA names."""
         if router.native_high:
             return mask & router.native_mask or mask
         return mask & ~router.native_mask or mask

@@ -17,26 +17,16 @@ Ties inside a class fall back to round-robin, which also realizes the
 paper's "round-robin within the foreign traffic" rule when several
 applications' global packets meet in one region.
 
-This module holds the pure priority functions so they can be unit- and
-property-tested independently of the router; :class:`repro.core.rair.RairPolicy`
-wires them into the arbitration steps.
+:meth:`repro.core.rair.RairPolicy.va_out_top` applies both rules to the
+router's candidate masks; this module holds the VA_in class preference and
+the class counts.
 """
 
 from __future__ import annotations
 
 from repro.noc.config import NocConfig, VcClass
 
-__all__ = ["global_vc_priority", "regional_vc_priority", "vc_class_counts", "preferred_class"]
-
-
-def global_vc_priority(is_native: bool) -> int:
-    """Priority key (lower wins) on a global-class output VC."""
-    return 1 if is_native else 0
-
-
-def regional_vc_priority(is_native: bool, native_high: bool) -> int:
-    """Priority key (lower wins) on a regional-class output VC under DPA state."""
-    return 0 if is_native == native_high else 1
+__all__ = ["vc_class_counts", "preferred_class"]
 
 
 def preferred_class(is_native: bool) -> VcClass:

@@ -46,8 +46,9 @@ parked on a port is one AND and one OR, and the lowest bit first is the (port, v
 order of a full scan. The VA grant also binds the VC's link handles
 (``InputVC.down`` / ``credit_row``), so each flit of the packet-hop is
 sent without looking up the downstream VC or the credit row again.
-Arbitration runs on the same masks: the policy
-reduces a contested candidate mask to its top priority class and
+Arbitration runs on the same masks: the policy's ``va_out_top`` /
+``sa_top`` reduces a contested candidate mask to its top priority class
+(``None`` leaves the stage round-robin) and
 :func:`~repro.arbitration.base.rotating_bit` rotates from the pointer. The
 invariants are cross-checked against the brute-force ``wants_va`` /
 ``wants_sa`` / :meth:`Router.va_options` oracles in
@@ -367,8 +368,7 @@ class Router:
                 self.va_pending ^= parks
                 self.va_parked |= parks
             base += total
-        policy = self.network.policy
-        top_class = policy.va_out_top if policy.uses_va_priority else None
+        top_class = self.network.policy.va_out_top  # None: round-robin
         num_keys = self.num_ports * total
         for req, won in requests.items():
             if won & (won - 1):
@@ -416,8 +416,7 @@ class Router:
                 tr.sa_win(cycle, self.node, invc.port, invc.vc, invc.out_port, invc.pkt.pid)
             network.send_flit(self, invc, cycle)
             return
-        policy = network.policy
-        top_class = policy.sa_top if policy.uses_sa_priority else None
+        top_class = network.policy.sa_top  # None: round-robin
         # SA_in: one winner represents each input port. sa_out: out_port ->
         # mask of the winners' keys, in first-request order (sends, and
         # the events they schedule, follow it).

@@ -56,8 +56,6 @@ class _RouteProbe:
 class RoutingAlgorithm:
     """Base class; concrete algorithms override the three query methods."""
 
-    #: short name used in experiment reports
-    name = "base"
     #: set True in algorithms whose selection function reads the network's
     #: congestion snapshot — the network skips the per-cycle snapshot
     #: refresh entirely when the installed algorithm leaves this False

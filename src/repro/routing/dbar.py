@@ -25,7 +25,6 @@ __all__ = ["DbarRouting"]
 class DbarRouting(RoutingAlgorithm):
     """Minimal adaptive routing with DBAR's region-aware selection function."""
 
-    name = "dbar"
     uses_congestion = True
 
     def admissible_ports(self, node: int, pkt) -> tuple[int, ...]:

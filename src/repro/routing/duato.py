@@ -19,8 +19,6 @@ __all__ = ["DuatoAdaptiveRouting"]
 class DuatoAdaptiveRouting(RoutingAlgorithm):
     """Minimal adaptive routing with escape VCs and credit-based selection."""
 
-    name = "local"
-
     def admissible_ports(self, node: int, pkt) -> tuple[int, ...]:
         return self.network.topology.minimal_ports(node, pkt.dst)
 

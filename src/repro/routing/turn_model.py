@@ -39,7 +39,7 @@ class _TurnModelRouting(RoutingAlgorithm):
         kind = network.topology.kind
         if kind != "mesh":
             raise ConfigError(
-                f"{self.name} turn-model routing is mesh-only, got {kind!r}"
+                f"{type(self).__name__} is mesh-only, got {kind!r}"
             )
         super().attach(network)
 
@@ -56,8 +56,6 @@ class _TurnModelRouting(RoutingAlgorithm):
 
 class WestFirstRouting(_TurnModelRouting):
     """West-First: deterministic while westbound, adaptive afterwards."""
-
-    name = "west_first"
 
     def admissible_ports(self, node: int, pkt) -> tuple[int, ...]:
         topo = self.network.topology
@@ -82,7 +80,6 @@ class WestFirstRouting(_TurnModelRouting):
 class OddEvenRouting(_TurnModelRouting):
     """Odd-Even turn model, minimal routing (Chiu's ROUTE algorithm)."""
 
-    name = "odd_even"
     # Chiu's relation exempts the source column from the even-column turn
     # ban (``cur_x == src_x`` below), so admissibility depends on the
     # packet's source — a (node, dst) table would mis-route it.

@@ -18,8 +18,6 @@ __all__ = ["XYRouting"]
 class XYRouting(RoutingAlgorithm):
     """Dimension-order routing (X-then-Y on grids, minimal-way on rings)."""
 
-    name = "xy"
-
     def admissible_ports(self, node: int, pkt) -> tuple[int, ...]:
         return (self.network.topology.dimension_order_port(node, pkt.dst),)
 

@@ -124,7 +124,7 @@ class TestPolicyBoundaryReplay:
     """Policies with per-interval state must see identical boundaries.
 
     The workload injects until a stop cycle, goes fully idle across
-    several policy boundaries (rank intervals / QoS frames), then a second
+    several policy boundaries (STC rank intervals), then a second
     source resumes — so the idle gap's boundary replay feeds directly
     into post-gap arbitration state.
     """

@@ -1,16 +1,17 @@
-"""Property-based tests for arbitration fairness and policy keys.
+"""Property-based tests for arbitration fairness and each scheme's priority rule.
 
 :func:`rotating_pick` is the rotating-priority rule written over candidate
 lists; it is the oracle the router's bitmask arbitration is held to below.
 """
 
+import math
 from collections import Counter
 
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
 
 from repro import build_simulation
-from repro.arbitration.base import ArbitrationPolicy, rotating_bit
+from repro.arbitration.base import rotating_bit
 from repro.arbitration.stc import StcPolicy
 from repro.core.dpa import DpaConfig
 from repro.core.rair import RairPolicy
@@ -67,11 +68,6 @@ class TestRotatingPick:
         assert w == 1
 
 
-class FakeVC:
-    def __init__(self, native):
-        self.is_native = native
-
-
 class FakeRouter:
     def __init__(self, native_high):
         self.native_high = native_high
@@ -113,27 +109,6 @@ def test_priority_class_never_loses_to_lower_class(candidate_ids, ptr):
     assert winner in privileged
 
 
-@given(st.booleans(), st.booleans(), st.booleans())
-def test_rair_va_keys_total_order(native_a, native_b, native_high):
-    """RAIR's VA keys are consistent: on global VCs foreign <= native, on
-    regional VCs the DPA-favoured side <= the other, regardless of inputs."""
-    policy = RairPolicy()
-    router = FakeRouter(native_high)
-    ka = policy.va_out_priority(router, VcClass.GLOBAL, FakeVC(native_a))
-    kb = policy.va_out_priority(router, VcClass.GLOBAL, FakeVC(native_b))
-    if native_a == native_b:
-        assert ka == kb
-    elif native_a:
-        assert ka > kb
-    else:
-        assert ka < kb
-    kra = policy.va_out_priority(router, VcClass.REGIONAL, FakeVC(native_a))
-    if native_a == native_high:
-        assert kra == 0
-    else:
-        assert kra == 1
-
-
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
 def test_dpa_static_modes_ignore_counters(n, f):
     router = FakeRouter(native_high=True)
@@ -149,12 +124,13 @@ def test_dpa_static_modes_ignore_counters(n, f):
 # -- the router's mask pick vs rotating_pick ------------------------------------
 #
 # The router arbitrates on bitmasks over its flat VC keys: the policy
-# reduces the candidate mask to its top priority class (``sa_top`` /
-# ``va_out_top``), ``rotating_bit`` rotates from the pointer. These
-# properties hold that composition to ``rotating_pick`` over the same
-# candidates with the policy's ``*_priority`` keys, at all three contested
-# stages, on a real router under every policy (STC's per-app keys take the
-# base class's key-derived ``_top_class`` path).
+# reduces the candidate mask to its top priority class (``va_out_top`` /
+# ``sa_top``; ``None`` leaves the stage round-robin), ``rotating_bit``
+# rotates from the pointer. These properties hold that composition to
+# ``rotating_pick`` over the same candidates, keyed by each scheme's
+# published rule as written in ``published_key`` (not read from the
+# policy), at all three contested stages, on a real router under every
+# policy.
 
 MASK_SCHEMES = ("rr", "stc", "rair")
 _ROUTERS = {}
@@ -196,16 +172,34 @@ def arbitration_state(draw):
     return scheme, router, sorted(keys)
 
 
+def published_key(scheme, router, out_vc=None):
+    """The scheme's priority key (lower wins) at VA_out for output VC
+    ``out_vc``, or at both SA steps when it is None; None for round-robin.
+
+    STC: the oldest batch, then the best rank, an unranked app last.
+    RAIR (Sections IV.A-B): a global VC favours foreign requesters, an
+    escape VC ties everyone, and a regional VC and both SA steps favour
+    the side DPA names (``native_high``).
+    """
+    policy = router.network.policy
+    if scheme == "stc":
+        return lambda v: (
+            v.pkt.inject_cycle // policy.batch_period,
+            policy.ranks.get(v.pkt.app_id, math.inf),
+        )
+    if scheme == "rair":
+        cls = None if out_vc is None else router.vc_class_of[out_vc]
+        if cls is VcClass.GLOBAL:
+            return lambda v: v.is_native
+        if cls is VcClass.ESCAPE:
+            return lambda v: 0
+        return lambda v: v.is_native != router.native_high
+    return None
+
+
 def _sa_top(router, mask):
-    policy = router.network.policy
-    return policy.sa_top(router, mask) if policy.uses_sa_priority else mask
-
-
-def _sa_prio(router):
-    policy = router.network.policy
-    if not policy.uses_sa_priority:
-        return None
-    return lambda v: policy.sa_priority(router, v)
+    top = router.network.policy.sa_top
+    return mask if top is None else top(router, mask)
 
 
 def _mask_of(router, keys):
@@ -215,13 +209,14 @@ def _mask_of(router, keys):
 @given(arbitration_state(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_sa_in_mask_pick_equals_rotating_pick(state, data):
-    _, router, keys = state
+    scheme, router, keys = state
     total = router.total_vcs
     port = keys[0] // total
     keys = [k for k in keys if k // total == port]  # one input port's VCs
     ptr = data.draw(st.integers(0, total - 1))
     winner, new_ptr = rotating_pick(
-        [router.vcs[k] for k in keys], lambda v: v.vc, ptr, total, _sa_prio(router)
+        [router.vcs[k] for k in keys], lambda v: v.vc, ptr, total,
+        published_key(scheme, router),
     )
     base = port * total
     bit = rotating_bit(_sa_top(router, _mask_of(router, keys)) >> base, ptr)
@@ -232,13 +227,13 @@ def test_sa_in_mask_pick_equals_rotating_pick(state, data):
 @given(arbitration_state(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_sa_out_mask_pick_equals_rotating_pick(state, data):
-    _, router, keys = state
+    scheme, router, keys = state
     total = router.total_vcs
     keys = list({k // total: k for k in keys}.values())  # one SA_in winner per port
     ptr = data.draw(st.integers(0, router.num_ports - 1))
     winner, new_ptr = rotating_pick(
         [router.vcs[k] for k in keys], lambda v: v.port, ptr, router.num_ports,
-        _sa_prio(router),
+        published_key(scheme, router),
     )
     bit = rotating_bit(_sa_top(router, _mask_of(router, keys)), ptr * total)
     key = bit.bit_length() - 1
@@ -249,44 +244,22 @@ def test_sa_out_mask_pick_equals_rotating_pick(state, data):
 @given(arbitration_state(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_va_out_mask_pick_equals_rotating_pick(state, data):
-    _, router, keys = state
-    policy = router.network.policy
+    scheme, router, keys = state
+    top = router.network.policy.va_out_top
     total = router.total_vcs
     num_keys = router.num_ports * total
     out_vc = data.draw(st.integers(0, total - 1))
     ptr = data.draw(st.integers(0, num_keys - 1))
-    cls = router.vc_class_of[out_vc]
-    prio = (
-        (lambda v: policy.va_out_priority(router, cls, v))
-        if policy.uses_va_priority else None
-    )
     winner, new_ptr = rotating_pick(
-        [router.vcs[k] for k in keys], lambda v: v.port * total + v.vc, ptr, num_keys, prio
+        [router.vcs[k] for k in keys], lambda v: v.port * total + v.vc, ptr, num_keys,
+        published_key(scheme, router, out_vc),
     )
     mask = _mask_of(router, keys)
-    if policy.uses_va_priority:
-        mask = policy.va_out_top(router, out_vc, mask)
+    if top is not None:
+        mask = top(router, out_vc, mask)
     bit = rotating_bit(mask, ptr)
     assert router.vcs[bit.bit_length() - 1] is winner
     assert bit.bit_length() % num_keys == new_ptr
-
-
-@given(arbitration_state())
-@settings(max_examples=300, deadline=None)
-def test_rair_mask_classes_equal_the_key_derived_ones(state):
-    """RairPolicy (and the QoS hybrid) answer ``*_top`` from ``native_mask``;
-    the base class derives the same sets from the ``*_priority`` keys, for
-    every ``(native_high, native_mask)`` and output VC class."""
-    scheme, router, keys = state
-    if not scheme.startswith("rair"):
-        return
-    policy = router.network.policy
-    mask = _mask_of(router, keys)
-    assert policy.sa_top(router, mask) == ArbitrationPolicy.sa_top(policy, router, mask)
-    for out_vc in range(router.total_vcs):
-        assert policy.va_out_top(router, out_vc, mask) == ArbitrationPolicy.va_out_top(
-            policy, router, out_vc, mask
-        )
 
 
 # -- VA_in: the free-VC mask walk vs the option-list form ---------------------

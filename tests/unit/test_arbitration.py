@@ -1,21 +1,16 @@
-"""Unit tests for arbitration: the policy factory and priority keys."""
+"""Unit tests for arbitration: the policy factory and STC's ranking."""
 
 import pytest
 
-from repro.arbitration import (
-    ArbitrationPolicy,
-    RoundRobinPolicy,
-    StcPolicy,
-    make_policy,
-)
+from repro.arbitration import ArbitrationPolicy, StcPolicy, make_policy
 from repro.core.rair import RairPolicy
 from repro.util.errors import ConfigError
 
 
 class TestFactory:
     def test_known_names(self):
-        assert isinstance(make_policy("rr"), RoundRobinPolicy)
-        assert isinstance(make_policy("ro_rr"), RoundRobinPolicy)
+        assert type(make_policy("rr")) is ArbitrationPolicy
+        assert type(make_policy("ro_rr")) is ArbitrationPolicy
         assert isinstance(make_policy("stc"), StcPolicy)
         assert isinstance(make_policy("rair"), RairPolicy)
 
@@ -30,13 +25,8 @@ class TestFactory:
 
 class TestPolicyFlags:
     def test_round_robin_uses_no_priority(self):
-        p = RoundRobinPolicy()
-        assert not p.uses_va_priority and not p.uses_sa_priority
-
-    def test_base_policy_priority_keys_are_constant(self):
-        p = ArbitrationPolicy()
-        assert p.va_out_priority(None, None, None) == 0
-        assert p.sa_priority(None, None) == 0
+        p = make_policy("rr")
+        assert p.va_out_top is None and p.sa_top is None
 
 
 class TestStc:

@@ -24,6 +24,7 @@ DOCUMENTS = [
     ROOT / "README.md",
     ROOT / "DESIGN.md",
     ROOT / "EXPERIMENTS.md",
+    ROOT / "PAPER.md",
     *sorted((ROOT / "docs").glob("*.md")),
     ROOT / ".github" / "workflows" / "ci.yml",
 ]

@@ -1,11 +1,14 @@
-"""Unit tests for the RAIR policy's priority rules (no network needed)."""
+"""Unit tests for the RAIR policy's stages and DPA hook (no network needed).
+
+The priority rules themselves are held to the paper's statement on a real
+router by tests/property/test_arbitration_props.py.
+"""
 
 import pytest
 
 from repro.core.dpa import DpaConfig
 from repro.core.msp import Stage
 from repro.core.rair import RairPolicy
-from repro.noc.config import VcClass
 
 
 class FakeRouter:
@@ -16,60 +19,19 @@ class FakeRouter:
         self.ovc_dirty = True  # the counters changed since the last DPA update
 
 
-class FakeVC:
-    def __init__(self, native):
-        self.is_native = native
-
-
 class TestConstruction:
     def test_default_is_full_rair(self):
         p = RairPolicy()
-        assert p.uses_va_priority and p.uses_sa_priority
-        assert p.name == "ra_rair"
+        assert p.va_out_top is not None and p.sa_top is not None
         assert p.dpa.mode == "dynamic"
 
     def test_va_only_variant(self):
         p = RairPolicy(stages=Stage.VA)
-        assert p.uses_va_priority and not p.uses_sa_priority
-        assert p.name == "rair_va"
-
-    def test_static_variants_named(self):
-        assert "nativeH" in RairPolicy(dpa=DpaConfig(mode="native")).name
-        assert "foreignH" in RairPolicy(dpa=DpaConfig(mode="foreign")).name
+        assert p.va_out_top is not None and p.sa_top is None
 
     def test_stage_type_checked(self):
         with pytest.raises(TypeError):
             RairPolicy(stages="va")
-
-
-class TestVaOutPriority:
-    def test_global_vc_always_prefers_foreign(self):
-        p = RairPolicy()
-        for nh in (True, False):
-            router = FakeRouter(native_high=nh)
-            kf = p.va_out_priority(router, VcClass.GLOBAL, FakeVC(native=False))
-            kn = p.va_out_priority(router, VcClass.GLOBAL, FakeVC(native=True))
-            assert kf < kn
-
-    def test_regional_vc_follows_dpa(self):
-        p = RairPolicy()
-        router = FakeRouter(native_high=True)
-        assert p.va_out_priority(router, VcClass.REGIONAL, FakeVC(True)) < p.va_out_priority(
-            router, VcClass.REGIONAL, FakeVC(False)
-        )
-        router = FakeRouter(native_high=False)
-        assert p.va_out_priority(router, VcClass.REGIONAL, FakeVC(False)) < p.va_out_priority(
-            router, VcClass.REGIONAL, FakeVC(True)
-        )
-
-
-class TestSaPriority:
-    def test_sa_follows_dpa(self):
-        p = RairPolicy()
-        router = FakeRouter(native_high=True)
-        assert p.sa_priority(router, FakeVC(True)) < p.sa_priority(router, FakeVC(False))
-        router = FakeRouter(native_high=False)
-        assert p.sa_priority(router, FakeVC(False)) < p.sa_priority(router, FakeVC(True))
 
 
 class TestDpaUpdate:

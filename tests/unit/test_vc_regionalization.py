@@ -1,35 +1,7 @@
-"""Unit tests for the VC-regionalization priority rules."""
+"""Unit tests for VC regionalization's VA_in preference and class counts."""
 
-from repro.core.vc_regionalization import (
-    global_vc_priority,
-    preferred_class,
-    regional_vc_priority,
-    vc_class_counts,
-)
+from repro.core.vc_regionalization import preferred_class, vc_class_counts
 from repro.noc.config import NocConfig, VcClass
-
-
-class TestGlobalVcRule:
-    def test_foreign_always_beats_native(self):
-        # Lower key = higher priority.
-        assert global_vc_priority(is_native=False) < global_vc_priority(is_native=True)
-
-
-class TestRegionalVcRule:
-    def test_follows_dpa_state(self):
-        # native_high=True: native wins.
-        assert regional_vc_priority(True, native_high=True) < regional_vc_priority(
-            False, native_high=True
-        )
-        # native_high=False: foreign wins.
-        assert regional_vc_priority(False, native_high=False) < regional_vc_priority(
-            True, native_high=False
-        )
-
-    def test_keys_are_binary(self):
-        for native in (True, False):
-            for nh in (True, False):
-                assert regional_vc_priority(native, nh) in (0, 1)
 
 
 class TestPreferredClass:
