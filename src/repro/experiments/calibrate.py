@@ -46,13 +46,16 @@ def probe_apl(
     sim, net = build_simulation(
         NocConfig(), region_map=region_map, scheme="ro_rr", routing="local"
     )
-    for src in make_sources(rate, seed):
-        sim.add_traffic(src)
-    # No explicit drain_limit: run_measurement derives it from the probe
-    # window (10x(warmup+measure) + 20000), so enlarging a probe window
-    # can no longer silently outgrow a hardcoded drain budget.
-    res = sim.run_measurement(warmup=warmup, measure=measure)
-    return net.stats.apl(window=res.window), res.drained
+    try:
+        for src in make_sources(rate, seed):
+            sim.add_traffic(src)
+        # No explicit drain_limit: run_measurement derives it from the probe
+        # window (10x(warmup+measure) + 20000), so enlarging a probe window
+        # can no longer silently outgrow a hardcoded drain budget.
+        res = sim.run_measurement(warmup=warmup, measure=measure)
+        return net.stats.apl(window=res.window), res.drained
+    finally:
+        sim.close()
 
 
 def find_saturation(

@@ -183,38 +183,42 @@ def run_scenario(
         routing=scheme.routing,
         policy_kwargs=kwargs,
     )
-    if obs is not None:
-        from repro.obs.collector import MetricsCollector
+    try:
+        if obs is not None:
+            from repro.obs.collector import MetricsCollector
 
-        MetricsCollector(
-            obs.named(f"{scheme.key}_{scenario.name}_s{seed}")
-        ).install(sim)
-    if guard is not None and guard.mode != "off":
-        from repro.noc.guard import RuntimeGuard
+            MetricsCollector(
+                obs.named(f"{scheme.key}_{scenario.name}_s{seed}")
+            ).install(sim)
+        if guard is not None and guard.mode != "off":
+            from repro.noc.guard import RuntimeGuard
 
-        # After the collector: the guard tees its ring *behind* an
-        # existing tracer, so the obs stream stays byte-identical.
-        RuntimeGuard(
-            guard.named(f"{scheme.key}_{scenario.name}_s{seed}")
-        ).install(sim)
-    for source in scenario.traffic_factory(seed):
-        sim.add_traffic(source)
-    res = sim.run_measurement(warmup=effort.warmup, measure=effort.measure)
-    stats = net.stats
-    return ScenarioRun(
-        scheme=scheme.key,
-        scenario=scenario.name,
-        window=res.window,
-        drained=res.drained,
-        undrained_packets=res.undrained_packets,
-        apl=stats.apl(window=res.window),
-        per_app_apl=stats.per_app_apl(window=res.window),
-        end_cycle=res.end_cycle,
-        packets_measured=stats.packet_count(window=res.window),
-        abort=res.abort,
-        metrics=res.metrics,
-        obs=res.obs,
-    )
+            # After the collector: the guard tees its ring *behind* an
+            # existing tracer, so the obs stream stays byte-identical.
+            RuntimeGuard(
+                guard.named(f"{scheme.key}_{scenario.name}_s{seed}")
+            ).install(sim)
+        for source in scenario.traffic_factory(seed):
+            sim.add_traffic(source)
+        res = sim.run_measurement(warmup=effort.warmup, measure=effort.measure)
+        stats = net.stats
+        return ScenarioRun(
+            scheme=scheme.key,
+            scenario=scenario.name,
+            window=res.window,
+            drained=res.drained,
+            undrained_packets=res.undrained_packets,
+            apl=stats.apl(window=res.window),
+            per_app_apl=stats.per_app_apl(window=res.window),
+            end_cycle=res.end_cycle,
+            packets_measured=stats.packet_count(window=res.window),
+            abort=res.abort,
+            metrics=res.metrics,
+            obs=res.obs,
+        )
+    finally:
+        # A failed run releases too: nothing outlives this call but the summary.
+        sim.close()
 
 
 @dataclass

@@ -97,6 +97,11 @@ _LABELS = {
 _STATE_NAMES = ("idle", "va", "active")
 
 
+def _where(node: int, invc) -> str:
+    """An input VC's location in a violation message (built only on failure)."""
+    return f"VC (node {node} port {invc.port} vc {invc.vc})"
+
+
 @dataclass(frozen=True)
 class GuardConfig:
     """Runtime-guard settings, carried by the engine's ``FaultPolicy``.
@@ -254,37 +259,41 @@ class RuntimeGuard:
                 pkt = invc.pkt
                 buffered = invc.occupancy()
                 count += buffered
-                where = f"VC (node {node} port {invc.port} vc {invc.vc})"
                 if pkt is None:
                     if invc.state != VC_IDLE or buffered:
                         self._violate(
                             cycle, net, "flit_conservation",
-                            f"{where} holds {buffered} flit(s) in state "
-                            f"{_STATE_NAMES[invc.state]} with no resident packet",
+                            f"{_where(node, invc)} holds {buffered} flit(s) in "
+                            f"state {_STATE_NAMES[invc.state]} with no resident "
+                            "packet",
                         )
                     continue
                 if invc.state == VC_IDLE:
                     self._violate(
                         cycle, net, "flit_conservation",
-                        f"{where} is IDLE but packet #{pkt.pid} is resident",
+                        f"{_where(node, invc)} is IDLE but packet #{pkt.pid} "
+                        "is resident",
                     )
                 if pkt.in_pool:
                     self._violate(
                         cycle, net, "pool_safety",
-                        f"packet #{pkt.pid} resident at {where} is marked "
-                        f"in_pool — a pooled object is live in the network",
+                        f"packet #{pkt.pid} resident at {_where(node, invc)} "
+                        f"is marked in_pool — a pooled object is live in the "
+                        "network",
                     )
                 if not 0 <= invc.flits_sent <= invc.flits_recv <= pkt.length:
                     self._violate(
                         cycle, net, "flit_conservation",
-                        f"{where} framing illegal for packet #{pkt.pid}: "
+                        f"{_where(node, invc)} framing illegal for packet "
+                        f"#{pkt.pid}: "
                         f"sent={invc.flits_sent} recv={invc.flits_recv} "
                         f"length={pkt.length}",
                     )
                 if invc.state == VC_ACTIVE and invc.out_port < 0:
                     self._violate(
                         cycle, net, "flit_conservation",
-                        f"{where} is ACTIVE without an allocated output VC",
+                        f"{_where(node, invc)} is ACTIVE without an allocated "
+                        "output VC",
                     )
             if count != occupancy[node]:
                 self._violate(

@@ -194,6 +194,29 @@ class Network:
             is not ArbitrationPolicy.end_router_cycle
         )
 
+    def close(self) -> None:
+        """Break the network's reference cycles; idempotent.
+
+        The graph is cyclic by construction: every router points back at
+        the network, every input VC at its router, at its own body-flit
+        event, at the upstream router's credit event and (while ACTIVE) at
+        the downstream VC; the policy and routing algorithm hold
+        ``network``, and so may a trace or an eject callback's owner. Only
+        a cyclic garbage collection would free such a graph. After
+        ``close`` reference counting frees it as soon as its owner lets go.
+        The statistics and counters still read; the network no longer
+        simulates.
+        """
+        for router in self.routers:
+            router.network = None
+            for invc in router.vcs:
+                invc.router = invc.body_item = invc.credit_item = invc.down = None
+        self.policy.network = self.routing.network = None
+        self.eject_callbacks.clear()
+        self.trace = None
+        self._arrivals.clear()
+        self._credits.clear()
+
     def set_measure_window(self, window: tuple[int, int]) -> None:
         """Install the injection-cycle window whose packets must drain."""
         self.measure_window = window

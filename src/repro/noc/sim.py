@@ -120,6 +120,21 @@ class Simulator:
         """Register a traffic source (object with ``tick(cycle, network)``)."""
         self.traffic_sources.append(source)
 
+    def close(self) -> None:
+        """Release the run once it is summarised; idempotent.
+
+        Breaks the network's reference cycles (:meth:`Network.close`) and
+        drops the sources, the collector and the guard (which points back
+        at this simulator), so reference counting frees the whole run when
+        its owner lets go of it, without waiting for a cyclic collection.
+        The network's statistics stay readable; the simulator no longer
+        runs.
+        """
+        self.network.close()
+        self.traffic_sources.clear()
+        self.obs = None
+        self.guard = None
+
     # -- core loop -----------------------------------------------------------------
     def step(self) -> None:
         """Advance the simulation by one cycle."""

@@ -24,11 +24,14 @@ from repro import build_simulation
 from repro.experiments.chaos import GUARD_FAULTS, guard_chaos_cell
 from repro.experiments.parallel import FaultPolicy, run_cells_detailed
 from repro.experiments.runner import SCHEMES, Effort
+from repro.noc.buffers import VC_ACTIVE, VC_VA
 from repro.noc.config import NocConfig
+from repro.noc.flit import Packet
 from repro.noc.guard import GuardConfig, RuntimeGuard
 from repro.obs.schema import load_jsonl, validate_stream
 from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
+from repro.util.errors import GuardError
 
 SCHEME = SCHEMES["RO_RR"]
 
@@ -153,3 +156,47 @@ class TestBitIdentity:
         off_bytes = (off_dir / "run.jsonl").read_bytes()
         on_bytes = (on_dir / "run.jsonl").read_bytes()
         assert off_bytes == on_bytes
+
+
+def _vc_fault(invc, pkt, kind: str) -> None:
+    """Corrupt one idle input VC into the state ``kind`` names."""
+    if kind == "stateful_empty":
+        invc.state = VC_VA
+        return
+    invc.pkt = pkt
+    if kind == "pooled":
+        pkt.in_pool = True
+        invc.state = VC_VA
+    elif kind == "overfull":
+        invc.state = VC_VA
+        invc.flits_recv = pkt.length + 1
+    elif kind == "unrouted":
+        invc.state = VC_ACTIVE
+
+
+#: fault -> the exact message the flit-conservation sweep raises (the VC's
+#: location is built only on a violation, so pin every message that names it)
+VC_MESSAGES = {
+    "stateful_empty": "(flit_conservation) at cycle 0: VC (node 5 port 1 vc 2) "
+    "holds 0 flit(s) in state va with no resident packet",
+    "idle_resident": "(flit_conservation) at cycle 0: VC (node 5 port 1 vc 2) "
+    "is IDLE but packet #{pid} is resident",
+    "pooled": "(pool_safety) at cycle 0: packet #{pid} resident at VC (node 5 "
+    "port 1 vc 2) is marked in_pool — a pooled object is live in the network",
+    "overfull": "(flit_conservation) at cycle 0: VC (node 5 port 1 vc 2) "
+    "framing illegal for packet #{pid}: sent=0 recv=3 length=2",
+    "unrouted": "(flit_conservation) at cycle 0: VC (node 5 port 1 vc 2) is "
+    "ACTIVE without an allocated output VC",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VC_MESSAGES))
+def test_vc_violation_messages(kind):
+    sim, net = build_simulation(NocConfig(width=4, height=4), scheme="rr")
+    guard = RuntimeGuard(GuardConfig(mode="strict")).install(sim)
+    pkt = Packet(src=0, dst=5, length=2, inject_cycle=0)
+    _vc_fault(net.routers[5].in_vcs[1][2], pkt, kind)
+    with pytest.raises(GuardError) as excinfo:
+        guard.check(0, net)
+    expected = "guard violation " + VC_MESSAGES[kind].format(pid=pkt.pid)
+    assert str(excinfo.value) == expected

@@ -112,3 +112,85 @@ def test_trace_save_load_replay_roundtrip(tmp_path_factory, rows):
     replayed = sorted((p.inject_cycle, p.src, p.dst, p.length) for p in sink.packets)
     original = sorted((c, s, d, ln) for c, s, d, ln, *_ in rows)
     assert replayed == original
+
+
+#: ejected packets past anything a run logs: negative app ids, cycles
+#: beyond 2**31 (the int64 columns), lengths and hop counts up to the
+#: int32 ceiling
+wide_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**40),  # inject
+        st.integers(min_value=0, max_value=2**20),  # latency
+        st.one_of(                                   # app
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-(2**31), max_value=2**31 - 1),
+        ),
+        st.integers(min_value=0, max_value=15),     # src
+        st.integers(min_value=0, max_value=15),     # dst
+        st.integers(min_value=1, max_value=2**31 - 1),  # length
+        st.integers(min_value=0, max_value=2**31 - 1),  # hops
+        st.booleans(),                               # is_global
+        st.booleans(),                               # adversarial
+    ),
+    max_size=60,
+)
+
+COLUMNS = (
+    "inject", "eject", "app", "src", "dst", "length", "hops", "is_global",
+    "is_adversarial",
+)
+
+
+def list_built(rows) -> NetworkStats:
+    """The log as NumPy arrays built from plain lists, the way it used to be."""
+    cols = [list(c) for c in zip(*rows)] or [[] for _ in range(9)]
+    inject, latency, *rest = cols
+    cols = [inject, [i + lat for i, lat in zip(inject, latency)], *rest]
+    stats = NetworkStats()
+    stats._arrays = {
+        name: np.asarray(col, dtype=bool if name.startswith("is_") else np.int64)
+        for name, col in zip(COLUMNS, cols)
+    }
+    return stats
+
+
+@given(
+    wide_rows,
+    st.integers(min_value=0, max_value=2**40),
+    st.integers(min_value=1, max_value=2**40),
+    st.lists(st.integers(min_value=-1, max_value=3), min_size=16, max_size=16),
+)
+def test_packed_log_matches_a_list_built_log(rows, t0, span, region_of):
+    packed = NetworkStats()
+    for inject, latency, app, src, dst, length, hops, is_global, adv in rows:
+        pkt = Packet(
+            src=src, dst=dst, length=length, inject_cycle=inject, app_id=app,
+            is_global=is_global, is_adversarial=adv,
+        )
+        pkt.hops = hops
+        packed.record_ejection(pkt, inject + latency)
+    ref = list_built(rows)
+    got, want = packed._as_arrays(), ref._as_arrays()
+    for name in COLUMNS:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+    window = (t0, t0 + span)
+    assert packed.packet_count() == ref.packet_count() == len(rows) - sum(
+        adv for *_, adv in rows
+    )
+    for kw in (
+        {},
+        {"window": window},
+        {"include_adversarial": True, "only_global": True},
+        {"app": rows[0][2] if rows else 0, "only_global": False},
+    ):
+        np.testing.assert_equal(packed.apl(**kw), ref.apl(**kw))
+        assert packed.packet_count(**kw) == ref.packet_count(**kw)
+        np.testing.assert_equal(packed.mean_hops(**kw), ref.mean_hops(**kw))
+    for w in (None, window):
+        np.testing.assert_equal(packed.per_app_apl(w), ref.per_app_apl(w))
+    np.testing.assert_equal(
+        packed.latency_classes(window, region_of), ref.latency_classes(window, region_of)
+    )
+    for app in (None, rows[0][2] if rows else -1):
+        assert packed.throughput_flits(window, app) == ref.throughput_flits(window, app)
