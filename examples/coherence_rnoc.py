@@ -33,6 +33,7 @@ def run(home_policy: str, scheme: str = "ro_rr", seed: int = 17):
     )
     sim.add_traffic(workload)
     result = sim.run_measurement(warmup=1000, measure=4000)
+    sim.close()  # free the run now; the stats stay readable
     report = workload.regionalization_report()
     report["apl"] = net.stats.apl(window=result.window)
     return report

@@ -44,16 +44,15 @@ class GlobalFirstPolicy(ArbitrationPolicy):
 
 
 def run_policy(policy_name_or_obj, regions, seed=9):
-    config = NocConfig()
-    sim, net = build_simulation(config, region_map=regions, scheme="ro_rr", routing="local")
-    if isinstance(policy_name_or_obj, ArbitrationPolicy):
+    custom = isinstance(policy_name_or_obj, ArbitrationPolicy)
+    sim, net = build_simulation(
+        NocConfig(), region_map=regions,
+        scheme="ro_rr" if custom else policy_name_or_obj, routing="local",
+    )
+    if custom:
         # Swap in a custom policy object: attach binds it to the network.
         net.policy = policy_name_or_obj
         policy_name_or_obj.attach(net)
-    else:
-        sim, net = build_simulation(
-            config, region_map=regions, scheme=policy_name_or_obj, routing="local"
-        )
     # Scenario (b)-style stress: the *high-load* app sends global traffic.
     sim.add_traffic(RegionalAppTraffic(regions, 0, rate=0.05, seed=seed,
                                        intra_fraction=1.0, inter_fraction=0.0,
@@ -62,7 +61,8 @@ def run_policy(policy_name_or_obj, regions, seed=9):
                                        intra_fraction=0.7, inter_fraction=0.3,
                                        mc_fraction=0.0))
     result = sim.run_measurement(warmup=800, measure=3000)
-    return net, result
+    sim.close()  # free the run now; the stats stay readable
+    return net.stats.per_app_apl(window=result.window)
 
 
 def main() -> None:
@@ -80,8 +80,7 @@ def main() -> None:
         ("GlobalFirst (custom)", GlobalFirstPolicy()),
         ("RA_RAIR", "rair"),
     ]:
-        net, result = run_policy(policy, regions)
-        apl = net.stats.per_app_apl(window=result.window)
+        apl = run_policy(policy, regions)
         print(f"{label:22} App0 APL {apl[0]:7.1f}   App1 APL {apl[1]:7.1f}")
 
     print(

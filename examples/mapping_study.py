@@ -54,6 +54,7 @@ def run(regions: RegionMap, scheme: str, seed: int = 21) -> dict:
             )
         )
     result = sim.run_measurement(warmup=800, measure=3000, drain_limit=80_000)
+    sim.close()  # free the run now; the stats stay readable
     per_app = net.stats.per_app_apl(window=result.window)
     light = [v for a, v in per_app.items() if a not in heavy]
     heavy_apl = [v for a, v in per_app.items() if a in heavy]

@@ -49,6 +49,7 @@ def run_scheme(scheme: str, seed: int = 42) -> dict[int, float]:
     # Paper protocol (Section V.A), scaled down: warm up, measure, drain.
     result = sim.run_measurement(warmup=1000, measure=4000)
     assert result.drained, "measurement window did not drain — load too high?"
+    sim.close()  # free the run now; the stats stay readable
     return net.stats.per_app_apl(window=result.window)
 
 

@@ -40,6 +40,7 @@ def replay(trace: Trace, regions: RegionMap, scheme: str) -> dict[int, float]:
     sim.add_traffic(TraceTrafficSource(trace))
     sim.run(CYCLES)
     assert sim.run_until_drained(60_000), "trace replay failed to drain"
+    sim.close()  # free the run now; the stats stay readable
     window = (500, CYCLES)  # skip the cold start
     return net.stats.per_app_apl(window=window)
 

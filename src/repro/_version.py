@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import pathlib
 import re
-import subprocess
 
 __all__ = ["__version__", "git_revision", "version_blurb"]
 
@@ -56,6 +55,8 @@ def git_revision() -> str | None:
     processes and daemons report the revision of the code they actually
     imported. Cached — at most one subprocess per process lifetime.
     """
+    import subprocess  # only provenance stamps need it
+
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

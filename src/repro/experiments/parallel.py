@@ -63,11 +63,9 @@ from __future__ import annotations
 
 import collections
 import hashlib
-import multiprocessing
 import time
 import traceback as _tb
 from dataclasses import dataclass
-from multiprocessing.connection import wait
 
 from repro.experiments.cache import ResultCache, SweepJournal, cache_key
 from repro.experiments.runner import Effort, ScenarioRun, Scheme, run_scenario
@@ -557,6 +555,11 @@ def _run_parallel(work: list[_Pending], jobs: int, cache_dir, sweep: _Sweep) -> 
     close its pipe: a sibling forked by another thread can hold a copy)
     and the nearest deadline or backoff expiry.
     """
+    # Imported here: only the pool needs multiprocessing (about 1.3 MB of
+    # RSS), and a serial sweep or a kernel-only process should not pay it.
+    import multiprocessing
+    from multiprocessing.connection import wait
+
     policy = sweep.policy
     ctx = multiprocessing.get_context()
     queue: collections.deque[_Pending] = collections.deque(work)

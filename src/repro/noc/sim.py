@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from repro.arbitration.base import ArbitrationPolicy
 from repro.noc.network import Network
 from repro.noc.stats import RunMetrics
-from repro.util.errors import GuardError
+from repro.util.errors import GuardError, SimulationError
 
 __all__ = ["Simulator", "MeasurementResult"]
 
@@ -103,6 +103,7 @@ class Simulator:
         self._last_ejected = 0
         self._last_eject_cycle = 0
         self.metrics = RunMetrics()
+        self._closed = False
         #: optional runtime invariant guard (duck-typed — anything with
         #: ``next_check`` / ``check(cycle, network)`` /
         #: ``on_stall(cycle, network, trip)``; see
@@ -127,9 +128,11 @@ class Simulator:
         drops the sources, the collector and the guard (which points back
         at this simulator), so reference counting frees the whole run when
         its owner lets go of it, without waiting for a cyclic collection.
-        The network's statistics stay readable; the simulator no longer
-        runs.
+        The network's statistics stay readable; :meth:`run`,
+        :meth:`run_until_drained` and :meth:`run_measurement` raise
+        :class:`SimulationError` from then on.
         """
+        self._closed = True
         self.network.close()
         self.traffic_sources.clear()
         self.obs = None
@@ -158,7 +161,17 @@ class Simulator:
 
     def run(self, cycles: int) -> None:
         """Run ``cycles`` additional cycles."""
+        self._check_open()
         self._run_to(self.cycle + cycles)
+
+    def _check_open(self) -> None:
+        """Refuse to drive a closed simulation (once per call, not per cycle)."""
+        if self._closed:
+            raise SimulationError(
+                f"this simulation ({self.network.config.describe()}) was "
+                f"closed at cycle {self.cycle} and cannot run again; build a "
+                "new one"
+            )
 
     def _ff_eligible(self) -> bool:
         """Whether fast-forward may engage with the installed sources/policy.
@@ -247,6 +260,7 @@ class Simulator:
 
     def run_until_drained(self, limit: int) -> bool:
         """Step until the network is idle; returns False if ``limit`` hit."""
+        self._check_open()
         for _ in range(limit):
             if self.network.idle():
                 return True
@@ -317,6 +331,7 @@ class Simulator:
         that did eject remain valid, only the stragglers are stuck. Every
         other error raises in the drain phase too.
         """
+        self._check_open()
         if drain_limit is None:
             drain_limit = 10 * (warmup + measure) + 20_000
         net = self.network

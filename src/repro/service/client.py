@@ -24,15 +24,18 @@ waiting, not failing.
 from __future__ import annotations
 
 import dataclasses
-import http.client
 import json
 import os
 import time
 import urllib.parse
+from typing import TYPE_CHECKING
 
 from repro.experiments.parallel import CellResult, ExecutionReport
 from repro.service.protocol import JobSpec, ProtocolError, decode_as, encode_value
 from repro.util.errors import ReproError
+
+if TYPE_CHECKING:
+    import http.client
 
 __all__ = [
     "ServiceClient",
@@ -103,6 +106,10 @@ class ServiceClient:
     # -- plumbing ----------------------------------------------------------------
 
     def _connect(self, timeout: float | None) -> http.client.HTTPConnection:
+        # Imported here: http.client pulls in ssl and email (about 6 MB of
+        # RSS), which a process that never talks to a daemon should not pay.
+        import http.client
+
         return http.client.HTTPConnection(self.host, self.port, timeout=timeout)
 
     def _request(self, method: str, path: str, body: dict | None = None):

@@ -23,8 +23,9 @@ class SimulationError(ReproError, RuntimeError):
     """The simulator reached an internal inconsistency.
 
     This is raised on invariant violations (e.g. negative credits, a flit
-    sent from an empty buffer). It always indicates a bug in the simulator
-    or a corrupted external mutation of its state, never a user mistake.
+    sent from an empty buffer), which indicate a bug in the simulator or a
+    corrupted external mutation of its state, and when a simulation is
+    driven again after :meth:`~repro.noc.sim.Simulator.close`.
     """
 
 

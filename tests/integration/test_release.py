@@ -28,7 +28,7 @@ from repro.noc.sim import Simulator
 from repro.obs import ObsConfig
 from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
-from repro.util.errors import GuardError
+from repro.util.errors import GuardError, SimulationError
 
 
 @pytest.fixture
@@ -104,7 +104,7 @@ def test_a_run_that_raises_releases_too(networks):
     assert kernel_objects() == before
 
 
-def test_close_twice_is_a_no_op():
+def uniform_simulation():
     sim, net = build_simulation()
     sim.add_traffic(
         SyntheticTrafficSource(
@@ -113,6 +113,11 @@ def test_close_twice_is_a_no_op():
             lengths=FixedLength(2),
         )
     )
+    return sim, net
+
+
+def test_close_twice_is_a_no_op():
+    sim, net = uniform_simulation()
     res = sim.run_measurement(warmup=50, measure=200)
     apl = net.stats.apl(window=res.window)
     sim.close()
@@ -122,3 +127,25 @@ def test_close_twice_is_a_no_op():
     assert all(r.network is None for r in net.routers)
     # The summary stays readable after the release.
     assert net.stats.apl(window=res.window) == apl
+
+
+@pytest.mark.parametrize(
+    "drive",
+    [
+        lambda sim: sim.run(10),
+        lambda sim: sim.run_measurement(10, 10),
+        lambda sim: sim.run_until_drained(10),
+    ],
+    ids=["run", "run_measurement", "run_until_drained"],
+)
+def test_a_closed_simulation_refuses_to_run(drive):
+    # Unchecked, run() failed deep in the kernel on a released VC, and
+    # run_measurement() returned an empty window that claimed to drain.
+    sim, net = uniform_simulation()
+    sim.run(20)
+    sim.close()
+    window = net.measure_window
+    with pytest.raises(SimulationError, match="8x8 mesh.* closed at cycle 20"):
+        drive(sim)
+    # A refused call changes nothing, not even the measurement window.
+    assert sim.cycle == 20 and net.measure_window == window

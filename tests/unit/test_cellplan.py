@@ -230,14 +230,33 @@ class TestSweepResult:
 
 
 class TestColdStart:
-    def test_importing_experiments_leaves_scipy_unloaded(self):
-        """Every CLI, worker process and daemon imports ``repro.experiments``;
-        scipy is needed by ``half_width`` alone and loads there."""
+    def test_a_simulation_process_loads_only_what_it_runs(self, tmp_path):
+        """Every CLI, ladder child and worker imports these layers, and most
+        of them only simulate. The HTTP client (ssl, email), the worker pool
+        (multiprocessing) and the git stamp (subprocess) load where they are
+        used, as scipy does in ``half_width``. One interpreter checks all."""
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         code = (
-            "import sys, repro.experiments\n"
+            "import sys\n"
+            "import repro.experiments, repro.service.client, repro.service.jobstore\n"
+            "from repro import build_simulation\n"
+            "from repro.experiments.parallel import Cell, run_cells_detailed\n"
+            "from repro.experiments.runner import SCHEMES, Effort\n"
+            "from repro.experiments.scenarios import two_app_msp\n"
+            "from repro.traffic.patterns import UniformPattern\n"
+            "from repro.traffic.synthetic import SyntheticTrafficSource\n"
+            "cell = Cell.for_scenario(SCHEMES['RA_RAIR'], two_app_msp(0.5), Effort.SMOKE, 42)\n"
+            f"[res], _ = run_cells_detailed([cell], jobs=1, cache={str(tmp_path)!r})\n"
+            "assert res.ok\n"
+            "sim, net = build_simulation()\n"
+            "sim.add_traffic(SyntheticTrafficSource(range(64), 0.1, "
+            "UniformPattern(net.topology), app_id=0, seed=1))\n"
+            "sim.run(300)\n"
+            "heavy = ('ssl', 'http.client', 'email', 'multiprocessing', 'subprocess')\n"
+            "loaded = sorted(set(heavy) & set(sys.modules))\n"
+            "assert not loaded, loaded\n"
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
             "assert repro.experiments.SweepResult('x', [1.0, 2.0, 3.0]).half_width() > 0\n"
             "assert 'scipy.stats' in sys.modules\n"
