@@ -7,79 +7,62 @@ one of them goes rogue — an attack or just an OS bug — and floods the
 network. A region-aware interference-reduction scheme should keep the
 well-behaved tenants' packet latency close to the flood-free baseline.
 
-This example runs four PARSEC-like tenant workloads in quadrants, layers a
-chip-wide flood on top, and prints each tenant's latency slowdown under
-three arbitration schemes.
+This example runs Fig. 16/17's scenario (``parsec_quadrants``): four
+PARSEC-like tenant workloads in quadrants, with and without the chip-wide
+flood, and prints each tenant's latency slowdown under three schemes. The
+flood is the paper's 0.4 flits/cycle/node scaled to the same fraction of
+our calibrated saturation load (``scenarios.ADVERSARIAL_PRESSURE``).
 
-Run:  python examples/adversarial_protection.py  [--rate 0.4]
+Run:  python examples/adversarial_protection.py  [--effort smoke|fast|medium]
 """
 
 import argparse
 
-from repro import RegionMap, build_simulation
-from repro.noc import NocConfig
-from repro.noc.topology import MeshTopology
-from repro.traffic import (
-    PARSEC_PROFILES,
-    AdversarialTrafficSource,
-    ParsecWorkload,
-)
+from repro.arbitration import StcPolicy
+from repro.experiments.runner import SCHEMES, Effort, run_scenario
+from repro.experiments.scenarios import PARSEC_APP_ORDER, parsec_quadrants
 
-TENANTS = ("blackscholes", "swaptions", "fluidanimate", "raytrace")
-
-
-def run(scheme: str, flood_rate: float, seed: int = 7) -> dict[int, float]:
-    """Per-tenant APL with (or without, rate=0) an adversarial flood."""
-    config = NocConfig(num_vnets=2)  # separate request/reply networks
-    topology = MeshTopology(config.width, config.height)
-    regions = RegionMap.quadrants(topology)
-
-    sim, net = build_simulation(config, region_map=regions, scheme=scheme, routing="local")
-    sim.add_traffic(
-        ParsecWorkload(regions, [PARSEC_PROFILES[n] for n in TENANTS], seed=seed)
-    )
-    if flood_rate > 0:
-        sim.add_traffic(
-            AdversarialTrafficSource(
-                topology, seed=seed + 1, rate=flood_rate, region_map=regions
-            )
-        )
-    result = sim.run_measurement(warmup=1000, measure=4000, drain_limit=80_000)
-    sim.close()  # free the run now; the stats stay readable
-    return net.stats.per_app_apl(window=result.window)  # adversary excluded
+SHOWN = ("RO_RR", "RO_Rank", "RA_RAIR")
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rate", type=float, default=0.4,
-                        help="flood rate in flits/cycle/node (paper: 0.4)")
+    parser.add_argument("--effort", default="fast", choices=["smoke", "fast", "medium"])
     args = parser.parse_args()
+    effort = Effort[args.effort.upper()]
 
-    schemes = ("ro_rr", "stc", "rair")
-    print(f"Flood rate: {args.rate} flits/cycle/node; tenants in quadrants\n")
-    header = f"{'tenant':14}" + "".join(f"{s:>12}" for s in schemes)
+    clean, flooded = parsec_quadrants(), parsec_quadrants(adversarial=True)
+    rate = flooded.spec.kwargs["adversarial_rate"]
+    print(f"Flood rate: {rate:.3f} flits/cycle/node; tenants in quadrants\n")
+    header = f"{'tenant':14}" + "".join(f"{key:>12}" for key in SHOWN)
     print(header + "   (APL slowdown vs flood-free run)")
 
     slowdowns = {}
-    for scheme in schemes:
-        clean = run(scheme, flood_rate=0.0)
-        flooded = run(scheme, flood_rate=args.rate)
-        slowdowns[scheme] = {
-            app: flooded[app] / clean[app] for app in clean
-        }
+    for key in SHOWN:
+        base = run_scenario(SCHEMES[key], clean, effort).per_app_apl
+        hit = run_scenario(SCHEMES[key], flooded, effort).per_app_apl
+        slowdowns[key] = {app: hit[app] / base[app] for app in base}  # tenants only
 
-    for app, tenant in enumerate(TENANTS):
+    for app, tenant in enumerate(PARSEC_APP_ORDER):
         row = f"  {tenant:12}"
-        for scheme in schemes:
-            row += f"{slowdowns[scheme][app]:>11.2f}x"
+        for key in SHOWN:
+            row += f"{slowdowns[key][app]:>11.2f}x"
         print(row)
 
-    avgs = {s: sum(v.values()) / len(v) for s, v in slowdowns.items()}
-    print("\naverage: " + "  ".join(f"{s}={avgs[s]:.2f}x" for s in schemes))
+    avgs = {key: sum(v.values()) / len(v) for key, v in slowdowns.items()}
+    print("\naverage: " + "  ".join(f"{key}={avgs[key]:.2f}x" for key in SHOWN))
+    best, worst = min(avgs, key=avgs.get), max(avgs, key=avgs.get)
     print(
-        "\nRAIR identifies the flood as foreign traffic in every region and"
-        " demotes it via DPA; STC only down-ranks it but batching still"
-        " admits its older packets (paper Fig. 17)."
+        f"\n{best} keeps the tenants closest to their flood-free latency"
+        f" ({avgs[best]:.2f}x); {worst} shields them least ({avgs[worst]:.2f}x)."
+        " The paper's order is RO_RR > RO_Rank > RA_RAIR (Fig. 17)."
+    )
+    first_rank = StcPolicy().rank_interval  # after every warm-up offered above
+    unranked = min(first_rank, effort.warmup + effort.measure) - effort.warmup
+    print(
+        f"note: RO_Rank ranks first at cycle {first_rank}, after this"
+        f" {effort.warmup}-cycle warm-up: {unranked} of its {effort.measure}"
+        " measured cycles ran unranked."
     )
 
 

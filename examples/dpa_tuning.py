@@ -1,64 +1,23 @@
 #!/usr/bin/env python3
 """DPA tuning walkthrough: hysteresis width and static-priority pitfalls.
 
-Demonstrates the paper's Section IV.C / Fig. 12 argument hands-on:
+Demonstrates the paper's Section IV.C / Fig. 12 argument hands-on, by
+printing the tables of the two experiments that make it:
 
-1. build the two contrasting four-application scenarios (Fig. 11 a/b),
-2. show that each static priority (NativeH / ForeignH) wins exactly one of
-   them,
-3. show DPA tracking the better static policy in both,
-4. sweep the hysteresis delta to locate the paper's ~0.2 sweet spot.
+1. Fig. 12 (``fig12_dpa``): in the two contrasting four-application
+   scenarios (Fig. 11 a/b) each static priority (NativeH / ForeignH) wins
+   exactly one, and DPA tracks the better one in both;
+2. the hysteresis ablation (``ablation_hysteresis``): a delta sweep over
+   the six-application scenario, to locate the paper's ~0.2 sweet spot.
+   Each row is RA_RAIR whose scheme carries its own ``DpaConfig(delta=...)``.
 
 Run:  python examples/dpa_tuning.py  [--effort smoke|fast|medium]
 """
 
 import argparse
 
-from repro.core.dpa import DpaConfig
-from repro.experiments.runner import SCHEMES, Effort, run_scenario
-from repro.experiments.scenarios import four_app_dpa, six_app
-
-
-def static_vs_dynamic(effort: Effort, seed: int) -> None:
-    print("1) Static priorities each win only one scenario:\n")
-    print(f"{'scenario':12}{'NativeH':>10}{'ForeignH':>10}{'DPA':>10}   (avg APL reduction vs RO_RR)")
-    for variant in ("a", "b"):
-        scenario = four_app_dpa(variant)
-        base = run_scenario(SCHEMES["RO_RR"], scenario, effort=effort, seed=seed)
-        cells = []
-        for key in ("RAIR_NativeH", "RAIR_ForeignH", "RAIR_DPA"):
-            res = run_scenario(SCHEMES[key], scenario, effort=effort, seed=seed)
-            apps = sorted(base.per_app_apl)
-            red = sum(res.reduction_vs(base, app=a) for a in apps) / len(apps)
-            cells.append(red)
-        print(
-            f"  Fig.11({variant})  {cells[0]:>9.1%}{cells[1]:>10.1%}{cells[2]:>10.1%}"
-        )
-    print(
-        "\n   Scenario (a) floods region 3 with low-intensity foreign traffic"
-        " -> ForeignH wins; (b) floods the low-load regions with high-"
-        "intensity foreign traffic -> NativeH wins. DPA adapts to both.\n"
-    )
-
-
-def hysteresis_sweep(effort: Effort, seed: int) -> None:
-    print("2) Hysteresis width sweep (six-app scenario):\n")
-    scenario = six_app()
-    base = run_scenario(SCHEMES["RO_RR"], scenario, effort=effort, seed=seed)
-    apps = sorted(base.per_app_apl)
-    print(f"{'delta':>8}{'avg reduction':>16}")
-    for delta in (0.0, 0.1, 0.2, 0.3, 0.4):
-        res = run_scenario(
-            SCHEMES["RA_RAIR"], scenario, effort=effort, seed=seed,
-            policy_overrides={"dpa": DpaConfig(delta=delta)},
-        )
-        red = sum(res.reduction_vs(base, app=a) for a in apps) / len(apps)
-        print(f"{delta:>8.1f}{red:>15.1%}")
-    print(
-        "\n   The paper reports deltas of 0.1-0.3 working well with ~0.2"
-        " best; too small reacts to transient VC flips, too large reacts"
-        " too late to real load shifts."
-    )
+from repro.experiments import ablation_hysteresis, fig12_dpa
+from repro.experiments.runner import Effort
 
 
 def main() -> None:
@@ -67,8 +26,22 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
     effort = Effort[args.effort.upper()]
-    static_vs_dynamic(effort, args.seed)
-    hysteresis_sweep(effort, args.seed)
+
+    print("1) Static priorities each win only one scenario:\n")
+    print(fig12_dpa.run(effort=effort, seed=args.seed).format_table())
+    print(
+        "\n   Scenario (a) floods region 3 with low-intensity foreign traffic"
+        " -> ForeignH wins; (b) floods the low-load regions with high-"
+        "intensity foreign traffic -> NativeH wins. DPA adapts to both.\n"
+    )
+
+    print("2) Hysteresis width sweep (six-app scenario):\n")
+    print(ablation_hysteresis.run(effort=effort, seed=args.seed).format_table())
+    print(
+        "\n   The paper reports deltas of 0.1-0.3 working well with ~0.2"
+        " best; too small reacts to transient VC flips, too large reacts"
+        " too late to real load shifts."
+    )
 
 
 if __name__ == "__main__":

@@ -49,7 +49,6 @@ def build_simulation(
     scheme: str = "ro_rr",
     routing: str = "local",
     policy_kwargs: dict | None = None,
-    routing_kwargs: dict | None = None,
     trace=None,
 ) -> tuple[Simulator, Network]:
     """Convenience constructor: (simulator, network) for a named scheme.
@@ -64,7 +63,7 @@ def build_simulation(
     config = config or NocConfig()
     net = Network(
         config,
-        routing=make_routing(routing, **(routing_kwargs or {})),
+        routing=make_routing(routing),
         policy=make_policy(scheme, **(policy_kwargs or {})),
         region_map=region_map,
         trace=trace,

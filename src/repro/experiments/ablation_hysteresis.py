@@ -9,6 +9,8 @@ show the cost of reacting to every transient VC-occupancy flip.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.dpa import DpaConfig
 from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
 from repro.experiments.parallel import Cell
@@ -37,12 +39,14 @@ def run(
     """One row per hysteresis delta."""
     scenario = six_app(config=config_for_topology(topology))
     baseline = Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed)
+    # The key stays RA_RAIR: each row is the paper's scheme at its own delta.
+    rair = SCHEMES["RA_RAIR"]
     plan = [
         (
             {"delta": delta},
             Cell.for_scenario(
-                SCHEMES["RA_RAIR"], scenario, effort, seed,
-                policy_overrides={"dpa": DpaConfig(delta=delta)},
+                replace(rair, policy_kwargs={"dpa": DpaConfig(delta=delta)}),
+                scenario, effort, seed,
             ),
             baseline,
         )

@@ -147,7 +147,6 @@ def chaos_scenario(
         config=config,
         region_map=None,
         traffic_factory=factory,
-        meta={"mode": mode, "cell_id": cell_id},
         spec=ScenarioSpec(
             "repro.experiments.chaos:chaos_scenario",
             {"mode": mode, "marker": marker, "cell_id": cell_id, "rate": rate},
@@ -338,7 +337,6 @@ def guard_chaos_scenario(
         config=config,
         region_map=None,
         traffic_factory=factory,
-        meta={"fault": fault, "cell_id": cell_id},
         spec=ScenarioSpec(
             "repro.experiments.chaos:guard_chaos_scenario",
             {"fault": fault, "cell_id": cell_id, "rate": rate, "at_cycle": at_cycle},

@@ -59,7 +59,7 @@ def run(
         _slowdowns,
         effort=effort,
         figure="Figure 17",
-        title=f"APL slowdown under {attacked.meta['adversarial_rate']:.3f} "
+        title=f"APL slowdown under {attacked.spec.kwargs['adversarial_rate']:.3f} "
         "flits/cycle/node adversarial flood (PARSEC-like apps)",
         columns=["scheme", *_SLOW_COLUMNS, "slow_avg", "drained"],
         notes=[

@@ -1,10 +1,9 @@
 """Fault-tolerant parallel execution of experiment cells.
 
-A **cell** is the unit of experiment work: one ``(scheme, scenario,
-effort, seed)`` simulation, optionally with a config override or policy
-overrides. Cells are mutually independent — every stochastic input is
-derived from the cell's own seed via ``SeedSequence`` spawning — so a
-figure sweep is an embarrassingly parallel map.
+A **cell** is the unit of experiment work: one ``(scheme, scenario spec,
+effort, seed)`` simulation. Cells are mutually independent — every
+stochastic input is derived from the cell's own seed via ``SeedSequence``
+spawning — so a figure sweep is an embarrassingly parallel map.
 
 Each cell is also its own **fault domain**: :func:`run_cells_detailed`
 returns one :class:`CellResult` per cell, holding either the finished
@@ -70,7 +69,6 @@ from dataclasses import dataclass
 from repro.experiments.cache import ResultCache, SweepJournal, cache_key
 from repro.experiments.runner import Effort, ScenarioRun, Scheme, run_scenario
 from repro.experiments.scenarios import ScenarioSpec
-from repro.noc.config import NocConfig
 from repro.util.errors import ConfigError, ReproError
 
 __all__ = [
@@ -90,24 +88,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Cell:
-    """One independent experiment unit, picklable and content-hashable."""
+    """One independent experiment unit, picklable and content-hashable.
+
+    The scheme carries the policy kwargs and the spec the network config.
+    """
 
     scheme: Scheme
     spec: ScenarioSpec
     effort: Effort
     seed: int
-    config: NocConfig | None = None
-    policy_overrides: dict | None = None
 
     @classmethod
     def for_scenario(
-        cls,
-        scheme: Scheme,
-        scenario,
-        effort: Effort,
-        seed: int,
-        config: NocConfig | None = None,
-        policy_overrides: dict | None = None,
+        cls, scheme: Scheme, scenario, effort: Effort, seed: int
     ) -> "Cell":
         """Build a cell from a live :class:`Scenario` (needs its spec)."""
         if scenario.spec is None:
@@ -115,14 +108,7 @@ class Cell:
                 f"scenario {scenario.name!r} has no rebuild spec; only "
                 "registry-built scenarios can be parallelized or cached"
             )
-        return cls(
-            scheme=scheme,
-            spec=scenario.spec,
-            effort=effort,
-            seed=seed,
-            config=config,
-            policy_overrides=policy_overrides,
-        )
+        return cls(scheme=scheme, spec=scenario.spec, effort=effort, seed=seed)
 
     def describe(self) -> str:
         """Short human-readable identity for logs and failure rows."""
@@ -282,7 +268,7 @@ def cell_obs_name(cell: Cell) -> str:
     """Deterministic per-cell JSONL stem: identity slug + key prefix.
 
     The cache-key prefix disambiguates cells that share scheme, builder,
-    and seed but differ in config or policy overrides (e.g. a hysteresis
+    and seed but differ in config or policy kwargs (e.g. a hysteresis
     sweep), so a sweep's obs directory gets one file per cell.
     """
     return (
@@ -309,8 +295,6 @@ def compute_cell(cell: Cell, policy: FaultPolicy | None = None) -> ScenarioRun:
         cell.spec.build(),
         effort=cell.effort,
         seed=cell.seed,
-        config=cell.config,
-        policy_overrides=cell.policy_overrides,
         obs=obs,
         guard=guard,
     )

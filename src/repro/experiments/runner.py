@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro import build_simulation
 from repro.core.dpa import DpaConfig
 from repro.core.msp import Stage
-from repro.noc.config import NocConfig
 from repro.noc.stats import RunMetrics
 
 __all__ = [
@@ -150,20 +149,16 @@ def run_scenario(
     scenario,
     effort: Effort = Effort.MEDIUM,
     seed: int = 42,
-    config: NocConfig | None = None,
-    policy_overrides: dict | None = None,
     obs=None,
     guard=None,
 ) -> ScenarioRun:
     """Simulate ``scenario`` under ``scheme`` and summarize.
 
-    ``scenario`` is a :class:`~repro.experiments.scenarios.Scenario`;
-    ``config`` overrides its network config (no figure passes one: the
-    VC-split ablation builds its config into the scenario, as every
-    figure does); ``policy_overrides`` merge into the scheme's policy kwargs
-    (used by the hysteresis ablation). This always simulates, in this
-    process: the cell engine calls it, never the reverse, so a cached,
-    journaled or multi-process run is reached one way — as a ``Cell``.
+    ``scenario`` is a :class:`~repro.experiments.scenarios.Scenario`,
+    built with the network config it runs on; ``scheme`` carries the
+    policy kwargs. This always simulates, in this process: the cell
+    engine calls it, never the reverse, so a cached, journaled or
+    multi-process run is reached one way — as a ``Cell``.
     ``obs`` is an optional :class:`repro.obs.ObsConfig` — execution
     policy, not part of the cell identity — that installs a metrics collector on the run; the resulting
     :class:`repro.obs.ObsSummary` lands on :attr:`ScenarioRun.obs`.
@@ -172,16 +167,12 @@ def run_scenario(
     unguarded one — that installs a :class:`~repro.noc.guard.RuntimeGuard`
     on the run.
     """
-    cfg = config or scenario.config
-    kwargs = dict(scheme.policy_kwargs)
-    if policy_overrides:
-        kwargs.update(policy_overrides)
     sim, net = build_simulation(
-        cfg,
+        scenario.config,
         region_map=scenario.region_map,
         scheme=scheme.policy,
         routing=scheme.routing,
-        policy_kwargs=kwargs,
+        policy_kwargs=scheme.policy_kwargs,
     )
     try:
         if obs is not None:

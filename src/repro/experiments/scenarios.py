@@ -103,7 +103,6 @@ class Scenario:
     config: NocConfig
     region_map: RegionMap | None
     traffic_factory: Callable[[int], list]
-    meta: dict = field(default_factory=dict)
     #: recipe to rebuild this scenario in another process (None for
     #: hand-assembled scenarios, which then cannot be parallelized/cached)
     spec: ScenarioSpec | None = None
@@ -147,7 +146,6 @@ def two_app_msp(p_inter: float, config: NocConfig | None = None) -> Scenario:
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        meta={"p_inter": p_inter, "low_rate": low, "high_rate": high},
         spec=ScenarioSpec("two_app_msp", {"p_inter": p_inter, "config": config}),
     )
 
@@ -212,7 +210,6 @@ def four_app_dpa(variant: str, config: NocConfig | None = None) -> Scenario:
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        meta={"variant": variant, "low_rate": low, "high_rate": high},
         spec=ScenarioSpec("four_app_dpa", {"variant": variant, "config": config}),
     )
 
@@ -285,7 +282,6 @@ def six_app(
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        meta={"global_pattern": global_pattern, "loads": loads},
         spec=ScenarioSpec(
             "six_app",
             {"global_pattern": global_pattern, "config": config, "loads": loads},
@@ -351,11 +347,6 @@ def parsec_quadrants(
         config=config,
         region_map=rm,
         traffic_factory=factory,
-        meta={
-            "adversarial": adversarial,
-            "adversarial_rate": adversarial_rate,
-            "apps": PARSEC_APP_ORDER,
-        },
         spec=ScenarioSpec(
             "parsec_quadrants",
             {

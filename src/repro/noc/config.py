@@ -15,7 +15,7 @@ routing stays deadlock-free.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.noc.topology import _class_for, num_escape_classes_for
 from repro.util.validate import check_positive, require
@@ -97,7 +97,6 @@ class NocConfig:
     credit_latency: int = 1
     max_packet_flits: int = 5
     link_bits: int = 128
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         # An unknown kind and extents too small for the fabric both raise here.

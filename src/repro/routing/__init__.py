@@ -52,10 +52,10 @@ _REGISTRY = {
 }
 
 
-def make_routing(name: str, **kwargs) -> RoutingAlgorithm:
+def make_routing(name: str) -> RoutingAlgorithm:
     """Construct a routing algorithm by name (``xy``/``local``/``dbar``)."""
     try:
         cls = _REGISTRY[name.lower()]
     except KeyError:
         raise ValueError(f"unknown routing algorithm {name!r}; known: {sorted(_REGISTRY)}") from None
-    return cls(**kwargs)
+    return cls()

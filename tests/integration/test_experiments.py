@@ -40,21 +40,21 @@ class TestSaturationTable:
 
 
 class TestScenarios:
-    def test_two_app_meta(self):
+    def test_two_app_layout(self):
         s = two_app_msp(0.4)
-        assert s.meta["p_inter"] == 0.4
         assert s.region_map.num_apps == 2
         sources = s.traffic_factory(7)
         assert len(sources) == 2
+        assert sources[0].inter_fraction == pytest.approx(0.4)
         assert sources[1].intra_fraction == 1.0
 
     def test_two_app_rates_track_saturation(self):
-        s = two_app_msp(0.0)
+        low, high = two_app_msp(0.0).traffic_factory(7)
         sat = saturation_load("ur_half_4x8")
-        assert s.meta["low_rate"] == pytest.approx(0.10 * sat)
+        assert low.rate == pytest.approx(0.10 * sat)
         # High app runs at 0.80 of the solo knee (in-context calibration,
         # see the scenario docstring).
-        assert s.meta["high_rate"] == pytest.approx(0.80 * sat)
+        assert high.rate == pytest.approx(0.80 * sat)
 
     def test_four_app_variants(self):
         for variant in ("a", "b"):
@@ -113,17 +113,6 @@ class TestRunScenario:
         rair = run_scenario(SCHEMES["RA_RAIR"], scenario, effort=Effort.SMOKE)
         red = rair.reduction_vs(base, app=0)
         assert -1.0 < red < 1.0
-
-    def test_policy_overrides_apply(self):
-        from repro.core.dpa import DpaConfig
-
-        res = run_scenario(
-            SCHEMES["RA_RAIR"],
-            two_app_msp(0.5),
-            effort=Effort.SMOKE,
-            policy_overrides={"dpa": DpaConfig(delta=0.3)},
-        )
-        assert res.drained
 
 
 class TestFigureModules:

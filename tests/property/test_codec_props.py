@@ -43,10 +43,10 @@ runs = scalar_fields(ScenarioRun, window=st.tuples(INTS, INTS), abort=st.none() 
                      metrics=st.none() | metrics, obs=st.none() | obs)
 specs = st.builds(ScenarioSpec, st.sampled_from(sorted(SCENARIO_BUILDERS)),
                   st.dictionaries(TEXT, INTS | FLOATS))
-cells = st.builds(Cell, st.sampled_from(list(SCHEMES.values())), specs,
-                  st.sampled_from(Effort), INTS, policy_overrides=st.none() | st.builds(
-                      DpaConfig, mode=st.sampled_from(["native", "foreign"])).map(
-                      lambda d: {"dpa": d}))
+schemes = st.sampled_from(list(SCHEMES.values())) | st.builds(
+    DpaConfig, mode=st.sampled_from(["native", "foreign"])).map(
+        lambda d: dataclasses.replace(SCHEMES["RA_RAIR"], policy_kwargs={"dpa": d}))
+cells = st.builds(Cell, schemes, specs, st.sampled_from(Effort), INTS)
 failures = scalar_fields(CellFailure)
 sources = st.sampled_from(SOURCES)
 results = scalar_fields(CellResult, cell=cells, run=runs, source=sources) | (

@@ -32,11 +32,13 @@ def make_cell(**overrides) -> Cell:
         spec=ScenarioSpec("two_app_msp", {"p_inter": 0.5, "config": NocConfig()}),
         effort=Effort.SMOKE,
         seed=42,
-        config=None,
-        policy_overrides=None,
     )
     base.update(overrides)
     return Cell(**base)
+
+
+def rair_with(policy_kwargs: dict) -> Scheme:  # a scheme variant
+    return dataclasses.replace(SCHEMES["RA_RAIR"], policy_kwargs=policy_kwargs)
 
 
 def make_run() -> ScenarioRun:
@@ -62,8 +64,8 @@ def make_run() -> ScenarioRun:
 
 class TestKeyStability:
     def test_stable_across_dict_ordering(self):
-        a = make_cell(policy_overrides={"dpa": DpaConfig(delta=0.3), "x": 1})
-        b = make_cell(policy_overrides={"x": 1, "dpa": DpaConfig(delta=0.3)})
+        a = make_cell(scheme=rair_with({"dpa": DpaConfig(delta=0.3), "x": 1}))
+        b = make_cell(scheme=rair_with({"x": 1, "dpa": DpaConfig(delta=0.3)}))
         assert cache_key(a) == cache_key(b)
 
         s1 = ScenarioSpec("six_app", {"global_pattern": "tp", "loads": {0: 0.1, 1: 0.9}})
@@ -105,19 +107,18 @@ class TestKeyStability:
             ("credit_latency", 2),
             ("max_packet_flits", 4),
             ("link_bits", 64),
-            ("extra", {"note": "x"}),
         ],
     )
     def test_distinct_for_any_noc_config_field(self, field, value):
-        base = make_cell(config=NocConfig())
-        changed = make_cell(config=dataclasses.replace(NocConfig(), **{field: value}))
-        assert cache_key(base) != cache_key(changed)
+        config = dataclasses.replace(NocConfig(), **{field: value})
+        spec = ScenarioSpec("two_app_msp", {"p_inter": 0.5, "config": config})
+        assert cache_key(make_cell()) != cache_key(make_cell(spec=spec))
 
     @pytest.mark.parametrize("field,value", [("delta", 0.3), ("mode", "native")])
     def test_distinct_for_any_dpa_config_field(self, field, value):
-        base = make_cell(policy_overrides={"dpa": DpaConfig()})
+        base = make_cell(scheme=rair_with({"dpa": DpaConfig()}))
         changed = make_cell(
-            policy_overrides={"dpa": dataclasses.replace(DpaConfig(), **{field: value})}
+            scheme=rair_with({"dpa": dataclasses.replace(DpaConfig(), **{field: value})})
         )
         assert cache_key(base) != cache_key(changed)
 

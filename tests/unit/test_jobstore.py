@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.experiments.parallel import Cell
 from repro.experiments.runner import SCHEMES, Effort
 from repro.experiments.scenarios import ScenarioSpec
@@ -66,14 +68,15 @@ class TestJournalReplay:
         assert set(jobs) == {"j000001"}
         assert fresh.undecodable == ["j000002"]
 
-    def test_submit_from_another_protocol_version_is_not_replayed(self, tmp_path):
-        """A queued job journaled under protocol 3 would decode — the codec
-        drops the fields it no longer knows, such as the policy's cycle
-        budget — and re-run without them."""
+    @pytest.mark.parametrize("v", [3, 5])
+    def test_submit_from_another_protocol_version_is_not_replayed(self, tmp_path, v):
+        """A queued job journaled under an older protocol would decode — the
+        codec drops the fields it no longer knows, such as the policy's cycle
+        budget (3) or a cell's policy overrides (5) — and re-run without them."""
         store = JobStore(tmp_path / "store")
         job = encode_value(make_job("j000007"))
         append_record(
-            store.journal_path, {"event": "submit", "v": 3, "id": "j000007", "job": job}
+            store.journal_path, {"event": "submit", "v": v, "id": "j000007", "job": job}
         )
         assert store.recover() == {}
         assert store.undecodable == ["j000007"]

@@ -119,7 +119,10 @@ class TestCellCodec:
             assert cache_key(out) == cache_key(cell), name
 
     def test_cell_with_config_override(self):
-        cell = replace(make_cell(), config=NocConfig(width=4, height=4))
+        # A config other than the builder's default travels in the spec.
+        config = NocConfig(width=4, height=4)
+        spec = ScenarioSpec("two_app_msp", {"p_inter": 0.5, "config": config})
+        cell = replace(make_cell(), spec=spec)
         out = roundtrip(cell)
         assert out == cell
         assert cache_key(out) == cache_key(cell)

@@ -18,7 +18,9 @@ Workflows, each run in-process at ``--effort smoke`` with the default
 * fig09 with ``--seeds 2 --cache --obs --guard strict``, cold then warm;
 * fig14 with ``--topology torus --guard sample``;
 * ``run_all --seeds 2 --only fig12_dpa``;
-* ``obs.report --csv`` over fig09's streams.
+* ``obs.report --csv`` over fig09's streams;
+* ``fidelity results/verdicts.json`` on a copy of ``EXPERIMENTS.md`` (it
+  rewrites the document it is given).
 
 Not targeted: the paths only CI subprocesses reach (``service/``,
 ``chaos.py``, the parallel worker and retry path, the guard's stall
@@ -72,8 +74,11 @@ def function_bodies(src: pathlib.Path = SRC):
 
 def workflows(tmp: pathlib.Path):
     """``(label, thunk)`` per workflow; each thunk returns the CLI's exit code."""
-    from repro.experiments import fig09_msp, fig14_sixapp, run_all
+    from repro.experiments import fidelity, fig09_msp, fig14_sixapp, run_all
     from repro.obs import report
+
+    document = tmp / "EXPERIMENTS.md"
+    document.write_text((ROOT / "EXPERIMENTS.md").read_text())
 
     smoke = ["--effort", "smoke"]
     fig09 = [*smoke, "--seeds", "2", "--cache", str(tmp / "cache"),
@@ -88,6 +93,8 @@ def workflows(tmp: pathlib.Path):
             [*smoke, "--seeds", "2", "--only", "fig12_dpa", "--out", str(tmp / "fig12")])),
         ("obs report", lambda: report.main(
             [*map(str, sorted((tmp / "obs").glob("*.jsonl"))), "--csv", str(tmp / "csv")])),
+        ("fidelity", lambda: fidelity.main(
+            [str(ROOT / "results" / "verdicts.json"), str(document)])),
     ]
 
 
