@@ -9,10 +9,9 @@ match, *foreign* otherwise (Section IV.E).
 
 Builders cover the layouts of the paper's figures: left/right halves
 (Fig. 8), quadrants (Figs. 11 and 16), and an m x n grid for the
-six-application scenario (Fig. 13). Arbitrary rectangle lists and raw
-assignments are supported for custom studies; nodes may be left unassigned
-(app id -1, e.g. dedicated memory-controller tiles), in which case all
-traffic through them is foreign.
+six-application scenario (Fig. 13). Raw assignments are supported for
+custom studies; nodes may be left unassigned (app id -1, e.g. dedicated
+memory-controller tiles), in which case all traffic through them is foreign.
 """
 
 from __future__ import annotations
@@ -91,37 +90,6 @@ class RegionMap:
         """
         return cls(topology, topology.region_grid(cols, rows))
 
-    @classmethod
-    def from_rects(
-        cls,
-        topology: Topology,
-        rects: Sequence[tuple[int, int, int, int]],
-        allow_unassigned: bool = False,
-    ) -> "RegionMap":
-        """Regions from ``(x0, y0, width, height)`` rectangles, app i = rect i.
-
-        Rectangles must be disjoint; full coverage is required unless
-        ``allow_unassigned`` is set.
-        """
-        assign = [UNASSIGNED] * topology.num_nodes
-        for app, (x0, y0, w, h) in enumerate(rects):
-            if w < 1 or h < 1:
-                raise ConfigError(f"rect {app} has non-positive size {w}x{h}")
-            if x0 < 0 or y0 < 0 or x0 + w > topology.width or y0 + h > topology.height:
-                raise ConfigError(f"rect {app} {(x0, y0, w, h)} leaves the mesh")
-            for y in range(y0, y0 + h):
-                for x in range(x0, x0 + w):
-                    node = topology.node_at(x, y)
-                    if assign[node] != UNASSIGNED:
-                        raise ConfigError(
-                            f"rects {assign[node]} and {app} both cover node {node}"
-                        )
-                    assign[node] = app
-        if not allow_unassigned and UNASSIGNED in assign:
-            missing = [n for n, a in enumerate(assign) if a == UNASSIGNED]
-            raise ConfigError(f"rects leave nodes unassigned: {missing[:8]}...")
-        return cls(topology, assign)
-
     # -- queries -----------------------------------------------------------------
     @property
     def num_apps(self) -> int:
@@ -139,10 +107,6 @@ class RegionMap:
     def is_global_pair(self, src: int, dst: int) -> bool:
         """True when ``src`` and ``dst`` lie in different regions."""
         return self.node_app[src] != self.node_app[dst]
-
-    def region_fraction(self, app: int) -> float:
-        """Fraction of the chip owned by ``app``."""
-        return len(self.nodes_of(app)) / self.topology.num_nodes
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,9 +14,9 @@ from dataclasses import replace
 from repro.core.dpa import DpaConfig
 from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import six_app
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "DELTAS", "red_avg_and_apl"]
 
@@ -37,7 +37,7 @@ def run(
     topology: str = "mesh", **engine,
 ) -> FigureResult:
     """One row per hysteresis delta."""
-    scenario = six_app(config=config_for_topology(topology))
+    scenario = six_app(config=NocConfig.for_topology(topology))
     baseline = Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed)
     # The key stays RA_RAIR: each row is the paper's scheme at its own delta.
     rair = SCHEMES["RA_RAIR"]

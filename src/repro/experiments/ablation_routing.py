@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from repro.experiments.cellplan import figure_main, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import Effort, FigureResult, Scheme
 from repro.experiments.scenarios import two_app_msp
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "ROUTINGS"]
 
@@ -41,7 +41,7 @@ def run(
     The turn models (west_first, odd_even) are mesh-only and render as
     ``FAILED(ConfigError)`` rows on torus/ring fabrics.
     """
-    scenario = two_app_msp(1.0, config=config_for_topology(topology))
+    scenario = two_app_msp(1.0, config=NocConfig.for_topology(topology))
 
     def cell(prefix: str, policy_name: str, routing: str) -> Cell:
         scheme = Scheme(f"{prefix}_{routing}", policy_name, routing)

@@ -15,7 +15,6 @@ from dataclasses import replace
 from repro.experiments.ablation_hysteresis import red_avg_and_apl
 from repro.experiments.cellplan import figure_main, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import six_app
 from repro.noc.config import NocConfig, VcClass
@@ -38,7 +37,7 @@ def run(
     topology: str = "mesh", **engine,
 ) -> FigureResult:
     """One row per VC split; reductions are vs RO_RR on the same config."""
-    base_cfg = config_for_topology(topology) or NocConfig()
+    base_cfg = NocConfig.for_topology(topology)
     plan = []
     for label, classes in splits:
         scenario = six_app(config=replace(base_cfg, vc_classes=classes))

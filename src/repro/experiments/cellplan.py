@@ -27,8 +27,8 @@ alone. The engine's keyword arguments (``jobs``, ``cache``, ``policy``,
 ``service``) pass through ``**engine`` verbatim;
 fabric selection is not an engine matter — modules resolve ``topology``
 into the scenario config with
-:func:`~repro.experiments.report.config_for_topology` (mesh, torus or
-ring) before building their cells.
+:meth:`NocConfig.for_topology <repro.noc.config.NocConfig.for_topology>`
+(mesh, torus or ring) before building their cells.
 
 Seeds are an axis of the plan, not a second path: ``seeds=[...]``
 submits every plan cell once per seed (the cell's own seed is replaced;

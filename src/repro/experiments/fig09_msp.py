@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from repro.experiments.cellplan import figure_main, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import two_app_msp
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "two_app_sweep", "P_VALUES", "FIG9_SCHEMES"]
 
@@ -36,7 +36,7 @@ def _apl_columns(run, _ref) -> dict:
 
 def two_app_sweep(effort, seed, p_values, schemes, topology, **figure) -> FigureResult:
     """Both apps' APL on the Fig. 8 scenario; one row per (p, scheme)."""
-    config = config_for_topology(topology)
+    config = NocConfig.for_topology(topology)
     plan = []
     for p in p_values:
         scenario = two_app_msp(p, config=config)

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import four_app_dpa
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "FIG12_SCHEMES"]
 
@@ -31,7 +31,7 @@ def run(
     schemes=FIG12_SCHEMES, topology: str = "mesh", **engine,
 ) -> FigureResult:
     """Run both Fig. 12 scenarios; rows carry per-app reduction vs RO_RR."""
-    config = config_for_topology(topology)
+    config = NocConfig.for_topology(topology)
     plan = []
     for variant in variants:
         scenario = four_app_dpa(variant, config=config)

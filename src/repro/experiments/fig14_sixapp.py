@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import SIX_APP_LOADS, six_app
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "FIG14_SCHEMES"]
 
@@ -30,7 +30,7 @@ def run(
 ) -> FigureResult:
     """Run the six-app comparison; rows carry per-app APL reduction vs RO_RR."""
     scenario = six_app(
-        global_pattern=global_pattern, config=config_for_topology(topology)
+        global_pattern=global_pattern, config=NocConfig.for_topology(topology)
     )
 
     def cell(key: str) -> Cell:

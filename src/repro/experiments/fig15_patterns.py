@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from repro.experiments.cellplan import figure_main, reduction_columns, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import six_app
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "PATTERNS"]
 
@@ -33,7 +33,7 @@ def run(
     Patterns a fabric cannot express (e.g. transpose on a ring) render as
     FAILED rows.
     """
-    config = config_for_topology(topology)
+    config = NocConfig.for_topology(topology)
     plan = []
     for pattern in patterns:
         scenario = six_app(global_pattern=pattern, config=config)

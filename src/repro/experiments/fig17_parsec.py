@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from repro.experiments.cellplan import figure_main, run_figure
 from repro.experiments.parallel import Cell
-from repro.experiments.report import config_for_topology
 from repro.experiments.runner import SCHEMES, Effort, FigureResult
 from repro.experiments.scenarios import PARSEC_APP_ORDER, parsec_quadrants
+from repro.noc.config import NocConfig
 
 __all__ = ["run", "main", "FIG17_SCHEMES"]
 
@@ -44,7 +44,7 @@ def run(
     paper's 0.4 flits/cycle/node (same fraction of saturation; see
     ``scenarios.ADVERSARIAL_PRESSURE``).
     """
-    config = config_for_topology(topology, num_vnets=2)
+    config = NocConfig.for_topology(topology, num_vnets=2)
     clean = parsec_quadrants(adversarial=False, config=config)
     attacked = parsec_quadrants(
         adversarial=True, adversarial_rate=adversarial_rate, config=config

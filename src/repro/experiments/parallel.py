@@ -102,12 +102,7 @@ class Cell:
     def for_scenario(
         cls, scheme: Scheme, scenario, effort: Effort, seed: int
     ) -> "Cell":
-        """Build a cell from a live :class:`Scenario` (needs its spec)."""
-        if scenario.spec is None:
-            raise ConfigError(
-                f"scenario {scenario.name!r} has no rebuild spec; only "
-                "registry-built scenarios can be parallelized or cached"
-            )
+        """Build a cell from a live :class:`Scenario`."""
         return cls(scheme=scheme, spec=scenario.spec, effort=effort, seed=seed)
 
     def describe(self) -> str:
@@ -265,38 +260,32 @@ def backoff_delay(policy: FaultPolicy, seed: int, attempt: int) -> float:
 
 
 def cell_obs_name(cell: Cell) -> str:
-    """Deterministic per-cell JSONL stem: identity slug + key prefix.
+    """Deterministic per-cell file stem: identity slug + key prefix.
 
-    The cache-key prefix disambiguates cells that share scheme, builder,
-    and seed but differ in config or policy kwargs (e.g. a hysteresis
-    sweep), so a sweep's obs directory gets one file per cell.
+    :func:`run_scenario` names a run's obs stream and guard blackbox with
+    it. The cache-key prefix disambiguates cells that share scheme,
+    builder, and seed but differ in effort, config or policy kwargs (e.g.
+    a hysteresis sweep), so an obs directory gets one file per cell. The
+    stem is sanitized, so a dotted builder's ``:`` never reaches a path.
     """
-    return (
+    from repro.obs.exporters import sanitize_name
+
+    return sanitize_name(
         f"{cell.scheme.key}_{cell.spec.builder}_s{cell.seed}"
         f"_{cache_key(cell)[:10]}"
     )
 
 
 def compute_cell(cell: Cell, policy: FaultPolicy | None = None) -> ScenarioRun:
-    """Simulate one cell from scratch under ``policy`` (no cache involvement).
-
-    An unset ``policy.obs`` / ``policy.guard`` name is filled with
-    :func:`cell_obs_name`, so concurrent cells never collide on an output
-    file and a guard's blackbox rides next to the cell's obs stream.
-    """
+    """Simulate one cell from scratch under ``policy`` (no cache involvement)."""
     policy = policy or FaultPolicy()
-    obs, guard = policy.obs, policy.guard
-    if obs is not None and obs.name is None:
-        obs = obs.named(cell_obs_name(cell))
-    if guard is not None and guard.name is None:
-        guard = guard.named(cell_obs_name(cell))
     return run_scenario(
         cell.scheme,
         cell.spec.build(),
         effort=cell.effort,
         seed=cell.seed,
-        obs=obs,
-        guard=guard,
+        obs=policy.obs,
+        guard=policy.guard,
     )
 
 

@@ -20,22 +20,15 @@ from repro.util.errors import ConfigError
 
 __all__ = [
     "EXIT_CELL_FAILURE",
-    "pct",
     "add_common_args",
     "parse_common",
     "parse_effort",
-    "config_for_topology",
     "finish",
 ]
 
 #: process exit code when one or more cells failed but the (partial)
 #: figure was still rendered
 EXIT_CELL_FAILURE = 3
-
-
-def pct(x: float) -> str:
-    """Format a fraction as a signed percentage ('-12.8%' = 12.8% reduction)."""
-    return f"{x * 100:+.1f}%"
 
 
 def parse_effort(name: str) -> Effort:
@@ -227,22 +220,6 @@ def parse_common(
         "service": service,
         "seeds": args.seeds and [args.seed + i for i in range(args.seeds)],
     }
-
-
-def config_for_topology(topology: str | None, **kwargs):
-    """The :class:`~repro.noc.config.NocConfig` a ``--topology`` choice needs.
-
-    Returns ``None`` for the default mesh so scenario builders keep using
-    their stock configs — mesh runs stay bit-identical to the pre-topology
-    CLIs (same cache keys, same goldens). Non-mesh fabrics get a config
-    from :meth:`NocConfig.for_topology` with ``kwargs`` forwarded (e.g.
-    ``num_vnets=2`` for the PARSEC scenario).
-    """
-    if topology in (None, "mesh"):
-        return None
-    from repro.noc.config import NocConfig
-
-    return NocConfig.for_topology(topology, **kwargs)
 
 
 def finish(result) -> int:

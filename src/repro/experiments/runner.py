@@ -165,7 +165,9 @@ def run_scenario(
     ``guard`` is an optional :class:`repro.noc.guard.GuardConfig` —
     execution policy as well, since a guarded run is bit-identical to an
     unguarded one — that installs a :class:`~repro.noc.guard.RuntimeGuard`
-    on the run.
+    on the run. Both name their files after the run's cell
+    (:func:`~repro.experiments.parallel.cell_obs_name`), so two runs that
+    differ in anything a cache key sees never share a stream.
     """
     sim, net = build_simulation(
         scenario.config,
@@ -175,20 +177,21 @@ def run_scenario(
         policy_kwargs=scheme.policy_kwargs,
     )
     try:
+        if obs is not None or guard is not None:
+            # Here, not at the top: parallel.py imports this module.
+            from repro.experiments.parallel import Cell, cell_obs_name
+
+            name = cell_obs_name(Cell(scheme, scenario.spec, effort, seed))
         if obs is not None:
             from repro.obs.collector import MetricsCollector
 
-            MetricsCollector(
-                obs.named(f"{scheme.key}_{scenario.name}_s{seed}")
-            ).install(sim)
+            MetricsCollector(obs, name).install(sim)
         if guard is not None and guard.mode != "off":
             from repro.noc.guard import RuntimeGuard
 
             # After the collector: the guard tees its ring *behind* an
             # existing tracer, so the obs stream stays byte-identical.
-            RuntimeGuard(
-                guard.named(f"{scheme.key}_{scenario.name}_s{seed}")
-            ).install(sim)
+            RuntimeGuard(guard, name).install(sim)
         for source in scenario.traffic_factory(seed):
             sim.add_traffic(source)
         res = sim.run_measurement(warmup=effort.warmup, measure=effort.measure)
@@ -267,10 +270,3 @@ class FigureResult:
             "notes": list(self.notes),
             "metrics": dict(self.metrics),
         }
-
-    def row_by(self, **match) -> dict:
-        """First row whose fields equal ``match`` (KeyError if none)."""
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in match.items()):
-                return row
-        raise KeyError(f"no row matching {match!r}")

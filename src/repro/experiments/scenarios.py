@@ -103,9 +103,9 @@ class Scenario:
     config: NocConfig
     region_map: RegionMap | None
     traffic_factory: Callable[[int], list]
-    #: recipe to rebuild this scenario in another process (None for
-    #: hand-assembled scenarios, which then cannot be parallelized/cached)
-    spec: ScenarioSpec | None = None
+    #: recipe to rebuild this scenario in another process; also its cell's
+    #: scenario identity (cache key, obs file stem)
+    spec: ScenarioSpec
 
 
 # -- Fig. 8 / 9 / 10: two applications, swept inter-region fraction ------------------

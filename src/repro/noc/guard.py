@@ -65,7 +65,7 @@ would compute), so enabling the guard never changes simulation results.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.noc.buffers import VC_ACTIVE, VC_IDLE, VC_VA
 from repro.noc.topology import LOCAL
@@ -113,7 +113,8 @@ class GuardConfig:
 
     ``dir=None`` keeps the blackbox in memory (on the raised
     :class:`~repro.util.errors.GuardError` / the guard object); a
-    directory gets one ``<name>_blackbox.jsonl`` per violating run.
+    directory gets one ``<name>_blackbox.jsonl`` per violating run, named
+    by the :class:`RuntimeGuard` of that run.
     ``check_period`` / ``blackbox_depth`` default by mode.
     ``age_watermark`` (cycles) enables the starvation age check — off by
     default because saturating sweeps legitimately hold packets for a
@@ -124,7 +125,6 @@ class GuardConfig:
 
     mode: str = "sample"
     dir: str | None = None
-    name: str | None = None
     check_period: int | None = None
     blackbox_depth: int | None = None
     age_watermark: int | None = None
@@ -149,10 +149,6 @@ class GuardConfig:
     def depth(self) -> int:
         """Blackbox ring-buffer capacity in events (mode default unless set)."""
         return self.blackbox_depth or _DEFAULT_DEPTH.get(self.mode, 256)
-
-    def named(self, default: str) -> "GuardConfig":
-        """This config with ``name`` defaulted if unset (blackbox file stem)."""
-        return replace(self, name=self.name or default)
 
 
 def find_cycle(edges: dict) -> list | None:
@@ -201,10 +197,12 @@ class RuntimeGuard:
     after dumping the blackbox.
     """
 
-    def __init__(self, config: GuardConfig):
+    def __init__(self, config: GuardConfig, name: str):
         if config.mode == "off":
             raise ConfigError("guard mode 'off' means: do not install a guard")
         self.config = config
+        #: the run's blackbox name: the header's ``name`` and the file stem
+        self.name = name
         self.ring: RecordingTrace | None = None
         self.next_check = 0
         self.checks_run = 0
@@ -613,7 +611,7 @@ class RuntimeGuard:
             {
                 "kind": "guard_header",
                 "schema": SCHEMA_VERSION,
-                "name": self.config.name or "guard",
+                "name": self.name,
                 "mode": self.config.mode,
                 "width": cfg.width,
                 "height": cfg.height,
@@ -650,9 +648,7 @@ class RuntimeGuard:
         self.blackbox_records = records
         path = None
         if self.config.dir is not None:
-            path = write_stream(
-                records, self.config.dir, self.config.name or "guard", "_blackbox"
-            )
+            path = write_stream(records, self.config.dir, self.name, "_blackbox")
         full = f"guard violation ({reason}) at cycle {cycle}: {message}"
         if path is not None:
             full += f" [blackbox: {path}]"

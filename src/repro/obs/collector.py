@@ -27,11 +27,11 @@ collector through the duck-typed ``next_sample`` / ``take_sample`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.noc.stats import latency_summary
 from repro.noc.trace import KernelTrace
-from repro.obs.exporters import sanitize_name, write_stream
+from repro.obs.exporters import write_stream
 from repro.obs.schema import LATENCY_CLASSES, SCHEMA_VERSION
 from repro.util.errors import ConfigError
 
@@ -47,23 +47,18 @@ class ObsConfig:
     simulation is bit-identical with or without a collector installed).
 
     ``dir=None`` keeps everything in memory — the run still gets an
-    :class:`ObsSummary` but no JSONL file. ``name`` is the output file
-    stem; the experiment layer fills it per cell when unset.
+    :class:`ObsSummary` but no JSONL file. A run's file stem is its own,
+    not the sweep's: it is the collector's ``name``.
     """
 
     dir: str | None
     sample_period: int = 64
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if self.sample_period < 1:
             raise ConfigError(
                 f"sample_period must be >= 1, got {self.sample_period}"
             )
-
-    def named(self, default: str) -> "ObsConfig":
-        """This config with ``name`` defaulted (and sanitized) if unset."""
-        return replace(self, name=sanitize_name(self.name or default))
 
 
 @dataclass
@@ -99,11 +94,13 @@ class MetricsCollector(KernelTrace):
     Install with :meth:`install` *before* ``run_measurement``; the
     simulator drives sampling and finalization. The collector claims the
     network's trace slot (for ``dpa_flip``) — installing over an existing
-    tracer is refused rather than silently chained.
+    tracer is refused rather than silently chained. ``name`` is the run's
+    stream name: the header's ``name`` and the JSONL file stem.
     """
 
     __slots__ = (
         "config",
+        "name",
         "next_sample",
         "samples_taken",
         "_net",
@@ -114,8 +111,9 @@ class MetricsCollector(KernelTrace):
         "_flips_by_node",
     )
 
-    def __init__(self, config: ObsConfig):
+    def __init__(self, config: ObsConfig, name: str):
         self.config = config
+        self.name = name
         self.next_sample = 0
         self.samples_taken = 0
         self._net = None
@@ -148,7 +146,7 @@ class MetricsCollector(KernelTrace):
             {
                 "kind": "header",
                 "schema": SCHEMA_VERSION,
-                "name": self.config.name or "run",
+                "name": self.name,
                 "width": cfg.width,
                 "height": cfg.height,
                 "num_nodes": net.topology.num_nodes,
@@ -244,7 +242,7 @@ class MetricsCollector(KernelTrace):
         records = self._records + tail
         path = None
         if self.config.dir is not None:
-            path = write_stream(records, self.config.dir, self.config.name or "run")
+            path = write_stream(records, self.config.dir, self.name)
         return ObsSummary(
             end_cycle=end_cycle,
             sample_period=self.config.sample_period,

@@ -1,9 +1,11 @@
 """Integration tests for the experiment harness (smoke-scale runs)."""
 
+import dataclasses
 import math
 
 import pytest
 
+from repro.core.dpa import DpaConfig
 from repro.experiments import (
     Effort,
     SCHEMES,
@@ -17,7 +19,6 @@ from repro.experiments import (
     fig14_sixapp,
     fig15_patterns,
     fig17_parsec,
-    table1,
 )
 from repro.experiments.calibrate import probe_apl
 from repro.experiments.scenarios import (
@@ -27,6 +28,7 @@ from repro.experiments.scenarios import (
     two_app_msp,
 )
 from repro.experiments import parallel
+from repro.obs import ObsConfig, load_jsonl, validate_stream
 from repro.util.errors import ConfigError, SimulationError
 
 
@@ -114,6 +116,33 @@ class TestRunScenario:
         red = rair.reduction_vs(base, app=0)
         assert -1.0 < red < 1.0
 
+    def test_each_run_writes_its_own_stream(self, tmp_path):
+        # Runs that differ only in DPA delta, or only in effort, share
+        # scheme key, scenario name and seed; each still gets its own file.
+        obs = ObsConfig(dir=str(tmp_path))
+        scenario = two_app_msp(1.0)
+        rair = SCHEMES["RA_RAIR"]
+        deltas = [
+            dataclasses.replace(rair, policy_kwargs={"dpa": DpaConfig(delta=delta)})
+            for delta in (0.1, 0.3)
+        ]
+        runs = [run_scenario(s, scenario, Effort.SMOKE, obs=obs) for s in deltas]
+        runs += [
+            run_scenario(rair, scenario, effort, obs=obs)
+            for effort in (Effort.SMOKE, Effort.FAST)
+        ]
+        paths = {run.obs.jsonl_path for run in runs}
+        assert len(paths) == len(list(tmp_path.glob("*.jsonl"))) == 4
+        for run in runs:
+            records = load_jsonl(run.obs.jsonl_path)
+            validate_stream(records)
+            summary = records[-1]
+            assert (summary["cycle"], summary["samples"], summary["events"]) == (
+                run.obs.end_cycle, run.obs.samples, run.obs.events
+            )
+            assert summary["dpa_flips"] == run.obs.dpa_flips
+            assert summary["link_util"] == run.obs.link_util
+
 
 class TestFigureModules:
     """The axis arguments the golden cases leave at their defaults (they pin
@@ -160,11 +189,6 @@ class TestFigureModules:
 
 
 class TestFigureResultFormatting:
-    def test_row_by_raises_on_miss(self):
-        res = table1.run()
-        with pytest.raises(KeyError):
-            res.row_by(item="GPU")
-
     def test_format_handles_floats_and_strings(self):
         from repro.experiments.runner import FigureResult
 

@@ -98,7 +98,7 @@ class TestCleanTraffic:
         cfg = NocConfig.for_topology(topology, width=4, height=4)
         sim, net = build_simulation(cfg, scheme="rr", routing="local")
         guard = RuntimeGuard(
-            GuardConfig(mode="strict", name=f"clean_{topology}", check_period=16)
+            GuardConfig(mode="strict", check_period=16), f"clean_{topology}"
         )
         guard.install(sim)
         sim.add_traffic(SyntheticTrafficSource(
@@ -122,9 +122,9 @@ class TestBitIdentity:
         if obs is not None:
             from repro.obs.collector import MetricsCollector
 
-            MetricsCollector(obs).install(sim)
+            MetricsCollector(obs, "run").install(sim)
         if guard is not None:
-            RuntimeGuard(guard).install(sim)
+            RuntimeGuard(guard, "run").install(sim)
         sim.add_traffic(SyntheticTrafficSource(
             nodes=range(cfg.num_nodes),
             rate=0.1,
@@ -147,10 +147,10 @@ class TestBitIdentity:
         from repro.obs.collector import ObsConfig
 
         off_dir, on_dir = tmp_path / "off", tmp_path / "on"
-        base, _ = self._run(obs=ObsConfig(dir=str(off_dir), name="run"))
+        base, _ = self._run(obs=ObsConfig(dir=str(off_dir)))
         guarded, _ = self._run(
             guard=GuardConfig(mode="strict", check_period=8),
-            obs=ObsConfig(dir=str(on_dir), name="run"),
+            obs=ObsConfig(dir=str(on_dir)),
         )
         assert base == guarded
         off_bytes = (off_dir / "run.jsonl").read_bytes()
@@ -193,7 +193,7 @@ VC_MESSAGES = {
 @pytest.mark.parametrize("kind", sorted(VC_MESSAGES))
 def test_vc_violation_messages(kind):
     sim, net = build_simulation(NocConfig(width=4, height=4), scheme="rr")
-    guard = RuntimeGuard(GuardConfig(mode="strict")).install(sim)
+    guard = RuntimeGuard(GuardConfig(mode="strict"), "vc_fault").install(sim)
     pkt = Packet(src=0, dst=5, length=2, inject_cycle=0)
     _vc_fault(net.routers[5].in_vcs[1][2], pkt, kind)
     with pytest.raises(GuardError) as excinfo:

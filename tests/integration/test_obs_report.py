@@ -38,9 +38,7 @@ def stream_path(tmp_path_factory):
                                intra_fraction=0.6, inter_fraction=0.4,
                                mc_fraction=0.0)
         )
-    MetricsCollector(
-        ObsConfig(dir=str(out), sample_period=50, name="smoke")
-    ).install(sim)
+    MetricsCollector(ObsConfig(dir=str(out), sample_period=50), "smoke").install(sim)
     res = sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
     assert res.obs is not None and res.obs.samples > 0
     return out / "smoke.jsonl"
@@ -103,7 +101,7 @@ class TestReportSummaryMode:
             nodes=range(cfg.num_nodes), rate=0.05, pattern=UniformPattern(net.topology),
             app_id=0, seed=3, lengths=FixedLength(2),
         ))
-        MetricsCollector(ObsConfig(dir=str(tmp_path), name="torus")).install(sim)
+        MetricsCollector(ObsConfig(dir=str(tmp_path)), "torus").install(sim)
         sim.run_measurement(warmup=50, measure=200)
         path = tmp_path / "torus.jsonl"
         assert report_main([str(path)]) == 0

@@ -43,18 +43,6 @@ def test_replicate_parallel_matches_serial(key, seed_matrix):
 
 
 class TestCellEngine:
-    def test_for_scenario_requires_spec(self):
-        scenario = two_app_msp(0.5)
-        stripped = type(scenario)(
-            name=scenario.name,
-            config=scenario.config,
-            region_map=scenario.region_map,
-            traffic_factory=scenario.traffic_factory,
-            spec=None,
-        )
-        with pytest.raises(ConfigError, match="spec"):
-            Cell.for_scenario(SCHEMES["RO_RR"], stripped, Effort.SMOKE, 1)
-
     def test_bad_jobs_rejected(self):
         cell = Cell.for_scenario(SCHEMES["RO_RR"], two_app_msp(0.5), Effort.SMOKE, 1)
         with pytest.raises(ConfigError, match="jobs"):

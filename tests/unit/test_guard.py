@@ -76,17 +76,11 @@ class TestGuardConfig:
         with pytest.raises(ConfigError):
             GuardConfig(mode="strict", stall_cycles=-1)
 
-    def test_named_fills_only_missing_name(self):
-        anon = GuardConfig(mode="sample")
-        assert anon.named("cell_3").name == "cell_3"
-        named = GuardConfig(mode="sample", name="keep")
-        assert named.named("cell_3").name == "keep"
-
     def test_runtime_guard_refuses_off(self):
         # GuardConfig(mode="off") itself is legal (the disarmed token);
         # building a RuntimeGuard from it is a caller bug.
         with pytest.raises(ConfigError):
-            RuntimeGuard(GuardConfig(mode="off"))
+            RuntimeGuard(GuardConfig(mode="off"), "t")
 
 
 class TestBoundedRecordingTrace:

@@ -44,16 +44,10 @@ class TestObsConfig:
         with pytest.raises(ConfigError, match="sample_period"):
             ObsConfig(dir=None, sample_period=0)
 
-    def test_named_fills_only_when_unset(self):
-        cfg = ObsConfig(dir="/tmp/x")
-        assert cfg.named("cell one").name == "cell-one"
-        explicit = ObsConfig(dir="/tmp/x", name="keep me")
-        assert explicit.named("other").name == "keep-me"
-
     def test_frozen_and_picklable(self):
         import pickle
 
-        cfg = ObsConfig(dir="d", sample_period=32, name="n")
+        cfg = ObsConfig(dir="d", sample_period=32)
         assert pickle.loads(pickle.dumps(cfg)) == cfg
         with pytest.raises(Exception):
             cfg.sample_period = 1
@@ -62,7 +56,7 @@ class TestObsConfig:
 class TestInstall:
     def test_claims_trace_and_obs_slots(self):
         sim, net = _rair_sim()
-        col = MetricsCollector(ObsConfig(dir=None)).install(sim)
+        col = MetricsCollector(ObsConfig(dir=None), "t").install(sim)
         assert net.trace is col
         assert sim.obs is col
         assert col.next_sample == col.config.sample_period
@@ -71,25 +65,25 @@ class TestInstall:
         cfg = NocConfig(width=4, height=4)
         sim, _ = build_simulation(cfg, scheme="ro_rr", trace=RecordingTrace())
         with pytest.raises(ConfigError, match="already has a trace"):
-            MetricsCollector(ObsConfig(dir=None)).install(sim)
+            MetricsCollector(ObsConfig(dir=None), "t").install(sim)
 
     def test_refuses_double_install(self):
         sim1, _ = _rair_sim()
         sim2, _ = _rair_sim()
-        col = MetricsCollector(ObsConfig(dir=None)).install(sim1)
+        col = MetricsCollector(ObsConfig(dir=None), "t").install(sim1)
         with pytest.raises(ConfigError, match="already installed"):
             col.install(sim2)
 
     def test_finalize_before_install_fails(self):
         with pytest.raises(ConfigError, match="never installed"):
-            MetricsCollector(ObsConfig(dir=None)).finalize(0)
+            MetricsCollector(ObsConfig(dir=None), "t").finalize(0)
 
 
 class TestCollectedStream:
     def _run(self, obs_dir=None, period=50):
         sim, net = _rair_sim()
         col = MetricsCollector(
-            ObsConfig(dir=obs_dir, sample_period=period, name="t")
+            ObsConfig(dir=obs_dir, sample_period=period), "t"
         ).install(sim)
         res = sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
         return sim, col, res

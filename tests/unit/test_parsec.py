@@ -153,12 +153,6 @@ class TestWorkload:
 
         assert run() == run()
 
-    def test_offered_rates(self, quads):
-        wl = ParsecWorkload(quads, profiles4(), seed=1)
-        rates = wl.offered_rates()
-        assert set(rates) == {0, 1, 2, 3}
-        assert rates[3] > rates[0]
-
 
 def scalar_step(wl, nodes, on, cycle, net):
     """The per-node loop ``ParsecWorkload.tick`` ran before it stepped the
@@ -187,11 +181,8 @@ class TestVectorStep:
         # Five regions with a gap: column 3 and the bottom rows stay
         # unassigned (-1). App 4 never leaves its initial state.
         stuck = ParsecAppProfile("stuck", rate_on=0.05, rate_off=0.01, p_on_off=0.0, p_off_on=0.0)
-        rm = RegionMap.from_rects(
-            topo,
-            [(0, 0, 3, 3), (4, 0, 4, 3), (0, 3, 3, 3), (4, 3, 2, 3), (6, 3, 2, 3)],
-            allow_unassigned=True,
-        )
+        rows = ["000.1111"] * 3 + ["222.3344"] * 3 + ["........"] * 2
+        rm = RegionMap(topo, [-1 if c == "." else int(c) for row in rows for c in row])
         assert -1 in rm.node_app
         profiles = profiles4() + [stuck]
         vec, ref = ParsecWorkload(rm, profiles, seed=seed), ParsecWorkload(rm, profiles, seed=seed)
@@ -257,7 +248,7 @@ class TestPacketPool:
         sim, net = build_simulation(
             NocConfig(num_vnets=num_vnets), region_map=quads, scheme="rair"
         )
-        RuntimeGuard(GuardConfig(mode="strict")).install(sim)
+        RuntimeGuard(GuardConfig(mode="strict"), "pool_safety").install(sim)
         sim.add_traffic(source)
         res = sim.run_measurement(warmup=warmup, measure=measure)
         assert res.abort is None and res.drained

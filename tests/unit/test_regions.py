@@ -80,25 +80,6 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             RegionMap.grid(topo8, 9, 1)
 
-    def test_from_rects(self, topo8):
-        rm = RegionMap.from_rects(topo8, [(0, 0, 8, 4), (0, 4, 8, 4)])
-        assert rm == RegionMap.halves(topo8, vertical=False)
-
-    def test_from_rects_overlap_rejected(self, topo8):
-        with pytest.raises(ConfigError):
-            RegionMap.from_rects(topo8, [(0, 0, 5, 8), (4, 0, 4, 8)])
-
-    def test_from_rects_gap_rejected_unless_allowed(self, topo8):
-        rects = [(0, 0, 4, 8)]
-        with pytest.raises(ConfigError):
-            RegionMap.from_rects(topo8, rects)
-        rm = RegionMap.from_rects(topo8, rects, allow_unassigned=True)
-        assert rm.app_of(topo8.node_at(7, 7)) == -1
-
-    def test_from_rects_out_of_bounds(self, topo8):
-        with pytest.raises(ConfigError):
-            RegionMap.from_rects(topo8, [(4, 0, 5, 8)], allow_unassigned=True)
-
 
 class TestQueries:
     def test_is_global_pair(self, topo8):
@@ -106,11 +87,6 @@ class TestQueries:
         left, right = rm.nodes_of(0)[0], rm.nodes_of(1)[0]
         assert rm.is_global_pair(left, right)
         assert not rm.is_global_pair(left, rm.nodes_of(0)[1])
-
-    def test_region_fraction(self, topo8):
-        rm = RegionMap.grid(topo8, 3, 2)
-        assert rm.region_fraction(0) == pytest.approx(12 / 64)
-        assert rm.region_fraction(2) == pytest.approx(8 / 64)
 
     def test_equality_and_hash(self, topo8):
         a = RegionMap.halves(topo8)

@@ -5,16 +5,9 @@ import argparse
 import pytest
 
 from repro.experiments import cellplan, fig09_msp, run_all
-from repro.experiments.report import add_common_args, parse_effort, pct
+from repro.experiments.report import add_common_args, parse_effort
 from repro.experiments.run_all import EXPERIMENTS
 from repro.experiments.runner import SCHEMES, Effort, FigureResult, Scheme
-
-
-class TestPct:
-    def test_signs(self):
-        assert pct(0.128) == "+12.8%"
-        assert pct(-0.034) == "-3.4%"
-        assert pct(0.0) == "+0.0%"
 
 
 class TestEffort:

@@ -119,7 +119,7 @@ class TestObsCounters:
                 lengths=FixedLength(1),
             )
         )
-        collector = MetricsCollector(ObsConfig(dir=None, sample_period=32))
+        collector = MetricsCollector(ObsConfig(dir=None, sample_period=32), "run")
         collector.install(sim)
         res = sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
         assert res.metrics.obs_samples == collector.samples_taken > 0

@@ -171,7 +171,7 @@ def _busy_run(sabotage, guard: GuardConfig | None = None):
         scheme="rair", routing="xy",
     )
     if guard is not None:
-        RuntimeGuard(guard).install(sim)
+        RuntimeGuard(guard, "busy").install(sim)
     sim.add_traffic(SyntheticTrafficSource(
         nodes=range(cfg.num_nodes),
         rate=0.6,
