@@ -21,7 +21,7 @@ from repro.noc.topology import MeshTopology
 from repro.traffic.coherence import CoherenceConfig, CoherenceWorkload
 
 
-def run(home_policy: str, scheme: str = "ro_rr", seed: int = 17):
+def run(home_policy: str, scheme: str = "rr", seed: int = 17):
     config = NocConfig(num_vnets=3)  # request / forward / response classes
     topology = MeshTopology(config.width, config.height)
     regions = RegionMap.quadrants(topology)

@@ -47,7 +47,7 @@ def run_policy(policy_name_or_obj, regions, seed=9):
     custom = isinstance(policy_name_or_obj, ArbitrationPolicy)
     sim, net = build_simulation(
         NocConfig(), region_map=regions,
-        scheme="ro_rr" if custom else policy_name_or_obj, routing="local",
+        scheme="rr" if custom else policy_name_or_obj, routing="local",
     )
     if custom:
         # Swap in a custom policy object: attach binds it to the network.
@@ -76,7 +76,7 @@ def main() -> None:
     print("traffic invading App0's region — static global-first should hurt App0.\n")
 
     for label, policy in [
-        ("RO_RR", "ro_rr"),
+        ("RO_RR", "rr"),
         ("GlobalFirst (custom)", GlobalFirstPolicy()),
         ("RA_RAIR", "rair"),
     ]:

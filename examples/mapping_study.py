@@ -69,7 +69,7 @@ def main() -> None:
     print("Light apps (40% inter-region) vs heavy apps, per region layout\n")
     print(f"{'layout':26}{'light RR':>10}{'light RAIR':>12}{'gain':>8}{'heavy cost':>12}")
     for name, regions in layout_variants(topology).items():
-        base = run(regions, "ro_rr")
+        base = run(regions, "rr")
         rair = run(regions, "rair")
         gain = 1 - rair["light"] / base["light"]
         cost = rair["heavy"] / base["heavy"] - 1

@@ -27,7 +27,7 @@ def run_scheme(scheme: str, seed: int = 42) -> dict[int, float]:
     sim, net = build_simulation(
         config,
         region_map=regions,
-        scheme=scheme,  # "ro_rr", "stc", or "rair"
+        scheme=scheme,  # "rr", "stc", or "rair"
         routing="local",  # Duato-adaptive minimal routing with escape VCs
     )
 
@@ -58,7 +58,7 @@ def main() -> None:
     print("  App0: low load, 50% inter-region (its packets cross App1's region)")
     print("  App1: high load, intra-region only\n")
 
-    baseline = run_scheme("ro_rr")
+    baseline = run_scheme("rr")
     rair = run_scheme("rair")
 
     print(f"{'':14}{'RO_RR':>10}{'RA_RAIR':>10}{'change':>9}")

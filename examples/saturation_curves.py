@@ -8,7 +8,7 @@ ASCII chart, annotated with the analytic zero-load latency
 :mod:`repro.experiments.saturation_table`. This is the experiment behind
 every "% of saturation load" number in the reproduction.
 
-Run:  python examples/saturation_curves.py  [--points 6]
+Run:  python examples/saturation_curves.py  [--points 6]   (at least 2)
 """
 
 import argparse
@@ -24,7 +24,7 @@ ROUTINGS = ("xy", "local", "dbar")
 
 def measure(routing: str, rate: float, seed: int = 3) -> float:
     config = NocConfig()
-    sim, net = build_simulation(config, scheme="ro_rr", routing=routing)
+    sim, net = build_simulation(config, scheme="rr", routing=routing)
     sim.add_traffic(
         SyntheticTrafficSource(
             nodes=range(config.num_nodes), rate=rate,
@@ -61,9 +61,17 @@ def ascii_chart(curves: dict[str, list[tuple[float, float]]], height: int = 14) 
     return "\n".join(lines)
 
 
+def two_or_more(text: str) -> int:
+    """The ``--points`` count: a curve needs both of its end loads."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 points, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=6, help="loads per curve")
+    parser.add_argument("--points", type=two_or_more, default=6, help="loads per curve (>= 2)")
     args = parser.parse_args()
 
     knee = saturation_load("ur_chip_8x8")

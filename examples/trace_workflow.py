@@ -61,7 +61,7 @@ def main() -> None:
 
         print("3. replaying the identical traffic under three schemes:\n")
         print(f"{'scheme':12}{'App0 APL':>10}{'App1 APL':>10}")
-        for scheme in ("ro_rr", "stc", "rair"):
+        for scheme in ("rr", "stc", "rair"):
             apl = replay(loaded, regions, scheme)
             print(f"  {scheme:10}{apl[0]:10.1f}{apl[1]:10.1f}")
 

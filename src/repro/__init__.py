@@ -46,17 +46,17 @@ __all__ = [
 def build_simulation(
     config: NocConfig | None = None,
     region_map: RegionMap | None = None,
-    scheme: str = "ro_rr",
+    scheme: str = "rr",
     routing: str = "local",
     policy_kwargs: dict | None = None,
     trace=None,
 ) -> tuple[Simulator, Network]:
     """Convenience constructor: (simulator, network) for a named scheme.
 
-    ``scheme`` is an arbitration-policy name (``ro_rr``,
-    ``ro_rank``, ``rair``...), ``routing`` a routing-algorithm name
-    (``xy``, ``local``, ``dbar``). Traffic sources are added by the caller
-    via ``sim.add_traffic``. ``trace`` is an optional
+    ``scheme`` is an arbitration-policy name (``rr``, ``stc`` or
+    ``rair``), ``routing`` a routing-algorithm name (``xy``, ``local``,
+    ``dbar``, ``west_first`` or ``odd_even``). Traffic sources are added
+    by the caller via ``sim.add_traffic``. ``trace`` is an optional
     :class:`~repro.noc.trace.KernelTrace` the kernel emits scheduling
     events into.
     """

@@ -27,23 +27,18 @@ __all__ = [
 
 _REGISTRY = {
     "rr": ArbitrationPolicy,
-    "round_robin": ArbitrationPolicy,
-    "ro_rr": ArbitrationPolicy,
     "stc": StcPolicy,
-    "rank": StcPolicy,
-    "ro_rank": StcPolicy,
 }
 
 
 def make_policy(name: str, **kwargs) -> ArbitrationPolicy:
-    """Construct a policy by name (``rr``/``stc``/``rair`` and aliases)."""
-    lname = name.lower()
-    if lname == "rair":  # imported here: repro.core.rair imports this package
+    """Construct a policy by its one name: ``rr``, ``stc`` or ``rair``."""
+    if name == "rair":  # imported here: repro.core.rair imports this package
         from repro.core.rair import RairPolicy
 
         return RairPolicy(**kwargs)
     try:
-        cls = _REGISTRY[lname]
+        cls = _REGISTRY[name]
     except KeyError:
         known = sorted([*_REGISTRY, "rair"])
         raise ValueError(f"unknown arbitration policy {name!r}; known: {known}") from None

@@ -37,7 +37,7 @@ def run(
     topology: str = "mesh", **engine,
 ) -> FigureResult:
     """One row per hysteresis delta."""
-    scenario = six_app(config=NocConfig.for_topology(topology))
+    scenario = six_app(config=NocConfig(topology=topology))
     baseline = Cell.for_scenario(SCHEMES["RO_RR"], scenario, effort, seed)
     # The key stays RA_RAIR: each row is the paper's scheme at its own delta.
     rair = SCHEMES["RA_RAIR"]

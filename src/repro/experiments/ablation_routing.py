@@ -41,7 +41,7 @@ def run(
     The turn models (west_first, odd_even) are mesh-only and render as
     ``FAILED(ConfigError)`` rows on torus/ring fabrics.
     """
-    scenario = two_app_msp(1.0, config=NocConfig.for_topology(topology))
+    scenario = two_app_msp(1.0, config=NocConfig(topology=topology))
 
     def cell(prefix: str, policy_name: str, routing: str) -> Cell:
         scheme = Scheme(f"{prefix}_{routing}", policy_name, routing)

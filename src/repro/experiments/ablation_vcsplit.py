@@ -37,7 +37,7 @@ def run(
     topology: str = "mesh", **engine,
 ) -> FigureResult:
     """One row per VC split; reductions are vs RO_RR on the same config."""
-    base_cfg = NocConfig.for_topology(topology)
+    base_cfg = NocConfig(topology=topology)
     plan = []
     for label, classes in splits:
         scenario = six_app(config=replace(base_cfg, vc_classes=classes))

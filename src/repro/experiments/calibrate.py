@@ -44,7 +44,7 @@ def probe_apl(
 ) -> tuple[float, bool]:
     """Run one probe; returns (APL, drained)."""
     sim, net = build_simulation(
-        NocConfig(), region_map=region_map, scheme="ro_rr", routing="local"
+        NocConfig(), region_map=region_map, scheme="rr", routing="local"
     )
     try:
         for src in make_sources(rate, seed):

@@ -26,9 +26,8 @@ every cache key and sweep-journal digest) is a function of the plan
 alone. The engine's keyword arguments (``jobs``, ``cache``, ``policy``,
 ``service``) pass through ``**engine`` verbatim;
 fabric selection is not an engine matter — modules resolve ``topology``
-into the scenario config with
-:meth:`NocConfig.for_topology <repro.noc.config.NocConfig.for_topology>`
-(mesh, torus or ring) before building their cells.
+into the scenario config as ``NocConfig(topology=...)`` (mesh, torus or
+ring; the fabric fixes the escape VCs) before building their cells.
 
 Seeds are an axis of the plan, not a second path: ``seeds=[...]``
 submits every plan cell once per seed (the cell's own seed is replaced;

@@ -312,7 +312,7 @@ def guard_chaos_scenario(
     if fault in ("deadlock", "livelock"):
         rate = 0.0
     if fault == "dateline":
-        config = NocConfig.for_topology("torus", width=4, height=4)
+        config = NocConfig(topology="torus", width=4, height=4)
     else:
         config = NocConfig(width=4, height=4)
     topo = make_topology(config)

@@ -36,7 +36,7 @@ def _apl_columns(run, _ref) -> dict:
 
 def two_app_sweep(effort, seed, p_values, schemes, topology, **figure) -> FigureResult:
     """Both apps' APL on the Fig. 8 scenario; one row per (p, scheme)."""
-    config = NocConfig.for_topology(topology)
+    config = NocConfig(topology=topology)
     plan = []
     for p in p_values:
         scenario = two_app_msp(p, config=config)

@@ -31,7 +31,7 @@ def run(
     schemes=FIG12_SCHEMES, topology: str = "mesh", **engine,
 ) -> FigureResult:
     """Run both Fig. 12 scenarios; rows carry per-app reduction vs RO_RR."""
-    config = NocConfig.for_topology(topology)
+    config = NocConfig(topology=topology)
     plan = []
     for variant in variants:
         scenario = four_app_dpa(variant, config=config)

@@ -30,7 +30,7 @@ def run(
 ) -> FigureResult:
     """Run the six-app comparison; rows carry per-app APL reduction vs RO_RR."""
     scenario = six_app(
-        global_pattern=global_pattern, config=NocConfig.for_topology(topology)
+        global_pattern=global_pattern, config=NocConfig(topology=topology)
     )
 
     def cell(key: str) -> Cell:

@@ -33,7 +33,7 @@ def run(
     Patterns a fabric cannot express (e.g. transpose on a ring) render as
     FAILED rows.
     """
-    config = NocConfig.for_topology(topology)
+    config = NocConfig(topology=topology)
     plan = []
     for pattern in patterns:
         scenario = six_app(global_pattern=pattern, config=config)

@@ -44,7 +44,7 @@ def run(
     paper's 0.4 flits/cycle/node (same fraction of saturation; see
     ``scenarios.ADVERSARIAL_PRESSURE``).
     """
-    config = NocConfig.for_topology(topology, num_vnets=2)
+    config = NocConfig(topology=topology, num_vnets=2)
     clean = parsec_quadrants(adversarial=False, config=config)
     attacked = parsec_quadrants(
         adversarial=True, adversarial_rate=adversarial_rate, config=config

@@ -10,7 +10,7 @@ side-by-side mapping so the reproduction's configuration is auditable.
 from __future__ import annotations
 
 from repro.experiments.runner import FigureResult
-from repro.noc.config import NocConfig
+from repro.noc.config import LINK_BITS, NocConfig
 from repro.traffic.parsec import L2_SERVICE_LATENCY, MC_SERVICE_LATENCY
 
 __all__ = ["run", "main"]
@@ -55,7 +55,7 @@ def run(config: NocConfig | None = None) -> FigureResult:
         {
             "item": "Link bandwidth",
             "paper": "128 bits/cycle",
-            "repro": f"{cfg.link_bits} bits/cycle (1 flit/cycle/link)",
+            "repro": f"{LINK_BITS} bits/cycle (1 flit/cycle/link)",
         },
     ]
     return FigureResult(

@@ -38,7 +38,6 @@ from repro.noc.topology import (
     RingTopology,
     Topology,
     TorusTopology,
-    build_topology,
     make_topology,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "RingTopology",
     "TOPOLOGY_KINDS",
     "make_topology",
-    "build_topology",
     "LOCAL",
     "NORTH",
     "EAST",

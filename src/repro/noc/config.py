@@ -2,25 +2,26 @@
 
 :class:`NocConfig` mirrors the paper's Table 1 defaults: a 64-node (8x8)
 mesh, four atomic VCs per protocol class with 5-flit buffers, 128-bit
-links (so a 16-byte short packet is one flit and a 64-byte cache line plus
-head flit is five flits).
+links (:data:`LINK_BITS`: a 16-byte short packet is one flit and a 64-byte
+cache line plus head flit is five flits).
 
 The per-VC *class* layout implements RAIR's VC regionalization (Section
 IV.A): each VC within a virtual network is tagged ``GLOBAL`` or
-``REGIONAL``; additionally the first VC of each virtual network is the
-Duato escape VC (restricted to dimension-order routing) so adaptive
-routing stays deadlock-free.
+``REGIONAL``; additionally the first VCs of each virtual network are the
+Duato escape VCs (restricted to dimension-order routing), one per
+dateline class of the fabric, so adaptive routing stays deadlock-free.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.noc.topology import _class_for, num_escape_classes_for
 from repro.util.validate import check_positive, require
 
-__all__ = ["VcClass", "NocConfig", "DEFAULT_VC_CLASSES"]
+__all__ = ["VcClass", "NocConfig", "DEFAULT_VC_CLASSES", "LINK_BITS"]
 
 
 class VcClass(enum.IntEnum):
@@ -48,6 +49,11 @@ DEFAULT_VC_CLASSES: tuple[VcClass, ...] = (
     VcClass.REGIONAL,
 )
 
+#: Link width in bits (paper Table 1). The simulator moves one flit per link
+#: per cycle whatever the width, so no run reads it: ``describe()`` and
+#: Table 1 print it.
+LINK_BITS = 128
+
 
 @dataclass(frozen=True)
 class NocConfig:
@@ -60,10 +66,8 @@ class NocConfig:
         extents into one ``width * height``-node loop.
     topology:
         Fabric kind — one of :data:`~repro.noc.topology.TOPOLOGY_KINDS`
-        (``"mesh"``, ``"torus"``, ``"ring"``). Wrap fabrics need two
-        dateline escape classes, so build their configs through
-        :meth:`for_topology` (which sizes ``escape_vcs`` accordingly)
-        unless you set ``escape_vcs`` yourself.
+        (``"mesh"``, ``"torus"``, ``"ring"``). The fabric fixes
+        :attr:`escape_vcs`.
     num_vnets:
         Number of virtual networks (protocol classes). Synthetic traffic
         uses 1; the PARSEC-like request/reply traffic uses 2 to avoid
@@ -71,9 +75,6 @@ class NocConfig:
     vc_classes:
         Regional/global tag of each *data* VC within one virtual network
         (paper: 4, split evenly). Escape VCs are additional.
-    escape_vcs:
-        Number of Duato escape VCs per virtual network (restricted to
-        dimension-order routing, priority-neutral; paper Section IV.D).
     vc_depth:
         Buffer depth per VC in flits (paper: 5). Must be >= the longest
         packet because VCs are atomic.
@@ -91,12 +92,10 @@ class NocConfig:
     topology: str = "mesh"
     num_vnets: int = 1
     vc_classes: tuple[VcClass, ...] = DEFAULT_VC_CLASSES
-    escape_vcs: int = 1
     vc_depth: int = 5
     link_latency: int = 1
     credit_latency: int = 1
     max_packet_flits: int = 5
-    link_bits: int = 128
 
     def __post_init__(self) -> None:
         # An unknown kind and extents too small for the fabric both raise here.
@@ -109,15 +108,7 @@ class NocConfig:
         )
         require(
             all(c is not VcClass.ESCAPE for c in self.vc_classes),
-            "vc_classes lists data VCs only; set escape_vcs for escape VCs",
-        )
-        require(self.escape_vcs >= 1, "need at least one escape VC per vnet")
-        ncls = num_escape_classes_for(self.topology)
-        require(
-            self.escape_vcs >= ncls,
-            f"{self.topology} escape routing uses {ncls} dateline VC classes "
-            f"per vnet, got escape_vcs={self.escape_vcs} "
-            f"(build configs via NocConfig.for_topology)",
+            "vc_classes lists data VCs only; the fabric fixes the escape VCs",
         )
         check_positive(self.vc_depth, "vc_depth")
         check_positive(self.link_latency, "link_latency")
@@ -129,19 +120,14 @@ class NocConfig:
             f"max_packet_flits ({self.max_packet_flits})",
         )
 
-    # -- constructors --------------------------------------------------------
-    @classmethod
-    def for_topology(cls, topology: str = "mesh", **kwargs) -> "NocConfig":
-        """A config for ``topology`` with ``escape_vcs`` sized for its datelines.
-
-        Wrap fabrics (torus, ring) need one escape VC per dateline class;
-        this sets ``escape_vcs`` to that minimum unless the caller passes
-        an explicit value. All other keyword arguments are forwarded.
-        """
-        kwargs.setdefault("escape_vcs", num_escape_classes_for(topology))
-        return cls(topology=topology, **kwargs)
-
     # -- derived quantities --------------------------------------------------
+    @cached_property  # read per VC while routers are built
+    def escape_vcs(self) -> int:
+        """Duato escape VCs per virtual network: one per dateline class of
+        the fabric (1 on a mesh, 2 on a torus or ring; paper Section IV.D).
+        They are restricted to dimension-order routing and priority-neutral."""
+        return num_escape_classes_for(self.topology)
+
     @property
     def num_nodes(self) -> int:
         """Total node count."""
@@ -193,5 +179,5 @@ class NocConfig:
             f"{fabric}, {self.num_vnets} vnet(s) x "
             f"{self.vcs_per_vnet} VCs ({self.escape_vcs} escape / {n_glob} "
             f"global / {n_reg} regional), {self.vc_depth}-flit VCs, "
-            f"{self.link_bits}-bit links"
+            f"{LINK_BITS}-bit links"
         )

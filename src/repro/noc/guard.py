@@ -387,9 +387,7 @@ class RuntimeGuard:
                     )
 
     def _check_dateline(self, cycle: int, net) -> None:
-        topo = net.topology
-        ncls = topo.num_escape_classes
-        if ncls < 2:
+        if net.topology.num_escape_classes < 2:
             return  # single escape class: nothing to get wrong
         cfg = net.config
         route = net.routing.route
@@ -416,13 +414,13 @@ class RuntimeGuard:
                     and invc.out_port == invc.escape_port
                     and cfg.is_escape_vc(invc.out_vc)
                 ):
-                    base = cfg.vnet_vcs(pkt.vnet).start
-                    if (invc.out_vc - base) % ncls != expected:
+                    # a vnet's escape VC i serves dateline class i
+                    vc_cls = invc.out_vc - cfg.vnet_vcs(pkt.vnet).start
+                    if vc_cls != expected:
                         self._violate(
                             cycle, net, "dateline",
                             f"{where} sends packet #{pkt.pid} on escape VC "
-                            f"{invc.out_vc} of class "
-                            f"{(invc.out_vc - base) % ncls}; its hop is "
+                            f"{invc.out_vc} of class {vc_cls}; its hop is "
                             f"class {expected}",
                         )
 

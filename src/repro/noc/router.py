@@ -165,10 +165,8 @@ class Router:
         # Admissible output VCs per vnet, each as ``(mask, VCs in request
         # order)`` — see admissible_vcs: every vnet VC on the ejection
         # port; the adaptive VCs on a link port; adaptive first, then the
-        # escape VCs of one dateline class, on the escape port. One class
-        # on a mesh (all escape VCs); wrap fabrics stripe their escape VCs
-        # round-robin across two.
-        ncls = network.topology.num_escape_classes
+        # escape VC of one dateline class, on the escape port. The config
+        # has one escape VC per class: one on a mesh, two on wrap fabrics.
         self.vcs_local, self.vcs_adaptive, self.vcs_escape_port = [], [], []
         for vnet in range(config.num_vnets):
             r = config.vnet_vcs(vnet)
@@ -177,10 +175,7 @@ class Router:
             self.vcs_local.append(_vc_set(tuple(r)))
             self.vcs_adaptive.append(_vc_set(adaptive))
             self.vcs_escape_port.append(
-                tuple(
-                    _vc_set(adaptive + tuple(range(r.start + c, first, ncls)))
-                    for c in range(ncls)
-                )
+                tuple(_vc_set(adaptive + (esc,)) for esc in range(r.start, first))
             )
         self.out_owner = [[None] * self.total_vcs for _ in range(num_ports)]
         self.out_credits = [[config.vc_depth] * self.total_vcs for _ in range(num_ports)]

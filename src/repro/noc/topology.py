@@ -66,7 +66,6 @@ __all__ = [
     "RingTopology",
     "TOPOLOGY_KINDS",
     "make_topology",
-    "build_topology",
     "num_escape_classes_for",
 ]
 
@@ -85,10 +84,6 @@ OPPOSITE = (LOCAL, SOUTH, WEST, NORTH, EAST)
 # next-lower (counter-clockwise).
 RING_CW = 1
 RING_CCW = 2
-
-#: topology kinds accepted by :func:`build_topology` / ``NocConfig.topology``
-TOPOLOGY_KINDS = ("mesh", "torus", "ring")
-
 
 _Span = namedtuple("_Span", "ports hops cls steps")
 _HERE = _Span((), 0, 0, {})  # a == b: nothing to travel along this dimension
@@ -143,7 +138,7 @@ class Topology:
     ``num_escape_classes``
         Dateline VC classes the escape network needs (1 when the
         dimension-order graph is already acyclic, 2 for wrap fabrics);
-        the network requires ``escape_vcs >= num_escape_classes``.
+        ``NocConfig.escape_vcs`` is this count.
 
     A fabric of another shape populates, in its own ``__init__``,
 
@@ -431,6 +426,9 @@ _TOPOLOGY_CLASSES: dict[str, type] = {
     "ring": RingTopology,
 }
 
+#: topology kinds accepted by ``NocConfig.topology``
+TOPOLOGY_KINDS = tuple(_TOPOLOGY_CLASSES)
+
 
 def _class_for(kind: str) -> type[Topology]:
     """The fabric class registered as ``kind`` (also asked by ``NocConfig``)."""
@@ -445,19 +443,12 @@ def num_escape_classes_for(kind: str) -> int:
     return _class_for(kind).num_escape_classes
 
 
-def build_topology(kind: str, width: int, height: int) -> Topology:
-    """Construct a topology by registry name.
+def make_topology(config) -> Topology:
+    """Build the topology a :class:`~repro.noc.config.NocConfig` names.
 
     A ring folds the ``width x height`` extents into a single
     ``width * height``-node loop so configs stay shape-compatible.
     """
-    if kind == "ring":
-        return RingTopology(width * height)
-    return _class_for(kind)(width, height)
-
-
-def make_topology(config) -> Topology:
-    """Build the topology a :class:`~repro.noc.config.NocConfig` names."""
-    return build_topology(
-        getattr(config, "topology", "mesh"), config.width, config.height
-    )
+    if config.topology == "ring":
+        return RingTopology(config.num_nodes)
+    return _class_for(config.topology)(config.width, config.height)

@@ -42,20 +42,17 @@ __all__ = [
 
 _REGISTRY = {
     "xy": XYRouting,
-    "duato": DuatoAdaptiveRouting,
     "local": DuatoAdaptiveRouting,
     "dbar": DbarRouting,
     "west_first": WestFirstRouting,
-    "wf": WestFirstRouting,
     "odd_even": OddEvenRouting,
-    "oe": OddEvenRouting,
 }
 
 
 def make_routing(name: str) -> RoutingAlgorithm:
-    """Construct a routing algorithm by name (``xy``/``local``/``dbar``)."""
+    """Construct a routing algorithm by its one name (the keys of ``_REGISTRY``)."""
     try:
-        cls = _REGISTRY[name.lower()]
+        cls = _REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown routing algorithm {name!r}; known: {sorted(_REGISTRY)}") from None
     return cls()

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: wire/schema version for job records and result streams
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: priority classes in scheduling order (index = class rank, 0 first)
 PRIORITIES = ("high", "normal", "low")

@@ -148,15 +148,19 @@ class OutOfRegionPattern:
         return int(ext[rng.integers(len(ext))])
 
 
+_REGISTRY = {
+    "ur": UniformPattern,
+    "tp": TransposePattern,
+    "bc": BitComplementPattern,
+    "hs": HotspotPattern,
+}
+
+
 def make_pattern(name: str, topology: Topology, **kwargs):
     """Build a pattern by its paper abbreviation (``ur``/``tp``/``bc``/``hs``)."""
-    lname = name.lower()
-    if lname in ("ur", "uniform", "uniform_random"):
-        return UniformPattern(topology, **kwargs)
-    if lname in ("tp", "transpose"):
-        return TransposePattern(topology)
-    if lname in ("bc", "bit_complement", "bitcomp"):
-        return BitComplementPattern(topology)
-    if lname in ("hs", "hotspot"):
-        return HotspotPattern(topology, **kwargs)
-    raise TrafficError(f"unknown traffic pattern {name!r}")
+    try:
+        cls = _REGISTRY[name]
+    except KeyError:
+        known = sorted(_REGISTRY)
+        raise TrafficError(f"unknown traffic pattern {name!r}; known: {known}") from None
+    return cls(topology, **kwargs)

@@ -34,7 +34,7 @@ def halves_map(small_topology) -> RegionMap:
 
 
 def run_uniform(
-    scheme: str = "ro_rr",
+    scheme: str = "rr",
     routing: str = "xy",
     rate: float = 0.05,
     width: int = 4,

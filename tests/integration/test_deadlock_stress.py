@@ -39,13 +39,13 @@ def saturating_run(routing, scheme, pattern_cls, cycles=1500, rate=0.6):
 
 @pytest.mark.parametrize("routing", ["xy", "local", "dbar"])
 def test_oversaturated_uniform_does_not_deadlock(routing):
-    net = saturating_run(routing, "ro_rr", UniformPattern)
+    net = saturating_run(routing, "rr", UniformPattern)
     assert net.stats.packets_ejected > 500
 
 
 @pytest.mark.parametrize("pattern_cls", [TransposePattern, BitComplementPattern])
 def test_adversarial_permutations_do_not_deadlock(pattern_cls):
-    net = saturating_run("local", "ro_rr", pattern_cls)
+    net = saturating_run("local", "rr", pattern_cls)
     assert net.stats.packets_ejected > 500
 
 

@@ -75,7 +75,7 @@ class TestBitIdentity:
         assert runs[False][1].ff_jumps == 0
         assert runs[False][1].ff_cycles_skipped == 0
 
-    @pytest.mark.parametrize("routing", ["xy", "duato", "dbar"])
+    @pytest.mark.parametrize("routing", ["xy", "local", "dbar"])
     def test_identical_across_routing_algorithms(self, routing):
         obs = {}
         for ff in (True, False):

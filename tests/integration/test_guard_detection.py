@@ -95,7 +95,7 @@ class TestFaultClassification:
 class TestCleanTraffic:
     @pytest.mark.parametrize("topology", ["mesh", "torus", "ring"])
     def test_strict_guard_is_silent_on_healthy_traffic(self, topology):
-        cfg = NocConfig.for_topology(topology, width=4, height=4)
+        cfg = NocConfig(topology=topology, width=4, height=4)
         sim, net = build_simulation(cfg, scheme="rr", routing="local")
         guard = RuntimeGuard(
             GuardConfig(mode="strict", check_period=16), f"clean_{topology}"

@@ -11,10 +11,13 @@ from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 
 
-@pytest.mark.parametrize("routing", ["xy", "local", "dbar", "wf", "oe"])
+@pytest.mark.parametrize("routing", [
+    "xy", "local", "dbar",
+    pytest.param("west_first", id="wf"), pytest.param("odd_even", id="oe"),
+])
 def test_all_routings_are_minimal_in_hops(routing):
     cfg = NocConfig(width=5, height=5)
-    sim, net = build_simulation(cfg, scheme="ro_rr", routing=routing)
+    sim, net = build_simulation(cfg, scheme="rr", routing=routing)
     pairs = [(0, 24), (3, 20), (7, 15), (12, 12), (24, 0), (6, 8)]
     for src, dst in pairs:
         net.inject(Packet(src=src, dst=dst, length=1, inject_cycle=sim.cycle))
@@ -27,7 +30,7 @@ def test_all_routings_are_minimal_in_hops(routing):
 
 def test_mean_hops_statistic_matches_theory():
     cfg = NocConfig(width=4, height=4)
-    sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+    sim, net = build_simulation(cfg, scheme="rr", routing="xy")
     sim.add_traffic(
         SyntheticTrafficSource(
             nodes=range(16), rate=0.05, pattern=UniformPattern(net.topology),
@@ -41,7 +44,7 @@ def test_mean_hops_statistic_matches_theory():
 
 def test_adaptive_routing_stays_minimal_under_load():
     cfg = NocConfig(width=4, height=4)
-    sim, net = build_simulation(cfg, scheme="ro_rr", routing="local")
+    sim, net = build_simulation(cfg, scheme="rr", routing="local")
     sim.add_traffic(
         SyntheticTrafficSource(
             nodes=range(16), rate=0.3, pattern=UniformPattern(net.topology),

@@ -161,7 +161,7 @@ def _regional_sim(scheme, routing, rate, seed):
 @pytest.mark.parametrize(
     "scheme, routing, rate",
     [
-        ("ro_rr", "xy", 0.10),
+        ("rr", "xy", 0.10),
         ("rair", "local", 0.15),
         ("rair", "dbar", 0.25),
         ("stc", "local", 0.30),
@@ -180,9 +180,9 @@ def test_wake_lists_match_brute_force_scan(scheme, routing, rate):
 
 def _fabric_sim(kind, routing):
     size = {"mesh": (4, 4), "torus": (4, 4), "ring": (12, 1)}[kind]
-    cfg = NocConfig.for_topology(kind, width=size[0], height=size[1])
+    cfg = NocConfig(topology=kind, width=size[0], height=size[1])
     topo = make_topology(cfg)
-    sim, net = build_simulation(cfg, scheme="ro_rr", routing=routing)
+    sim, net = build_simulation(cfg, scheme="rr", routing=routing)
     sim.add_traffic(
         SyntheticTrafficSource(
             nodes=range(topo.num_nodes),

@@ -8,7 +8,7 @@ from repro.noc.flit import Packet
 from repro.util.errors import SimulationError
 
 
-def build(width=4, height=4, routing="xy", scheme="ro_rr", **cfg_kw):
+def build(width=4, height=4, routing="xy", scheme="rr", **cfg_kw):
     cfg = NocConfig(width=width, height=height, **cfg_kw)
     return build_simulation(cfg, scheme=scheme, routing=routing)
 

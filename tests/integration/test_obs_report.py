@@ -95,8 +95,8 @@ class TestReportSummaryMode:
         assert "flits/cycle" in outp
 
     def test_names_the_fabric(self, tmp_path, capsys):
-        cfg = NocConfig.for_topology("torus", width=4, height=4)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        cfg = NocConfig(topology="torus", width=4, height=4)
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         sim.add_traffic(SyntheticTrafficSource(
             nodes=range(cfg.num_nodes), rate=0.05, pattern=UniformPattern(net.topology),
             app_id=0, seed=3, lengths=FixedLength(2),

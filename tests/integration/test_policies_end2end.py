@@ -44,12 +44,12 @@ def two_app_run(scheme, p_inter=1.0, seed=3, policy_kwargs=None, routing="local"
 
 class TestRairReducesInterference:
     def test_rair_cuts_low_load_inter_region_apl(self):
-        rr, _, _ = two_app_run("ro_rr")
+        rr, _, _ = two_app_run("rr")
         rair, _, _ = two_app_run("rair")
         assert rair[0] < rr[0] * 0.95  # clear improvement for App0
 
     def test_high_load_app_penalty_is_bounded(self):
-        rr, _, _ = two_app_run("ro_rr")
+        rr, _, _ = two_app_run("rr")
         rair, _, _ = two_app_run("rair")
         assert rair[1] < rr[1] * 1.35
 
@@ -69,7 +69,7 @@ class TestStaticPriorities:
 
 class TestStcBehaviour:
     def test_stc_prioritizes_low_intensity_app(self):
-        rr, _, _ = two_app_run("ro_rr")
+        rr, _, _ = two_app_run("rr")
         # Rank early enough for the short test window to be rank-driven.
         stc, _, _ = two_app_run(
             "stc", policy_kwargs={"rank_interval": 200, "batch_period": 400}
@@ -96,7 +96,7 @@ class TestAdversarialProtection:
         return net.stats.apl(window=res.window)  # adversary excluded by default
 
     def test_rair_shields_apps_from_flood(self):
-        rr_apl = self.run_with_flood("ro_rr")
+        rr_apl = self.run_with_flood("rr")
         rair_apl = self.run_with_flood("rair")
         assert rair_apl < rr_apl
 

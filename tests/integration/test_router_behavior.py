@@ -11,7 +11,7 @@ from repro.noc.topology import EAST, LOCAL
 from repro.util.errors import SimulationError
 
 
-def build(width=4, height=4, routing="xy", scheme="ro_rr"):
+def build(width=4, height=4, routing="xy", scheme="rr"):
     return build_simulation(NocConfig(width=width, height=height), scheme=scheme, routing=routing)
 
 
@@ -43,7 +43,7 @@ class TestAtomicVcReuse:
             width=4, height=4,
             vc_classes=(VcClass.GLOBAL,),  # 1 data VC + 1 escape
         )
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         net.inject(Packet(src=0, dst=2, length=5, inject_cycle=0))
         net.inject(Packet(src=0, dst=2, length=5, inject_cycle=0))
         assert sim.run_until_drained(5000)
@@ -51,7 +51,7 @@ class TestAtomicVcReuse:
 
     def test_state_clean_after_single_vc_stress(self):
         cfg = NocConfig(width=4, height=4, vc_classes=(VcClass.REGIONAL,))
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="local")
+        sim, net = build_simulation(cfg, scheme="rr", routing="local")
         for i in range(16):
             net.inject(Packet(src=i % 16, dst=(i * 7 + 3) % 16, length=5, inject_cycle=0))
         assert sim.run_until_drained(30_000)

@@ -42,7 +42,7 @@ class TestMeasurementProtocol:
         # Saturating load with a tiny drain budget cannot drain.
         sim, net, res = run_uniform(rate=0.9, warmup=50, measure=300)
         cfg = NocConfig(width=4, height=4)
-        sim2, net2 = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim2, net2 = build_simulation(cfg, scheme="rr", routing="xy")
         src = SyntheticTrafficSource(
             nodes=range(16), rate=0.95, pattern=UniformPattern(net2.topology),
             app_id=0, seed=3, lengths=FixedLength(5),
@@ -75,7 +75,7 @@ class TestDeterminism:
 
     def test_determinism_across_policies(self):
         # Same traffic seed, different policies: same offered packets.
-        _, net1, _ = run_uniform(scheme="ro_rr", rate=0.2, seed=5)
+        _, net1, _ = run_uniform(scheme="rr", rate=0.2, seed=5)
         _, net2, _ = run_uniform(scheme="rair", rate=0.2, seed=5)
         assert net1.stats.packets_ejected == net2.stats.packets_ejected
 
@@ -83,7 +83,7 @@ class TestDeterminism:
 class TestWatchdog:
     def test_watchdog_fires_on_artificial_stall(self):
         cfg = NocConfig(width=4, height=4)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         net.inject(Packet(src=0, dst=3, length=1, inject_cycle=0))
         sim.step()  # head is buffered now
         # Sabotage: drain all credits at router 0's east port so the flit
@@ -97,7 +97,7 @@ class TestWatchdog:
 
     def test_no_watchdog_on_long_idle(self):
         cfg = NocConfig(width=4, height=4)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         sim.WATCHDOG_CYCLES = 100
         sim.run(500)  # idle network must never trip the watchdog
         assert sim.cycle == 500

@@ -46,21 +46,21 @@ def saturating_run(
 
 @pytest.mark.parametrize("routing", ["xy", "local", "dbar"])
 def test_oversaturated_torus_does_not_deadlock(routing):
-    cfg = NocConfig.for_topology("torus", width=6, height=6)
-    net = saturating_run(cfg, "ro_rr", routing)
+    cfg = NocConfig(topology="torus", width=6, height=6)
+    net = saturating_run(cfg, "rr", routing)
     assert net.stats.packets_ejected > 500
 
 
 @pytest.mark.parametrize("routing", ["xy", "local", "dbar"])
 def test_oversaturated_ring_does_not_deadlock(routing):
-    cfg = NocConfig.for_topology("ring", width=16, height=1)
-    net = saturating_run(cfg, "ro_rr", routing, rate=0.3)
+    cfg = NocConfig(topology="ring", width=16, height=1)
+    net = saturating_run(cfg, "rr", routing, rate=0.3)
     assert net.stats.packets_ejected > 300
 
 
 @pytest.mark.parametrize("kind,width,height", [("torus", 6, 6), ("ring", 16, 1)])
 def test_rair_on_wrap_fabrics_does_not_deadlock(kind, width, height):
-    cfg = NocConfig.for_topology(kind, width=width, height=height)
+    cfg = NocConfig(topology=kind, width=width, height=height)
     rate = 0.6 if kind == "torus" else 0.3
     net = saturating_run(cfg, "rair", "local", rate=rate)
     assert net.stats.packets_ejected > 300

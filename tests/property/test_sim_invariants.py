@@ -22,7 +22,7 @@ from repro.noc.topology import MeshTopology
 from repro.traffic.patterns import UniformPattern
 from repro.traffic.synthetic import BimodalLengths, SyntheticTrafficSource
 
-schemes = st.sampled_from(["ro_rr", "stc", "rair"])
+schemes = st.sampled_from(["rr", "stc", "rair"])
 routings = st.sampled_from(["xy", "local", "dbar", "west_first", "odd_even"])
 dims = st.integers(min_value=3, max_value=5)
 rates = st.floats(min_value=0.01, max_value=0.25)

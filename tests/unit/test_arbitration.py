@@ -10,7 +10,6 @@ from repro.util.errors import ConfigError
 class TestFactory:
     def test_known_names(self):
         assert type(make_policy("rr")) is ArbitrationPolicy
-        assert type(make_policy("ro_rr")) is ArbitrationPolicy
         assert isinstance(make_policy("stc"), StcPolicy)
         assert isinstance(make_policy("rair"), RairPolicy)
 

@@ -101,12 +101,11 @@ class TestKeyStability:
             ("height", 9),
             ("num_vnets", 2),
             ("vc_classes", (G, R)),
-            ("escape_vcs", 2),
+            ("topology", "torus"),
             ("vc_depth", 6),
             ("link_latency", 2),
             ("credit_latency", 2),
             ("max_packet_flits", 4),
-            ("link_bits", 64),
         ],
     )
     def test_distinct_for_any_noc_config_field(self, field, value):

@@ -68,11 +68,12 @@ class TestJournalReplay:
         assert set(jobs) == {"j000001"}
         assert fresh.undecodable == ["j000002"]
 
-    @pytest.mark.parametrize("v", [3, 5])
+    @pytest.mark.parametrize("v", [3, 5, 6])
     def test_submit_from_another_protocol_version_is_not_replayed(self, tmp_path, v):
         """A queued job journaled under an older protocol would decode — the
         codec drops the fields it no longer knows, such as the policy's cycle
-        budget (3) or a cell's policy overrides (5) — and re-run without them."""
+        budget (3), a cell's policy overrides (5) or a config's escape VC
+        count (6) — and re-run without them."""
         store = JobStore(tmp_path / "store")
         job = encode_value(make_job("j000007"))
         append_record(

@@ -17,7 +17,7 @@ from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 
 def _traced_run(trace, seed=9, length=3, measure=300):
     cfg = NocConfig(width=4, height=4)
-    sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy", trace=trace)
+    sim, net = build_simulation(cfg, scheme="rr", routing="xy", trace=trace)
     sim.add_traffic(
         SyntheticTrafficSource(
             nodes=range(cfg.num_nodes),
@@ -54,7 +54,7 @@ class TestKernelTraceBase:
 
     def test_untraced_network_has_no_tracer(self):
         cfg = NocConfig(width=4, height=4)
-        _, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        _, net = build_simulation(cfg, scheme="rr", routing="xy")
         assert net.trace is None
 
 

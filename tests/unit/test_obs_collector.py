@@ -63,7 +63,7 @@ class TestInstall:
 
     def test_refuses_occupied_trace_slot(self):
         cfg = NocConfig(width=4, height=4)
-        sim, _ = build_simulation(cfg, scheme="ro_rr", trace=RecordingTrace())
+        sim, _ = build_simulation(cfg, scheme="rr", trace=RecordingTrace())
         with pytest.raises(ConfigError, match="already has a trace"):
             MetricsCollector(ObsConfig(dir=None), "t").install(sim)
 

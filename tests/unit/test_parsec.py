@@ -64,6 +64,16 @@ class TestProfiles:
         for prof in PARSEC_PROFILES.values():
             assert prof.rate_off <= prof.mean_rate <= prof.rate_on
 
+    def test_frozen_chain_keeps_the_initial_off_rate(self):
+        # Every node starts OFF; a chain that never switches stays there.
+        frozen = ParsecAppProfile("frozen", rate_on=0.5, rate_off=0.0, p_on_off=0, p_off_on=0)
+        assert frozen.mean_rate == 0.0
+        wl = ParsecWorkload(RegionMap.quadrants(MeshTopology(4, 4)), [frozen] * 4, seed=1)
+        net = FakeNetwork()
+        for cycle in range(1000):
+            wl.tick(cycle, net)
+        assert net.packets == []
+
 
 class TestWorkload:
     def test_profile_count_checked(self, quads):

@@ -14,7 +14,7 @@ from repro.noc.network import Network
 from repro.routing import make_routing
 
 #: algorithms whose admissibility is a pure function of (node, dst)
-ALGORITHMS = ["xy", "duato", "dbar", "west_first"]
+ALGORITHMS = ["xy", "local", "dbar", "west_first"]
 
 
 def _network(routing_name: str) -> Network:
@@ -102,10 +102,10 @@ def test_xy_and_duato_ask_the_topology(topology, width, height):
     # The topology's queries themselves are held to BFS by
     # tests/property/test_topology_props.py; this pins what the two
     # routing algorithms make of them.
-    cfg = NocConfig.for_topology(topology, width=width, height=height)
+    cfg = NocConfig(topology=topology, width=width, height=height)
     xy, duato = (
         Network(cfg, make_routing(name), ArbitrationPolicy()).routing
-        for name in ("xy", "duato")
+        for name in ("xy", "local")
     )
     topo = xy.network.topology
     for node in range(topo.num_nodes):

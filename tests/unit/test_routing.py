@@ -26,7 +26,6 @@ class TestFactory:
     def test_names(self):
         assert isinstance(make_routing("xy"), XYRouting)
         assert isinstance(make_routing("local"), DuatoAdaptiveRouting)
-        assert isinstance(make_routing("duato"), DuatoAdaptiveRouting)
         assert isinstance(make_routing("dbar"), DbarRouting)
 
     def test_unknown(self):

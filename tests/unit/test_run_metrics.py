@@ -14,7 +14,7 @@ from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 
 def _small_run(warmup=100, measure=400):
     cfg = NocConfig(width=4, height=4)
-    sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+    sim, net = build_simulation(cfg, scheme="rr", routing="xy")
     sim.add_traffic(
         SyntheticTrafficSource(
             nodes=range(cfg.num_nodes),
@@ -108,7 +108,7 @@ class TestObsCounters:
         from repro.obs import MetricsCollector, ObsConfig
 
         cfg = NocConfig(width=4, height=4)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         sim.add_traffic(
             SyntheticTrafficSource(
                 nodes=range(cfg.num_nodes),

@@ -29,7 +29,7 @@ class TestZeroLoadLatency:
     @pytest.mark.parametrize("dst,length", [(1, 1), (3, 1), (15, 1), (5, 5), (10, 3)])
     def test_matches_simulation(self, dst, length):
         cfg = NocConfig(width=4, height=4)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         net.inject(Packet(src=0, dst=dst, length=length, inject_cycle=0))
         assert sim.run_until_drained(1000)
         lat = int(net.stats.latencies(include_adversarial=True)[0])
@@ -38,7 +38,7 @@ class TestZeroLoadLatency:
 
     def test_matches_simulation_with_slow_links(self):
         cfg = NocConfig(width=4, height=4, link_latency=2)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         net.inject(Packet(src=0, dst=3, length=1, inject_cycle=0))
         assert sim.run_until_drained(1000)
         lat = int(net.stats.latencies(include_adversarial=True)[0])
@@ -81,7 +81,7 @@ class TestMeanUrHops:
         from repro.traffic.synthetic import FixedLength, SyntheticTrafficSource
 
         cfg = NocConfig(width=4, height=4)
-        sim, net = build_simulation(cfg, scheme="ro_rr", routing="xy")
+        sim, net = build_simulation(cfg, scheme="rr", routing="xy")
         sim.add_traffic(
             SyntheticTrafficSource(
                 nodes=range(16), rate=0.01, pattern=UniformPattern(net.topology),

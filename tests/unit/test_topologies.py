@@ -11,11 +11,12 @@ import pytest
 
 from repro.noc.config import NocConfig
 from repro.noc.topology import (
+    _TOPOLOGY_CLASSES,
+    TOPOLOGY_KINDS,
     MeshTopology,
     RingTopology,
     TorusTopology,
     band_index,
-    build_topology,
     make_topology,
     num_escape_classes_for,
 )
@@ -83,44 +84,29 @@ class TestBandIndex:
 
 
 class TestSelection:
-    def test_build_topology_by_kind(self):
-        assert isinstance(build_topology("mesh", 4, 4), MeshTopology)
-        assert isinstance(build_topology("torus", 4, 4), TorusTopology)
-        ring = build_topology("ring", 4, 4)
-        assert isinstance(ring, RingTopology)
-        assert ring.num_nodes == 16  # extents fold into one loop
-
-    def test_build_topology_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            build_topology("hypercube", 4, 4)
-        with pytest.raises(ConfigError):
-            num_escape_classes_for("hypercube")
-
     def test_make_topology_from_config(self):
         assert isinstance(make_topology(NocConfig()), MeshTopology)
-        cfg = NocConfig.for_topology("torus", width=4, height=4)
+        cfg = NocConfig(topology="torus", width=4, height=4)
         assert isinstance(make_topology(cfg), TorusTopology)
+        ring = make_topology(NocConfig(topology="ring", width=4, height=4))
+        assert isinstance(ring, RingTopology)
+        assert ring.num_nodes == 16  # extents fold into one loop
 
 
 class TestNocConfigTopology:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             NocConfig(topology="hypercube")
+        with pytest.raises(ConfigError):
+            num_escape_classes_for("hypercube")
 
     def test_wrap_fabrics_need_dateline_escape_vcs(self):
-        with pytest.raises(ConfigError):
-            NocConfig(topology="torus")  # default escape_vcs=1 < 2 classes
-        cfg = NocConfig.for_topology("torus")
-        assert cfg.escape_vcs == 2
-
-    def test_for_topology_respects_explicit_escape_vcs(self):
-        cfg = NocConfig.for_topology("ring", escape_vcs=3)
-        assert cfg.escape_vcs == 3
-
-    def test_for_topology_mesh_is_default_config(self):
-        assert NocConfig.for_topology("mesh") == NocConfig()
+        # The fabric fixes the escape VCs: one per dateline class.
+        for kind in TOPOLOGY_KINDS:
+            classes = _TOPOLOGY_CLASSES[kind].num_escape_classes
+            assert NocConfig(topology=kind).escape_vcs == classes
 
     def test_describe_names_the_fabric(self):
         assert "8x8 mesh" in NocConfig().describe()
-        assert "8x8 torus" in NocConfig.for_topology("torus").describe()
-        assert "64-node ring" in NocConfig.for_topology("ring").describe()
+        assert "8x8 torus" in NocConfig(topology="torus").describe()
+        assert "64-node ring" in NocConfig(topology="ring").describe()

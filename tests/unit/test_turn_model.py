@@ -12,6 +12,10 @@ from repro.noc.topology import EAST, LOCAL, NORTH, SOUTH, WEST, MeshTopology
 from repro.routing import OddEvenRouting, WestFirstRouting, make_routing
 
 
+#: the two turn models, under their short test ids
+TURN_MODELS = [pytest.param("west_first", id="wf"), pytest.param("odd_even", id="oe")]
+
+
 def make_net(routing, width=8, height=8):
     cfg = NocConfig(width=width, height=height)
     _, net = build_simulation(cfg, routing=routing)
@@ -47,13 +51,11 @@ def walk_all_choices(net, src, dst, max_paths=4096):
 
 class TestFactory:
     def test_names(self):
-        assert isinstance(make_routing("wf"), WestFirstRouting)
         assert isinstance(make_routing("west_first"), WestFirstRouting)
-        assert isinstance(make_routing("oe"), OddEvenRouting)
         assert isinstance(make_routing("odd_even"), OddEvenRouting)
 
 
-@pytest.mark.parametrize("name", ["wf", "oe"])
+@pytest.mark.parametrize("name", TURN_MODELS)
 class TestMinimalReachability:
     def test_all_pairs_reach_minimally(self, name):
         net = make_net(name, width=5, height=5)
@@ -83,7 +85,7 @@ class TestMinimalReachability:
 
 class TestWestFirstRules:
     def test_westbound_is_deterministic(self):
-        net = make_net("wf")
+        net = make_net("west_first")
         topo = net.topology
         src = topo.node_at(5, 2)
         dst = topo.node_at(1, 6)
@@ -91,7 +93,7 @@ class TestWestFirstRules:
 
     def test_no_turn_into_west(self):
         """Once x is aligned, the relation never offers WEST again."""
-        net = make_net("wf")
+        net = make_net("west_first")
         topo = net.topology
         src = topo.node_at(5, 2)
         dst = topo.node_at(1, 6)
@@ -101,7 +103,7 @@ class TestWestFirstRules:
         assert ports == (SOUTH,)
 
     def test_eastbound_is_adaptive(self):
-        net = make_net("wf")
+        net = make_net("west_first")
         topo = net.topology
         src = topo.node_at(1, 1)
         dst = topo.node_at(5, 5)
@@ -111,7 +113,7 @@ class TestWestFirstRules:
 class TestOddEvenRules:
     def test_no_en_es_turn_possible_in_even_columns(self):
         """Eastbound packets in even non-source columns may not turn vertical."""
-        net = make_net("oe")
+        net = make_net("odd_even")
         topo = net.topology
         src = topo.node_at(1, 1)
         dst = topo.node_at(7, 5)
@@ -120,7 +122,7 @@ class TestOddEvenRules:
         assert NORTH not in ports and SOUTH not in ports
 
     def test_vertical_allowed_in_odd_columns(self):
-        net = make_net("oe")
+        net = make_net("odd_even")
         topo = net.topology
         src = topo.node_at(1, 1)
         dst = topo.node_at(7, 5)
@@ -131,7 +133,7 @@ class TestOddEvenRules:
     def test_source_column_turn_exception(self):
         # At the source column no turn is taken, so vertical is allowed
         # even when that column is even.
-        net = make_net("oe")
+        net = make_net("odd_even")
         topo = net.topology
         src = topo.node_at(2, 1)
         dst = topo.node_at(7, 5)
@@ -142,7 +144,7 @@ class TestOddEvenRules:
         # Immediately west of an even destination column with rows left to
         # cover, continuing east would strand the packet (NW/SW into odd
         # columns only): EAST must be withheld.
-        net = make_net("oe")
+        net = make_net("odd_even")
         topo = net.topology
         src = topo.node_at(0, 0)
         dst = topo.node_at(4, 4)
@@ -152,7 +154,7 @@ class TestOddEvenRules:
         assert ports == (SOUTH,)
 
     def test_westbound_vertical_only_in_even_columns(self):
-        net = make_net("oe")
+        net = make_net("odd_even")
         topo = net.topology
         src = topo.node_at(6, 1)
         dst = topo.node_at(1, 5)
@@ -162,7 +164,7 @@ class TestOddEvenRules:
         assert net.routing.admissible_ports(odd_col, pkt(src, dst)) == (WEST,)
 
 
-@pytest.mark.parametrize("name", ["wf", "oe"])
+@pytest.mark.parametrize("name", TURN_MODELS)
 class TestEndToEnd:
     def test_uniform_traffic_drains(self, name):
         from repro.traffic.patterns import UniformPattern
