@@ -3,10 +3,10 @@
 :class:`NetworkStats` records one row per *ejected* packet in packed typed
 arrays (:mod:`array`: a cycle is 8 bytes, an id, length or hop count 4, a
 flag 1, so 38 bytes a packet; a list costs 8 bytes a pointer plus, for
-most cycle values, a 28-byte int object) and converts to NumPy arrays
-lazily for analysis — the split the HPC guides recommend: pure-Python where
-the work is per-event bookkeeping, vectorized NumPy where the work is
-aggregate math.
+most cycle values, a 28-byte int object). A query walks those columns
+once, keeping an exact ``(latency sum, packet count)`` per app, so a run's
+summary allocates O(apps), not O(packets); only ``latencies`` and
+``latency_classes`` build NumPy arrays, from the matching rows alone.
 
 The analysis API mirrors what the paper reports: average packet latency
 (APL) per application over a measurement window, slowdowns between runs,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,6 +116,12 @@ def latency_summary(samples) -> dict:
     }
 
 
+def _mean(totals) -> float:
+    """Mean latency of ``[sum, count]`` pairs: one exact division, NaN if none."""
+    count = sum(n for _, n in totals)
+    return sum(s for s, _ in totals) / count if count else float("nan")
+
+
 class NetworkStats:
     """Per-packet ejection log plus running counters."""
 
@@ -130,7 +137,6 @@ class NetworkStats:
         self._is_global = array("b")
         self._is_adversarial = array("b")
         self.packets_ejected = 0
-        self._arrays: dict | None = None
 
     # -- recording (hot path) ----------------------------------------------------
     def record_ejection(self, pkt, eject_cycle: int) -> None:
@@ -145,45 +151,35 @@ class NetworkStats:
         self._is_global.append(pkt.is_global)
         self._is_adversarial.append(pkt.is_adversarial)
         self.packets_ejected += 1
-        self._arrays = None
 
     # -- analysis ------------------------------------------------------------------
-    def _as_arrays(self) -> dict:
-        if self._arrays is None:
-            # np.array copies: an array.array cannot grow while a NumPy
-            # view still exports its buffer.
-            self._arrays = {
-                "inject": np.array(self._inject, dtype=np.int64),
-                "eject": np.array(self._eject, dtype=np.int64),
-                "app": np.array(self._app, dtype=np.int64),
-                "src": np.array(self._src, dtype=np.int64),
-                "dst": np.array(self._dst, dtype=np.int64),
-                "length": np.array(self._length, dtype=np.int64),
-                "hops": np.array(self._hops, dtype=np.int64),
-                "is_global": np.array(self._is_global, dtype=bool),
-                "is_adversarial": np.array(self._is_adversarial, dtype=bool),
-            }
-        return self._arrays
+    def _matching(self, app, window, include_adversarial, only_global):
+        """Yield ``(app, dst, is_global, latency)`` of each row passing the filters.
 
-    def _mask(
-        self,
-        app: int | None,
-        window: tuple[int, int] | None,
-        include_adversarial: bool,
-        only_global: bool | None,
-    ) -> np.ndarray:
-        a = self._as_arrays()
-        mask = np.ones(len(a["inject"]), dtype=bool)
-        if app is not None:
-            mask &= a["app"] == app
-        if window is not None:
-            t0, t1 = window
-            mask &= (a["inject"] >= t0) & (a["inject"] < t1)
-        if not include_adversarial:
-            mask &= ~a["is_adversarial"]
-        if only_global is not None:
-            mask &= a["is_global"] == only_global
-        return mask
+        Rows come in ejection order, straight off the packed columns; the
+        walk itself holds one row at a time.
+        """
+        lo, hi = window if window is not None else (-math.inf, math.inf)
+        for inject, eject, a, dst, is_global, adversarial in zip(
+            self._inject, self._eject, self._app, self._dst, self._is_global,
+            self._is_adversarial,
+        ):
+            if (
+                lo <= inject < hi
+                and (app is None or a == app)
+                and (include_adversarial or not adversarial)
+                and (only_global is None or is_global == only_global)
+            ):
+                yield a, dst, is_global, eject - inject
+
+    def _totals(self, *filters) -> dict[int, list[int]]:
+        """Exact ``[latency sum, packet count]`` per app id over the filtered rows."""
+        totals: dict[int, list[int]] = defaultdict(lambda: [0, 0])
+        for app, _, _, latency in self._matching(*filters):
+            total = totals[app]
+            total[0] += latency
+            total[1] += 1
+        return totals
 
     def latencies(
         self,
@@ -198,14 +194,35 @@ class NetworkStats:
         protocol (measure packets injected during the measurement window,
         then drain).
         """
-        a = self._as_arrays()
-        mask = self._mask(app, window, include_adversarial, only_global)
-        return (a["eject"] - a["inject"])[mask]
+        rows = self._matching(app, window, include_adversarial, only_global)
+        return np.fromiter((latency for *_, latency in rows), dtype=np.int64)
 
-    def apl(self, **kw) -> float:
-        """Average packet latency over the filtered set (NaN if empty)."""
-        lat = self.latencies(**kw)
-        return float(np.mean(lat)) if len(lat) else float("nan")
+    def apl(
+        self,
+        app: int | None = None,
+        window: tuple[int, int] | None = None,
+        include_adversarial: bool = False,
+        only_global: bool | None = None,
+    ) -> float:
+        """Average packet latency over the filtered set (NaN if empty).
+
+        The sum is an exact integer and ``int / int`` rounds once, so this
+        equals the float64 mean of :meth:`latencies` while the sum stays
+        below 2**53.
+        """
+        totals = self._totals(app, window, include_adversarial, only_global)
+        return _mean(totals.values())
+
+    def packet_count(
+        self,
+        app: int | None = None,
+        window: tuple[int, int] | None = None,
+        include_adversarial: bool = False,
+        only_global: bool | None = None,
+    ) -> int:
+        """Number of ejected packets matching the filters."""
+        totals = self._totals(app, window, include_adversarial, only_global)
+        return sum(n for _, n in totals.values())
 
     def latency_classes(
         self, window: tuple[int, int], region_of
@@ -217,48 +234,20 @@ class NetworkStats:
         ``foreign`` are the rest; ``global`` are those that rode the global
         VCs, a subset of the other two. Each array is in ejection order.
         """
-        a = self._as_arrays()
-        mask = self._mask(None, window, False, None)
-        lat = (a["eject"] - a["inject"])[mask]
-        app = a["app"][mask]
-        native = (app >= 0) & (np.asarray(region_of)[a["dst"][mask]] == app)
-        return {
-            "native": lat[native],
-            "foreign": lat[~native],
-            "global": lat[a["is_global"][mask]],
-        }
-
-    def packet_count(self, **kw) -> int:
-        """Number of ejected packets matching the filters."""
-        return int(self._mask(
-            kw.get("app"), kw.get("window"), kw.get("include_adversarial", False),
-            kw.get("only_global"),
-        ).sum())
-
-    def throughput_flits(self, window: tuple[int, int], app: int | None = None) -> float:
-        """Accepted flits per cycle over an *ejection*-cycle window."""
-        a = self._as_arrays()
-        t0, t1 = window
-        mask = (a["eject"] >= t0) & (a["eject"] < t1)
-        if app is not None:
-            mask &= a["app"] == app
-        return float(a["length"][mask].sum()) / max(1, t1 - t0)
+        classes = {"native": array("q"), "foreign": array("q"), "global": array("q")}
+        native, foreign, global_ = classes.values()
+        for app, dst, is_global, latency in self._matching(None, window, False, None):
+            own = app >= 0 and region_of[dst] == app
+            (native if own else foreign).append(latency)
+            if is_global:
+                global_.append(latency)
+        return {cls: np.array(lat, dtype=np.int64) for cls, lat in classes.items()}
 
     def apps(self) -> list[int]:
         """Distinct application ids seen in the ejection log."""
-        a = self._as_arrays()
-        return sorted(int(x) for x in np.unique(a["app"]))
+        return sorted(set(self._app))
 
     def per_app_apl(self, window: tuple[int, int] | None = None) -> dict[int, float]:
-        """APL per application (adversarial traffic excluded)."""
-        return {app: self.apl(app=app, window=window) for app in self.apps() if app >= 0}
-
-    def mean_hops(self, **kw) -> float:
-        """Mean traversed hop count over the filtered packets."""
-        a = self._as_arrays()
-        mask = self._mask(
-            kw.get("app"), kw.get("window"), kw.get("include_adversarial", False),
-            kw.get("only_global"),
-        )
-        hops = a["hops"][mask]
-        return float(hops.mean()) if len(hops) else float("nan")
+        """APL per application (adversarial traffic excluded; NaN if none in ``window``)."""
+        totals = self._totals(None, window, False, None)
+        return {app: _mean([totals.get(app, (0, 0))]) for app in self.apps() if app >= 0}

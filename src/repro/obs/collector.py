@@ -219,7 +219,7 @@ class MetricsCollector(KernelTrace):
             raise ConfigError("collector was never installed")
         # No window set yet: nothing was measured.
         window = net.measure_window or (0, 0)
-        classes = net.stats.latency_classes(window, net.region_of)
+        classes = net.stats.latency_classes(window, net.region_ids)
         latency = {cls: latency_summary(classes[cls]) for cls in LATENCY_CLASSES}
         tail = [
             {"kind": "latency_class", "cls": cls, **stats}

@@ -25,12 +25,12 @@ class TestVaContention:
             net.inject(Packet(src=0, dst=3, length=5, inject_cycle=0, app_id=0))
             net.inject(Packet(src=1, dst=3, length=5, inject_cycle=0, app_id=1))
         assert sim.run_until_drained(20_000)
-        a = net.stats._as_arrays()
+        stats = net.stats
         # Both apps' packets finished, and their completion times overlap
         # (no starvation: neither app finishes entirely before the other
         # gets service).
-        eject0 = sorted(a["eject"][a["app"] == 0])
-        eject1 = sorted(a["eject"][a["app"] == 1])
+        eject0 = sorted(e for e, app in zip(stats._eject, stats._app) if app == 0)
+        eject1 = sorted(e for e, app in zip(stats._eject, stats._app) if app == 1)
         assert len(eject0) == len(eject1) == 12
         assert eject0[0] < eject1[-1] and eject1[0] < eject0[-1]
 

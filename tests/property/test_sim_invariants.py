@@ -75,13 +75,12 @@ def test_latency_lower_bound(w, h, scheme, routing, seed):
     """No packet is faster than pipeline depth x hops plus serialization."""
     sim, net, src, drained = simulate(w, h, scheme, routing, rate=0.1, seed=seed)
     assert drained
-    a = net.stats._as_arrays()
-    topo = net.topology
-    for i in range(len(a["inject"])):
-        hops = topo.hop_distance(int(a["src"][i]), int(a["dst"][i]))
-        min_lat = 3 * (hops + 1) + (int(a["length"][i]) - 1)
-        lat = int(a["eject"][i] - a["inject"][i])
-        assert lat >= min_lat
+    stats, topo = net.stats, net.topology
+    for inject, eject, source, dest, length in zip(
+        stats._inject, stats._eject, stats._src, stats._dst, stats._length
+    ):
+        min_lat = 3 * (topo.hop_distance(source, dest) + 1) + (length - 1)
+        assert eject - inject >= min_lat
 
 
 @given(dims, schemes, rates, seeds)

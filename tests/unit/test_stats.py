@@ -1,6 +1,7 @@
 """Unit tests for statistics collection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,16 @@ def eject(stats, src=0, dst=1, app=0, inject=0, eject_cycle=10, length=1,
         is_global=is_global, is_adversarial=adversarial,
     )
     stats.record_ejection(pkt, eject_cycle)
+
+
+def throughput_flits(stats, window):
+    """Accepted flits per cycle over an *ejection*-cycle window."""
+    t0, t1 = window
+    flits = sum(
+        length for eject_cycle, length in zip(stats._eject, stats._length)
+        if t0 <= eject_cycle < t1
+    )
+    return flits / (t1 - t0)
 
 
 class TestLatencyStats:
@@ -78,9 +89,9 @@ class TestNetworkStats:
         eject(stats, inject=0, eject_cycle=10, length=5)
         eject(stats, inject=0, eject_cycle=15, length=1)
         eject(stats, inject=0, eject_cycle=100, length=5)
-        assert stats.throughput_flits(window=(0, 20)) == pytest.approx(6 / 20)
+        assert throughput_flits(stats, window=(0, 20)) == pytest.approx(6 / 20)
 
-    def test_arrays_cache_invalidated_on_record(self):
+    def test_query_sees_rows_recorded_after_it(self):
         stats = NetworkStats()
         eject(stats, inject=0, eject_cycle=10)
         assert stats.apl() == 10.0
@@ -105,3 +116,31 @@ class TestNetworkStats:
         eject(stats, app=-1)
         eject(stats, app=2)
         assert list(stats.per_app_apl()) == [2]
+
+    @pytest.mark.parametrize("query", ["apl", "packet_count", "latencies"])
+    def test_misspelt_filter_raises(self, query):
+        stats = NetworkStats()
+        eject(stats)
+        with pytest.raises(TypeError):
+            getattr(stats, query)(windw=(0, 10))
+
+    def test_summary_queries_stream_the_log(self):
+        """A run's summary allocates O(apps), not O(packets)."""
+        stats = NetworkStats()
+        pkt = Packet(src=0, dst=1, length=1, inject_cycle=0)
+        for i in range(100_000):
+            pkt.inject_cycle, pkt.app_id = 5_000 + i, i % 4
+            pkt.is_adversarial = i % 7 == 0
+            stats.record_ejection(pkt, pkt.inject_cycle + 30 + i % 50)
+        window = (20_000, 90_000)
+        tracemalloc.start()
+        try:
+            apl = stats.apl(window=window)
+            per_app = stats.per_app_apl(window=window)
+            count = stats.packet_count(window=window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert (apl, count) == (54.5, 60_000)
+        assert per_app == {0: 54.0, 1: 55.0, 2: 54.0, 3: 55.0}
