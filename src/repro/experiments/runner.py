@@ -195,17 +195,17 @@ def run_scenario(
         for source in scenario.traffic_factory(seed):
             sim.add_traffic(source)
         res = sim.run_measurement(warmup=effort.warmup, measure=effort.measure)
-        stats = net.stats
+        apl, per_app_apl, packets_measured = net.stats.summary(window=res.window)
         return ScenarioRun(
             scheme=scheme.key,
             scenario=scenario.name,
             window=res.window,
             drained=res.drained,
             undrained_packets=res.undrained_packets,
-            apl=stats.apl(window=res.window),
-            per_app_apl=stats.per_app_apl(window=res.window),
+            apl=apl,
+            per_app_apl=per_app_apl,
             end_cycle=res.end_cycle,
-            packets_measured=stats.packet_count(window=res.window),
+            packets_measured=packets_measured,
             abort=res.abort,
             metrics=res.metrics,
             obs=res.obs,

@@ -112,7 +112,7 @@ class Simulator:
         self.guard = None
         #: optional observability collector (duck-typed — anything with
         #: ``next_sample`` / ``take_sample(cycle, network)`` /
-        #: ``finalize(end_cycle)``; see
+        #: ``finalize(end_cycle)`` / ``close()``; see
         #: :class:`repro.obs.collector.MetricsCollector`, whose ``install``
         #: sets this). ``None`` costs one pointer comparison per cycle.
         self.obs = None
@@ -128,11 +128,14 @@ class Simulator:
         drops the sources, the collector and the guard (which points back
         at this simulator), so reference counting frees the whole run when
         its owner lets go of it, without waiting for a cyclic collection.
-        The network's statistics stay readable; :meth:`run`,
+        The collector is closed first, which removes its spool file. The
+        network's statistics stay readable; :meth:`run`,
         :meth:`run_until_drained` and :meth:`run_measurement` raise
         :class:`SimulationError` from then on.
         """
         self._closed = True
+        if self.obs is not None:
+            self.obs.close()
         self.network.close()
         self.traffic_sources.clear()
         self.obs = None

@@ -97,23 +97,47 @@ class RunMetrics:
 def latency_summary(samples) -> dict:
     """Count, mean, p50/p95/p99, max and log2 histogram of one latency set.
 
-    An empty set gives ``{"count": 0}``. Bucket ``i`` of ``hist`` counts
-    latencies in ``[2^i, 2^(i+1))``; ``frexp`` gives the exact binary
-    exponent, immune to the float rounding of ``log2`` at powers of 2.
+    An empty set gives ``{"count": 0}``; latencies are at least 1. The
+    percentiles are NumPy's default (``linear``) rule, computed here over
+    one sort because ``np.percentile`` imports ``numpy.ma`` on first use
+    (about 2 MB a process); the mean is one exact division of the integer
+    sum. Bucket ``i`` of ``hist`` counts latencies in ``[2^i, 2^(i+1))``,
+    found by bisecting the sorted copy at the powers of two, so the
+    buckets are exact and the set is copied once.
     """
     a = np.asarray(samples, dtype=np.int64)
-    if len(a) == 0:
+    n = len(a)
+    if n == 0:
         return {"count": 0}
-    hist = np.bincount(np.frexp(a.astype(np.float64))[1] - 1)
+    ordered = np.sort(a)
+    edges = 1 << np.arange(int(ordered[-1]).bit_length() + 1, dtype=np.int64)
+    hist = np.diff(np.searchsorted(ordered, edges))
     return {
-        "count": int(len(a)),
-        "mean": float(np.mean(a)),
-        "p50": float(np.percentile(a, 50)),
-        "p95": float(np.percentile(a, 95)),
-        "p99": float(np.percentile(a, 99)),
-        "max": float(np.max(a)),
+        "count": n,
+        "mean": int(a.sum()) / n,
+        "p50": _percentile(ordered, 50),
+        "p95": _percentile(ordered, 95),
+        "p99": _percentile(ordered, 99),
+        "max": float(ordered[-1]),
         "hist": [int(x) for x in hist],
     }
+
+
+def _percentile(ordered, q: int) -> float:
+    """``np.percentile(ordered, q)`` of a sorted int array, bit for bit.
+
+    The virtual index ``(n - 1) * (q / 100)`` falls between two ranks;
+    the lerp between them runs from the lower rank below a fraction of
+    0.5 and back from the upper one from 0.5 on, as NumPy's ``_lerp``
+    does.
+    """
+    n = len(ordered)
+    v = (n - 1) * (q / 100)
+    lo = int(v)
+    t = v - lo
+    a = int(ordered[lo])
+    b = int(ordered[min(lo + 1, n - 1)])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _mean(totals) -> float:
@@ -241,7 +265,8 @@ class NetworkStats:
             (native if own else foreign).append(latency)
             if is_global:
                 global_.append(latency)
-        return {cls: np.array(lat, dtype=np.int64) for cls, lat in classes.items()}
+        # Views of the packed columns, not copies.
+        return {cls: np.frombuffer(lat, dtype=np.int64) for cls, lat in classes.items()}
 
     def apps(self) -> list[int]:
         """Distinct application ids seen in the ejection log."""
@@ -249,5 +274,20 @@ class NetworkStats:
 
     def per_app_apl(self, window: tuple[int, int] | None = None) -> dict[int, float]:
         """APL per application (adversarial traffic excluded; NaN if none in ``window``)."""
-        totals = self._totals(None, window, False, None)
+        return self._per_app(self._totals(None, window, False, None))
+
+    def _per_app(self, totals) -> dict[int, float]:
         return {app: _mean([totals.get(app, (0, 0))]) for app in self.apps() if app >= 0}
+
+    def summary(
+        self, window: tuple[int, int] | None = None
+    ) -> tuple[float, dict[int, float], int]:
+        """``(apl, per_app_apl, packet_count)`` over ``window`` in one walk.
+
+        Each equals its own query with the default filters (adversarial
+        traffic excluded), bit for bit; asked one by one, they walk the
+        log three times.
+        """
+        totals = self._totals(None, window, False, None)
+        count = sum(n for _, n in totals.values())
+        return _mean(totals.values()), self._per_app(totals), count

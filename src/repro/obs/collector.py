@@ -14,11 +14,18 @@
   packets' latencies split native / foreign (destination-region
   membership) and global (global-VC packets, a subset).
 
+Records are encoded (:func:`~repro.obs.exporters.dumps_record`) and
+written to a spool file in the obs dir the moment they are made, so the
+collector's memory does not grow with the run's length; with no obs dir
+it encodes nothing and keeps only the summary counters.
+
 The collector is single-use per simulator but :meth:`finalize` is
-idempotent: it derives the latency/summary records from the accumulated
-state without consuming it, so a second ``run_measurement`` on the same
+idempotent: it copies the spool and appends the latency/summary records
+without consuming anything, so a second ``run_measurement`` on the same
 simulator extends the time series and re-finalizes a longer stream whose
-latency classes cover the latest measurement window.
+latency classes cover the latest measurement window. :meth:`close`
+(called by :meth:`repro.noc.sim.Simulator.close`) removes the spool, so
+a run that raises before its finalize leaves no file behind.
 
 Nothing in ``repro.noc`` imports this module — the simulator talks to the
 collector through the duck-typed ``next_sample`` / ``take_sample`` /
@@ -27,11 +34,12 @@ collector through the duck-typed ``next_sample`` / ``take_sample`` /
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from repro.noc.stats import latency_summary
 from repro.noc.trace import KernelTrace
-from repro.obs.exporters import write_stream
+from repro.obs.exporters import dumps_record, sanitize_name, write_stream
 from repro.obs.schema import LATENCY_CLASSES, SCHEMA_VERSION
 from repro.util.errors import ConfigError
 
@@ -46,9 +54,10 @@ class ObsConfig:
     It is *execution* policy: it never enters result-cache keys (the
     simulation is bit-identical with or without a collector installed).
 
-    ``dir=None`` keeps everything in memory — the run still gets an
-    :class:`ObsSummary` but no JSONL file. A run's file stem is its own,
-    not the sweep's: it is the collector's ``name``.
+    ``dir=None`` records no stream: the run still gets an
+    :class:`ObsSummary`, and the collector keeps only its counters. A
+    run's file stem is its own, not the sweep's: it is the collector's
+    ``name``.
     """
 
     dir: str | None
@@ -104,7 +113,7 @@ class MetricsCollector(KernelTrace):
         "next_sample",
         "samples_taken",
         "_net",
-        "_records",
+        "_spool",
         "_prev_link",
         "_install_link",
         "_start_cycle",
@@ -117,12 +126,13 @@ class MetricsCollector(KernelTrace):
         self.next_sample = 0
         self.samples_taken = 0
         self._net = None
-        self._records: list[dict] = []
+        #: the open spool file (``None`` without an obs dir, or once closed)
+        self._spool = None
         self._flips_by_node: dict[int, int] = {}
 
     # -- wiring -----------------------------------------------------------------
     def install(self, sim) -> "MetricsCollector":
-        """Attach to ``sim``: trace slot and obs slot."""
+        """Attach to ``sim``: trace slot and obs slot; open the spool."""
         net = sim.network
         if net.trace is not None:
             raise ConfigError(
@@ -137,12 +147,21 @@ class MetricsCollector(KernelTrace):
         self._start_cycle = sim.cycle
         period = self.config.sample_period
         self.next_sample = (sim.cycle // period + 1) * period
-        self._prev_link = net.link_flit_counts()
-        self._install_link = [row[:] for row in self._prev_link]
+        self._install_link = net.link_flit_counts()
+        out_dir = self.config.dir
+        if out_dir is None:
+            return self
+        self._prev_link = self._install_link
+        os.makedirs(out_dir, exist_ok=True)
+        # Not ``*.jsonl``: a sweep's streams are the files that end so.
+        spool = os.path.join(
+            out_dir, f".{sanitize_name(self.name)}.{os.urandom(6).hex()}.spool"
+        )
+        self._spool = open(spool, "x", encoding="utf-8")
         cfg = net.config
         from repro._version import __version__, git_revision
 
-        self._records.append(
+        self._write(
             {
                 "kind": "header",
                 "schema": SCHEMA_VERSION,
@@ -159,7 +178,7 @@ class MetricsCollector(KernelTrace):
                 "git_rev": git_revision() or "",
             }
         )
-        self._records.append(
+        self._write(
             {
                 "kind": "dpa_init",
                 "cycle": sim.cycle,
@@ -168,46 +187,65 @@ class MetricsCollector(KernelTrace):
         )
         return self
 
+    def _write(self, rec: dict) -> None:
+        self._spool.write(dumps_record(rec) + "\n")
+
+    def close(self) -> None:
+        """Close and remove the spool; idempotent. The JSONL stream stays."""
+        spool = self._spool
+        if spool is None:
+            return
+        self._spool = None
+        spool.close()
+        try:
+            os.unlink(spool.name)
+        except OSError:
+            pass
+
     # -- trace hook (the only kernel event the collector consumes) ---------------
     def dpa_flip(self, cycle, node, native_high, ovc_n, ovc_f) -> None:
-        self._records.append(
-            {
-                "kind": "dpa_flip",
-                "cycle": cycle,
-                "node": node,
-                "native_high": bool(native_high),
-                "ovc_n": ovc_n,
-                "ovc_f": ovc_f,
-            }
-        )
+        if self._spool is not None:
+            self._write(
+                {
+                    "kind": "dpa_flip",
+                    "cycle": cycle,
+                    "node": node,
+                    "native_high": bool(native_high),
+                    "ovc_n": ovc_n,
+                    "ovc_f": ovc_f,
+                }
+            )
         self._flips_by_node[node] = self._flips_by_node.get(node, 0) + 1
 
     # -- periodic sampler (called by Simulator.step) ------------------------------
     def take_sample(self, cycle: int, net) -> None:
         """Snapshot per-router and per-link state at a period boundary."""
-        routers = net.routers
-        self._records.append(
-            {
-                "kind": "vc_sample",
-                "cycle": cycle,
-                "occupancy": list(net.occupancy),
-                "ovc_n": [r.ovc_n for r in routers],
-                "ovc_f": [r.ovc_f for r in routers],
-            }
-        )
-        cur = net.link_flit_counts()
-        prev = self._prev_link
-        self._records.append(
-            {
-                "kind": "link_sample",
-                "cycle": cycle,
-                "flits": [
-                    [c - p for c, p in zip(crow, prow)]
-                    for crow, prow in zip(cur, prev)
-                ],
-            }
-        )
-        self._prev_link = cur
+        if self._spool is not None:
+            routers = net.routers
+            self._write(
+                {
+                    "kind": "vc_sample",
+                    "cycle": cycle,
+                    "occupancy": list(net.occupancy),
+                    "ovc_n": [r.ovc_n for r in routers],
+                    "ovc_f": [r.ovc_f for r in routers],
+                }
+            )
+            cur = net.link_flit_counts()
+            prev = self._prev_link
+            self._write(
+                {
+                    "kind": "link_sample",
+                    "cycle": cycle,
+                    "flits": [
+                        [c - p for c, p in zip(crow, prow)]
+                        for crow, prow in zip(cur, prev)
+                    ],
+                }
+            )
+            self._prev_link = cur
+            # A sample's lines are on disk before the next period starts.
+            self._spool.flush()
         self.samples_taken += 1
         self.next_sample = cycle + self.config.sample_period
 
@@ -217,32 +255,34 @@ class MetricsCollector(KernelTrace):
         net = self._net
         if net is None:
             raise ConfigError("collector was never installed")
+        if self.config.dir is not None and self._spool is None:
+            raise ConfigError("collector is closed: its spool is gone")
         # No window set yet: nothing was measured.
         window = net.measure_window or (0, 0)
         classes = net.stats.latency_classes(window, net.region_ids)
         latency = {cls: latency_summary(classes[cls]) for cls in LATENCY_CLASSES}
-        tail = [
-            {"kind": "latency_class", "cls": cls, **stats}
-            for cls, stats in latency.items()
-        ]
         link_util = self._link_utilization(end_cycle)
         dpa_flips = sum(self._flips_by_node.values())
         # Every classified packet is native or foreign; global is a subset.
         events = dpa_flips + latency["native"]["count"] + latency["foreign"]["count"]
-        tail.append(
-            {
-                "kind": "summary",
-                "cycle": end_cycle,
-                "samples": self.samples_taken,
-                "events": events,
-                "dpa_flips": dpa_flips,
-                "link_util": link_util,
-            }
-        )
-        records = self._records + tail
         path = None
-        if self.config.dir is not None:
-            path = write_stream(records, self.config.dir, self.name)
+        if self._spool is not None:
+            tail = [
+                {"kind": "latency_class", "cls": cls, **stats}
+                for cls, stats in latency.items()
+            ]
+            tail.append(
+                {
+                    "kind": "summary",
+                    "cycle": end_cycle,
+                    "samples": self.samples_taken,
+                    "events": events,
+                    "dpa_flips": dpa_flips,
+                    "link_util": link_util,
+                }
+            )
+            self._spool.flush()
+            path = write_stream(tail, self.config.dir, self.name, head=self._spool.name)
         return ObsSummary(
             end_cycle=end_cycle,
             sample_period=self.config.sample_period,
@@ -282,7 +322,3 @@ class MetricsCollector(KernelTrace):
             "max_node": best[1],
             "max_port": best[2],
         }
-
-    def records(self) -> list[dict]:
-        """The time-series records accumulated so far (no finalize tail)."""
-        return list(self._records)

@@ -11,9 +11,10 @@ import csv
 import json
 import os
 import re
+import shutil
 
 from repro.obs.schema import LATENCY_CLASSES, load_jsonl
-from repro.util.jsonl import write_text_atomic
+from repro.util.jsonl import replacing
 
 __all__ = ["dumps_record", "export_csv", "sanitize_name", "write_stream"]
 
@@ -35,18 +36,24 @@ def dumps_record(rec: dict) -> str:
     return json.dumps(rec, sort_keys=True, separators=(",", ":"))
 
 
-def write_stream(records, out_dir, name: str, suffix: str = "") -> str:
+def write_stream(records, out_dir, name: str, suffix: str = "", head=None) -> str:
     """Write ``records`` to ``out_dir/<sanitized name><suffix>.jsonl``.
 
-    Creates ``out_dir`` and writes atomically
-    (:func:`~repro.util.jsonl.write_text_atomic`), so a crash mid-export
-    never leaves a half-stream behind for the report tool to choke on.
-    Returns the path. Both the collector's obs stream and the guard's
-    blackbox go through here.
+    ``head`` is the path of a file of lines already encoded with
+    :func:`dumps_record` (the collector's spool); its bytes go first,
+    copied as they are. Creates ``out_dir`` and writes atomically
+    (:func:`~repro.util.jsonl.replacing`), so a crash mid-export never
+    leaves a half-stream behind for the report tool to choke on. Returns
+    the path. Both the collector's obs stream and the guard's blackbox go
+    through here.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{sanitize_name(name)}{suffix}.jsonl")
-    write_text_atomic(path, "".join(dumps_record(rec) + "\n" for rec in records))
+    with replacing(path) as fh:
+        if head is not None:
+            with open(head, "rb") as src:
+                shutil.copyfileobj(src, fh)
+        fh.write("".join(dumps_record(rec) + "\n" for rec in records).encode())
     return path
 
 

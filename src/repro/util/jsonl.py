@@ -11,33 +11,38 @@ the damaged line and the blank lines the framing produces. A process
 killed at any instant therefore loses at most the record it was writing.
 
 Whole files — cache entries, obs streams, result tables, the daemon's
-endpoint — are replaced with :func:`write_text_atomic`.
+endpoint — are replaced with :func:`write_text_atomic`, or, when written
+in pieces, with :func:`replacing`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
 from collections.abc import Iterator
+from typing import BinaryIO
 
-__all__ = ["append_record", "read_records", "write_text_atomic"]
+__all__ = ["append_record", "read_records", "replacing", "write_text_atomic"]
 
 
-def write_text_atomic(path: str | os.PathLike, text: str) -> None:
-    """Replace ``path`` with ``text``: a reader sees the old file or the new one.
+@contextlib.contextmanager
+def replacing(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """A binary file that replaces ``path`` when the block exits cleanly.
 
-    The text goes to a temp file of its own in the target's directory
+    The bytes go to a temp file of its own in the target's directory
     (random name, exclusive create, the umask's usual permissions), which
-    ``os.replace`` then renames over ``path``; two concurrent writers of
-    one path never share a temp file, and a failed write removes its own.
+    ``os.replace`` then renames over ``path``, so a reader sees the old
+    file or the new one; two concurrent writers of one path never share a
+    temp file, and a block that raises removes its own.
     """
     path = pathlib.Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")  # exclusive: the file is this call's alone
+    fh = open(tmp, "xb")  # exclusive: the file is this call's alone
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -45,6 +50,12 @@ def write_text_atomic(path: str | os.PathLike, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Replace ``path`` with ``text`` (UTF-8) through :func:`replacing`."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def append_record(path: str | os.PathLike, obj) -> None:

@@ -40,6 +40,7 @@ def stream_path(tmp_path_factory):
         )
     MetricsCollector(ObsConfig(dir=str(out), sample_period=50), "smoke").install(sim)
     res = sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
+    sim.close()  # removes the spool; the stream stays
     assert res.obs is not None and res.obs.samples > 0
     return out / "smoke.jsonl"
 
@@ -103,6 +104,7 @@ class TestReportSummaryMode:
         ))
         MetricsCollector(ObsConfig(dir=str(tmp_path)), "torus").install(sim)
         sim.run_measurement(warmup=50, measure=200)
+        sim.close()
         path = tmp_path / "torus.jsonl"
         assert report_main([str(path)]) == 0
         assert "4x4 torus, schema v1" in capsys.readouterr().out

@@ -1,11 +1,12 @@
 """Property-based tests for statistics filtering and trace round-trips."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.noc.flit import Packet
-from repro.noc.stats import NetworkStats
+from repro.noc.stats import NetworkStats, latency_summary
 from repro.traffic.trace import Trace, TraceTrafficSource
 
 packet_rows = st.lists(
@@ -241,6 +242,62 @@ def test_packed_log_matches_a_list_built_log(rows, t0, span, region_of):
         assert_same(packed.latencies(**kw), ref.latencies(**kw))
     for w in (None, window):
         assert_same(packed.per_app_apl(w), ref.per_app_apl(w))
+        # run_scenario's one walk answers the three summary queries.
+        want = (packed.apl(window=w), packed.per_app_apl(w), packed.packet_count(window=w))
+        got = packed.summary(w)
+        assert type(got) is tuple and len(got) == 3
+        for g, x in zip(got, want):
+            assert_same(g, x)
     assert_same(
         packed.latency_classes(window, region_of), ref.latency_classes(window, region_of)
     )
+
+
+def reference_summary(samples) -> dict:
+    """``latency_summary`` as NumPy's own formulas give it."""
+    a = np.asarray(samples, dtype=np.int64)
+    if len(a) == 0:
+        return {"count": 0}
+    hist = np.bincount(np.frexp(a.astype(np.float64))[1] - 1)
+    return {
+        "count": int(len(a)),
+        "mean": float(np.mean(a)),
+        "p50": float(np.percentile(a, 50)),
+        "p95": float(np.percentile(a, 95)),
+        "p99": float(np.percentile(a, 99)),
+        "max": float(np.max(a)),
+        "hist": [int(x) for x in hist],
+    }
+
+
+def assert_summary_matches(samples):
+    got, want = latency_summary(samples), reference_summary(samples)
+    assert_same(got, want)
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+    for got_bin, want_bin in zip(got.get("hist", []), want.get("hist", [])):
+        assert type(got_bin) is type(want_bin) is int
+
+
+@given(st.lists(st.integers(min_value=1, max_value=2**40), max_size=200))
+def test_latency_summary_matches_numpy(latencies):
+    assert_summary_matches(np.array(latencies, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [7],
+        [3, 10],
+        [10, 3],
+        [42] * 97,
+        [2**k for k in range(40)],
+        [2**k for k in reversed(range(12))] * 3,
+        np.random.default_rng(5).integers(1, 5000, size=100_000),
+        np.random.default_rng(6).geometric(0.01, size=100_000),
+    ],
+    ids=["n1", "n2", "n2-reversed", "all-equal", "powers-of-two",
+         "powers-of-two-repeated", "1e5-uniform", "1e5-geometric"],
+)
+def test_latency_summary_matches_numpy_at_the_edges(samples):
+    assert_summary_matches(samples)

@@ -234,7 +234,8 @@ class TestColdStart:
         """Every CLI, ladder child and worker imports these layers, and most
         of them only simulate. The HTTP client (ssl, email), the worker pool
         (multiprocessing) and the git stamp (subprocess) load where they are
-        used, as scipy does in ``half_width``. One interpreter checks all."""
+        used, as scipy does in ``half_width``; an obs-armed run's latency
+        summary does without ``numpy.ma``. One interpreter checks all."""
         src = pathlib.Path(__file__).resolve().parents[2] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
@@ -257,6 +258,11 @@ class TestColdStart:
             "heavy = ('ssl', 'http.client', 'email', 'multiprocessing', 'subprocess')\n"
             "loaded = sorted(set(heavy) & set(sys.modules))\n"
             "assert not loaded, loaded\n"
+            "from repro.experiments.runner import run_scenario\n"
+            "from repro.obs import ObsConfig\n"
+            "run_scenario(SCHEMES['RA_RAIR'], two_app_msp(0.5), Effort.SMOKE, 42, "
+            f"obs=ObsConfig(dir={str(tmp_path / 'obs')!r}))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
             "assert repro.experiments.SweepResult('x', [1.0, 2.0, 3.0]).half_width() > 0\n"
             "assert 'scipy.stats' in sys.modules\n"

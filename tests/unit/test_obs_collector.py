@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -96,20 +98,23 @@ class TestCollectedStream:
         assert res.obs.sample_period == 50
         assert res.obs.end_cycle == res.end_cycle
 
-    def test_in_memory_records_validate_as_a_stream(self):
+    def test_in_memory_mode_keeps_only_the_summary(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         _sim, col, res = self._run()
-        records = col.records()
-        # records() excludes the finalize tail — rebuild the full stream
-        # through a real finalize-to-disk pass instead.
-        assert records[0]["kind"] == "header"
-        assert records[0]["schema"] == SCHEMA_VERSION
-        assert records[1]["kind"] == "dpa_init"
+        assert col._spool is None
+        assert res.obs.jsonl_path is None
+        assert os.listdir(tmp_path) == []
         assert res.obs.dpa_flips == sum(res.obs.dpa_flips_by_node.values())
         assert res.obs.latency["native"]["count"] > 0
         assert res.obs.latency["foreign"]["count"] > 0
+        # The same digest as a run that writes its stream.
+        sim, _col, streamed = self._run(obs_dir=str(tmp_path / "obs"))
+        sim.close()
+        assert res.obs == streamed.obs
 
     def test_jsonl_file_written_and_valid(self, tmp_path):
-        _sim, col, res = self._run(obs_dir=str(tmp_path))
+        sim, col, res = self._run(obs_dir=str(tmp_path))
+        sim.close()
         path = tmp_path / "t.jsonl"
         assert res.obs.jsonl_path == str(path)
         records = load_jsonl(path)
@@ -143,6 +148,66 @@ class TestCollectedStream:
         assert (
             sim_obs.network.stats.packets_ejected == net_plain.stats.packets_ejected
         )
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RaiseAt:
+    """A traffic source that raises at one cycle."""
+
+    def __init__(self, cycle):
+        self.cycle = cycle
+
+    def tick(self, cycle, net):
+        if cycle == self.cycle:
+            raise _Boom(cycle)
+
+
+class TestSpoolLifecycle:
+    def _install(self, tmp_path, period=50):
+        sim, _net = _rair_sim()
+        col = MetricsCollector(
+            ObsConfig(dir=str(tmp_path), sample_period=period), "t"
+        ).install(sim)
+        return sim, col
+
+    def test_spool_holds_each_sample_before_finalize(self, tmp_path):
+        sim, _col = self._install(tmp_path)
+        sim.run(3 * 50 + 1)  # samples at cycles 50, 100 and 150
+        [spool] = tmp_path.iterdir()
+        assert not spool.name.endswith(".jsonl")
+        records = [json.loads(line) for line in spool.read_text().splitlines()]
+        kinds = [rec["kind"] for rec in records]
+        assert kinds[:2] == ["header", "dpa_init"]
+        assert kinds.count("vc_sample") == kinds.count("link_sample") == 3
+        assert [r["cycle"] for r in records if r["kind"] == "vc_sample"] == [50, 100, 150]
+        sim.close()
+        assert os.listdir(tmp_path) == []
+
+    def test_clean_run_leaves_one_stream_and_refinalizes_the_same_bytes(self, tmp_path):
+        sim, col = self._install(tmp_path)
+        res = sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
+        path = tmp_path / "t.jsonl"
+        first = path.read_bytes()
+        assert col.finalize(res.end_cycle) == res.obs
+        assert path.read_bytes() == first
+        sim.close()
+        assert os.listdir(tmp_path) == ["t.jsonl"]
+        assert path.read_bytes() == first
+        with pytest.raises(ConfigError, match="closed"):
+            col.finalize(res.end_cycle)
+
+    def test_a_run_that_raises_leaves_no_file(self, tmp_path):
+        sim, _col = self._install(tmp_path)
+        sim.add_traffic(_RaiseAt(300))  # mid-measurement
+        with pytest.raises(_Boom):
+            try:
+                sim.run_measurement(warmup=100, measure=400, drain_limit=20_000)
+            finally:
+                sim.close()  # what run_scenario does
+        assert os.listdir(tmp_path) == []
 
 
 class TestLatencyStats:
